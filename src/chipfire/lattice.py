@@ -1,7 +1,17 @@
 """Finite posets and lattices: irreducibles, codings, detectors, constructions.
 
-Orders are stored as boolean ``leq`` matrices on elements 0..n-1. Lattices
-verify totality of join and meet at construction time and cache the tables.
+Orders are stored as boolean ``leq`` matrices on elements 0..n-1. Covers are
+kept when the order is built from them (``Poset.from_covers``) and derived
+from ``leq`` otherwise.
+
+Lattices build their join and meet tables at construction time by dynamic
+programming over covers, vectorised over whole levels of rows, and verify
+every pair on the way: if x and y are incomparable, x∨y is the least of c∨y
+over the upper covers c of x, and the pair has no join when the candidates
+have no least element (meets dually). Distributivity is decided by local
+checks: a finite lattice is distributive iff it and its dual are upper
+locally distributive (Dilworth 1940), so the cubic triple law is only used to
+name a witness.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from .errors import CapExceeded, DetectorDisagreement, NotALatticeError
 class Poset:
     """Finite partial order given by its full ``leq`` relation."""
 
-    def __init__(self, leq, labels=None, _checked=False):
+    def __init__(self, leq, labels=None, _checked=False, _covers=None):
         leq = np.array(leq, dtype=bool)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise ValueError("leq must be a square matrix")
@@ -40,15 +50,25 @@ class Poset:
         self.leq = leq
         self.n = n
         self.labels = labels
+        if _covers is not None:
+            self.cover_pairs = _covers
 
     @classmethod
     def from_covers(cls, n, covers, labels=None, **kwargs):
-        """Build from cover pairs (lower, upper); rejects cyclic input."""
+        """Build from cover pairs (lower, upper); rejects cyclic input.
+
+        Repeated pairs and pairs implied by transitivity are dropped; the
+        reduced, sorted list is kept as ``cover_pairs``.
+        """
         up = [[] for _ in range(n)]
         indeg = [0] * n
+        seen = set()
         for lo, hi in covers:
             if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
                 raise ValueError(f"bad cover pair ({lo},{hi})")
+            if (lo, hi) in seen:
+                continue
+            seen.add((lo, hi))
             up[lo].append(hi)
             indeg[hi] += 1
         order = deque(v for v in range(n) if indeg[v] == 0)
@@ -62,11 +82,18 @@ class Poset:
                     order.append(w)
         if len(topo) != n:
             raise ValueError("cover relation contains a cycle")
-        leq = np.eye(n, dtype=bool)
+        leq = np.zeros((n, n), dtype=bool)  # strictly above, until the diagonal is set
+        kept = []
         for v in reversed(topo):
-            for w in up[v]:
-                leq[v] |= leq[w]
-        return cls(leq, labels=labels, _checked=True, **kwargs)
+            ups = up[v]
+            if ups:
+                # reached by two or more steps: implied, not a cover
+                far = leq[ups].any(axis=0)
+                kept.extend((v, w) for w, implied in zip(ups, far[ups].tolist()) if not implied)
+                far[ups] = True
+                leq[v] = far
+        np.fill_diagonal(leq, True)
+        return cls(leq, labels=labels, _checked=True, _covers=tuple(sorted(kept)), **kwargs)
 
     def le(self, x, y) -> bool:
         return bool(self.leq[x, y])
@@ -116,7 +143,7 @@ class Poset:
     def topo_order(self) -> tuple[int, ...]:
         """Elements sorted by down-set size; a linear extension."""
         below = self.leq.sum(axis=0)
-        return tuple(sorted(range(self.n), key=lambda x: (below[x], x)))
+        return tuple(np.argsort(below, kind="stable").tolist())
 
     def restrict(self, elements: Iterable[int]) -> "Poset":
         """Induced suborder, keeping labels; elements in ascending index order."""
@@ -176,6 +203,62 @@ class IdealFamily:
         return len(self.members)
 
 
+# table cells per slice of a join-table build; bounds its temporary arrays
+_CELLS = 1 << 18
+
+
+def _join_table(le, ups):
+    """The join table of an order numbered along a linear extension, or None
+    when some pair has no join.
+
+    ``le[x, y]`` says x <= y, and ``ups[x]`` lists the upper covers of x.
+    Since every element's index is below those of the elements above it, the
+    least of a set of upper bounds, if it has one, is its smallest index.
+    Rows are filled top-down, a level at a time (a level holds the elements
+    whose covers all lie in earlier levels): x∨y is y when x <= y, x when
+    y <= x, and otherwise the least of c∨y over the covers c of x. That is
+    exact, because every upper bound above x lies above some c and so above
+    c∨y; if the smallest candidate is not below all the others, x and y have
+    no join.
+    """
+    n = len(le)
+    deg = np.array([len(u) for u in ups], dtype=np.intp)
+    level = [0] * n
+    for x in range(n - 1, -1, -1):
+        if ups[x]:
+            level[x] = 1 + max(level[c] for c in ups[x])
+    level = np.array(level)
+    width = int(deg.max())
+    padded = np.array([u + (0,) * (width - len(u)) for u in ups], dtype=np.intp).reshape(n, width)
+    flat = le.ravel()
+    everyone = np.arange(n, dtype=np.int32)
+    table = np.empty((n, n), dtype=np.int32)
+    # by level, then by falling degree, so the rows using cover slot i are a prefix
+    by = np.lexsort((-deg, level))
+    step = max(1, _CELLS // n)
+    for group in np.split(by, np.flatnonzero(np.diff(level[by])) + 1):
+        for start in range(0, group.size, step):
+            xs = group[start:start + step]
+            above = le[xs]
+            apart = ~(above | le[:, xs].T)
+            rows = np.where(above, everyone, xs[:, None].astype(np.int32))
+            if apart.any():
+                d = deg[xs]
+                if d[0] == 0:
+                    return None  # maximal elements below no common bound
+                slots = [(np.count_nonzero(d > i), padded[xs, i]) for i in range(d[0])]
+                best = table[slots[0][1]]
+                for m, cs in slots[1:]:
+                    np.minimum(best[:m], table[cs[:m]], out=best[:m])
+                base = best.astype(np.intp) * n
+                for m, cs in slots:
+                    if (apart[:m] & ~flat.take(base[:m] + table[cs[:m]])).any():
+                        return None
+                rows = np.where(apart, best, rows)
+            table[xs] = rows
+    return table
+
+
 def _subset_label(labels, members) -> str:
     return "{" + ",".join(labels[x] for x in sorted(members)) + "}"
 
@@ -183,14 +266,38 @@ def _subset_label(labels, members) -> str:
 class Lattice(Poset):
     """Bounded lattice; construction verifies every pair has a join and a meet.
 
+    The join table is the cover recurrence of :func:`_join_table` run on the
+    order numbered along a linear extension; the meet table is the same run on
+    the dual order. When either finds a pair without a bound, the pairs are
+    rescanned in index order, so the error names the first offending pair.
+
     ``cover_labels`` optionally annotates cover edges (e.g. with the vertex
     fired along a configuration-space edge).
     """
 
-    def __init__(self, leq, labels=None, cover_labels=None, _checked=False):
-        super().__init__(leq, labels=labels, _checked=_checked)
+    def __init__(self, leq, labels=None, cover_labels=None, _checked=False, _covers=None):
+        super().__init__(leq, labels=labels, _checked=_checked, _covers=_covers)
         self.cover_labels = dict(cover_labels) if cover_labels else {}
         self._build_tables()
+
+    @classmethod
+    def from_union_closed(cls, masks, ground_labels) -> "Lattice":
+        """A union-closed family of bitmasks ordered by inclusion.
+
+        Each member is labelled by its set of ground elements, named by
+        ``ground_labels`` (bit b is ``ground_labels[b]``).
+        """
+        n = len(masks)
+        leq = np.ones((n, n), dtype=bool)
+        width = max((m.bit_length() for m in masks), default=0)
+        for shift in range(0, width + 1, 64):
+            word = np.array([m >> shift & 0xFFFF_FFFF_FFFF_FFFF for m in masks], dtype=np.uint64)
+            leq &= (word[:, None] & ~word[None, :]) == 0
+        labels = tuple(
+            _subset_label(ground_labels, [b for b in range(m.bit_length()) if m >> b & 1])
+            for m in masks
+        )
+        return cls(leq, labels=labels, _checked=True)
 
     def _witness_pair(self, i, j, rows, kind):
         common = np.nonzero(rows[i] & rows[j])[0]
@@ -208,33 +315,45 @@ class Lattice(Poset):
             f"{kind} bounds ({names})"
         )
 
+    def _raise_first_failure(self):
+        """Raise for the first pair (i, j), i <= j in index order, without a
+        join or, checked second, a meet: its common upper (lower) bounds are
+        not the up-set (down-set) of any element."""
+        up = np.packbits(self.leq, axis=1)
+        down = np.packbits(self.leq.T, axis=1)
+        ups = {row.tobytes() for row in up}
+        downs = {row.tobytes() for row in down}
+        for i in range(self.n):
+            for j in range(i, self.n):
+                if (up[i] & up[j]).tobytes() not in ups:
+                    self._witness_pair(i, j, self.leq, "upper")
+                if (down[i] & down[j]).tobytes() not in downs:
+                    self._witness_pair(i, j, self.leq.T, "lower")
+        raise RuntimeError("table build failed although every pair has a join and a meet")
+
     def _build_tables(self):
         n = self.n
         if n == 0:
             raise NotALatticeError("not a lattice: empty element set")
-        up = np.packbits(self.leq, axis=1)
-        down = np.packbits(self.leq.T, axis=1)
-        row_of = {up[i].tobytes(): i for i in range(n)}
-        col_of = {down[i].tobytes(): i for i in range(n)}
-        joins = np.empty((n, n), dtype=np.int32)
-        meets = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            ui, di = up[i], down[i]
-            for j in range(i, n):
-                k = row_of.get((ui & up[j]).tobytes())
-                if k is None:
-                    self._witness_pair(i, j, self.leq, "upper")
-                joins[i, j] = joins[j, i] = k
-                k = col_of.get((di & down[j]).tobytes())
-                if k is None:
-                    self._witness_pair(i, j, self.leq.T, "lower")
-                meets[i, j] = meets[j, i] = k
-        joins.flags.writeable = False
-        meets.flags.writeable = False
-        self.join_table = joins
-        self.meet_table = meets
-        self.bottom = int(np.nonzero(self.leq.sum(axis=1) == n)[0][0])
-        self.top = int(np.nonzero(self.leq.sum(axis=0) == n)[0][0])
+        order = np.array(self.topo_order, dtype=np.intp)
+        tables = []
+        # meets are the joins of the dual order, which the reversed order extends
+        for le, covers, seq in (
+            (self.leq, self._upper_covers, order),
+            (self.leq.T, self._lower_covers, order[::-1]),
+        ):
+            rank = np.empty(n, dtype=np.intp)
+            rank[seq] = np.arange(n)
+            at = rank.tolist()
+            ups = [tuple(at[c] for c in covers[x]) for x in seq.tolist()]
+            table = _join_table(le[seq][:, seq], ups)
+            if table is None:
+                self._raise_first_failure()
+            table = seq.astype(np.int32)[table[rank][:, rank]]
+            table.flags.writeable = False
+            tables.append(table)
+        self.join_table, self.meet_table = tables
+        self.bottom, self.top = int(order[0]), int(order[-1])
 
     def join(self, x, y) -> int:
         return int(self.join_table[x, y])
@@ -326,7 +445,11 @@ class Lattice(Poset):
     # distributivity
 
     def distributivity_witness(self):
-        """A triple (x, y, z) with x∧(y∨z) != (x∧y)∨(x∧z), or None."""
+        """A triple (x, y, z) with x∧(y∨z) != (x∧y)∨(x∧z), or None.
+
+        The triple law checked for every x; it names a witness once
+        :attr:`is_distributive` has said no.
+        """
         jt, mt = self.join_table, self.meet_table
         for x in range(self.n):
             lhs = mt[x][jt]
@@ -338,31 +461,47 @@ class Lattice(Poset):
 
     @cached_property
     def is_distributive(self) -> bool:
-        if len(self.J) != len(self.M):
+        """Distributive iff |J| = |M|, ULD, and dually ULD.
+
+        A finite lattice is distributive iff it and its dual are both upper
+        locally distributive (Dilworth 1940; Monjardet 1985). The dual check
+        is the hypercube test on lower covers and the meet table, so the cost
+        is a sum of 2^(cover degree) over elements rather than the n^3 triple
+        law of :meth:`distributivity_witness`.
+        """
+        if len(self.J) != len(self.M) or not self.is_uld:
             return False
-        return self.distributivity_witness() is None
+        return self._cube_witness(self._lower_covers, self.meet_table, self.leq.T) is None
 
     # upper local distributivity, two detectors
 
+    def _cube_witness(self, covers, table, le):
+        """Least element whose cover interval under ``le`` is not a hypercube,
+        or None.
+
+        ``covers`` are the upper covers under ``le`` and ``table`` its joins.
+        Elements with k >= 2 covers are checked together, per k: the 2^k joins
+        of subsets of covers must be distinct and fill the interval up to the
+        join of all k.
+        """
+        bad = []
+        for k in sorted({len(ups) for ups in covers} - {0, 1}):
+            xs = np.array([x for x, ups in enumerate(covers) if len(ups) == k])
+            if 1 << k > self.n:
+                bad.extend(xs.tolist())  # fewer elements than subsets of covers
+                continue
+            ups = np.array([covers[x] for x in xs])
+            joins = xs[:, None]
+            for b in range(k):
+                joins = np.hstack((joins, table[joins, ups[:, b:b + 1]]))
+            distinct = (np.diff(np.sort(joins, axis=1), axis=1) != 0).all(axis=1)
+            size = np.count_nonzero(le[xs] & le[:, joins[:, -1]].T, axis=1)
+            bad.extend(xs[~distinct | (size != 1 << k)].tolist())
+        return min(bad, default=None)
+
     def _hypercube_witness(self):
         """Element whose cover interval is not a hypercube, or None."""
-        jt = self.join_table
-        for x in range(self.n):
-            ups = self.upper_covers(x)
-            k = len(ups)
-            if k <= 1:
-                continue
-            joins = [x] * (1 << k)
-            for s in range(1, 1 << k):
-                b = (s & -s).bit_length() - 1
-                joins[s] = int(jt[joins[s & (s - 1)], ups[b]])
-            if len(set(joins)) != 1 << k:
-                return x
-            top = joins[-1]
-            size = int(np.count_nonzero(self.leq[x] & self.leq[:, top]))
-            if size != 1 << k:
-                return x
-        return None
+        return self._cube_witness(self._upper_covers, self.join_table, self.leq)
 
     def _cover_step_witness(self):
         """Cover that removes != 1 meet-irreducible, or None."""
@@ -487,16 +626,7 @@ class Lattice(Poset):
         reps = sorted(groups.values(), key=lambda m: (bin(m).count("1"), m))
         if len(set(reps)) != len(reps):
             raise RuntimeError("distinct ideal groups produced the same representative")
-        nq = len(reps)
-        leq = np.zeros((nq, nq), dtype=bool)
-        for i in range(nq):
-            for k in range(nq):
-                leq[i, k] = reps[i] | reps[k] == reps[k]
-        labels = tuple(
-            _subset_label(jp.labels, [b for b in range(jp.n) if rep >> b & 1])
-            for rep in reps
-        )
-        return Lattice(leq, labels=labels, _checked=True)
+        return Lattice.from_union_closed(reps, jp.labels)
 
     # stock shapes
 
@@ -594,17 +724,7 @@ def ideal_lattice(poset: Poset, cap=None) -> Lattice:
     This is the Birkhoff representation: the result is distributive, and
     every distributive lattice arises this way from its meet-irreducibles.
     """
-    masks = poset.ideal_masks(cap)
-    n = len(masks)
-    leq = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for k in range(n):
-            leq[i, k] = masks[i] | masks[k] == masks[k]
-    labels = tuple(
-        _subset_label(poset.labels, [b for b in range(poset.n) if m >> b & 1])
-        for m in masks
-    )
-    return Lattice(leq, labels=labels, _checked=True)
+    return Lattice.from_union_closed(poset.ideal_masks(cap), poset.labels)
 
 
 def _base_invariants(lattice: Lattice) -> list[tuple]:

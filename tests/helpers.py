@@ -84,6 +84,44 @@ def naive_join(lattice: Lattice, x, y):
     return mins[0] if len(mins) == 1 else None
 
 
+def naive_meet(lattice: Lattice, x, y):
+    """Greatest common lower bound by scanning; None when absent or ambiguous."""
+    downs = [
+        z
+        for z in range(lattice.n)
+        if lattice.leq[z, x] and lattice.leq[z, y]
+    ]
+    maxs = [a for a in downs if not any(b != a and lattice.leq[a, b] for b in downs)]
+    return maxs[0] if len(maxs) == 1 else None
+
+
+def naive_not_a_lattice_message(poset: Poset):
+    """The error for the first pair (i <= j, join before meet) without a
+    unique least upper or greatest lower bound; None for a lattice."""
+    labels, n = poset.labels, poset.n
+    for i in range(n):
+        for j in range(i, n):
+            for kind, word, rel in (
+                ("upper", "minimal", poset.leq),
+                ("lower", "maximal", poset.leq.T),
+            ):
+                common = [z for z in range(n) if rel[i, z] and rel[j, z]]
+                extreme = [a for a in common if not any(b != a and rel[b, a] for b in common)]
+                if len(extreme) == 1:
+                    continue
+                head = f"not a lattice: {labels[i]} and {labels[j]} have "
+                if not common:
+                    return head + f"no common {kind} bound"
+                names = ", ".join(labels[a] for a in extreme[:4])
+                return head + f"{len(extreme)} {word} common {kind} bounds ({names})"
+    return None
+
+
+def dual(lattice: Lattice) -> Lattice:
+    """The same elements under the reversed order."""
+    return Lattice(lattice.leq.T, labels=lattice.labels, _checked=True)
+
+
 def naive_distributive(lattice: Lattice) -> bool:
     n = lattice.n
     for x in range(n):

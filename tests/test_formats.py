@@ -92,6 +92,17 @@ def test_parse_lattice_round_trip():
     assert again.cover_pairs == lat.cover_pairs
 
 
+def test_parse_lattice_drops_repeated_and_implied_covers():
+    lat = parse_lattice(
+        "elements: z a b t\n"
+        "cover: z a\ncover: z b\ncover: a t\ncover: b t\n"
+        "cover: z a\n"  # repeated
+        "cover: z t\n"  # implied by z < a < t
+    )
+    assert lat.cover_pairs == ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert lattice_to_dot(lat).count("->") == 4
+
+
 def test_parse_lattice_rejects_non_lattice():
     with pytest.raises(NotALatticeError):
         parse_lattice("elements: a b\n")
