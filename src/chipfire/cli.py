@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 predicate or validation failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 
 from . import transforms
@@ -59,8 +60,6 @@ def cmd_run(args) -> int:
     trace = None
     if args.trace:
         trace = lambda v, conf: print(f"fire {game.graph.names[v]}")
-    import random
-
     rng = random.Random(args.seed)
     run = game.run_to_fixpoint(
         policy=args.order, step_cap=step_cap, rng=rng, on_fire=trace
@@ -122,10 +121,9 @@ def cmd_synth(args) -> int:
     lattice = parse_lattice_file(args.lattice)
     if args.mode == "distributive":
         game = transforms.cfg_from_distributive(lattice)
-        space = game.enumerate_space(state_cap=args.cap)
     else:
         game = transforms.coloured_from_uld(lattice)
-        space = game.enumerate_space(state_cap=args.cap)
+    space = game.enumerate_space(state_cap=args.cap)
     verdict = find_isomorphism(space.lattice(), lattice) is not None
     _emit(serialize_game(game), args.out)
     where = args.out or "stdout"

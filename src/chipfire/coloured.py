@@ -4,16 +4,19 @@ Vertices start closed. A closed vertex may be opened when some colour gives it
 at least as many chips of that colour as it has outgoing edges of that colour
 (and at least one such edge). Opening then stabilizes every colour's classical
 game over the open vertices; closed vertices absorb chips but never fire.
+
+The configuration space comes from the engine's shared breadth-first closure
+and its two checks; the second one reports an open-set reached with two chip
+contents.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .engine import Cfg, ConfigSpace
-from .errors import StateCapExceeded, StepCapExceeded
+from .engine import Cfg, ConfigSpace, _closure, _fire_in_place
+from .errors import StepCapExceeded
 from .multigraph import ColouredMultigraph
 
 _STABILIZE_CAP = 1_000_000  # defensive; per-colour convergence is checked up front
@@ -86,10 +89,7 @@ class ColouredCfg:
             firable = [v for v in opened if 0 < deg[v] <= chips[v]]
             if not firable:
                 return tuple(chips)
-            v = min(firable)
-            chips[v] -= deg[v]
-            for w, k in restriction._out_adj[v]:
-                chips[w] += k
+            _fire_in_place(chips, restriction, min(firable))
             steps += 1
             if steps > _STABILIZE_CAP:
                 raise StepCapExceeded(
@@ -102,6 +102,10 @@ class ColouredCfg:
             raise ValueError(f"vertex {self.graph.names[v]} is already open")
         if v not in self.openable(state):
             raise ValueError(f"vertex {self.graph.names[v]} cannot be opened")
+        return self._open(state, v)
+
+    def _open(self, state: ColouredState, v: int) -> ColouredState:
+        """``open_vertex`` for a vertex the caller has already found openable."""
         opened = state.opened | {v}
         chips = tuple(
             self._stabilize_colour(c, state.chips[ci], opened)
@@ -112,42 +116,15 @@ class ColouredCfg:
     def enumerate_space(self, state_cap=None) -> ConfigSpace:
         """Breadth-first closure over open-sets; chip state is cross-checked.
 
-        Opening order does not matter: states are keyed by the open-set and a
-        revisit with different chips would be reported.
+        Opening order does not matter: each open-set must be reached with a
+        single chip content, and a second one would be reported.
         """
-        n = self.graph.n
-        start = self.initial_state()
-        seen: dict[frozenset[int], ColouredState] = {start.opened: start}
-        transitions = []
-        queue = deque([start.opened])
-        while queue:
-            opened = queue.popleft()
-            state = seen[opened]
-            for v in sorted(self.openable(state)):
-                nxt = self.open_vertex(state, v)
-                known = seen.get(nxt.opened)
-                if known is None:
-                    seen[nxt.opened] = nxt
-                    if state_cap is not None and len(seen) > state_cap:
-                        raise StateCapExceeded(f"state space exceeds cap {state_cap}")
-                    queue.append(nxt.opened)
-                elif known.chips != nxt.chips:
-                    raise RuntimeError(
-                        "same open-set reached with different chip contents"
-                    )
-                transitions.append((opened, v, nxt.opened))
-        def vec(opened):
-            return tuple(1 if v in opened else 0 for v in range(n))
-        order = sorted(seen, key=lambda o: (len(o), vec(o)))
-        index = {o: i for i, o in enumerate(order)}
-        covers = tuple(sorted((index[a], index[b], v) for a, v, b in transitions))
-        return ConfigSpace(
-            game=self,
-            names=self.graph.names,
-            vectors=tuple(vec(o) for o in order),
-            configs=tuple(seen[o].chips for o in order),
-            covers=covers,
-        )
+
+        def successors(state):
+            return [(v, self._open(state, v)) for v in sorted(self.openable(state))]
+
+        space = _closure(self, self.initial_state(), successors, state_cap)
+        return replace(space, configs=tuple(state.chips for state in space.configs))
 
 
 def from_classical(cfg: Cfg) -> ColouredCfg:

@@ -3,12 +3,15 @@
 A vertex holding at least its out-degree in chips may fire, sending one chip
 along each outgoing edge. Loops return their chips to the firing vertex but
 still count toward the firing threshold.
+
+Classical and coloured configuration spaces both come from ``_closure``, one
+breadth-first closure that holds the state cap, the canonical order and two
+checks: a revisited state keeps its firing vector, and no two states share one.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -16,7 +19,52 @@ from typing import Callable, Mapping
 from .errors import StateCapExceeded, StepCapExceeded
 from .multigraph import Multigraph
 
-Configuration = tuple  # chips per vertex, indexed like the graph
+
+def _fire_in_place(chips: list, graph: Multigraph, v: int) -> None:
+    """Fire v on a mutable chip list, without checking that v may fire."""
+    chips[v] -= graph._out_degrees[v]
+    for w, k in graph._out_adj[v]:
+        chips[w] += k
+
+
+def _closure(game, start, successors, state_cap) -> "ConfigSpace":
+    """Breadth-first closure of ``start`` under ``successors``, as a ConfigSpace.
+
+    ``successors(state)`` lists the moves ``(v, next_state)``; each move adds
+    one to entry v of the firing vector. States are hashable and stored as
+    the space's configurations. Raises RuntimeError when a state is reached
+    again with a different firing vector, or when two states share a firing
+    vector (for a coloured game: one open-set with two chip contents).
+    """
+    ids = {start: 0}  # state -> discovery number
+    states, vectors = [start], [(0,) * game.graph.n]
+    transitions = []
+    for i, state in enumerate(states):  # appending while iterating: a FIFO queue
+        vec = vectors[i]
+        for v, nxt in successors(state):
+            nvec = vec[:v] + (vec[v] + 1,) + vec[v + 1:]
+            j = ids.get(nxt)
+            if j is None:
+                j = ids[nxt] = len(states)
+                states.append(nxt)
+                vectors.append(nvec)
+                if state_cap is not None and len(states) > state_cap:
+                    raise StateCapExceeded(f"state space exceeds cap {state_cap}")
+            elif vectors[j] != nvec:
+                raise RuntimeError("revisited state with a different firing vector")
+            transitions.append((i, v, j))
+    if len(set(vectors)) != len(vectors):
+        raise RuntimeError("two states share a firing vector")
+    order = sorted(range(len(states)), key=lambda i: (sum(vectors[i]), vectors[i]))
+    rank = {i: r for r, i in enumerate(order)}
+    covers = tuple(sorted((rank[a], rank[b], v) for a, v, b in transitions))
+    return ConfigSpace(
+        game=game,
+        names=game.graph.names,
+        vectors=tuple(vectors[i] for i in order),
+        configs=tuple(states[i] for i in order),
+        covers=covers,
+    )
 
 
 def _chooser(policy, rng) -> Callable[[frozenset[int]], int]:
@@ -80,10 +128,12 @@ class Cfg:
         """Send one chip along each edge out of v; v must be firable."""
         if v not in self.firable(conf):
             raise ValueError(f"vertex {self.graph.names[v]} is not firable")
+        return self._fire(conf, v)
+
+    def _fire(self, conf, v) -> tuple[int, ...]:
+        """``fire`` for a vertex the caller has already found firable."""
         nxt = list(conf)
-        nxt[v] -= self.graph.out_degree(v)
-        for w, k in self.graph._out_adj[v]:
-            nxt[w] += k
+        _fire_in_place(nxt, self.graph, v)
         return tuple(nxt)
 
     def run_to_fixpoint(
@@ -108,7 +158,9 @@ class Cfg:
                     f"possibly divergent: no fixpoint within step cap {step_cap}"
                 )
             v = choose(fs)
-            conf = self.fire(conf, v)
+            if v not in fs:  # a caller-supplied policy may pick any vertex
+                raise ValueError(f"vertex {self.graph.names[v]} is not firable")
+            conf = self._fire(conf, v)
             counts[v] += 1
             steps += 1
             if on_fire is not None:
@@ -126,43 +178,11 @@ class Cfg:
         same start must have fired the same multiset of vertices).
         """
         self._require_guard(state_cap, "enumerate_space")
-        n = self.graph.n
-        vectors: dict[tuple[int, ...], tuple[int, ...]] = {self.init: (0,) * n}
-        transitions: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
-        queue = deque([self.init])
-        while queue:
-            conf = queue.popleft()
-            vec = vectors[conf]
-            for v in sorted(self.firable(conf)):
-                nxt = self.fire(conf, v)
-                nvec = tuple(
-                    c + 1 if i == v else c for i, c in enumerate(vec)
-                )
-                known = vectors.get(nxt)
-                if known is None:
-                    vectors[nxt] = nvec
-                    if state_cap is not None and len(vectors) > state_cap:
-                        raise StateCapExceeded(
-                            f"state space exceeds cap {state_cap}"
-                        )
-                    queue.append(nxt)
-                elif known != nvec:
-                    raise RuntimeError(
-                        "revisited configuration with a different firing vector"
-                    )
-                transitions.append((conf, v, nxt))
-        order = sorted(vectors, key=lambda c: (sum(vectors[c]), vectors[c]))
-        index = {conf: i for i, conf in enumerate(order)}
-        covers = tuple(
-            sorted((index[a], index[b], v) for a, v, b in transitions)
-        )
-        return ConfigSpace(
-            game=self,
-            names=self.graph.names,
-            vectors=tuple(vectors[c] for c in order),
-            configs=tuple(order),
-            covers=covers,
-        )
+
+        def successors(conf):
+            return [(v, self._fire(conf, v)) for v in sorted(self.firable(conf))]
+
+        return _closure(self, self.init, successors, state_cap)
 
 
 @dataclass(frozen=True)

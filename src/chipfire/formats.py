@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .coloured import ColouredCfg
 from .engine import Cfg, ConfigSpace
-from .errors import ParseError
+from .errors import NotALatticeError, ParseError
 from .lattice import Lattice
 from .multigraph import ColouredMultigraph, Multigraph
 
@@ -215,8 +215,6 @@ def parse_lattice(text: str, path: str = "<string>") -> Lattice:
         return Lattice.from_covers(len(labels), covers, labels=labels)
     except ValueError as exc:
         # NotALatticeError passes through; cycles etc. become parse errors
-        from .errors import NotALatticeError
-
         if isinstance(exc, NotALatticeError):
             raise
         raise ParseError(str(exc), path) from None

@@ -1,9 +1,9 @@
 """Shared oracles and corpus generators for the test suite.
 
 Oracles here are written independently of the engine's breadth-first
-enumeration: depth-first exploration with an explicit stack, raw firing
-sequences without memoisation, naive triple-loop law checks, and
-powerset-based ideal enumeration.
+enumeration: depth-first exploration with an explicit stack (classical and
+coloured), raw firing sequences without memoisation, naive triple-loop law
+checks, and powerset-based ideal enumeration.
 """
 
 from __future__ import annotations
@@ -51,6 +51,32 @@ def dfs_reachable(cfg: Cfg, cap=200_000):
                 assert len(vectors) <= cap
                 stack.append(nxt)
     return vectors, finals
+
+
+def dfs_coloured_reachable(game: ColouredCfg, cap=200_000):
+    """Depth-first closure of a coloured game's open-sets, through the public
+    ``openable`` / ``open_vertex`` only.
+
+    Returns (chips, covers): open-set -> per-colour chips, and the set of
+    labelled covers (open-set, opened vertex, next open-set). Asserts the chip
+    content is unique per open-set.
+    """
+    start = game.initial_state()
+    chips = {start.opened: start.chips}
+    covers = set()
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        for v in sorted(game.openable(state), reverse=True):
+            nxt = game.open_vertex(state, v)
+            covers.add((state.opened, v, nxt.opened))
+            if nxt.opened in chips:
+                assert chips[nxt.opened] == nxt.chips, "chips not unique per open-set"
+            else:
+                chips[nxt.opened] = nxt.chips
+                assert len(chips) <= cap
+                stack.append(nxt)
+    return chips, covers
 
 
 def all_firing_sequences(cfg: Cfg, limit=50_000):

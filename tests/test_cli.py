@@ -103,6 +103,12 @@ def test_space_cap_exit_code(capsys):
     assert main(["space", data_path("relay_chain.cfg"), "--cap", "2"]) == 3
 
 
+def test_space_coloured_cap_exit_code(capsys):
+    args = ["space", data_path("shared_gate.ccfg"), "--coloured", "--cap", "2"]
+    assert main(args) == 3
+    assert capsys.readouterr().err == "cap exceeded: state space exceeds cap 2\n"
+
+
 def test_check_gated_cube(capsys):
     assert main(["check", data_path("gated_cube.lat")]) == 0
     out = capsys.readouterr().out

@@ -1,15 +1,19 @@
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipfire.coloured import ColouredCfg, from_classical
 from chipfire.engine import Cfg
+from chipfire.errors import StateCapExceeded
 from chipfire.fixtures import funnel_game, relay_chain_game, shared_gate_game, split_track_game
 from chipfire.lattice import is_isomorphic
 from chipfire.multigraph import ColouredMultigraph
 from chipfire.transforms import simplify
 
-from helpers import random_coloured_game
+from helpers import dfs_coloured_reachable, random_coloured_game
 
 
 def v(game, name):
@@ -177,3 +181,73 @@ def test_from_classical_after_simplify():
         game.enumerate_space().lattice(),
         relay_chain_game().enumerate_space().lattice(),
     )
+
+
+def test_enumerate_space_cap():
+    with pytest.raises(StateCapExceeded):
+        shared_gate_game().enumerate_space(state_cap=2)
+
+
+def assert_matches_dfs_oracle(game):
+    space = game.enumerate_space()
+    chips, covers = dfs_coloured_reachable(game)
+    opened = [space.shot_set(i) for i in range(len(space))]
+    assert len(space) == len(chips)
+    assert dict(zip(opened, space.configs)) == chips
+    assert all(set(vec) <= {0, 1} for vec in space.vectors)
+    assert len(space.covers) == len(covers)
+    assert {(opened[lo], v, opened[hi]) for lo, hi, v in space.covers} == covers
+
+
+def test_enumerate_space_matches_dfs_oracle(coloured_corpus):
+    for game in coloured_corpus + [shared_gate_game(), split_track_game()]:
+        assert_matches_dfs_oracle(game)
+
+
+@st.composite
+def coloured_games(draw):
+    """Coloured games whose every vertex with a colour-c edge also has a
+    colour-c edge to a later vertex, so each colour drains to the last
+    vertex; loops and parallel edges allowed."""
+    n = draw(st.integers(2, 5))
+    layers = {}
+    init = {}
+    for c in range(1, draw(st.integers(1, 3)) + 1):
+        layer: dict[tuple[int, int], int] = {}
+        for v in range(n - 1):
+            if v == 0 or draw(st.booleans()):
+                layer[(v, draw(st.integers(v + 1, n - 1)))] = draw(st.integers(1, 2))
+        sources = sorted({u for u, _ in layer})
+        for _ in range(draw(st.integers(0, n))):
+            edge = (draw(st.sampled_from(sources)), draw(st.integers(0, n - 1)))
+            layer[edge] = layer.get(edge, 0) + 1
+        layers[c] = layer
+        init[c] = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return ColouredCfg(ColouredMultigraph(tuple("abcde"[:n]), layers), init)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coloured_games())
+def test_generated_spaces_match_dfs_oracle(game):
+    assert_matches_dfs_oracle(game)
+
+
+def test_revisit_with_another_firing_vector_is_reported(monkeypatch):
+    # an opening that changes nothing brings every move back to the start
+    monkeypatch.setattr(ColouredCfg, "_open", lambda self, state, v: state)
+    with pytest.raises(RuntimeError, match="revisited"):
+        shared_gate_game().enumerate_space()
+
+
+def test_open_set_with_two_chip_contents_is_reported(monkeypatch):
+    # tag the chips with the last opened vertex, so {a,b} opened as a-then-b
+    # and as b-then-a holds two chip contents
+    open_ = ColouredCfg._open
+
+    def tagged(self, state, v):
+        nxt = open_(self, state, v)
+        return replace(nxt, chips=nxt.chips + ((v,),))
+
+    monkeypatch.setattr(ColouredCfg, "_open", tagged)
+    with pytest.raises(RuntimeError, match="share a firing vector"):
+        shared_gate_game().enumerate_space()

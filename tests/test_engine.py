@@ -200,3 +200,22 @@ def test_join_of_matches_lattice_join():
 def test_simple_single_sink_height():
     f = funnel_game()
     assert f.enumerate_space().height == f.graph.n - 1
+
+
+def test_revisit_with_another_firing_vector_is_reported(monkeypatch):
+    # a step that never moves a chip brings every firing back to the start
+    monkeypatch.setattr(Cfg, "_fire", lambda self, conf, v: conf)
+    with pytest.raises(RuntimeError, match="revisited"):
+        funnel_game().enumerate_space()
+
+
+def test_two_states_with_one_firing_vector_are_reported(monkeypatch):
+    # tag each configuration with the last fired vertex, so {a,b} reached
+    # as a-then-b and as b-then-a gives two states with one firing vector
+    fire = Cfg._fire
+    n = funnel_game().graph.n
+    monkeypatch.setattr(
+        Cfg, "_fire", lambda self, conf, v: fire(self, conf[:n], v) + (v,)
+    )
+    with pytest.raises(RuntimeError, match="share a firing vector"):
+        funnel_game().enumerate_space()
