@@ -29,9 +29,13 @@ from .transforms import (
     cfg_from_distributive,
     coloured_from_uld,
     coloured_ideal_game,
+    distributive_map,
     interval_cfg,
+    is_hasse_isomorphism,
     simplify,
+    split_map,
     split_vertex,
+    uld_map,
 )
 
 __version__ = "0.1.0"
@@ -61,11 +65,15 @@ __all__ = [
     "cfg_from_distributive",
     "coloured_from_uld",
     "coloured_ideal_game",
+    "distributive_map",
     "find_isomorphism",
     "from_classical",
     "ideal_lattice",
     "interval_cfg",
+    "is_hasse_isomorphism",
     "is_isomorphic",
     "simplify",
+    "split_map",
     "split_vertex",
+    "uld_map",
 ]

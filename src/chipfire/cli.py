@@ -121,10 +121,14 @@ def cmd_synth(args) -> int:
     lattice = parse_lattice_file(args.lattice)
     if args.mode == "distributive":
         game = transforms.cfg_from_distributive(lattice)
+        to_lattice = transforms.distributive_map
     else:
         game = transforms.coloured_from_uld(lattice)
+        to_lattice = transforms.uld_map
     space = game.enumerate_space(state_cap=args.cap)
-    verdict = find_isomorphism(space.lattice(), lattice) is not None
+    verdict = transforms.is_hasse_isomorphism(
+        to_lattice(lattice, space), space.covers, lattice.n, lattice.cover_pairs
+    ) or find_isomorphism(space.lattice(), lattice) is not None
     _emit(serialize_game(game), args.out)
     where = args.out or "stdout"
     print(f"synthesized: {where}", file=sys.stderr)
@@ -146,9 +150,11 @@ def cmd_simplify(args) -> int:
             file=sys.stderr,
         )
     print(f"simple: {_yes(simple.is_simple())}", file=sys.stderr)
-    before = game.enumerate_space(state_cap=args.cap).lattice()
-    after = simple.enumerate_space(state_cap=args.cap).lattice()
-    verdict = find_isomorphism(before, after) is not None
+    before = game.enumerate_space(state_cap=args.cap)
+    after = simple.enumerate_space(state_cap=args.cap)
+    verdict = transforms.is_hasse_isomorphism(
+        transforms.split_map(reports, before, after), after.covers, len(before), before.covers
+    ) or find_isomorphism(before.lattice(), after.lattice()) is not None
     print(f"isomorphic: {_yes(verdict)}", file=sys.stderr)
     return 0 if verdict else 1
 

@@ -92,7 +92,7 @@ def parse_game(text: str, path: str = "<string>"):
                     raise ParseError(f"unknown vertex {name!r}", path, lineno)
             if k < 0:
                 raise ParseError("negative multiplicity", path, lineno)
-            edges.append((index[u], index[v], k, colour))
+            edges.append((index[u], index[v], k, colour, lineno))
         elif keyword == "chips":
             if names is None:
                 raise ParseError("chips before vertices line", path, lineno)
@@ -106,43 +106,45 @@ def parse_game(text: str, path: str = "<string>"):
                     if "@" in part:
                         count, colour = part.split("@", 1)
                         try:
-                            chip_items.append((index[name], int(count), int(colour)))
+                            chip_items.append((index[name], int(count), int(colour), lineno))
                         except ValueError:
                             raise ParseError(f"bad chip entry {item!r}", path, lineno) from None
                     else:
                         try:
-                            chip_items.append((index[name], int(part), None))
+                            chip_items.append((index[name], int(part), None, lineno))
                         except ValueError:
                             raise ParseError(f"bad chip entry {item!r}", path, lineno) from None
         else:
             raise ParseError(f"unknown keyword {keyword!r}", path, lineno)
     if names is None:
         raise ParseError("missing vertices line", path)
-    coloured = any(c is not None for *_, c in edges) or any(
-        c is not None for *_, c in chip_items
+    coloured = any(c is not None for *_, c, _ in edges) or any(
+        c is not None for *_, c, _ in chip_items
     )
     if not coloured:
         mult: dict[tuple[int, int], int] = {}
-        for u, v, k, _ in edges:
+        for u, v, k, _, _ in edges:
             mult[(u, v)] = mult.get((u, v), 0) + k
         chips = [0] * len(names)
-        for v, count, _ in chip_items:
+        for v, count, _, lineno in chip_items:
             if count < 0:
-                raise ParseError("negative chip count", path)
+                raise ParseError("negative chip count", path, lineno)
             chips[v] += count
         return Cfg(Multigraph(names, mult), tuple(chips))
     layers: dict[int, dict[tuple[int, int], int]] = {}
-    for u, v, k, c in edges:
+    for u, v, k, c, lineno in edges:
         if c is None:
-            raise ParseError("uncoloured edge in a coloured game", path)
+            raise ParseError("uncoloured edge in a coloured game", path, lineno)
         layer = layers.setdefault(c, {})
         layer[(u, v)] = layer.get((u, v), 0) + k
     init: dict[int, list[int]] = {c: [0] * len(names) for c in layers}
-    for v, count, c in chip_items:
+    for v, count, c, lineno in chip_items:
         if c is None:
-            raise ParseError("chip entry without a colour in a coloured game", path)
+            raise ParseError("chip entry without a colour in a coloured game", path, lineno)
         if c not in init:
-            raise ParseError(f"chips of colour {c} but no edges of that colour", path)
+            raise ParseError(f"chips of colour {c} but no edges of that colour", path, lineno)
+        if count < 0:
+            raise ParseError("negative chip count", path, lineno)
         init[c][v] += count
     return ColouredCfg(
         ColouredMultigraph(names, layers),

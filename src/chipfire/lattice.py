@@ -776,6 +776,10 @@ def find_isomorphism(a: Lattice, b: Lattice, cap: int = 5000):
 
     Backtracking over colour classes produced by invariant refinement
     (rank, degrees, irreducibility, coding sizes, iterated neighbourhoods).
+    It is the oracle for arbitrary pairs and in the tests; the CLI round
+    trips first check the construction's own map
+    (:func:`chipfire.transforms.is_hasse_isomorphism`) and fall back to this
+    search only when that check fails.
     """
     if a.n != b.n:
         return None

@@ -4,11 +4,18 @@
 - synthesis of a game from a distributive lattice,
 - games realizing an interval of a simple game's space,
 - synthesis of a coloured game from any upper locally distributive lattice.
+
+The constructions know which element each reachable state stands for, so each
+comes with its map (:func:`distributive_map`, :func:`uld_map`,
+:func:`split_map`); :func:`is_hasse_isomorphism` checks such a map in time
+linear in elements plus covers, with no isomorphism search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .coloured import ColouredCfg
 from .engine import Cfg, ConfigSpace
@@ -23,6 +30,7 @@ class SplitReport:
     vertex: str
     surplus: int  # twice the total chips of the game that was split
     iteration: int
+    index: int  # the split vertex; copy 0 keeps this slot, copy 1 is appended
 
 
 def _fresh_name(base: str, taken) -> str:
@@ -89,7 +97,7 @@ def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tupl
             return current, tuple(reports)
         a = counts.index(worst)
         reports.append(
-            SplitReport(current.graph.names[a], 2 * sum(current.init), iteration)
+            SplitReport(current.graph.names[a], 2 * sum(current.init), iteration, a)
         )
         current = split_vertex(current, a)
     raise RuntimeError(f"not simple after {max_rounds} splitting rounds")
@@ -192,6 +200,16 @@ def coloured_ideal_game(lattice: Lattice) -> ColouredCfg:
     return ColouredCfg(ColouredMultigraph(names, layers), init)
 
 
+def _arrow_classes(lattice: Lattice) -> list[tuple[tuple[int, ...], int]]:
+    """The arrow classes in the order of :func:`coloured_from_uld`'s vertices:
+    each is (the positions in J of its members, their common partner in M)."""
+    j_pos = {j: pos for pos, j in enumerate(lattice.J)}
+    return sorted(
+        (tuple(sorted(j_pos[j] for j in members)), m)
+        for m, members in lattice.arrow_partition().classes.items()
+    )
+
+
 def coloured_from_uld(lattice: Lattice) -> ColouredCfg:
     """A coloured game whose configuration space is the given ULD lattice.
 
@@ -199,12 +217,8 @@ def coloured_from_uld(lattice: Lattice) -> ColouredCfg:
     join-irreducibles: partner-equivalent vertices merge, edge multiplicities
     between the merged classes add up, chips add up per colour.
     """
-    partition = lattice.arrow_partition()
+    classes = [members for members, _ in _arrow_classes(lattice)]
     expanded = coloured_ideal_game(lattice)
-    j_pos = {j: pos for pos, j in enumerate(lattice.J)}
-    classes = sorted(
-        (tuple(sorted(j_pos[j] for j in members)) for members in partition.classes.values()),
-    )
     old_bot = expanded.graph.n - 1
     target = {old_bot: len(classes)}
     names = []
@@ -229,3 +243,73 @@ def coloured_from_uld(lattice: Lattice) -> ColouredCfg:
         ColouredMultigraph(tuple(names), layers),
         {c: tuple(v) for c, v in init.items()},
     )
+
+
+# construction maps: which element of the source each reachable state stands for
+
+
+def _meet_map(lattice: Lattice, ms, space: ConfigSpace) -> list[int]:
+    """Send each state to the meet of ``ms[v]`` over the vertices v it has not
+    fired, the top when it has fired them all; later vertices (the sink) are
+    not looked at."""
+    shot = np.array(space.vectors, dtype=bool)[:, : len(ms)]
+    image = np.full(len(space), lattice.top, dtype=np.intp)
+    for v, m in enumerate(ms):
+        image = np.where(shot[:, v], image, lattice.meet_table[image, m])
+    return image.tolist()
+
+
+def distributive_map(lattice: Lattice, space: ConfigSpace) -> list[int]:
+    """Where the states of ``cfg_from_distributive(lattice)`` land in the lattice.
+
+    A shot-set S goes to the meet of the meet-irreducibles outside it (Birkhoff);
+    vertex i is ``lattice.M[i]``, as in the construction.
+    """
+    return _meet_map(lattice, lattice.M, space)
+
+
+def uld_map(lattice: Lattice, space: ConfigSpace) -> list[int]:
+    """Where the states of ``coloured_from_uld(lattice)`` land in the lattice.
+
+    An open-set S goes to the meet of the partners of the arrow classes
+    outside it; vertex i is the i-th class of the construction's own order.
+    """
+    return _meet_map(lattice, [m for _, m in _arrow_classes(lattice)], space)
+
+
+def split_map(reports, original: ConfigSpace, simple: ConfigSpace) -> list[int] | None:
+    """Where the states of a game split by ``reports`` land in the original space.
+
+    Each split keeps copy 0 in the split vertex's slot and appends copy 1, so
+    a copy's firings count as firings of the vertex it came from. None when
+    some summed vector is not an original state.
+    """
+    origin = list(range(len(original.names)))
+    for rep in reports:
+        origin.append(origin[rep.index])
+    if len(origin) != len(simple.names):
+        return None
+    image = []
+    for vec in simple.vectors:
+        total = [0] * len(original.names)
+        for w, c in enumerate(vec):
+            total[origin[w]] += c
+        i = original._index.get(tuple(total))
+        if i is None:
+            return None
+        image.append(i)
+    return image
+
+
+def is_hasse_isomorphism(image, covers, n: int, target_covers) -> bool:
+    """True when ``image`` (source element -> target element) is a bijection
+    onto range(n) that sends every source cover to a target cover and both
+    sides have as many covers: an isomorphism of the Hasse diagrams, hence of
+    the orders. Covers are (low, high, ...) tuples; cost O(n + covers).
+    """
+    if image is None or len(image) != n or set(image) != set(range(n)):
+        return False
+    # for a bijection, equal cover sets is "into" plus equal counts
+    return {(image[c[0]], image[c[1]]) for c in covers} == {
+        (c[0], c[1]) for c in target_covers
+    }

@@ -1,0 +1,266 @@
+"""The constructions' own maps from states to lattice elements.
+
+``synth`` and ``simplify`` decide their round trip by checking the map each
+construction implies (``distributive_map``, ``uld_map``, ``split_map``) with
+``is_hasse_isomorphism``; the backtracking search only runs when that check
+fails. These tests compare the check with ``is_isomorphic`` on the seeded
+corpora and on hypothesis games, corrupt covers and map entries to see the
+check refuse them and the CLI fall back to the search, and run the CLI with
+the search and the dense space lattice switched off.
+"""
+
+from dataclasses import replace
+from importlib import resources
+
+import pytest
+from hypothesis import given, settings
+
+from chipfire import cli, transforms
+from chipfire.engine import ConfigSpace
+from chipfire.formats import serialize_lattice
+from chipfire.lattice import Lattice, Poset, find_isomorphism, ideal_lattice, is_isomorphic
+
+from test_lattice_tables import convergent_games
+
+
+def data_path(name):
+    return str(resources.files("chipfire.data").joinpath(name))
+
+
+def synth_round_trip(lattice, mode):
+    """(map check, search verdict) for synthesizing from ``lattice``."""
+    if mode == "distributive":
+        game, to_lattice = transforms.cfg_from_distributive(lattice), transforms.distributive_map
+    else:
+        game, to_lattice = transforms.coloured_from_uld(lattice), transforms.uld_map
+    space = game.enumerate_space()
+    by_map = transforms.is_hasse_isomorphism(
+        to_lattice(lattice, space), space.covers, lattice.n, lattice.cover_pairs
+    )
+    return by_map, is_isomorphic(space.lattice(), lattice)
+
+
+def simplify_round_trip(game):
+    """(map check, search verdict) for simplifying ``game``."""
+    simple, reports = transforms.simplify(game)
+    before, after = game.enumerate_space(), simple.enumerate_space()
+    by_map = transforms.is_hasse_isomorphism(
+        transforms.split_map(reports, before, after), after.covers, len(before), before.covers
+    )
+    return by_map, is_isomorphic(before.lattice(), after.lattice())
+
+
+def test_ideal_lattices_of_small_posets(distributive_corpus):
+    for lat in distributive_corpus:
+        for mode in ("distributive", "uld"):
+            assert synth_round_trip(lat, mode) == (True, True), (mode, lat.labels)
+
+
+def test_classical_spaces(game_corpus, space_corpus):
+    for game, space in zip(game_corpus, space_corpus):
+        lat = space.lattice()
+        modes = ("distributive", "uld") if lat.is_distributive else ("uld",)
+        for mode in modes:
+            assert synth_round_trip(lat, mode) == (True, True), (mode, game)
+        assert simplify_round_trip(game) == (True, True), game
+
+
+def test_coloured_spaces(coloured_space_corpus):
+    for space in coloured_space_corpus:
+        assert synth_round_trip(space.lattice(), "uld") == (True, True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(convergent_games())
+def test_generated_games(game):
+    lat = game.enumerate_space().lattice()
+    assert synth_round_trip(lat, "uld") == (True, True)
+    if lat.is_distributive:
+        assert synth_round_trip(lat, "distributive") == (True, True)
+    assert simplify_round_trip(game) == (True, True)
+
+
+def test_split_report_records_the_split_index():
+    game = cli._load_classical(data_path("relay_chain.cfg"))
+    simple, reports = transforms.simplify(game)
+    names = list(game.graph.names)
+    for rep in reports:
+        assert names[rep.index] == rep.vertex
+        names[rep.index : rep.index + 1] = [f"{rep.vertex}_0"]
+        names.append(f"{rep.vertex}_1")
+    assert tuple(names) == simple.graph.names
+
+
+# fault injection
+
+
+def boolean_synth():
+    lat = Lattice.boolean(3)
+    space = transforms.cfg_from_distributive(lat).enumerate_space()
+    return lat, space, transforms.distributive_map(lat, space)
+
+
+def test_correct_map_passes():
+    lat, space, image = boolean_synth()
+    assert transforms.is_hasse_isomorphism(image, space.covers, lat.n, lat.cover_pairs)
+
+
+def test_corrupted_cover_fails():
+    lat, space, image = boolean_synth()
+    lo, hi, v = space.covers[3]
+    for wrong in ((lo, len(space) - 1, v), (hi, lo, v)):
+        covers = space.covers[:3] + (wrong,) + space.covers[4:]
+        assert not transforms.is_hasse_isomorphism(image, covers, lat.n, lat.cover_pairs)
+    assert not transforms.is_hasse_isomorphism(image, space.covers[1:], lat.n, lat.cover_pairs)
+
+
+def test_corrupted_map_entry_fails():
+    lat, space, image = boolean_synth()
+    for i in range(len(image)):
+        for wrong in {image[0], image[-1], (image[i] + 1) % lat.n} - {image[i]}:
+            bad = image[:i] + [wrong] + image[i + 1 :]
+            assert not transforms.is_hasse_isomorphism(bad, space.covers, lat.n, lat.cover_pairs)
+    # a bijection that swaps two elements of different ranks is refused too
+    bad = [image[-1]] + image[1:-1] + [image[0]]
+    assert not transforms.is_hasse_isomorphism(bad, space.covers, lat.n, lat.cover_pairs)
+    assert not transforms.is_hasse_isomorphism(image[:-1], space.covers, lat.n, lat.cover_pairs)
+    # an extra element folded onto the top, with a copy of a cover into the top
+    lo, top, v = space.covers[-1]
+    covers = space.covers + ((lo, len(space), v),)
+    folded = image + [image[top]]
+    assert not transforms.is_hasse_isomorphism(folded, covers, lat.n, lat.cover_pairs)
+    # without covers, only the bijection check can refuse
+    assert transforms.is_hasse_isomorphism([0], (), 1, ())
+    assert not transforms.is_hasse_isomorphism([1], (), 1, ())
+    assert not transforms.is_hasse_isomorphism(None, space.covers, lat.n, lat.cover_pairs)
+
+
+def test_split_map_refuses_unknown_vectors():
+    game = cli._load_classical(data_path("relay_chain.cfg"))
+    simple, reports = transforms.simplify(game)
+    before, after = game.enumerate_space(), simple.enumerate_space()
+    assert transforms.split_map(reports, before, after) is not None
+    assert transforms.split_map(reports[:-1], before, after) is None
+    shifted = [replace(rep, index=rep.index + 1) for rep in reports]
+    image = transforms.split_map(shifted, before, after)
+    assert not transforms.is_hasse_isomorphism(image, after.covers, len(before), before.covers)
+
+
+def swap_first_and_last(fn):
+    def corrupted(*args):
+        image = fn(*args)
+        image[0], image[-1] = image[-1], image[0]
+        return image
+
+    return corrupted
+
+
+@pytest.fixture
+def search_calls(monkeypatch):
+    calls = []
+
+    def spy(a, b, cap=5000):
+        calls.append((a.n, b.n))
+        return find_isomorphism(a, b, cap)
+
+    monkeypatch.setattr(cli, "find_isomorphism", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, patched",
+    [
+        (["synth", data_path("gated_cube.lat"), "--mode", "uld"], "uld_map"),
+        (["simplify", data_path("relay_chain.cfg")], "split_map"),
+    ],
+)
+def test_failed_map_check_falls_back_to_the_search(argv, patched, monkeypatch, capsys, search_calls):
+    assert cli.main(argv) == 0
+    assert search_calls == []
+    clean = capsys.readouterr()
+    monkeypatch.setattr(transforms, patched, swap_first_and_last(getattr(transforms, patched)))
+    assert cli.main(argv) == 0
+    assert len(search_calls) == 1
+    assert capsys.readouterr() == clean
+
+
+def test_verdict_comes_from_the_search_when_the_map_fails(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "b3.lat"
+    path.write_text(serialize_lattice(Lattice.boolean(3)))
+    argv = ["synth", str(path), "--mode", "distributive"]
+    monkeypatch.setattr(cli, "find_isomorphism", lambda a, b: None)
+    assert cli.main(argv) == 0  # the map check decides; the search is not asked
+    monkeypatch.setattr(
+        transforms, "distributive_map", swap_first_and_last(transforms.distributive_map)
+    )
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.endswith("round-trip: NOT isomorphic\n")
+
+
+# the CLI round trips build no space lattice and run no search
+
+
+def chain_product_text(sizes):
+    """A product of chains with ``sizes`` elements each, as a lattice file."""
+    elements = [()]
+    for size in sizes:
+        elements = [e + (i,) for e in elements for i in range(size)]
+    name = {e: "p" + "_".join(map(str, e)) for e in elements}
+    lines = ["elements: " + " ".join(name[e] for e in elements)]
+    for e in elements:
+        for axis, size in enumerate(sizes):
+            if e[axis] + 1 < size:
+                up = e[:axis] + (e[axis] + 1,) + e[axis + 1 :]
+                lines.append(f"cover: {name[e]} {name[up]}")
+    return "\n".join(lines) + "\n"
+
+
+def generated_lattice_files(tmp_path):
+    fence = Poset.from_covers(5, [(0, 1), (2, 1), (2, 3), (4, 3)], labels=tuple("abcde"))
+    texts = {
+        "ideal.lat": serialize_lattice(ideal_lattice(fence)),
+        "boolean.lat": serialize_lattice(Lattice.boolean(4)),
+        "product.lat": chain_product_text((2, 3, 4)),
+    }
+    paths = []
+    for name, text in texts.items():
+        path = tmp_path / name
+        path.write_text(text)
+        paths.append(str(path))
+    return paths
+
+
+SYNTH_ERR = "synthesized: stdout\nround-trip: isomorphic\n"
+RELAY_ERR = (
+    "split: v surplus=8 iteration=1\n"
+    "split: u surplus=32 iteration=2\n"
+    "split: v_0 surplus=128 iteration=3\n"
+    "split: v_1 surplus=512 iteration=4\n"
+    "simple: yes\n"
+    "isomorphic: yes\n"
+)
+FUNNEL_ERR = "no splits needed\nsimple: yes\nisomorphic: yes\n"
+
+
+def test_round_trips_skip_the_search_and_the_space_lattice(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("slow path called")
+
+    monkeypatch.setattr(cli, "find_isomorphism", refuse)
+    monkeypatch.setattr(ConfigSpace, "lattice", refuse)
+    runs = [(["synth", data_path("gated_cube.lat"), "--mode", "uld"], 0, SYNTH_ERR)]
+    runs.append(
+        (
+            ["synth", data_path("gated_cube.lat"), "--mode", "distributive"],
+            1,
+            "error: lattice is not distributive: witness triple (abe, a, bcde)\n",
+        )
+    )
+    for path in generated_lattice_files(tmp_path):
+        for mode in ("distributive", "uld"):
+            runs.append((["synth", path, "--mode", mode], 0, SYNTH_ERR))
+    runs.append((["simplify", data_path("relay_chain.cfg")], 0, RELAY_ERR))
+    runs.append((["simplify", data_path("funnel.cfg")], 0, FUNNEL_ERR))
+    for argv, code, err in runs:
+        assert cli.main(argv) == code, argv
+        assert capsys.readouterr().err == err, argv

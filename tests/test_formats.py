@@ -1,5 +1,6 @@
 import pytest
 
+from chipfire.cli import main
 from chipfire.coloured import ColouredCfg
 from chipfire.engine import Cfg
 from chipfire.errors import NotALatticeError, ParseError
@@ -135,3 +136,39 @@ def test_coloured_game_dot_marks_open_vertices():
     dot = coloured_game_to_dot(game, state)
     assert dot.count("fillcolor=gray85") == 1
     assert 'color=red3' in dot or 'color=black' in dot
+
+
+def parse_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_game(text, path="g.cfg")
+    return str(err.value)
+
+
+def test_negative_coloured_chip_entry_rejected_with_line_number(tmp_path, capsys):
+    # the entries would sum to one chip; each entry must be non-negative
+    text = "vertices: a b\nedge: a b 1 colour=1\nchips: a=-1@1,2@1\n"
+    assert parse_error(text) == "g.cfg:3: negative chip count"
+    assert parse_error(text.replace("a=-1@1,2@1", "a=2@1 b=-3@1")) == "g.cfg:3: negative chip count"
+    path = tmp_path / "neg.ccfg"
+    path.write_text(text)
+    assert main(["space", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {path}:3: negative chip count\n"
+
+
+def test_negative_classical_chip_count_carries_line_number():
+    assert parse_error("vertices: a b\n\nchips: a=-1\n") == "g.cfg:3: negative chip count"
+
+
+def test_uncoloured_edge_error_carries_line_number():
+    text = "vertices: a b\nedge: a b 1 colour=1\n# gap\nedge: b a 1\n"
+    assert parse_error(text) == "g.cfg:4: uncoloured edge in a coloured game"
+
+
+def test_uncoloured_chip_entry_error_carries_line_number():
+    text = "vertices: a b\nedge: a b 1 colour=1\nchips: b=1@1\nchips: a=1\n"
+    assert parse_error(text) == "g.cfg:4: chip entry without a colour in a coloured game"
+
+
+def test_chips_of_a_missing_colour_error_carries_line_number():
+    text = "vertices: a b\nchips: a=1@2\nedge: a b 1 colour=1\n"
+    assert parse_error(text) == "g.cfg:2: chips of colour 2 but no edges of that colour"
