@@ -6,6 +6,7 @@ from .engine import Cfg, ConfigSpace, FixpointRun
 from .errors import (
     CapExceeded,
     DetectorDisagreement,
+    FiringVectorConflict,
     NotALatticeError,
     ParseError,
     StateCapExceeded,
@@ -51,6 +52,7 @@ __all__ = [
     "ColouredState",
     "ConfigSpace",
     "DetectorDisagreement",
+    "FiringVectorConflict",
     "FixpointRun",
     "IdealFamily",
     "Lattice",

@@ -17,7 +17,7 @@ import sys
 from . import transforms
 from .coloured import ColouredCfg
 from .engine import Cfg
-from .errors import CapExceeded, NotALatticeError, ParseError
+from .errors import CapExceeded, FiringVectorConflict, NotALatticeError, ParseError
 from .formats import (
     lattice_to_dot,
     parse_game_file,
@@ -216,7 +216,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except (NotALatticeError, ValueError) as exc:
+    except (NotALatticeError, ValueError, FiringVectorConflict) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
 
-from .errors import StateCapExceeded, StepCapExceeded
+from .errors import FiringVectorConflict, StateCapExceeded, StepCapExceeded
 from .multigraph import Multigraph
 
 
@@ -32,9 +32,9 @@ def _closure(game, start, successors, state_cap) -> "ConfigSpace":
 
     ``successors(state)`` lists the moves ``(v, next_state)``; each move adds
     one to entry v of the firing vector. States are hashable and stored as
-    the space's configurations. Raises RuntimeError when a state is reached
-    again with a different firing vector, or when two states share a firing
-    vector (for a coloured game: one open-set with two chip contents).
+    the space's configurations. Raises FiringVectorConflict when a state is
+    reached again with a different firing vector, RuntimeError when two states
+    share one (for a coloured game: one open-set with two chip contents).
     """
     ids = {start: 0}  # state -> discovery number
     states, vectors = [start], [(0,) * game.graph.n]
@@ -51,7 +51,7 @@ def _closure(game, start, successors, state_cap) -> "ConfigSpace":
                 if state_cap is not None and len(states) > state_cap:
                     raise StateCapExceeded(f"state space exceeds cap {state_cap}")
             elif vectors[j] != nvec:
-                raise RuntimeError("revisited state with a different firing vector")
+                raise FiringVectorConflict("revisited state with a different firing vector")
             transitions.append((i, v, j))
     if len(set(vectors)) != len(vectors):
         raise RuntimeError("two states share a firing vector")

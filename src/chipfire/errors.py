@@ -29,3 +29,8 @@ class StateCapExceeded(CapExceeded):
 
 class DetectorDisagreement(RuntimeError):
     """The two local-distributivity detectors returned different verdicts."""
+
+
+class FiringVectorConflict(RuntimeError):
+    """A game state was reached again with a different firing vector, as in a
+    game that can cycle."""

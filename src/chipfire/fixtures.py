@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from importlib import resources
 
-import numpy as np
-
 from .formats import parse_game, parse_lattice
 from .lattice import Lattice
 
@@ -46,19 +44,12 @@ def gated_cube_lattice() -> Lattice:
 
 def pentagon() -> Lattice:
     """N5: the smallest non-modular lattice; not ranked, not ULD."""
-    leq = np.eye(5, dtype=bool)
-    order = {(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 4), (3, 4)}
-    for lo, hi in order:
-        leq[lo, hi] = True
-    return Lattice(leq, labels=("0", "x", "y", "z", "1"), _checked=True)
+    covers = [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)]
+    return Lattice.from_covers(5, covers, labels=("0", "x", "y", "z", "1"))
 
 
 def diamond() -> Lattice:
     """M3: three incomparable atoms below a common top; the classic
     distributivity failure."""
-    leq = np.eye(5, dtype=bool)
-    for mid in (1, 2, 3):
-        leq[0, mid] = True
-        leq[mid, 4] = True
-    leq[0, 4] = True
-    return Lattice(leq, labels=("0", "x", "y", "z", "1"), _checked=True)
+    covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
+    return Lattice.from_covers(5, covers, labels=("0", "x", "y", "z", "1"))

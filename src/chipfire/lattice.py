@@ -8,10 +8,10 @@ Lattices build their join and meet tables at construction time by dynamic
 programming over covers, vectorised over whole levels of rows, and verify
 every pair on the way: if x and y are incomparable, x∨y is the least of c∨y
 over the upper covers c of x, and the pair has no join when the candidates
-have no least element (meets dually). Distributivity is decided by local
-checks: a finite lattice is distributive iff it and its dual are upper
-locally distributive (Dilworth 1940), so the cubic triple law is only used to
-name a witness.
+have no least element (meets dually). Distributivity is read off the
+irreducible coding: a finite lattice is distributive iff it is upper locally
+distributive (ULD) with as many join- as meet-irreducibles, so the cubic
+triple law is only used to name a witness.
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import CapExceeded, DetectorDisagreement, NotALatticeError
+
+
+def _row_masks(matrix) -> tuple[int, ...]:
+    """Each row of a boolean matrix as an int whose bit i is column i."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 class Poset:
@@ -154,13 +160,7 @@ class Poset:
     @cached_property
     def _down_masks(self) -> tuple[int, ...]:
         """Bitmask of {y : y <= x} for each x."""
-        masks = []
-        for x in range(self.n):
-            m = 0
-            for y in np.nonzero(self.leq[:, x])[0]:
-                m |= 1 << int(y)
-            masks.append(m)
-        return tuple(masks)
+        return _row_masks(self.leq.T)
 
     def ideal_masks(self, cap=None) -> list[int]:
         """All down-closed subsets as bitmasks, sorted by (size, value)."""
@@ -398,15 +398,7 @@ class Lattice(Poset):
     @cached_property
     def _mx_masks(self) -> tuple[int, ...]:
         """mi_above as bitmask over positions in M, for each element."""
-        pos = {m: i for i, m in enumerate(self.M)}
-        masks = []
-        for x in range(self.n):
-            mask = 0
-            for m in self.M:
-                if self.leq[x, m]:
-                    mask |= 1 << pos[m]
-            masks.append(mask)
-        return tuple(masks)
+        return _row_masks(self.leq[:, list(self.M)])
 
     def le_by_coding(self, x, y) -> bool:
         """Order test through the irreducible codings; both must agree with leq."""
@@ -461,29 +453,26 @@ class Lattice(Poset):
 
     @cached_property
     def is_distributive(self) -> bool:
-        """Distributive iff |J| = |M|, ULD, and dually ULD.
+        """Distributive iff ULD and |J| = |M|.
 
-        A finite lattice is distributive iff it and its dual are both upper
-        locally distributive (Dilworth 1940; Monjardet 1985). The dual check
-        is the hypercube test on lower covers and the meet table, so the cost
-        is a sum of 2^(cover degree) over elements rather than the n^3 triple
-        law of :meth:`distributivity_witness`.
+        Every cover drops at least one meet-irreducible from ``mi_above`` and
+        adds at least one join-irreducible to ``ji_below``. If each drops
+        exactly one (ULD), every maximal chain has length |M| = |J|, so each
+        also adds exactly one: the dual is ULD too, which makes the lattice
+        distributive (Dilworth 1940; Monjardet 1985).
         """
-        if len(self.J) != len(self.M) or not self.is_uld:
-            return False
-        return self._cube_witness(self._lower_covers, self.meet_table, self.leq.T) is None
+        return len(self.J) == len(self.M) and self.is_uld
 
     # upper local distributivity, two detectors
 
-    def _cube_witness(self, covers, table, le):
-        """Least element whose cover interval under ``le`` is not a hypercube,
-        or None.
+    def _hypercube_witness(self):
+        """Least element whose cover interval is not a hypercube, or None.
 
-        ``covers`` are the upper covers under ``le`` and ``table`` its joins.
-        Elements with k >= 2 covers are checked together, per k: the 2^k joins
-        of subsets of covers must be distinct and fill the interval up to the
-        join of all k.
+        Elements with k >= 2 upper covers are checked together, per k: the 2^k
+        joins of subsets of covers must be distinct and fill the interval up
+        to the join of all k.
         """
+        covers, table, le = self._upper_covers, self.join_table, self.leq
         bad = []
         for k in sorted({len(ups) for ups in covers} - {0, 1}):
             xs = np.array([x for x, ups in enumerate(covers) if len(ups) == k])
@@ -498,10 +487,6 @@ class Lattice(Poset):
             size = np.count_nonzero(le[xs] & le[:, joins[:, -1]].T, axis=1)
             bad.extend(xs[~distinct | (size != 1 << k)].tolist())
         return min(bad, default=None)
-
-    def _hypercube_witness(self):
-        """Element whose cover interval is not a hypercube, or None."""
-        return self._cube_witness(self._upper_covers, self.join_table, self.leq)
 
     def _cover_step_witness(self):
         """Cover that removes != 1 meet-irreducible, or None."""
@@ -555,16 +540,18 @@ class Lattice(Poset):
         return ArrowRelations(frozenset(down), frozenset(up), frozenset(down & up))
 
     def arrow_partition(self) -> "ArrowPartition":
-        """Partition of J by the unique up-down arrow partner in M."""
+        """Partition of J by the unique up-down arrow partner in M: j's down
+        arrows go to the labels of the cover j_lower(j) < j, in a ULD lattice
+        one m, which is j's partner when also j <= m_upper(m)."""
         if not self.is_uld:
             raise ValueError("the arrow partition requires an upper locally distributive lattice")
-        updown = self.arrow_relations.updown
+        labels = self.edge_labels()
         partner = {}
         for j in self.J:
-            ms = [m for m in self.M if (j, m) in updown]
-            if len(ms) != 1:
-                raise RuntimeError(f"join-irreducible {j} has {len(ms)} up-down partners")
-            partner[j] = ms[0]
+            m = labels[(self.j_lower(j), j)]
+            if not self.leq[j, self.m_upper(m)]:
+                raise RuntimeError(f"join-irreducible {j} has 0 up-down partners")
+            partner[j] = m
         classes = {
             m: frozenset(j for j in self.J if partner[j] == m) for m in self.M
         }
@@ -596,11 +583,16 @@ class Lattice(Poset):
             for (lo, hi), lab in self.cover_labels.items()
             if lo in pos and hi in pos
         }
+        # an interval is convex, so its covers are the lattice's covers inside it
+        sub_covers = tuple(
+            (pos[lo], pos[hi]) for lo, hi in self.cover_pairs if lo in pos and hi in pos
+        )
         return Lattice(
             self.leq[np.ix_(keep, keep)],
             labels=sub_labels,
             cover_labels=sub_cover_labels,
             _checked=True,
+            _covers=sub_covers,
         )
 
     def ideal_quotient(self, cap=None) -> "Lattice":
@@ -632,20 +624,18 @@ class Lattice(Poset):
 
     @classmethod
     def chain(cls, n_elements: int) -> "Lattice":
-        leq = np.triu(np.ones((n_elements, n_elements), dtype=bool))
-        return cls(leq, _checked=True)
+        return cls.from_covers(n_elements, [(x, x + 1) for x in range(n_elements - 1)])
 
     @classmethod
     def boolean(cls, dim: int) -> "Lattice":
         n = 1 << dim
-        masks = np.arange(n)
-        leq = (masks[:, None] & ~masks[None, :]) == 0
+        covers = [(m, m | 1 << b) for m in range(n) for b in range(dim) if not m >> b & 1]
         letters = [chr(ord("a") + i) for i in range(dim)]
         labels = tuple(
             _subset_label(letters, [b for b in range(dim) if m >> b & 1])
-            for m in masks
+            for m in range(n)
         )
-        return cls(leq, labels=labels, _checked=True)
+        return cls.from_covers(n, covers, labels=labels)
 
 
 @dataclass(frozen=True)

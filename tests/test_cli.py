@@ -199,3 +199,12 @@ def test_cli_outputs_are_deterministic(capsys):
     main(["check", data_path("gated_cube.lat")])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_space_on_a_cycling_game_is_an_error_line(tmp_path, capsys):
+    # no sink: firing a then b returns to the start with another firing vector
+    path = write(tmp_path, "cycle.cfg", "vertices: a b\nedge: a b 1\nedge: b a 1\nchips: a=1\n")
+    assert main(["space", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: revisited state with a different firing vector\n"
