@@ -38,6 +38,17 @@ def _load_classical(path) -> Cfg:
     return game
 
 
+def _non_negative_int(text: str) -> int:
+    """An argparse type for caps: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _yes(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -77,12 +88,13 @@ def cmd_space(args) -> int:
     if args.coloured and not isinstance(game, ColouredCfg):
         raise ValueError(f"{args.game}: --coloured given but the file is classical")
     space = game.enumerate_space(state_cap=args.cap)
-    lattice = space.lattice()
+    # read from vectors and covers, after the moves are checked to commute
+    ranked, distributive, uld = space.is_ranked, space.is_distributive, space.is_uld
     print(f"elements: {len(space)}")
     print(f"height: {space.height}")
-    print(f"ranked: {_yes(lattice.is_ranked)}")
-    print(f"distributive: {_yes(lattice.is_distributive)}")
-    print(f"ULD: {_yes(lattice.is_uld)}")
+    print(f"ranked: {_yes(ranked)}")
+    print(f"distributive: {_yes(distributive)}")
+    print(f"ULD: {_yes(uld)}")
     if args.dot:
         _emit(space_to_dot(space), args.dot)
         print(f"dot: {args.dot}")
@@ -172,14 +184,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", choices=("min", "max", "random"), default="min")
     p.add_argument("--seed", type=int, default=0, help="seed for --order=random")
     p.add_argument("--trace", action="store_true", help="print each firing")
-    p.add_argument("--step-cap", type=int, default=None)
+    p.add_argument("--step-cap", type=_non_negative_int, default=None)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("space", help="enumerate the configuration space")
     p.add_argument("game")
     p.add_argument("--coloured", action="store_true", help="require a coloured game")
     p.add_argument("--dot", metavar="PATH", help="write the Hasse diagram as DOT")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_STATE_CAP)
     p.set_defaults(func=cmd_space)
 
     p = sub.add_parser("check", help="analyse a lattice file")
@@ -191,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lattice")
     p.add_argument("--mode", choices=("distributive", "uld"), required=True)
     p.add_argument("-o", "--out", help="write the game here instead of stdout")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_STATE_CAP)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("simplify", help="split vertices until the game is simple")
     p.add_argument("game")
     p.add_argument("-o", "--out", help="write the game here instead of stdout")
-    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--cap", type=_non_negative_int, default=DEFAULT_STATE_CAP)
     p.set_defaults(func=cmd_simplify)
     return parser
 

@@ -7,6 +7,16 @@ still count toward the firing threshold.
 Classical and coloured configuration spaces both come from ``_closure``, one
 breadth-first closure that holds the state cap, the canonical order and two
 checks: a revisited state keeps its firing vector, and no two states share one.
+
+A space answers the lattice questions ``chipfire space`` asks (J, M, rank,
+the two ULD detectors, distributivity) from its firing vectors and moves,
+without a dense order. That rests on one more check, run lazily before the
+first such answer: at every state, any two moves u != v commute, i.e. after
+u the move v is still possible (firing or opening u only adds chips to v).
+With distinct firing vectors, this local confluence gives the exchange lemma
+of Björner, Lovász & Shor (1991): the reachable vectors are closed under
+componentwise max, and x reaches y iff vec(x) <= vec(y). So the space is a
+lattice whose join is the componentwise max.
 """
 
 from __future__ import annotations
@@ -16,7 +26,17 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import FiringVectorConflict, StateCapExceeded, StepCapExceeded
+from .lattice import (
+    Lattice,
+    _distributive_verdict,
+    _first_bad_step,
+    _longest_path_ranks,
+    _packed_ints,
+    _uld_verdict,
+)
 from .multigraph import Multigraph
 
 
@@ -192,6 +212,14 @@ class ConfigSpace:
     Elements are in canonical order: by total firings, then lexicographically
     by firing-count vector. Element 0 is the initial state; covers are
     labelled by the fired (or opened) vertex.
+
+    The lattice verdicts (``J``, ``M``, ``is_ranked``, ``uld_detectors``,
+    ``is_uld``, ``is_distributive``) are read from the vectors and covers,
+    in O(states · |M| · vertices) at most; they first check that moves
+    commute (``_moves``), which with distinct vectors proves the space is a
+    lattice ordered componentwise. The rules they share with ``Lattice``
+    live in ``chipfire.lattice``. ``lattice()`` builds the dense, verified
+    view only on demand.
     """
 
     game: object
@@ -259,8 +287,6 @@ class ConfigSpace:
 
     @cached_property
     def _lattice(self):
-        from .lattice import Lattice
-
         labels = tuple(self.shot_label(i) for i in range(len(self.vectors)))
         cover_labels = {(lo, hi): self.names[v] for lo, hi, v in self.covers}
         return Lattice.from_covers(
@@ -269,3 +295,99 @@ class ConfigSpace:
             labels=labels,
             cover_labels=cover_labels,
         )
+
+    # lattice verdicts from vectors and covers
+
+    @cached_property
+    def _moves(self) -> tuple[dict[int, int], ...]:
+        """Per state, its moves as {fired vertex: next state}.
+
+        Raises RuntimeError when two moves u != v out of a state do not
+        commute: after u, the move v is gone. Chips only ever arrive at v
+        when u fires or opens, so that is an engine fault.
+        """
+        moves = tuple({} for _ in self.vectors)
+        for lo, hi, v in self.covers:
+            moves[lo][v] = hi
+        for x, out in enumerate(moves):
+            for u, child in out.items():
+                lost = out.keys() - moves[child].keys() - {u}
+                if lost:
+                    v = min(lost)
+                    raise RuntimeError(
+                        f"moves {self.names[u]} and {self.names[v]} do not commute "
+                        f"at state {self.shot_label(x)}: {self.names[v]} is lost "
+                        f"after {self.names[u]}"
+                    )
+        return moves
+
+    @cached_property
+    def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
+        downs = [[] for _ in self.vectors]
+        for x, out in enumerate(self._moves):
+            for y in out.values():
+                downs[y].append(x)
+        return tuple(tuple(d) for d in downs)
+
+    @cached_property
+    def J(self) -> tuple[int, ...]:
+        """Join-irreducibles: states with exactly one lower cover."""
+        return tuple(x for x, lows in enumerate(self._lower_covers) if len(lows) == 1)
+
+    @cached_property
+    def M(self) -> tuple[int, ...]:
+        """Meet-irreducibles: states with exactly one move."""
+        return tuple(x for x, out in enumerate(self._moves) if len(out) == 1)
+
+    @cached_property
+    def _mx_masks(self) -> tuple[int, ...]:
+        """mi_above as bitmask over positions in M: bit b of x is set when
+        vec(x) <= vec(M[b]) componentwise, one vectorised pass per M[b]."""
+        n = len(self.vectors)
+        vecs = np.array(self.vectors, dtype=np.int64).reshape(n, -1)
+        packed = np.zeros((n, -(-len(self.M) // 8)), dtype=np.uint8)
+        for b, m in enumerate(self.M):
+            packed[:, b >> 3] |= (vecs <= vecs[m]).all(axis=1).view(np.uint8) << (b & 7)
+        return _packed_ints(packed)
+
+    @cached_property
+    def is_ranked(self) -> bool:
+        # index order sorts by total firings, so it is a linear extension
+        return _longest_path_ranks(range(len(self.vectors)), self._lower_covers)[0]
+
+    def _hypercube_witness(self):
+        """Least state whose k >= 2 moves do not span a cube of 2^k states,
+        or None.
+
+        The subsets S of the moves u_1..u_k out of x are walked by subset
+        DP: the state for S is the state for S - {u_b} moved along u_b, with
+        b the highest index in S. Every such move must exist.
+        """
+        moves = self._moves
+        for x, out in enumerate(moves):
+            if len(out) < 2:
+                continue
+            cube = [x]
+            for u in out:
+                step = [moves[e].get(u) for e in cube]
+                if None in step:
+                    return x
+                cube += step
+        return None
+
+    def _cover_step_witness(self):
+        """Cover that removes != 1 meet-irreducible, or None."""
+        return _first_bad_step(((lo, hi) for lo, hi, _ in self.covers), self._mx_masks)
+
+    @cached_property
+    def uld_detectors(self) -> tuple[bool, bool]:
+        """(hypercube-interval verdict, cover-step verdict); must agree."""
+        return (self._hypercube_witness() is None, self._cover_step_witness() is None)
+
+    @cached_property
+    def is_uld(self) -> bool:
+        return _uld_verdict(self)
+
+    @cached_property
+    def is_distributive(self) -> bool:
+        return _distributive_verdict(self)

@@ -11,7 +11,10 @@ over the upper covers c of x, and the pair has no join when the candidates
 have no least element (meets dually). Distributivity is read off the
 irreducible coding: a finite lattice is distributive iff it is upper locally
 distributive (ULD) with as many join- as meet-irreducibles, so the cubic
-triple law is only used to name a witness.
+triple law is only used to name a witness. That rule, the rank rule, the
+cover-step test and the detector-agreement rule are module functions shared
+with ``engine.ConfigSpace``, which answers the same questions from firing
+vectors instead of a dense order.
 """
 
 from __future__ import annotations
@@ -26,10 +29,70 @@ import numpy as np
 from .errors import CapExceeded, DetectorDisagreement, NotALatticeError
 
 
+def _packed_ints(packed) -> tuple[int, ...]:
+    """Each row of a little-endian ``packbits`` array as an int."""
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def _row_masks(matrix) -> tuple[int, ...]:
     """Each row of a boolean matrix as an int whose bit i is column i."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return _packed_ints(np.packbits(matrix, axis=1, bitorder="little"))
+
+
+# Rules shared by Lattice and engine.ConfigSpace. Both expose J, M,
+# _mx_masks, uld_detectors and the two detector witnesses; a Lattice reads
+# them off its dense order, a ConfigSpace off its firing vectors and moves.
+
+
+def _longest_path_ranks(order, lower_covers) -> tuple[bool, list[int]]:
+    """(ranked, rank): each element's longest-path rank, visiting ``order``
+    (a linear extension); ranked when every element's lower covers share
+    one rank."""
+    rank = [0] * len(lower_covers)
+    ranked = True
+    for x in order:
+        lows = lower_covers[x]
+        if not lows:
+            continue
+        values = {rank[c] for c in lows}
+        if len(values) > 1:
+            ranked = False
+        rank[x] = max(values) + 1
+    return ranked, rank
+
+
+def _first_bad_step(cover_pairs, masks):
+    """First cover (lo, hi) that removes != 1 meet-irreducible from the
+    mi_above ``masks``, or None."""
+    for lo, hi in cover_pairs:
+        if (masks[lo] & ~masks[hi]).bit_count() != 1:
+            return (lo, hi)
+    return None
+
+
+def _uld_verdict(order) -> bool:
+    """The common verdict of the two ULD detectors; DetectorDisagreement,
+    naming both witnesses, when they split."""
+    by_cube, by_step = order.uld_detectors
+    if by_cube != by_step:
+        raise DetectorDisagreement(
+            f"local-distributivity detectors disagree: hypercube={by_cube} "
+            f"(witness {order._hypercube_witness()}), cover-step={by_step} "
+            f"(witness {order._cover_step_witness()})"
+        )
+    return by_cube
+
+
+def _distributive_verdict(order) -> bool:
+    """Distributive iff ULD and |J| = |M|.
+
+    Every cover drops at least one meet-irreducible from ``mi_above`` and
+    adds at least one join-irreducible to ``ji_below``. If each drops
+    exactly one (ULD), every maximal chain has length |M| = |J|, so each
+    also adds exactly one: the dual is ULD too, which makes the lattice
+    distributive (Dilworth 1940; Monjardet 1985).
+    """
+    return len(order.J) == len(order.M) and order.is_uld
 
 
 class Poset:
@@ -413,16 +476,7 @@ class Lattice(Poset):
     @cached_property
     def _rank_info(self) -> tuple[bool, int, tuple[int, ...]]:
         """(is_ranked, height, longest-path rank per element)."""
-        rank = [0] * self.n
-        ranked = True
-        for x in self.topo_order:
-            lows = self.lower_covers(x)
-            if not lows:
-                continue
-            values = {rank[c] for c in lows}
-            if len(values) > 1:
-                ranked = False
-            rank[x] = max(values) + 1
+        ranked, rank = _longest_path_ranks(self.topo_order, self._lower_covers)
         return ranked, rank[self.top], tuple(rank)
 
     @property
@@ -453,15 +507,8 @@ class Lattice(Poset):
 
     @cached_property
     def is_distributive(self) -> bool:
-        """Distributive iff ULD and |J| = |M|.
-
-        Every cover drops at least one meet-irreducible from ``mi_above`` and
-        adds at least one join-irreducible to ``ji_below``. If each drops
-        exactly one (ULD), every maximal chain has length |M| = |J|, so each
-        also adds exactly one: the dual is ULD too, which makes the lattice
-        distributive (Dilworth 1940; Monjardet 1985).
-        """
-        return len(self.J) == len(self.M) and self.is_uld
+        """Distributive iff ULD and |J| = |M| (see ``_distributive_verdict``)."""
+        return _distributive_verdict(self)
 
     # upper local distributivity, two detectors
 
@@ -490,11 +537,7 @@ class Lattice(Poset):
 
     def _cover_step_witness(self):
         """Cover that removes != 1 meet-irreducible, or None."""
-        masks = self._mx_masks
-        for lo, hi in self.cover_pairs:
-            if bin(masks[lo] & ~masks[hi]).count("1") != 1:
-                return (lo, hi)
-        return None
+        return _first_bad_step(self.cover_pairs, self._mx_masks)
 
     @cached_property
     def uld_detectors(self) -> tuple[bool, bool]:
@@ -503,14 +546,7 @@ class Lattice(Poset):
 
     @cached_property
     def is_uld(self) -> bool:
-        by_cube, by_step = self.uld_detectors
-        if by_cube != by_step:
-            raise DetectorDisagreement(
-                f"local-distributivity detectors disagree: hypercube={by_cube} "
-                f"(witness {self._hypercube_witness()}), cover-step={by_step} "
-                f"(witness {self._cover_step_witness()})"
-            )
-        return by_cube
+        return _uld_verdict(self)
 
     def edge_labels(self) -> dict[tuple[int, int], int]:
         """Map each cover (x, y) to the unique meet-irreducible leaving mi_above."""
@@ -526,18 +562,26 @@ class Lattice(Poset):
     # arrow relations and the induced partition of J
 
     @cached_property
+    def _arrows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(down, up) as boolean |J|×|M| matrices over positions in J and M:
+        j ↓ m when j ≰ m and j_lower(j) <= m, j ↑ m when j ≰ m and
+        j <= m_upper(m)."""
+        J = np.array(self.J, dtype=np.intp)
+        M = np.array(self.M, dtype=np.intp)
+        j_lower = np.array([self.j_lower(j) for j in self.J], dtype=np.intp)
+        m_upper = np.array([self.m_upper(m) for m in self.M], dtype=np.intp)
+        apart = ~self.leq[np.ix_(J, M)]
+        return apart & self.leq[np.ix_(j_lower, M)], apart & self.leq[np.ix_(J, m_upper)]
+
+    @cached_property
     def arrow_relations(self) -> "ArrowRelations":
-        down, up = set(), set()
-        for j in self.J:
-            j_lo = self.j_lower(j)
-            for m in self.M:
-                if self.leq[j, m]:
-                    continue
-                if self.leq[j_lo, m]:
-                    down.add((j, m))
-                if self.leq[j, self.m_upper(m)]:
-                    up.add((j, m))
-        return ArrowRelations(frozenset(down), frozenset(up), frozenset(down & up))
+        down, up = self._arrows
+
+        def pairs(matrix):
+            rows, cols = np.nonzero(matrix)
+            return frozenset((self.J[a], self.M[b]) for a, b in zip(rows.tolist(), cols.tolist()))
+
+        return ArrowRelations(pairs(down), pairs(up), pairs(down & up))
 
     def arrow_partition(self) -> "ArrowPartition":
         """Partition of J by the unique up-down arrow partner in M: j's down
@@ -680,32 +724,38 @@ class ArrowWitnessReport:
         return self.down_ok and self.up_ok and self.updown_ok is not False
 
 
+def _some(a, b) -> np.ndarray:
+    """Boolean matrix product: entry (i, k) says a[i, j] and b[j, k] for some j."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
 def arrow_witness_report(lattice: Lattice) -> ArrowWitnessReport:
-    arrows = lattice.arrow_relations
+    """Every clause checked at once by boolean matrix products over J and M.
+
+    ``failures`` lists down/updown failures m-major, then x, followed by up
+    failures j-major, then x.
+    """
+    down, up = lattice._arrows
     uld = lattice.is_uld
+    J = np.array(lattice.J, dtype=np.intp)
+    M = np.array(lattice.M, dtype=np.intp)
+    j_below = lattice.leq[J].T  # (x, j): j <= x
+    below_m = lattice.leq[:, M]  # (x, m): x <= m
+    has_down = _some(j_below, down)
+    down_bad = ~below_m & ~has_down
+    updown_bad = ~below_m & has_down & ~_some(j_below, down & up) if uld else np.zeros_like(down_bad)
     failures = []
-    down_ok = True
-    updown_ok = True if uld else None
-    for m in lattice.M:
-        for x in range(lattice.n):
-            if lattice.le(x, m):
-                continue
-            witnesses = [j for j in lattice.J if lattice.le(j, x) and (j, m) in arrows.down]
-            if not witnesses:
-                down_ok = False
-                failures.append(("down", x, m))
-            elif uld and not any((j, m) in arrows.updown for j in witnesses):
-                updown_ok = False
-                failures.append(("updown", x, m))
-    up_ok = True
-    for j in lattice.J:
-        for x in range(lattice.n):
-            if lattice.le(j, x):
-                continue
-            if not any(lattice.le(x, m) and (j, m) in arrows.up for m in lattice.M):
-                up_ok = False
-                failures.append(("up", j, x))
-    return ArrowWitnessReport(down_ok, updown_ok, up_ok, tuple(failures))
+    for b, x in zip(*(side.tolist() for side in np.nonzero((down_bad | updown_bad).T))):
+        failures.append(("down" if down_bad[x, b] else "updown", x, lattice.M[b]))
+    up_bad = ~lattice.leq[J] & ~_some(up, below_m.T)
+    for a, x in zip(*(side.tolist() for side in np.nonzero(up_bad))):
+        failures.append(("up", lattice.J[a], x))
+    return ArrowWitnessReport(
+        down_ok=not down_bad.any(),
+        updown_ok=not updown_bad.any() if uld else None,
+        up_ok=not up_bad.any(),
+        failures=tuple(failures),
+    )
 
 
 def ideal_lattice(poset: Poset, cap=None) -> Lattice:

@@ -3,7 +3,8 @@
 Oracles here are written independently of the engine's breadth-first
 enumeration: depth-first exploration with an explicit stack (classical and
 coloured), raw firing sequences without memoisation, naive triple-loop law
-checks, and powerset-based ideal enumeration.
+checks, loop-based arrow relations and witness reports, and powerset-based
+ideal enumeration.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from chipfire.coloured import ColouredCfg
 from chipfire.engine import Cfg
-from chipfire.lattice import Lattice, Poset
+from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 
 LETTERS = "abcdefghij"
@@ -158,6 +159,50 @@ def naive_distributive(lattice: Lattice) -> bool:
                 if lhs != rhs:
                     return False
     return True
+
+
+def naive_arrow_relations(lattice: Lattice) -> ArrowRelations:
+    """The arrow relations by a loop over J x M."""
+    down, up = set(), set()
+    for j in lattice.J:
+        j_lo = lattice.j_lower(j)
+        for m in lattice.M:
+            if lattice.leq[j, m]:
+                continue
+            if lattice.leq[j_lo, m]:
+                down.add((j, m))
+            if lattice.leq[j, lattice.m_upper(m)]:
+                up.add((j, m))
+    return ArrowRelations(frozenset(down), frozenset(up), frozenset(down & up))
+
+
+def naive_arrow_witness_report(lattice: Lattice) -> ArrowWitnessReport:
+    """The arrow witness report by loops over M x n x J and J x n x M."""
+    arrows = naive_arrow_relations(lattice)
+    uld = lattice.is_uld
+    failures = []
+    down_ok = True
+    updown_ok = True if uld else None
+    for m in lattice.M:
+        for x in range(lattice.n):
+            if lattice.le(x, m):
+                continue
+            witnesses = [j for j in lattice.J if lattice.le(j, x) and (j, m) in arrows.down]
+            if not witnesses:
+                down_ok = False
+                failures.append(("down", x, m))
+            elif uld and not any((j, m) in arrows.updown for j in witnesses):
+                updown_ok = False
+                failures.append(("updown", x, m))
+    up_ok = True
+    for j in lattice.J:
+        for x in range(lattice.n):
+            if lattice.le(j, x):
+                continue
+            if not any(lattice.le(x, m) and (j, m) in arrows.up for m in lattice.M):
+                up_ok = False
+                failures.append(("up", j, x))
+    return ArrowWitnessReport(down_ok, updown_ok, up_ok, tuple(failures))
 
 
 def naive_ideals(poset: Poset):

@@ -1,5 +1,7 @@
 from importlib import resources
 
+import pytest
+
 from chipfire.cli import main
 
 
@@ -107,6 +109,24 @@ def test_space_coloured_cap_exit_code(capsys):
     args = ["space", data_path("shared_gate.ccfg"), "--coloured", "--cap", "2"]
     assert main(args) == 3
     assert capsys.readouterr().err == "cap exceeded: state space exceeds cap 2\n"
+
+
+def test_space_negative_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["space", data_path("relay_chain.cfg"), "--cap", "-1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: chipfire space")
+    assert "--cap: must be a non-negative integer, got -1" in err
+
+
+def test_run_negative_step_cap_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", data_path("relay_chain.cfg"), "--step-cap", "-1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: chipfire run")
+    assert "--step-cap: must be a non-negative integer, got -1" in err
 
 
 def test_check_gated_cube(capsys):

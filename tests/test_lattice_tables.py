@@ -1,9 +1,10 @@
 """Differential tests of the lattice core.
 
 Join and meet tables come from a cover recurrence and distributivity from
-local hypercube checks on the lattice and its dual; these tests compare both
-with the scanning oracles in ``helpers`` and with the triple law, on the
-seeded corpora, the stock shapes, their duals and hypothesis-generated games.
+the irreducible coding (ULD with as many join- as meet-irreducibles); these
+tests compare both with the scanning oracles in ``helpers`` and with the
+triple law, on the seeded corpora, the stock shapes, their duals and
+hypothesis-generated games.
 """
 
 import random

@@ -1,0 +1,121 @@
+"""The lattice verdicts a configuration space reads from its firing vectors
+and moves, against the dense, verified ``space.lattice()`` view.
+
+``chipfire space`` prints only these verdicts, so it never builds the dense
+view; the commuting-moves check that stands in for the lattice verification
+and the detector-agreement rule get a fault each.
+"""
+
+import tracemalloc
+
+import pytest
+from hypothesis import given, settings
+
+from chipfire import cli
+from chipfire.engine import Cfg, ConfigSpace
+from chipfire.errors import DetectorDisagreement
+from chipfire.fixtures import funnel_game, relay_chain_game, shared_gate_game, split_track_game
+from chipfire.formats import parse_game
+from chipfire.lattice import Lattice, Poset
+
+from test_coloured import coloured_games
+from test_lattice_tables import convergent_games
+
+
+def wide_text(k):
+    """k one-chip sources draining to one sink: a space of 2^k states."""
+    sources = [f"s{i}" for i in range(k)]
+    return (
+        "vertices: " + " ".join(sources) + " t\n"
+        + "".join(f"edge: {s} t 1\n" for s in sources)
+        + "chips: " + " ".join(f"{s}=1" for s in sources) + "\n"
+    )
+
+
+def assert_verdicts_match_lattice(space):
+    lat = space.lattice()
+    assert space.J == lat.J
+    assert space.M == lat.M
+    assert space._mx_masks == lat._mx_masks
+    assert space.is_ranked == lat.is_ranked
+    assert space.height == lat.height
+    assert space._hypercube_witness() == lat._hypercube_witness()
+    assert space._cover_step_witness() == lat._cover_step_witness()
+    assert space.uld_detectors == lat.uld_detectors
+    assert space.is_uld == lat.is_uld
+    assert space.is_distributive == lat.is_distributive
+
+
+def test_corpora(space_corpus, coloured_space_corpus):
+    for space in space_corpus + coloured_space_corpus:
+        assert_verdicts_match_lattice(space)
+
+
+def test_bundled_games_and_the_wide_game():
+    games = [funnel_game(), relay_chain_game(), shared_gate_game(), split_track_game()]
+    games.append(parse_game(wide_text(10)))
+    for game in games:
+        assert_verdicts_match_lattice(game.enumerate_space())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(convergent_games())
+def test_generated_games(game):
+    assert_verdicts_match_lattice(game.enumerate_space())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coloured_games())
+def test_generated_coloured_games(game):
+    assert_verdicts_match_lattice(game.enumerate_space())
+
+
+def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, capsys):
+    text = "vertices: a b t\nedge: a t 1\nedge: b t 1\nchips: a=1 b=1\n"
+    game = parse_game(text)
+    firable = Cfg.firable
+
+    def hide_b_after_a(self, conf):
+        moves = firable(self, conf)
+        return moves - {1} if conf == (0, 1, 1) else moves
+
+    monkeypatch.setattr(Cfg, "firable", hide_b_after_a)
+    space = game.enumerate_space()
+    with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
+        space.is_uld
+    path = tmp_path / "two.cfg"
+    path.write_text(text)
+    with pytest.raises(RuntimeError, match="do not commute"):
+        cli.main(["space", str(path)])
+    assert capsys.readouterr().out == ""
+
+
+def test_split_detectors_raise():
+    space = funnel_game().enumerate_space()
+    # no cover removes a meet-irreducible, while every cube of moves is intact
+    space.__dict__["_mx_masks"] = (0,) * len(space)
+    with pytest.raises(DetectorDisagreement, match="hypercube=True .* cover-step=False"):
+        space.is_uld
+
+
+def test_space_builds_no_dense_lattice(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense lattice built")
+
+    monkeypatch.setattr(Lattice, "__init__", refuse)
+    monkeypatch.setattr(Poset, "from_covers", refuse)
+    monkeypatch.setattr(ConfigSpace, "lattice", refuse)
+    k = 12
+    path = tmp_path / "wide.cfg"
+    path.write_text(wide_text(k))
+    tracemalloc.start()
+    try:
+        assert cli.main(["space", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == (
+        "elements: 4096\nheight: 12\nranked: yes\ndistributive: yes\nULD: yes\n"
+    )
+    # an n x n boolean order alone would take n^2 = 16 MiB
+    assert peak < (1 << 2 * k) // 2
