@@ -16,7 +16,9 @@ u the move v is still possible (firing or opening u only adds chips to v).
 With distinct firing vectors, this local confluence gives the exchange lemma
 of Björner, Lovász & Shor (1991): the reachable vectors are closed under
 componentwise max, and x reaches y iff vec(x) <= vec(y). So the space is a
-lattice whose join is the componentwise max.
+lattice whose join is the componentwise max. The same check is the space's
+hypercube detector: every set of moves out of a state spans a cube. The
+cover-step detector, on the meet-irreducible coding, is the independent one.
 """
 
 from __future__ import annotations
@@ -217,9 +219,10 @@ class ConfigSpace:
     ``is_uld``, ``is_distributive``) are read from the vectors and covers,
     in O(states · |M| · vertices) at most; they first check that moves
     commute (``_moves``), which with distinct vectors proves the space is a
-    lattice ordered componentwise. The rules they share with ``Lattice``
-    live in ``chipfire.lattice``. ``lattice()`` builds the dense, verified
-    view only on demand.
+    lattice ordered componentwise and is also the hypercube detector's
+    verdict; the cover-step detector on ``_mx_masks`` is checked against
+    it. The rules they share with ``Lattice`` live in ``chipfire.lattice``.
+    ``lattice()`` builds the dense, verified view only on demand.
     """
 
     game: object
@@ -357,22 +360,16 @@ class ConfigSpace:
 
     def _hypercube_witness(self):
         """Least state whose k >= 2 moves do not span a cube of 2^k states,
-        or None.
+        or None: always None once ``_moves`` has passed, which it forces.
 
-        The subsets S of the moves u_1..u_k out of x are walked by subset
-        DP: the state for S is the state for S - {u_b} moved along u_b, with
-        b the highest index in S. Every such move must exist.
+        ``_moves`` raises unless, at every state, every other move survives
+        each move. Then, by induction on |S|, any subset S of the moves U
+        out of x can be walked from x in any order: after the moves T ⊂ S,
+        each move of S - T is still possible. So the 2^k walks all exist,
+        and with distinct firing vectors they end in 2^k distinct states.
+        The independent check is the cover-step detector on ``_mx_masks``.
         """
-        moves = self._moves
-        for x, out in enumerate(moves):
-            if len(out) < 2:
-                continue
-            cube = [x]
-            for u in out:
-                step = [moves[e].get(u) for e in cube]
-                if None in step:
-                    return x
-                cube += step
+        self._moves
         return None
 
     def _cover_step_witness(self):

@@ -19,6 +19,7 @@ import numpy as np
 
 from .coloured import ColouredCfg
 from .engine import Cfg, ConfigSpace
+from .errors import CapExceeded
 from .lattice import Lattice, Poset
 from .multigraph import ColouredMultigraph, Multigraph
 
@@ -87,11 +88,23 @@ def split_vertex(cfg: Cfg, a: int) -> Cfg:
 
 
 def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tuple[SplitReport, ...]]:
-    """Split a most-fired vertex until every vertex fires at most once."""
+    """Split a most-fired vertex until every vertex fires at most once.
+
+    A vertex that fires c times splits into copies that fire ceil(c/2) and
+    floor(c/2) times, so simplifying takes the sum of c - 1 over the vertices
+    splits, plus one round that finds the game simple. CapExceeded, before
+    any split, when that is more than ``max_rounds`` rounds.
+    """
+    counts = cfg.run_to_fixpoint(step_cap=step_cap).counts
+    splits = sum(c - 1 for c in counts if c > 1)
+    if splits >= max_rounds:
+        raise CapExceeded(
+            f"simplifying takes {splits + 1} rounds ({splits} splits), "
+            f"over the cap of {max_rounds} rounds"
+        )
     reports = []
     current = cfg
     for iteration in range(1, max_rounds + 1):
-        counts = current.run_to_fixpoint(step_cap=step_cap).counts
         worst = max(counts, default=0)
         if worst <= 1:
             return current, tuple(reports)
@@ -100,6 +113,7 @@ def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tupl
             SplitReport(current.graph.names[a], 2 * sum(current.init), iteration, a)
         )
         current = split_vertex(current, a)
+        counts = current.run_to_fixpoint(step_cap=step_cap).counts
     raise RuntimeError(f"not simple after {max_rounds} splitting rounds")
 
 
@@ -169,35 +183,43 @@ def interval_cfg(cfg: Cfg, a: int, b: int, space: ConfigSpace | None = None) -> 
     return Cfg(Multigraph(cfg.graph.names, mult), space.configs[a])
 
 
-def coloured_ideal_game(lattice: Lattice) -> ColouredCfg:
-    """A coloured game whose space is the full ideal lattice of the
-    join-irreducible order.
+def _merged_coloured_game(lattice: Lattice, classes) -> ColouredCfg:
+    """The coloured ideal game of the join-irreducible order, one vertex per
+    class of ``classes`` (tuples of positions in J) plus a sink.
 
-    One colour per join-irreducible j: that colour carries a classical game
-    realizing the ideals of the down-set of j, all sharing one vertex set.
+    One colour per join-irreducible j carries a classical game realizing the
+    ideals of the down-set of j; its edges and chips land straight on the
+    classes, and multiplicities and chips that meet there add up.
     """
-    if not lattice.is_uld:
-        raise ValueError("the construction needs an upper locally distributive lattice")
     jp = lattice.join_irreducible_poset()
-    names = jp.labels + (_fresh_name("bot", set(jp.labels)),)
-    bot = jp.n
+    bot = len(classes)
+    target = {pos: ci for ci, members in enumerate(classes) for pos in members}
+    names = tuple("+".join(jp.labels[pos] for pos in members) for members in classes)
+    names += (_fresh_name("bot", set(jp.labels)),)
     layers: dict[int, dict[tuple[int, int], int]] = {}
     init: dict[int, tuple[int, ...]] = {}
     for pos in range(jp.n):
-        colour = pos + 1
         down = [q for q in range(jp.n) if jp.le(q, pos)]
-        sub = jp.restrict(down)
-        edges, chips = _ideal_game_parts(sub)
-        remap = {i: down[i] for i in range(len(down))}
-        remap[len(down)] = bot
-        layers[colour] = {
-            (remap[u], remap[v]): k for (u, v), k in edges.items()
-        }
-        chip_vec = [0] * (jp.n + 1)
+        edges, chips = _ideal_game_parts(jp.restrict(down))
+        remap = [target[q] for q in down] + [bot]
+        layer: dict[tuple[int, int], int] = {}
+        for (u, v), k in edges.items():
+            key = (remap[u], remap[v])
+            layer[key] = layer.get(key, 0) + k
+        chip_vec = [0] * (bot + 1)
         for i, c in enumerate(chips):
-            chip_vec[remap[i]] = c
-        init[colour] = tuple(chip_vec)
+            chip_vec[remap[i]] += c
+        layers[pos + 1] = layer
+        init[pos + 1] = tuple(chip_vec)
     return ColouredCfg(ColouredMultigraph(names, layers), init)
+
+
+def coloured_ideal_game(lattice: Lattice) -> ColouredCfg:
+    """A coloured game whose space is the full ideal lattice of the
+    join-irreducible order: one vertex per join-irreducible."""
+    if not lattice.is_uld:
+        raise ValueError("the construction needs an upper locally distributive lattice")
+    return _merged_coloured_game(lattice, [(pos,) for pos in range(len(lattice.J))])
 
 
 def _arrow_classes(lattice: Lattice) -> list[tuple[tuple[int, ...], int]]:
@@ -213,36 +235,10 @@ def _arrow_classes(lattice: Lattice) -> list[tuple[tuple[int, ...], int]]:
 def coloured_from_uld(lattice: Lattice) -> ColouredCfg:
     """A coloured game whose configuration space is the given ULD lattice.
 
-    Contracts :func:`coloured_ideal_game` along the arrow partition of the
-    join-irreducibles: partner-equivalent vertices merge, edge multiplicities
-    between the merged classes add up, chips add up per colour.
+    :func:`coloured_ideal_game` with partner-equivalent join-irreducibles
+    (one class of the arrow partition) merged into one vertex.
     """
-    classes = [members for members, _ in _arrow_classes(lattice)]
-    expanded = coloured_ideal_game(lattice)
-    old_bot = expanded.graph.n - 1
-    target = {old_bot: len(classes)}
-    names = []
-    for ci, members in enumerate(classes):
-        for pos in members:
-            target[pos] = ci
-        names.append("+".join(expanded.graph.names[pos] for pos in members))
-    names.append(expanded.graph.names[old_bot])
-    layers: dict[int, dict[tuple[int, int], int]] = {}
-    init: dict[int, list[int]] = {}
-    for colour in expanded.colours:
-        layer: dict[tuple[int, int], int] = {}
-        for (u, v), k in expanded.graph.layers[colour].items():
-            key = (target[u], target[v])
-            layer[key] = layer.get(key, 0) + k
-        layers[colour] = layer
-        chips = [0] * (len(classes) + 1)
-        for v, c in enumerate(expanded.init[colour]):
-            chips[target[v]] += c
-        init[colour] = chips
-    return ColouredCfg(
-        ColouredMultigraph(tuple(names), layers),
-        {c: tuple(v) for c, v in init.items()},
-    )
+    return _merged_coloured_game(lattice, [members for members, _ in _arrow_classes(lattice)])
 
 
 # construction maps: which element of the source each reachable state stands for

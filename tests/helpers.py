@@ -2,7 +2,8 @@
 
 Oracles here are written independently of the engine's breadth-first
 enumeration: depth-first exploration with an explicit stack (classical and
-coloured), raw firing sequences without memoisation, naive triple-loop law
+coloured), raw firing sequences without memoisation, a subset walk over each
+state's cube of moves, naive triple-loop law
 checks, loop-based arrow relations and witness reports, and powerset-based
 ideal enumeration.
 """
@@ -95,6 +96,27 @@ def all_firing_sequences(cfg: Cfg, limit=50_000):
 
     walk(cfg.init, [])
     return sequences
+
+
+def cube_walk_witness(space):
+    """Least state whose k >= 2 moves do not span a cube of 2^k states,
+    or None.
+
+    The subsets S of the moves u_1..u_k out of x are walked by subset
+    DP: the state for S is the state for S - {u_b} moved along u_b, with
+    b the highest index in S. Every such move must exist.
+    """
+    moves = space._moves
+    for x, out in enumerate(moves):
+        if len(out) < 2:
+            continue
+        cube = [x]
+        for u in out:
+            step = [moves[e].get(u) for e in cube]
+            if None in step:
+                return x
+            cube += step
+    return None
 
 
 # independent lattice oracles

@@ -213,6 +213,15 @@ def test_simplify_refuses_cycle(tmp_path, capsys):
     assert main(["simplify", path]) == 1
 
 
+def test_simplify_over_the_round_cap_is_a_cap_line(tmp_path, capsys):
+    # a fires 1002 times: 1001 splits, more than the default 1000 rounds allow
+    path = write(tmp_path, "heavy.cfg", "vertices: a t\nedge: a t 1\nchips: a=1002\n")
+    assert main(["simplify", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cap exceeded: ")
+
+
 def test_cli_outputs_are_deterministic(capsys):
     main(["check", data_path("gated_cube.lat")])
     first = capsys.readouterr().out

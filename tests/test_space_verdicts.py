@@ -3,7 +3,9 @@ and moves, against the dense, verified ``space.lattice()`` view.
 
 ``chipfire space`` prints only these verdicts, so it never builds the dense
 view; the commuting-moves check that stands in for the lattice verification
-and the detector-agreement rule get a fault each.
+and the detector-agreement rule get a fault each. The hypercube verdict, which
+the commuting check gives, is also checked against the subset walk over each
+state's moves (``helpers.cube_walk_witness``).
 """
 
 import tracemalloc
@@ -18,6 +20,7 @@ from chipfire.fixtures import funnel_game, relay_chain_game, shared_gate_game, s
 from chipfire.formats import parse_game
 from chipfire.lattice import Lattice, Poset
 
+from helpers import cube_walk_witness
 from test_coloured import coloured_games
 from test_lattice_tables import convergent_games
 
@@ -40,6 +43,9 @@ def assert_verdicts_match_lattice(space):
     assert space.is_ranked == lat.is_ranked
     assert space.height == lat.height
     assert space._hypercube_witness() == lat._hypercube_witness()
+    # the subset walk the commuting check replaced
+    assert space._hypercube_witness() is None
+    assert cube_walk_witness(space) is None
     assert space._cover_step_witness() == lat._cover_step_witness()
     assert space.uld_detectors == lat.uld_detectors
     assert space.is_uld == lat.is_uld
@@ -81,6 +87,9 @@ def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(Cfg, "firable", hide_b_after_a)
     space = game.enumerate_space()
+    # the hypercube verdict is the commuting check's, never an unchecked None
+    with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
+        space._hypercube_witness()
     with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
         space.is_uld
     path = tmp_path / "two.cfg"
