@@ -4,17 +4,18 @@ Orders are stored as boolean ``leq`` matrices on elements 0..n-1. Covers are
 kept when the order is built from them (``Poset.from_covers``) and derived
 from ``leq`` otherwise.
 
-Lattices build their join and meet tables at construction time by dynamic
-programming over covers, vectorised over whole levels of rows, and verify
-every pair on the way: if x and y are incomparable, x∨y is the least of c∨y
-over the upper covers c of x, and the pair has no join when the candidates
-have no least element (meets dually). Distributivity is read off the
-irreducible coding: a finite lattice is distributive iff it is upper locally
-distributive (ULD) with as many join- as meet-irreducibles, so the cubic
-triple law is only used to name a witness. That rule, the rank rule, the
-cover-step test and the detector-agreement rule are module functions shared
-with ``engine.ConfigSpace``, which answers the same questions from firing
-vectors instead of a dense order.
+A lattice builds only its join table at construction, by dynamic programming
+over covers vectorised over whole levels of rows: for incomparable x and y,
+x∨y is the least of c∨y over the upper covers c of x, and there is no join
+when the candidates have no least element. Every join plus a least element
+make a finite order a lattice; meets, the same recurrence on the dual, are
+built on request. Distributivity is read off the irreducible coding: a
+finite lattice is distributive iff it is upper locally distributive (ULD)
+with as many join- as meet-irreducibles, so the triple law only names a
+witness. That rule, the rank rule, the cover-step test and the
+detector-agreement rule are module functions shared with
+``engine.ConfigSpace``, which answers the same questions from firing vectors
+instead of a dense order.
 """
 
 from __future__ import annotations
@@ -270,21 +271,24 @@ class IdealFamily:
 _CELLS = 1 << 18
 
 
-def _join_table(le, ups):
-    """The join table of an order numbered along a linear extension, or None
-    when some pair has no join.
+def _join_table(le, covers, seq):
+    """The join table of an order, or None when some pair has no join.
 
-    ``le[x, y]`` says x <= y, and ``ups[x]`` lists the upper covers of x.
-    Since every element's index is below those of the elements above it, the
-    least of a set of upper bounds, if it has one, is its smallest index.
-    Rows are filled top-down, a level at a time (a level holds the elements
-    whose covers all lie in earlier levels): x∨y is y when x <= y, x when
-    y <= x, and otherwise the least of c∨y over the covers c of x. That is
-    exact, because every upper bound above x lies above some c and so above
-    c∨y; if the smallest candidate is not below all the others, x and y have
-    no join.
+    ``le[x, y]`` says x <= y, ``covers[x]`` lists the upper covers of x. The
+    order is renumbered along the linear extension ``seq``, so every element's
+    index is below those of the elements above it and the least of a set of
+    upper bounds, if it has one, is its smallest index. Rows are filled
+    top-down, a level at a time (a level holds the elements whose covers all
+    lie in earlier levels): x∨y is y when x <= y, x when y <= x, and otherwise
+    the least of c∨y over the covers c of x. That is exact, because every
+    upper bound above x lies above some c and so above c∨y; if the smallest
+    candidate is not below all the others, x and y have no join.
     """
     n = len(le)
+    rank = np.argsort(seq)  # the inverse permutation
+    at = rank.tolist()
+    ups = [tuple(at[c] for c in covers[x]) for x in seq.tolist()]
+    le = le[seq][:, seq]
     deg = np.array([len(u) for u in ups], dtype=np.intp)
     level = [0] * n
     for x in range(n - 1, -1, -1):
@@ -319,6 +323,8 @@ def _join_table(le, ups):
                         return None
                 rows = np.where(apart, best, rows)
             table[xs] = rows
+    table = seq.astype(np.int32)[table[rank][:, rank]]
+    table.flags.writeable = False
     return table
 
 
@@ -327,12 +333,12 @@ def _subset_label(labels, members) -> str:
 
 
 class Lattice(Poset):
-    """Bounded lattice; construction verifies every pair has a join and a meet.
+    """Bounded lattice; construction checks every join and a least element.
 
-    The join table is the cover recurrence of :func:`_join_table` run on the
-    order numbered along a linear extension; the meet table is the same run on
-    the dual order. When either finds a pair without a bound, the pairs are
-    rescanned in index order, so the error names the first offending pair.
+    ``join_table`` is :func:`_join_table`, built at construction;
+    ``meet_table`` is the same run on the dual order, built on first use. On
+    a failure the pairs are rescanned in index order, so the error names the
+    first offending pair.
 
     ``cover_labels`` optionally annotates cover edges (e.g. with the vertex
     fired along a configuration-space edge).
@@ -395,28 +401,20 @@ class Lattice(Poset):
         raise RuntimeError("table build failed although every pair has a join and a meet")
 
     def _build_tables(self):
-        n = self.n
-        if n == 0:
+        if self.n == 0:
             raise NotALatticeError("not a lattice: empty element set")
         order = np.array(self.topo_order, dtype=np.intp)
-        tables = []
-        # meets are the joins of the dual order, which the reversed order extends
-        for le, covers, seq in (
-            (self.leq, self._upper_covers, order),
-            (self.leq.T, self._lower_covers, order[::-1]),
-        ):
-            rank = np.empty(n, dtype=np.intp)
-            rank[seq] = np.arange(n)
-            at = rank.tolist()
-            ups = [tuple(at[c] for c in covers[x]) for x in seq.tolist()]
-            table = _join_table(le[seq][:, seq], ups)
-            if table is None:
-                self._raise_first_failure()
-            table = seq.astype(np.int32)[table[rank][:, rank]]
-            table.flags.writeable = False
-            tables.append(table)
-        self.join_table, self.meet_table = tables
+        table = _join_table(self.leq, self._upper_covers, order)
+        # with every join, a least element makes every meet exist too
+        if table is None or len(self.minimal_elements) != 1:
+            self._raise_first_failure()
+        self.join_table = table
         self.bottom, self.top = int(order[0]), int(order[-1])
+
+    @cached_property
+    def meet_table(self) -> np.ndarray:
+        """The join table of the dual order, built on first use."""
+        return _join_table(self.leq.T, self._lower_covers, np.array(self.topo_order[::-1]))
 
     def join(self, x, y) -> int:
         return int(self.join_table[x, y])

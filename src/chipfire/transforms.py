@@ -20,7 +20,7 @@ import numpy as np
 from .coloured import ColouredCfg
 from .engine import Cfg, ConfigSpace
 from .errors import CapExceeded
-from .lattice import Lattice, Poset
+from .lattice import Lattice, Poset, _row_masks
 from .multigraph import ColouredMultigraph, Multigraph
 
 
@@ -90,12 +90,12 @@ def split_vertex(cfg: Cfg, a: int) -> Cfg:
 def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tuple[SplitReport, ...]]:
     """Split a most-fired vertex until every vertex fires at most once.
 
-    A vertex that fires c times splits into copies that fire ceil(c/2) and
-    floor(c/2) times, so simplifying takes the sum of c - 1 over the vertices
-    splits, plus one round that finds the game simple. CapExceeded, before
-    any split, when that is more than ``max_rounds`` rounds.
+    A vertex that fires c times splits into copies that fire ceil(c/2) (copy
+    0) and floor(c/2) times (copy 1), the others as before, so one fixpoint
+    run fixes every count: simplifying takes sum(c - 1) splits and one
+    round more. CapExceeded, before any split, when that exceeds ``max_rounds``.
     """
-    counts = cfg.run_to_fixpoint(step_cap=step_cap).counts
+    counts = list(cfg.run_to_fixpoint(step_cap=step_cap).counts)
     splits = sum(c - 1 for c in counts if c > 1)
     if splits >= max_rounds:
         raise CapExceeded(
@@ -104,17 +104,16 @@ def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tupl
         )
     reports = []
     current = cfg
-    for iteration in range(1, max_rounds + 1):
-        worst = max(counts, default=0)
-        if worst <= 1:
-            return current, tuple(reports)
+    for iteration in range(1, splits + 1):
+        worst = max(counts)
         a = counts.index(worst)
         reports.append(
             SplitReport(current.graph.names[a], 2 * sum(current.init), iteration, a)
         )
         current = split_vertex(current, a)
-        counts = current.run_to_fixpoint(step_cap=step_cap).counts
-    raise RuntimeError(f"not simple after {max_rounds} splitting rounds")
+        counts[a] = (worst + 1) // 2
+        counts.append(worst // 2)
+    return current, tuple(reports)
 
 
 def _ideal_game_parts(poset: Poset):
@@ -244,31 +243,32 @@ def coloured_from_uld(lattice: Lattice) -> ColouredCfg:
 # construction maps: which element of the source each reachable state stands for
 
 
-def _meet_map(lattice: Lattice, ms, space: ConfigSpace) -> list[int]:
-    """Send each state to the meet of ``ms[v]`` over the vertices v it has not
-    fired, the top when it has fired them all; later vertices (the sink) are
-    not looked at."""
-    shot = np.array(space.vectors, dtype=bool)[:, : len(ms)]
-    image = np.full(len(space), lattice.top, dtype=np.intp)
-    for v, m in enumerate(ms):
-        image = np.where(shot[:, v], image, lattice.meet_table[image, m])
-    return image.tolist()
+def _meet_map(lattice: Lattice, ms, space: ConfigSpace) -> list[int | None]:
+    """Send each state to the element whose meet-irreducibles above are the
+    ``ms[v]`` of the vertices v it has not fired, hence their meet, or to
+    None when no element has that code. ``ms`` is M in vertex order; later
+    vertices (the sink) are not looked at."""
+    # M is ascending, so sorting ms puts the vertices in the order of M's bits
+    unfired = ~np.array(space.vectors, dtype=bool)[:, np.argsort(ms)]
+    element = {code: x for x, code in enumerate(lattice._mx_masks)}
+    return [element.get(code) for code in _row_masks(unfired)]
 
 
-def distributive_map(lattice: Lattice, space: ConfigSpace) -> list[int]:
+def distributive_map(lattice: Lattice, space: ConfigSpace) -> list[int | None]:
     """Where the states of ``cfg_from_distributive(lattice)`` land in the lattice.
 
     A shot-set S goes to the meet of the meet-irreducibles outside it (Birkhoff);
-    vertex i is ``lattice.M[i]``, as in the construction.
+    vertex i is ``lattice.M[i]``, as in the construction; None for an uncoded state.
     """
     return _meet_map(lattice, lattice.M, space)
 
 
-def uld_map(lattice: Lattice, space: ConfigSpace) -> list[int]:
+def uld_map(lattice: Lattice, space: ConfigSpace) -> list[int | None]:
     """Where the states of ``coloured_from_uld(lattice)`` land in the lattice.
 
     An open-set S goes to the meet of the partners of the arrow classes
     outside it; vertex i is the i-th class of the construction's own order.
+    None for a state whose code no element has.
     """
     return _meet_map(lattice, [m for _, m in _arrow_classes(lattice)], space)
 

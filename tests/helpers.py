@@ -3,7 +3,8 @@
 Oracles here are written independently of the engine's breadth-first
 enumeration: depth-first exploration with an explicit stack (classical and
 coloured), raw firing sequences without memoisation, a subset walk over each
-state's cube of moves, naive triple-loop law
+state's cube of moves, a ``simplify`` that replays the fixpoint after every
+split, construction maps through the meet table, naive triple-loop law
 checks, loop-based arrow relations and witness reports, and powerset-based
 ideal enumeration.
 """
@@ -19,6 +20,7 @@ from chipfire.coloured import ColouredCfg
 from chipfire.engine import Cfg
 from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset
 from chipfire.multigraph import ColouredMultigraph, Multigraph
+from chipfire.transforms import SplitReport, split_vertex
 
 LETTERS = "abcdefghij"
 
@@ -119,7 +121,37 @@ def cube_walk_witness(space):
     return None
 
 
+def replaying_simplify(cfg: Cfg, max_rounds=1000):
+    """(simple game, split reports) by splitting a most-fired vertex and
+    running the split game to its fixpoint again, until every vertex fires
+    at most once."""
+    reports = []
+    current = cfg
+    for iteration in range(1, max_rounds + 1):
+        counts = current.run_to_fixpoint().counts
+        worst = max(counts, default=0)
+        if worst <= 1:
+            return current, tuple(reports)
+        a = counts.index(worst)
+        reports.append(SplitReport(current.graph.names[a], 2 * sum(current.init), iteration, a))
+        current = split_vertex(current, a)
+    raise AssertionError(f"not simple after {max_rounds} rounds")
+
+
 # independent lattice oracles
+
+
+def meet_table_map(lattice: Lattice, ms, space):
+    """Each state's meet of ``ms[v]`` over the vertices v it has not fired,
+    folded through the meet table from the top."""
+    image = []
+    for vec in space.vectors:
+        x = lattice.top
+        for v, m in enumerate(ms):
+            if not vec[v]:
+                x = lattice.meet(x, m)
+        image.append(x)
+    return image
 
 
 def naive_join(lattice: Lattice, x, y):

@@ -168,6 +168,12 @@ def test_check_not_a_lattice(tmp_path, capsys):
     assert "not a lattice" in capsys.readouterr().err
 
 
+def test_check_every_join_but_no_least_element(tmp_path, capsys):
+    path = write(tmp_path, "vee.lat", "elements: a b t\ncover: a t\ncover: b t\n")
+    assert main(["check", path]) == 1
+    assert capsys.readouterr().err == "error: not a lattice: a and b have no common lower bound\n"
+
+
 def test_synth_distributive_chain(tmp_path, capsys):
     lat = write(tmp_path, "c3.lat", "elements: x y z\ncover: x y\ncover: y z\n")
     out_path = tmp_path / "game.cfg"

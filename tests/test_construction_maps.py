@@ -6,7 +6,8 @@ construction implies (``distributive_map``, ``uld_map``, ``split_map``) with
 fails. These tests compare the check with ``is_isomorphic`` on the seeded
 corpora and on hypothesis games, corrupt covers and map entries to see the
 check refuse them and the CLI fall back to the search, and run the CLI with
-the search and the dense space lattice switched off.
+the search, the dense space lattice or the meet table switched off. The
+coding maps are compared entry for entry with a fold through the meet table.
 """
 
 from dataclasses import replace
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 
 from chipfire import cli, transforms
-from chipfire.engine import ConfigSpace
+from chipfire.engine import Cfg, ConfigSpace
 from chipfire.formats import serialize_lattice
 from chipfire.lattice import Lattice, Poset, find_isomorphism, ideal_lattice, is_isomorphic
+from chipfire.multigraph import Multigraph
 
+from helpers import meet_table_map
 from test_lattice_tables import convergent_games
 
 
@@ -89,6 +92,57 @@ def test_split_report_records_the_split_index():
         names[rep.index : rep.index + 1] = [f"{rep.vertex}_0"]
         names.append(f"{rep.vertex}_1")
     assert tuple(names) == simple.graph.names
+
+
+# the coding maps equal the meet-table fold
+
+
+def assert_coding_maps_match_meets(lattice, modes=("distributive", "uld")):
+    for mode in modes:
+        if mode == "distributive":
+            game, to_lattice = transforms.cfg_from_distributive(lattice), transforms.distributive_map
+            ms = lattice.M
+        else:
+            game, to_lattice = transforms.coloured_from_uld(lattice), transforms.uld_map
+            ms = [m for _, m in transforms._arrow_classes(lattice)]
+        space = game.enumerate_space()
+        image = to_lattice(lattice, space)
+        assert None not in image, (mode, lattice.labels)
+        assert image == meet_table_map(lattice, ms, space), (mode, lattice.labels)
+
+
+def test_coding_maps_on_ideal_lattices(distributive_corpus):
+    for lat in distributive_corpus:
+        assert_coding_maps_match_meets(lat)
+
+
+def test_coding_maps_on_classical_spaces(space_corpus):
+    for space in space_corpus:
+        lat = space.lattice()
+        assert_coding_maps_match_meets(lat, ("distributive", "uld") if lat.is_distributive else ("uld",))
+
+
+def test_coding_maps_on_coloured_spaces(coloured_space_corpus):
+    for space in coloured_space_corpus:
+        assert_coding_maps_match_meets(space.lattice(), ("uld",))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(convergent_games())
+def test_coding_maps_on_generated_games(game):
+    lat = game.enumerate_space().lattice()
+    assert_coding_maps_match_meets(lat, ("distributive", "uld") if lat.is_distributive else ("uld",))
+
+
+def test_a_state_without_a_code_maps_to_none():
+    # in the chain 0 < 1 < 2, M = (0, 1) and no element has mi_above {0};
+    # two one-chip sources reach the state that fired vertex 1 but not vertex 0
+    chain = Lattice.chain(3)
+    space = Cfg(Multigraph(("a", "b", "t"), {(0, 2): 1, (1, 2): 1}), (1, 1, 0)).enumerate_space()
+    image = transforms.distributive_map(chain, space)
+    assert sorted(image, key=str) == [0, 1, 2, None]
+    assert image[space.vectors.index((0, 1, 0))] is None
+    assert not transforms.is_hasse_isomorphism(image, space.covers, chain.n, chain.cover_pairs)
 
 
 # fault injection
@@ -264,3 +318,44 @@ def test_round_trips_skip_the_search_and_the_space_lattice(tmp_path, monkeypatch
     for argv, code, err in runs:
         assert cli.main(argv) == code, argv
         assert capsys.readouterr().err == err, argv
+
+
+# check, synth and simplify never build a meet table
+
+GATED_CUBE_CHECK = (
+    "elements: 23\nlattice: yes\nranked: yes\nheight: 5\ndistributive: no\nULD: yes\n"
+    "  hypercube-interval detector: yes\n  cover-step detector: yes\n|J|: 6\n|M|: 5\n"
+    "classes: 5 sizes: 2 1 1 1 1\n"
+    "arrow witnesses: down=yes updown=yes up(interpretive)=yes\n"
+)
+
+
+def test_cli_paths_build_no_meet_table(tmp_path, monkeypatch, capsys):
+    gated, dot = data_path("gated_cube.lat"), tmp_path / "out.dot"
+    runs = [["check", gated], ["check", gated, "--dot", str(dot)], ["synth", gated, "--mode", "uld"]]
+    for path in generated_lattice_files(tmp_path):
+        runs += [["check", path], ["check", path, "--dot", str(dot)]]
+        runs += [["synth", path, "--mode", mode] for mode in ("distributive", "uld")]
+    runs += [["simplify", data_path(name)] for name in ("relay_chain.cfg", "funnel.cfg")]
+
+    def outcome(argv):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err, dot.read_text() if "--dot" in argv else None
+
+    expected = [outcome(argv) for argv in runs]
+    assert [code for code, *_ in expected] == [0] * len(runs)
+    assert expected[0][1] == GATED_CUBE_CHECK
+    assert expected[1][1] == GATED_CUBE_CHECK + f"dot: {dot}\n"
+    assert all(err == SYNTH_ERR for argv, (_, _, err, _) in zip(runs, expected) if argv[0] == "synth")
+    assert expected[-2][2] == RELAY_ERR and expected[-1][2] == FUNNEL_ERR
+
+    def refuse(self):
+        raise AssertionError("meet table built")
+
+    monkeypatch.setattr(Lattice, "meet_table", property(refuse))
+    for argv, before in zip(runs, expected):
+        assert outcome(argv) == before, argv
+    # the guard bites: naming a distributivity witness does read meets
+    with pytest.raises(AssertionError, match="meet table built"):
+        cli.main(["synth", gated, "--mode", "distributive"])

@@ -1,10 +1,12 @@
 """Differential tests of the lattice core.
 
-Join and meet tables come from a cover recurrence and distributivity from
-the irreducible coding (ULD with as many join- as meet-irreducibles); these
-tests compare both with the scanning oracles in ``helpers`` and with the
-triple law, on the seeded corpora, the stock shapes, their duals and
-hypothesis-generated games.
+A lattice is verified by its join table, a cover recurrence, plus a least
+element; its meet table, the same recurrence on the dual, is built on first
+use; distributivity comes from the irreducible coding (ULD with as many
+join- as meet-irreducibles). These tests compare the tables and the verdict
+with the scanning oracles in ``helpers`` and with the triple law, and the
+errors for non-lattices with the first failing pair, on the seeded corpora,
+the stock shapes, their duals and hypothesis-generated games.
 """
 
 import random

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from chipfire.engine import Cfg
+from chipfire.formats import serialize_game
 from chipfire.fixtures import funnel_game, gated_cube_lattice, pentagon, relay_chain_game
 from chipfire.lattice import Lattice, ideal_lattice, is_isomorphic
 from chipfire.multigraph import Multigraph
@@ -15,7 +17,8 @@ from chipfire.transforms import (
     split_vertex,
 )
 
-from helpers import all_posets_upto, random_convergent_game
+from helpers import all_posets_upto, random_convergent_game, replaying_simplify
+from test_lattice_tables import convergent_games
 
 
 def space_lattice(game):
@@ -114,6 +117,31 @@ def test_simplify_random_games():
         assert reports
         assert is_isomorphic(space_lattice(simple), space_lattice(game))
         done += 1
+
+
+def assert_simplify_matches_replays(game):
+    simple, reports = simplify(game)
+    replayed, replayed_reports = replaying_simplify(game)
+    assert reports == replayed_reports, game
+    assert serialize_game(simple) == serialize_game(replayed), game
+
+
+def test_simplify_counts_match_replays_on_the_corpus(game_corpus):
+    for game in game_corpus:
+        assert_simplify_matches_replays(game)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(convergent_games())
+def test_simplify_counts_match_replays_on_generated_games(game):
+    assert_simplify_matches_replays(game)
+
+
+def test_simplify_counts_match_replays_on_a_draining_source():
+    # one vertex firing 12 times into a sink: 11 splits
+    game = Cfg(Multigraph(("a", "t"), {(0, 1): 2}), (24, 0))
+    assert_simplify_matches_replays(game)
+    assert len(simplify(game)[1]) == 11
 
 
 # distributive lattice -> game
