@@ -62,6 +62,8 @@ def _closure(game, start, successors, state_cap) -> "ConfigSpace":
     states, vectors = [start], [(0,) * game.graph.n]
     transitions = []
     for i, state in enumerate(states):  # appending while iterating: a FIFO queue
+        if state_cap is not None and len(states) > state_cap:
+            raise StateCapExceeded(f"state space exceeds cap {state_cap}")
         vec = vectors[i]
         for v, nxt in successors(state):
             nvec = vec[:v] + (vec[v] + 1,) + vec[v + 1:]
@@ -70,8 +72,6 @@ def _closure(game, start, successors, state_cap) -> "ConfigSpace":
                 j = ids[nxt] = len(states)
                 states.append(nxt)
                 vectors.append(nvec)
-                if state_cap is not None and len(states) > state_cap:
-                    raise StateCapExceeded(f"state space exceeds cap {state_cap}")
             elif vectors[j] != nvec:
                 raise FiringVectorConflict("revisited state with a different firing vector")
             transitions.append((i, v, j))

@@ -103,17 +103,12 @@ def parse_game(text: str, path: str = "<string>"):
                 if name not in index:
                     raise ParseError(f"unknown vertex {name!r}", path, lineno)
                 for part in value.split(","):
-                    if "@" in part:
-                        count, colour = part.split("@", 1)
-                        try:
-                            chip_items.append((index[name], int(count), int(colour), lineno))
-                        except ValueError:
-                            raise ParseError(f"bad chip entry {item!r}", path, lineno) from None
-                    else:
-                        try:
-                            chip_items.append((index[name], int(part), None, lineno))
-                        except ValueError:
-                            raise ParseError(f"bad chip entry {item!r}", path, lineno) from None
+                    count, at, colour = part.partition("@")
+                    try:
+                        entry = (int(count), int(colour) if at else None)
+                    except ValueError:
+                        raise ParseError(f"bad chip entry {item!r}", path, lineno) from None
+                    chip_items.append((index[name], *entry, lineno))
         else:
             raise ParseError(f"unknown keyword {keyword!r}", path, lineno)
     if names is None:

@@ -229,21 +229,16 @@ class Poset:
     def ideal_masks(self, cap=None) -> list[int]:
         """All down-closed subsets as bitmasks, sorted by (size, value)."""
         down = self._down_masks
-        n = self.n
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            ideal = queue.popleft()
-            for x in range(n):
+        ideals, seen = [0], {0}
+        for ideal in ideals:  # appending while iterating: a FIFO queue
+            if cap is not None and len(ideals) > cap:
+                raise CapExceeded(f"ideal family exceeds cap {cap}")
+            for x in range(self.n):
                 bit = 1 << x
-                if not ideal & bit and down[x] & ~ideal == bit:
-                    nxt = ideal | bit
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        if cap is not None and len(seen) > cap:
-                            raise CapExceeded(f"ideal family exceeds cap {cap}")
-                        queue.append(nxt)
-        return sorted(seen, key=lambda m: (bin(m).count("1"), m))
+                if not ideal & bit and down[x] & ~ideal == bit and ideal | bit not in seen:
+                    seen.add(ideal | bit)
+                    ideals.append(ideal | bit)
+        return sorted(ideals, key=lambda m: (bin(m).count("1"), m))
 
     def ideals(self, cap=None) -> "IdealFamily":
         members = tuple(
@@ -814,10 +809,9 @@ def find_isomorphism(a: Lattice, b: Lattice, cap: int = 5000):
 
     Backtracking over colour classes produced by invariant refinement
     (rank, degrees, irreducibility, coding sizes, iterated neighbourhoods).
-    It is the oracle for arbitrary pairs and in the tests; the CLI round
-    trips first check the construction's own map
-    (:func:`chipfire.transforms.is_hasse_isomorphism`) and fall back to this
-    search only when that check fails.
+    It is the oracle for arbitrary pairs, for library use and in the tests.
+    The CLI never calls it: its round trips check the construction's own map
+    (:func:`chipfire.transforms.is_hasse_isomorphism`) and nothing else.
     """
     if a.n != b.n:
         return None

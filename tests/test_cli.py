@@ -63,6 +63,27 @@ def test_run_missing_file_exit_code(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_unwritable_output_is_a_write_failure(tmp_path, capsys):
+    dot = tmp_path / "missing" / "x.dot"
+    assert main(["space", data_path("funnel.cfg"), "--dot", str(dot)]) == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == "elements: 7" and len(out.splitlines()) == 5
+    assert err.startswith("cannot write output: [Errno 2] ")
+    assert err.endswith(f"{str(dot)!r}\n")
+    assert main(["synth", data_path("gated_cube.lat"), "--mode", "uld", "-o", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"cannot write output: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+def test_space_cap_zero_refuses_a_one_state_game(tmp_path, capsys):
+    path = write(tmp_path, "one.cfg", "vertices: a s\nedge: a s 1\nchips: a=0\n")
+    assert main(["space", path, "--cap", "0"]) == 3
+    assert capsys.readouterr() == ("", "cap exceeded: state space exceeds cap 0\n")
+    assert main(["space", path, "--cap", "1"]) == 0
+    assert capsys.readouterr().out.startswith("elements: 1\n")
+
+
 def test_space_funnel(capsys):
     assert main(["space", data_path("funnel.cfg")]) == 0
     out = capsys.readouterr().out

@@ -2,14 +2,15 @@
 
 ``synth`` and ``simplify`` decide their round trip by checking the map each
 construction implies (``distributive_map``, ``uld_map``, ``split_map``) with
-``is_hasse_isomorphism``; the backtracking search only runs when that check
-fails. These tests compare the check with ``is_isomorphic`` on the seeded
-corpora and on hypothesis games, corrupt covers and map entries to see the
-check refuse them and the CLI fall back to the search, and run the CLI with
-the search, the dense space lattice or the meet table switched off. The
+``is_hasse_isomorphism``; that check is the whole verdict. These tests compare
+the check with ``is_isomorphic`` on the seeded corpora and on hypothesis
+games, corrupt covers and map entries to see the check refuse them and the
+CLI exit 1, and run the CLI with the search, the dense space lattice or the
+meet table switched off. The
 coding maps are compared entry for entry with a fold through the meet table.
 """
 
+import os
 from dataclasses import replace
 from importlib import resources
 
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 
 from chipfire import cli, transforms
+from chipfire import lattice as lattice_module
 from chipfire.engine import Cfg, ConfigSpace
 from chipfire.formats import serialize_lattice
-from chipfire.lattice import Lattice, Poset, find_isomorphism, ideal_lattice, is_isomorphic
+from chipfire.lattice import Lattice, Poset, ideal_lattice, is_isomorphic
 from chipfire.multigraph import Multigraph
 
 from helpers import meet_table_map
@@ -209,46 +211,39 @@ def swap_first_and_last(fn):
     return corrupted
 
 
-@pytest.fixture
-def search_calls(monkeypatch):
-    calls = []
+def refuse_the_slow_paths(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("slow path called")
 
-    def spy(a, b, cap=5000):
-        calls.append((a.n, b.n))
-        return find_isomorphism(a, b, cap)
-
-    monkeypatch.setattr(cli, "find_isomorphism", spy)
-    return calls
+    monkeypatch.setattr(lattice_module, "find_isomorphism", refuse)
+    monkeypatch.setattr(ConfigSpace, "lattice", refuse)
 
 
 @pytest.mark.parametrize(
-    "argv, patched",
+    "argv, patched, failure",
     [
-        (["synth", data_path("gated_cube.lat"), "--mode", "uld"], "uld_map"),
-        (["simplify", data_path("relay_chain.cfg")], "split_map"),
+        (["synth", data_path("gated_cube.lat"), "--mode", "uld"], "uld_map",
+         "round-trip: NOT isomorphic"),
+        (["synth", "boolean.lat", "--mode", "uld"], "uld_map", "round-trip: NOT isomorphic"),
+        (["synth", "boolean.lat", "--mode", "distributive"], "distributive_map",
+         "round-trip: NOT isomorphic"),
+        (["simplify", data_path("relay_chain.cfg")], "split_map", "isomorphic: no"),
+        (["simplify", data_path("funnel.cfg")], "split_map", "isomorphic: no"),
     ],
+    ids=["synth-uld-gated-cube", "synth-uld-boolean", "synth-distributive-boolean",
+         "simplify-relay-chain", "simplify-funnel"],
 )
-def test_failed_map_check_falls_back_to_the_search(argv, patched, monkeypatch, capsys, search_calls):
+def test_a_failed_map_check_is_the_verdict(argv, patched, failure, tmp_path, monkeypatch, capsys):
+    generated = {os.path.basename(path): path for path in generated_lattice_files(tmp_path)}
+    argv = [generated.get(a, a) for a in argv]
+    refuse_the_slow_paths(monkeypatch)
     assert cli.main(argv) == 0
-    assert search_calls == []
     clean = capsys.readouterr()
     monkeypatch.setattr(transforms, patched, swap_first_and_last(getattr(transforms, patched)))
-    assert cli.main(argv) == 0
-    assert len(search_calls) == 1
-    assert capsys.readouterr() == clean
-
-
-def test_verdict_comes_from_the_search_when_the_map_fails(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "b3.lat"
-    path.write_text(serialize_lattice(Lattice.boolean(3)))
-    argv = ["synth", str(path), "--mode", "distributive"]
-    monkeypatch.setattr(cli, "find_isomorphism", lambda a, b: None)
-    assert cli.main(argv) == 0  # the map check decides; the search is not asked
-    monkeypatch.setattr(
-        transforms, "distributive_map", swap_first_and_last(transforms.distributive_map)
-    )
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err.endswith("round-trip: NOT isomorphic\n")
+    out, err = capsys.readouterr()
+    assert out == clean.out  # the emitted game
+    assert err == clean.err.rsplit("\n", 2)[0] + f"\n{failure}\n"
 
 
 # the CLI round trips build no space lattice and run no search
@@ -297,11 +292,7 @@ FUNNEL_ERR = "no splits needed\nsimple: yes\nisomorphic: yes\n"
 
 
 def test_round_trips_skip_the_search_and_the_space_lattice(tmp_path, monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("slow path called")
-
-    monkeypatch.setattr(cli, "find_isomorphism", refuse)
-    monkeypatch.setattr(ConfigSpace, "lattice", refuse)
+    refuse_the_slow_paths(monkeypatch)
     runs = [(["synth", data_path("gated_cube.lat"), "--mode", "uld"], 0, SYNTH_ERR)]
     runs.append(
         (

@@ -172,3 +172,9 @@ def test_uncoloured_chip_entry_error_carries_line_number():
 def test_chips_of_a_missing_colour_error_carries_line_number():
     text = "vertices: a b\nchips: a=1@2\nedge: a b 1 colour=1\n"
     assert parse_error(text) == "g.cfg:2: chips of colour 2 but no edges of that colour"
+
+
+@pytest.mark.parametrize("entry", ["x=1@", "x=a@1", "x=1@b", "x=z", "x=1@2@3"])
+def test_malformed_chip_entry_names_the_entry_and_line(entry):
+    text = f"vertices: x t\nedge: x t 1\nchips: {entry}\n"
+    assert parse_error(text) == f"g.cfg:3: bad chip entry {entry!r}"

@@ -6,8 +6,9 @@ import pytest
 from chipfire.cli import main
 from chipfire.coloured import ColouredCfg
 from chipfire.engine import Cfg
-from chipfire.errors import CapExceeded
+from chipfire.errors import CapExceeded, StateCapExceeded
 from chipfire.fixtures import funnel_game, shared_gate_game
+from chipfire.formats import parse_game
 from chipfire.lattice import Lattice, Poset
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import simplify, split_vertex
@@ -85,6 +86,35 @@ def test_ideal_cap():
     antichain = Poset(np.eye(10, dtype=bool))
     with pytest.raises(CapExceeded):
         antichain.ideal_masks(cap=100)
+
+
+def test_ideal_cap_counts_the_empty_ideal():
+    empty, point = Poset(np.zeros((0, 0), dtype=bool)), Poset(np.eye(1, dtype=bool))
+    for poset, count in ((empty, 1), (point, 2)):
+        with pytest.raises(CapExceeded, match=f"^ideal family exceeds cap {count - 1}$"):
+            poset.ideal_masks(cap=count - 1)
+        assert len(poset.ideal_masks(cap=count)) == count
+
+
+ONE_STATE_GAMES = (
+    "vertices: a s\nedge: a s 1\nchips: a=0\n",
+    "vertices: a s\nedge: a s 1 colour=1\nchips: a=0@1\n",
+)
+
+
+@pytest.mark.parametrize(
+    "game",
+    [parse_game(text) for text in ONE_STATE_GAMES] + [funnel_game(), shared_gate_game()],
+    ids=["classical-one", "coloured-one", "funnel", "shared-gate"],
+)
+def test_state_cap_admits_at_most_cap_states(game):
+    size = len(game.enumerate_space())
+    for cap in {0, 1, size - 1, size}:
+        if cap < size:
+            with pytest.raises(StateCapExceeded, match=f"^state space exceeds cap {cap}$"):
+                game.enumerate_space(state_cap=cap)
+        else:
+            assert len(game.enumerate_space(state_cap=cap)) == size
 
 
 def test_isomorphism_cap():
