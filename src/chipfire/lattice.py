@@ -1,8 +1,8 @@
 """Finite posets and lattices: irreducibles, codings, detectors, constructions.
 
 Orders are stored as boolean ``leq`` matrices on elements 0..n-1. Covers are
-kept when the order is built from them (``Poset.from_covers``) and derived
-from ``leq`` otherwise.
+kept when the order is built from them (``Poset.from_covers``; set families
+pass their one-element steps) and derived from ``leq`` otherwise.
 
 A lattice builds only its join table at construction, by dynamic programming
 over covers vectorised over whole levels of rows: for incomparable x and y,
@@ -38,6 +38,11 @@ def _packed_ints(packed) -> tuple[int, ...]:
 def _row_masks(matrix) -> tuple[int, ...]:
     """Each row of a boolean matrix as an int whose bit i is column i."""
     return _packed_ints(np.packbits(matrix, axis=1, bitorder="little"))
+
+
+def _some(a, b) -> np.ndarray:
+    """Boolean matrix product: entry (i, k) says a[i, j] and b[j, k] for some j."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
 
 
 # Rules shared by Lattice and engine.ConfigSpace. Both expose J, M,
@@ -114,7 +119,7 @@ class Poset:
                 raise ValueError("order is not reflexive")
             if (leq & leq.T).sum() != n:
                 raise ValueError("order is not antisymmetric")
-            if ((leq @ leq) & ~leq).any():
+            if (_some(leq, leq) & ~leq).any():
                 raise ValueError("order is not transitive")
         leq.flags.writeable = False
         self.leq = leq
@@ -174,7 +179,7 @@ class Poset:
     @cached_property
     def _cover_matrix(self) -> np.ndarray:
         strict = self.leq & ~np.eye(self.n, dtype=bool)
-        return strict & ~(strict @ strict)
+        return strict & ~_some(strict, strict)
 
     @cached_property
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
@@ -323,8 +328,22 @@ def _join_table(le, covers, seq):
     return table
 
 
-def _subset_label(labels, members) -> str:
-    return "{" + ",".join(labels[x] for x in sorted(members)) + "}"
+def _subset_label(labels, mask) -> str:
+    return "{" + ",".join(labels[b] for b in range(mask.bit_length()) if mask >> b & 1) + "}"
+
+
+def _family_lattice(members, codes, ground_labels) -> "Lattice":
+    """Bitmask ``members`` under inclusion, each labelled by its ground elements
+    (bit b is ``ground_labels[b]``). Every cover drops one bit of its code, as in
+    ideals and antimatroids, so the covers are the pairs of ``codes`` one bit apart."""
+    index = {code: i for i, code in enumerate(codes)}
+    covers = [
+        (index[code ^ 1 << b], j)
+        for j, code in enumerate(codes) for b in range(code.bit_length())
+        if code >> b & 1 and code ^ 1 << b in index
+    ]
+    labels = tuple(_subset_label(ground_labels, m) for m in members)
+    return Lattice.from_covers(len(codes), covers, labels=labels)
 
 
 class Lattice(Poset):
@@ -343,25 +362,6 @@ class Lattice(Poset):
         super().__init__(leq, labels=labels, _checked=_checked, _covers=_covers)
         self.cover_labels = dict(cover_labels) if cover_labels else {}
         self._build_tables()
-
-    @classmethod
-    def from_union_closed(cls, masks, ground_labels) -> "Lattice":
-        """A union-closed family of bitmasks ordered by inclusion.
-
-        Each member is labelled by its set of ground elements, named by
-        ``ground_labels`` (bit b is ``ground_labels[b]``).
-        """
-        n = len(masks)
-        leq = np.ones((n, n), dtype=bool)
-        width = max((m.bit_length() for m in masks), default=0)
-        for shift in range(0, width + 1, 64):
-            word = np.array([m >> shift & 0xFFFF_FFFF_FFFF_FFFF for m in masks], dtype=np.uint64)
-            leq &= (word[:, None] & ~word[None, :]) == 0
-        labels = tuple(
-            _subset_label(ground_labels, [b for b in range(m.bit_length()) if m >> b & 1])
-            for m in masks
-        )
-        return cls(leq, labels=labels, _checked=True)
 
     def _witness_pair(self, i, j, rows, kind):
         common = np.nonzero(rows[i] & rows[j])[0]
@@ -638,6 +638,9 @@ class Lattice(Poset):
         Two ideals are grouped when each element of the symmetric difference
         has a partner-equivalent element on the other side; each group keeps
         its unique maximal member. The result is isomorphic to the lattice.
+        The groups' keys (their members' partners) are union-closed and change
+        by at most one partner when an ideal loses a maximal element: they form
+        an antimatroid, so each cover adds one partner to the key.
         """
         partition = self.arrow_partition()
         jp = self.join_irreducible_poset()
@@ -646,16 +649,14 @@ class Lattice(Poset):
         groups: dict[int, int] = {}
         for mask in jp.ideal_masks(cap):
             key = 0
-            bits = mask
-            while bits:
-                low = bits & -bits
-                key |= partner_bit[low.bit_length() - 1]
-                bits ^= low
+            for b in range(mask.bit_length()):
+                if mask >> b & 1:
+                    key |= partner_bit[b]
             groups[key] = groups.get(key, 0) | mask
-        reps = sorted(groups.values(), key=lambda m: (bin(m).count("1"), m))
+        keys, reps = zip(*sorted(groups.items(), key=lambda kv: (kv[1].bit_count(), kv[1])))
         if len(set(reps)) != len(reps):
             raise RuntimeError("distinct ideal groups produced the same representative")
-        return Lattice.from_union_closed(reps, jp.labels)
+        return _family_lattice(reps, keys, jp.labels)
 
     # stock shapes
 
@@ -665,14 +666,8 @@ class Lattice(Poset):
 
     @classmethod
     def boolean(cls, dim: int) -> "Lattice":
-        n = 1 << dim
-        covers = [(m, m | 1 << b) for m in range(n) for b in range(dim) if not m >> b & 1]
-        letters = [chr(ord("a") + i) for i in range(dim)]
-        labels = tuple(
-            _subset_label(letters, [b for b in range(dim) if m >> b & 1])
-            for m in range(n)
-        )
-        return cls.from_covers(n, covers, labels=labels)
+        subsets = range(1 << dim)
+        return _family_lattice(subsets, subsets, [chr(ord("a") + i) for i in range(dim)])
 
 
 @dataclass(frozen=True)
@@ -717,11 +712,6 @@ class ArrowWitnessReport:
         return self.down_ok and self.up_ok and self.updown_ok is not False
 
 
-def _some(a, b) -> np.ndarray:
-    """Boolean matrix product: entry (i, k) says a[i, j] and b[j, k] for some j."""
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
-
-
 def arrow_witness_report(lattice: Lattice) -> ArrowWitnessReport:
     """Every clause checked at once by boolean matrix products over J and M.
 
@@ -757,7 +747,8 @@ def ideal_lattice(poset: Poset, cap=None) -> Lattice:
     This is the Birkhoff representation: the result is distributive, and
     every distributive lattice arises this way from its meet-irreducibles.
     """
-    return Lattice.from_union_closed(poset.ideal_masks(cap), poset.labels)
+    masks = poset.ideal_masks(cap)
+    return _family_lattice(masks, masks, poset.labels)
 
 
 def _base_invariants(lattice: Lattice) -> list[tuple]:

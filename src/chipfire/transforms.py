@@ -19,7 +19,7 @@ import numpy as np
 
 from .coloured import ColouredCfg
 from .engine import Cfg, ConfigSpace
-from .errors import CapExceeded
+from .errors import CapExceeded, StepCapExceeded
 from .lattice import Lattice, Poset, _row_masks
 from .multigraph import ColouredMultigraph, Multigraph
 
@@ -95,7 +95,15 @@ def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tupl
     run fixes every count: simplifying takes sum(c - 1) splits and one
     round more. CapExceeded, before any split, when that exceeds ``max_rounds``.
     """
-    counts = list(cfg.run_to_fixpoint(step_cap=step_cap).counts)
+    cfg._require_guard(step_cap, "run_to_fixpoint")
+    bound = max_rounds + cfg.graph.n  # splits >= firings - n: a longer run is over the cap
+    cap = bound if step_cap is None else min(step_cap, bound)
+    try:
+        counts = list(cfg.run_to_fixpoint(step_cap=cap).counts)
+    except StepCapExceeded:
+        if cap < bound:  # the caller's step cap stopped the run
+            raise
+        raise CapExceeded(f"simplifying takes more than {max_rounds} rounds (over {bound} firings)")
     splits = sum(c - 1 for c in counts if c > 1)
     if splits >= max_rounds:
         raise CapExceeded(

@@ -5,8 +5,9 @@ enumeration: depth-first exploration with an explicit stack (classical and
 coloured), raw firing sequences without memoisation, a subset walk over each
 state's cube of moves, a ``simplify`` that replays the fixpoint after every
 split, construction maps through the meet table, naive triple-loop law
-checks, loop-based arrow relations and witness reports, and powerset-based
-ideal enumeration.
+checks, loop-based arrow relations and witness reports, a scanning
+transitive reduction, the dense inclusion order of a set family, and
+powerset-based ideal enumeration.
 """
 
 from __future__ import annotations
@@ -196,6 +197,65 @@ def naive_not_a_lattice_message(poset: Poset):
                 names = ", ".join(labels[a] for a in extreme[:4])
                 return head + f"{len(extreme)} {word} common {kind} bounds ({names})"
     return None
+
+
+def naive_cover_pairs(leq) -> list[tuple[int, int]]:
+    """Transitive reduction by scanning: x < y with nothing strictly between."""
+    n = len(leq)
+    return [
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if x != y and leq[x, y]
+        and not any(z not in (x, y) and leq[x, z] and leq[z, y] for z in range(n))
+    ]
+
+
+def _subset_label(labels, members) -> str:
+    return "{" + ",".join(labels[x] for x in sorted(members)) + "}"
+
+
+def dense_union_closed_lattice(masks, ground_labels) -> Lattice:
+    """A union-closed family of bitmasks ordered by inclusion.
+
+    The dense construction the library used before it built set families
+    from their one-element steps: inclusion tested 64 bits at a time, covers
+    left to be derived from ``leq``. Each member is labelled by its set of
+    ground elements, named by ``ground_labels`` (bit b is ``ground_labels[b]``).
+    """
+    n = len(masks)
+    leq = np.ones((n, n), dtype=bool)
+    width = max((m.bit_length() for m in masks), default=0)
+    for shift in range(0, width + 1, 64):
+        word = np.array([m >> shift & 0xFFFF_FFFF_FFFF_FFFF for m in masks], dtype=np.uint64)
+        leq &= (word[:, None] & ~word[None, :]) == 0
+    labels = tuple(
+        _subset_label(ground_labels, [b for b in range(m.bit_length()) if m >> b & 1])
+        for m in masks
+    )
+    return Lattice(leq, labels=labels, _checked=True)
+
+
+def dense_ideal_quotient(lattice: Lattice) -> Lattice:
+    """``Lattice.ideal_quotient`` through the dense construction: ideals of
+    the join-irreducible order grouped by the partners of their members, each
+    group represented by its union."""
+    partition = lattice.arrow_partition()
+    jp = lattice.join_irreducible_poset()
+    m_pos = {m: i for i, m in enumerate(lattice.M)}
+    partner_bit = [1 << m_pos[partition.partner[j]] for j in lattice.J]
+    groups: dict[int, int] = {}
+    for mask in jp.ideal_masks():
+        key = 0
+        bits = mask
+        while bits:
+            low = bits & -bits
+            key |= partner_bit[low.bit_length() - 1]
+            bits ^= low
+        groups[key] = groups.get(key, 0) | mask
+    reps = sorted(groups.values(), key=lambda m: (bin(m).count("1"), m))
+    assert len(set(reps)) == len(reps)
+    return dense_union_closed_lattice(reps, jp.labels)
 
 
 def dual(lattice: Lattice) -> Lattice:

@@ -1,3 +1,4 @@
+import time
 from importlib import resources
 
 import pytest
@@ -247,6 +248,17 @@ def test_simplify_over_the_round_cap_is_a_cap_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("cap exceeded: ")
+
+
+def test_simplify_stops_its_fixpoint_run_at_the_round_cap(tmp_path, capsys):
+    # 10^9 firings would take minutes; over 1000 + 2 of them, splits exceed 1000
+    path = write(tmp_path, "huge.cfg", "vertices: s t\nedge: s t 1\nchips: s=1000000000\n")
+    start = time.perf_counter()
+    assert main(["simplify", path]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("cap exceeded: simplifying takes more than")
 
 
 def test_cli_outputs_are_deterministic(capsys):

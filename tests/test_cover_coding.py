@@ -3,17 +3,24 @@
 The arrow partition takes each join-irreducible's partner from the label of
 its lower cover instead of scanning J×M; these tests compare it with the
 up-down relation of ``arrow_relations`` on the seeded corpora, the fixtures
-and hypothesis-generated classical and coloured games. The stock shapes are
-built from their known covers; the covers are compared with those derived
-from the order.
+and hypothesis-generated classical and coloured games. The stock shapes, the
+ideal lattices and the ideal quotient are built from their known covers (a
+set family's one-element steps); their order, labels, covers and joins are
+compared with the dense inclusion order of the same family, and the covers
+with those derived from the order.
 """
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipfire.fixtures import diamond, funnel_game, gated_cube_lattice, pentagon
-from chipfire.lattice import Lattice, Poset
+from chipfire.lattice import Lattice, Poset, ideal_lattice
 
+from helpers import dense_ideal_quotient, dense_union_closed_lattice, naive_cover_pairs
 from test_coloured import coloured_games
 from test_lattice_tables import convergent_games
 
@@ -65,11 +72,16 @@ def test_stock_shapes_skip_cover_matrix(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(Poset, "_cover_matrix", property(refuse))
         funnel = funnel_game().enumerate_space().lattice()
+        fence = ideal_lattice(Poset.from_covers(5, [(0, 1), (2, 1), (2, 3), (4, 3)]))
         shapes = [
             Lattice.chain(1),
             Lattice.chain(5),
             Lattice.boolean(0),
             Lattice.boolean(3),
+            Lattice.boolean(5),
+            fence,
+            fence.ideal_quotient(),
+            gated_cube_lattice().ideal_quotient(),
             Lattice.boolean(4).interval(1, 15),
             funnel.interval(funnel.bottom, funnel.top),
             funnel.interval(1, funnel.top),
@@ -78,5 +90,52 @@ def test_stock_shapes_skip_cover_matrix(monkeypatch):
         ]
         for lat in shapes:
             lat.is_distributive, lat.is_uld
+    # orders given by leq alone, checked for transitivity, derive their covers
+    rng = random.Random(3)
+    for n in (2, 5, 9, 14):
+        perm = rng.sample(range(n), n)
+        up = np.triu(np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]), 1)
+        closed = Poset.from_covers(n, [(perm[i], perm[j]) for i, j in zip(*np.nonzero(up))])
+        shapes.append(Poset(closed.leq))
     for lat in shapes:
         assert lat.cover_pairs == Poset(lat.leq, _checked=True).cover_pairs, lat.labels
+        assert list(lat.cover_pairs) == naive_cover_pairs(lat.leq), lat.labels
+
+
+def assert_matches_dense(lat, dense):
+    assert lat.labels == dense.labels
+    assert np.array_equal(lat.leq, dense.leq)
+    assert lat.cover_pairs == dense.cover_pairs, lat.labels
+    assert np.array_equal(lat.join_table, dense.join_table)
+
+
+def assert_family_lattices_match_dense(poset):
+    lat = ideal_lattice(poset)
+    assert_matches_dense(lat, dense_union_closed_lattice(poset.ideal_masks(), poset.labels))
+    assert_matches_dense(lat.ideal_quotient(), dense_ideal_quotient(lat))
+
+
+def test_family_lattices_match_the_dense_order(small_posets, space_corpus, coloured_space_corpus):
+    for poset in small_posets:
+        assert_family_lattices_match_dense(poset)
+    lattices = [space.lattice() for space in space_corpus + coloured_space_corpus]
+    uld = [lat for lat in lattices + [gated_cube_lattice()] if lat.is_uld]
+    assert any(not lat.is_distributive for lat in uld)
+    for lat in uld:
+        assert_matches_dense(lat.ideal_quotient(), dense_ideal_quotient(lat))
+        assert_family_lattices_match_dense(lat.join_irreducible_poset())
+
+
+@st.composite
+def posets(draw):
+    """Orders on up to 8 elements, closed from random pairs i < j."""
+    n = draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Poset.from_covers(n, [pair for pair, keep in zip(pairs, chosen) if keep])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(posets())
+def test_family_lattices_match_the_dense_order_on_generated_posets(poset):
+    assert_family_lattices_match_dense(poset)

@@ -20,7 +20,7 @@ from chipfire import cli
 from chipfire.engine import Cfg
 from chipfire.errors import NotALatticeError
 from chipfire.fixtures import diamond, gated_cube_lattice, pentagon
-from chipfire.lattice import Lattice, Poset
+from chipfire.lattice import Lattice, Poset, ideal_lattice
 from chipfire.multigraph import Multigraph
 
 from helpers import (
@@ -132,12 +132,11 @@ def test_non_lattice_error_names_the_first_failing_pair():
 
 
 def test_union_closed_family_order_and_labels():
-    # bit 70 makes the masks wider than one machine word
-    masks = [0, 1, 1 << 70, 1 | 1 << 70]
-    ground = tuple(f"g{b}" for b in range(71))
-    lat = Lattice.from_union_closed(masks, ground)
-    assert lat.labels == ("{}", "{g0}", "{g70}", "{g0,g70}")
-    assert np.array_equal(lat.leq, Lattice.boolean(2).leq)
+    # 71 ground elements make the ideal masks wider than one machine word
+    lat = ideal_lattice(Lattice.chain(71))
+    assert lat.n == 72
+    assert lat.labels[-1] == "{" + ",".join(f"e{b}" for b in range(71)) + "}"
+    assert np.array_equal(lat.leq, Lattice.chain(72).leq)
 
 
 def test_space_skips_cover_matrix_and_triple_law(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from chipfire.engine import Cfg
+from chipfire.errors import CapExceeded, StepCapExceeded
 from chipfire.formats import serialize_game
 from chipfire.fixtures import funnel_game, gated_cube_lattice, pentagon, relay_chain_game
 from chipfire.lattice import Lattice, ideal_lattice, is_isomorphic
@@ -142,6 +143,23 @@ def test_simplify_counts_match_replays_on_a_draining_source():
     game = Cfg(Multigraph(("a", "t"), {(0, 1): 2}), (24, 0))
     assert_simplify_matches_replays(game)
     assert len(simplify(game)[1]) == 11
+
+
+def test_simplify_round_cap_leaves_the_convergence_guard_and_step_cap():
+    cycle = Cfg(Multigraph(("a", "b"), {(0, 1): 1, (1, 0): 1}), (1, 0))
+    with pytest.raises(ValueError, match="run_to_fixpoint needs a cap"):
+        simplify(cycle)
+    with pytest.raises(StepCapExceeded, match="no fixpoint within step cap 5"):
+        simplify(cycle, step_cap=5)
+    with pytest.raises(CapExceeded, match="simplifying takes more than 10 rounds"):
+        simplify(cycle, max_rounds=10, step_cap=100)
+    # a source firing 12 times: its 11 splits are counted, within and over the cap
+    source = Cfg(Multigraph(("a", "t"), {(0, 1): 1}), (12, 0))
+    assert len(simplify(source, max_rounds=12)[1]) == 11
+    with pytest.raises(CapExceeded, match="takes 12 rounds"):
+        simplify(source, max_rounds=11)
+    with pytest.raises(CapExceeded, match="takes more than 9 rounds"):
+        simplify(source, max_rounds=9)
 
 
 # distributive lattice -> game
