@@ -5,6 +5,16 @@ at least as many chips of that colour as it has outgoing edges of that colour
 (and at least one such edge). Opening then stabilizes every colour's classical
 game over the open vertices; closed vertices absorb chips but never fire.
 
+Every reached state is stable in every colour over its open set: the start
+opens nothing, and each opening stabilizes again. So opening v can restart a
+colour only at v, and only in a colour in which v can fire; every other colour
+keeps its chips as they are. A colour that v restarts is played from a
+worklist seeded with v, since a firing can make only the fired vertex and its
+out-neighbours firable. Colours share no chips and each colour's game is
+classical, so by strong convergence (Björner, Lovász & Shor 1991) neither the
+order of the colours nor the order of the firings changes the stable chips or
+how often each vertex fires.
+
 The configuration space comes from the engine's shared breadth-first closure
 and its two checks; the second one reports an open-set reached with two chip
 contents.
@@ -13,6 +23,7 @@ contents.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping
 
 from .engine import Cfg, ConfigSpace, _closure, _fire_in_place
@@ -68,50 +79,74 @@ class ColouredCfg:
             opened=frozenset(),
         )
 
+    @cached_property
+    def _colour_index(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex, the (colour index, out-degree) pairs of the colours it
+        has out-edges in."""
+        degrees = [self.graph.restriction_to_colour(c)._out_degrees for c in self.colours]
+        return tuple(
+            tuple((ci, deg[v]) for ci, deg in enumerate(degrees) if deg[v])
+            for v in range(self.graph.n)
+        )
+
     def openable(self, state: ColouredState) -> frozenset[int]:
         """Closed vertices firable in at least one colour restriction."""
-        out = set()
-        for ci, c in enumerate(self.colours):
-            deg = self.graph.restriction_to_colour(c)._out_degrees
-            chips = state.chips[ci]
-            for v in range(self.graph.n):
-                if v not in state.opened and 0 < deg[v] <= chips[v]:
-                    out.add(v)
-        return frozenset(out)
+        chips, opened = state.chips, state.opened
+        return frozenset(
+            v
+            for v, colours in enumerate(self._colour_index)
+            if v not in opened and any(deg <= chips[ci][v] for ci, deg in colours)
+        )
 
-    def _stabilize_colour(self, c, chips, opened):
-        """Play colour c on the open vertices; closed vertices absorb chips."""
+    def _stabilize_colour(self, ci, chips, opened, v):
+        """Play colour index ci on the open vertices, from a worklist seeded
+        with v; closed vertices absorb chips.
+
+        The chips must be stable at every open vertex but v.
+        """
+        c = self.colours[ci]
         restriction = self.graph.restriction_to_colour(c)
-        deg = restriction._out_degrees
+        deg, adj = restriction._out_degrees, restriction._out_adj
         chips = list(chips)
+        todo = [v]
         steps = 0
-        while True:
-            firable = [v for v in opened if 0 < deg[v] <= chips[v]]
-            if not firable:
-                return tuple(chips)
-            _fire_in_place(chips, restriction, min(firable))
-            steps += 1
-            if steps > _STABILIZE_CAP:
-                raise StepCapExceeded(
-                    f"colour {c} did not stabilize within {_STABILIZE_CAP} firings"
-                )
+        while todo:
+            u = todo.pop()
+            if u not in opened or not 0 < deg[u] <= chips[u]:
+                continue
+            while deg[u] <= chips[u]:
+                _fire_in_place(chips, restriction, u)
+                steps += 1
+                if steps > _STABILIZE_CAP:
+                    raise StepCapExceeded(
+                        f"colour {c} did not stabilize within {_STABILIZE_CAP} firings"
+                    )
+            todo.extend(w for w, _ in adj[u])
+        return tuple(chips)
 
     def open_vertex(self, state: ColouredState, v: int) -> ColouredState:
-        """Open v, then stabilize each colour in ascending colour order."""
+        """Open v, then stabilize the colours in which v can fire.
+
+        A state reached from the initial one is stable in every colour over
+        its open set, so the opening restarts a colour only at v, and the
+        colours in which v cannot fire keep their chips. Colours share no
+        chips, and within one colour strong convergence fixes the stable
+        chips, so neither the colour order nor the firing order matters.
+        """
         if v in state.opened:
             raise ValueError(f"vertex {self.graph.names[v]} is already open")
         if v not in self.openable(state):
-            raise ValueError(f"vertex {self.graph.names[v]} cannot be opened")
+            raise ValueError(f"vertex {self.graph.names[self.graph._check(v)]} cannot be opened")
         return self._open(state, v)
 
     def _open(self, state: ColouredState, v: int) -> ColouredState:
         """``open_vertex`` for a vertex the caller has already found openable."""
         opened = state.opened | {v}
-        chips = tuple(
-            self._stabilize_colour(c, state.chips[ci], opened)
-            for ci, c in enumerate(self.colours)
-        )
-        return ColouredState(chips=chips, opened=opened)
+        chips = list(state.chips)
+        for ci, deg in self._colour_index[v]:
+            if deg <= chips[ci][v]:
+                chips[ci] = self._stabilize_colour(ci, chips[ci], opened, v)
+        return ColouredState(chips=tuple(chips), opened=opened)
 
     def enumerate_space(self, state_cap=None) -> ConfigSpace:
         """Breadth-first closure over open-sets; chip state is cross-checked.

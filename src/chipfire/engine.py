@@ -149,7 +149,7 @@ class Cfg:
     def fire(self, conf, v: int) -> tuple[int, ...]:
         """Send one chip along each edge out of v; v must be firable."""
         if v not in self.firable(conf):
-            raise ValueError(f"vertex {self.graph.names[v]} is not firable")
+            raise ValueError(f"vertex {self.graph.names[self.graph._check(v)]} is not firable")
         return self._fire(conf, v)
 
     def _fire(self, conf, v) -> tuple[int, ...]:
@@ -181,7 +181,7 @@ class Cfg:
                 )
             v = choose(fs)
             if v not in fs:  # a caller-supplied policy may pick any vertex
-                raise ValueError(f"vertex {self.graph.names[v]} is not firable")
+                raise ValueError(f"vertex {self.graph.names[self.graph._check(v)]} is not firable")
             conf = self._fire(conf, v)
             counts[v] += 1
             steps += 1

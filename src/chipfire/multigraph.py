@@ -208,6 +208,8 @@ class ColouredMultigraph:
         except ValueError:
             raise ValueError(f"unknown vertex {name!r}") from None
 
+    _check = Multigraph._check
+
     def restriction_to_colour(self, c: int) -> Multigraph:
         """The classical multigraph carrying only the colour-c edges."""
         if c not in self.layers:

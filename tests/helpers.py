@@ -7,18 +7,24 @@ state's cube of moves, a ``simplify`` that replays the fixpoint after every
 split, construction maps through the meet table, naive triple-loop law
 checks, loop-based arrow relations and witness reports, a scanning
 transitive reduction, the dense inclusion order of a set family, and
-powerset-based ideal enumeration.
+powerset-based ideal enumeration. The one exception is the coloured opening
+rule that replays every colour over every open vertex after every firing:
+it is independent of the worklist stabilizer in ``chipfire.coloured`` but
+runs through the engine's closure.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from itertools import chain, combinations, permutations
 
 import numpy as np
 
-from chipfire.coloured import ColouredCfg
-from chipfire.engine import Cfg
+from chipfire import coloured
+from chipfire.coloured import ColouredCfg, ColouredState
+from chipfire.engine import Cfg, ConfigSpace, _closure, _fire_in_place
+from chipfire.errors import StepCapExceeded
 from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport, split_vertex
@@ -62,6 +68,10 @@ def dfs_coloured_reachable(game: ColouredCfg, cap=200_000):
     """Depth-first closure of a coloured game's open-sets, through the public
     ``openable`` / ``open_vertex`` only.
 
+    ``open_vertex`` runs the same worklist stabilizer as enumeration, so this
+    checks the closure, not the opening rule; ``full_scan_space`` is the
+    oracle for that.
+
     Returns (chips, covers): open-set -> per-colour chips, and the set of
     labelled covers (open-set, opened vertex, next open-set). Asserts the chip
     content is unique per open-set.
@@ -82,6 +92,58 @@ def dfs_coloured_reachable(game: ColouredCfg, cap=200_000):
                 assert len(chips) <= cap
                 stack.append(nxt)
     return chips, covers
+
+
+def full_scan_openable(game: ColouredCfg, state: ColouredState) -> frozenset[int]:
+    """Closed vertices firable in at least one colour restriction."""
+    out = set()
+    for ci, c in enumerate(game.colours):
+        deg = game.graph.restriction_to_colour(c)._out_degrees
+        chips = state.chips[ci]
+        for v in range(game.graph.n):
+            if v not in state.opened and 0 < deg[v] <= chips[v]:
+                out.add(v)
+    return frozenset(out)
+
+
+def full_scan_stabilize_colour(game: ColouredCfg, c, chips, opened):
+    """Play colour c on the open vertices; closed vertices absorb chips."""
+    restriction = game.graph.restriction_to_colour(c)
+    deg = restriction._out_degrees
+    chips = list(chips)
+    steps = 0
+    while True:
+        firable = [v for v in opened if 0 < deg[v] <= chips[v]]
+        if not firable:
+            return tuple(chips)
+        _fire_in_place(chips, restriction, min(firable))
+        steps += 1
+        if steps > coloured._STABILIZE_CAP:
+            raise StepCapExceeded(
+                f"colour {c} did not stabilize within {coloured._STABILIZE_CAP} firings"
+            )
+
+
+def full_scan_open(game: ColouredCfg, state: ColouredState, v: int) -> ColouredState:
+    """Open v, then stabilize each colour in ascending colour order, rescanning
+    every open vertex after every firing."""
+    opened = state.opened | {v}
+    chips = tuple(
+        full_scan_stabilize_colour(game, c, state.chips[ci], opened)
+        for ci, c in enumerate(game.colours)
+    )
+    return ColouredState(chips=chips, opened=opened)
+
+
+def full_scan_space(game: ColouredCfg) -> ConfigSpace:
+    """``ColouredCfg.enumerate_space`` with the full-scan opening rule."""
+
+    def successors(state):
+        openable = sorted(full_scan_openable(game, state))
+        return [(v, full_scan_open(game, state, v)) for v in openable]
+
+    space = _closure(game, game.initial_state(), successors, None)
+    return replace(space, configs=tuple(state.chips for state in space.configs))
 
 
 def all_firing_sequences(cfg: Cfg, limit=50_000):

@@ -5,15 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chipfire import coloured
 from chipfire.coloured import ColouredCfg, from_classical
 from chipfire.engine import Cfg
-from chipfire.errors import StateCapExceeded
-from chipfire.fixtures import funnel_game, relay_chain_game, shared_gate_game, split_track_game
-from chipfire.lattice import is_isomorphic
+from chipfire.errors import StateCapExceeded, StepCapExceeded
+from chipfire.fixtures import (
+    funnel_game,
+    gated_cube_lattice,
+    relay_chain_game,
+    shared_gate_game,
+    split_track_game,
+)
+from chipfire.lattice import Lattice, is_isomorphic
 from chipfire.multigraph import ColouredMultigraph
-from chipfire.transforms import simplify
+from chipfire.transforms import coloured_from_uld, simplify
 
-from helpers import dfs_coloured_reachable, random_coloured_game
+import helpers
+from helpers import dfs_coloured_reachable, full_scan_space, random_coloured_game
 
 
 def v(game, name):
@@ -188,8 +196,16 @@ def test_enumerate_space_cap():
         shared_gate_game().enumerate_space(state_cap=2)
 
 
+def assert_matches_full_scan(game, space):
+    oracle = full_scan_space(game)
+    assert space.vectors == oracle.vectors
+    assert space.configs == oracle.configs
+    assert space.covers == oracle.covers
+
+
 def assert_matches_dfs_oracle(game):
     space = game.enumerate_space()
+    assert_matches_full_scan(game, space)
     chips, covers = dfs_coloured_reachable(game)
     opened = [space.shot_set(i) for i in range(len(space))]
     assert len(space) == len(chips)
@@ -251,3 +267,58 @@ def test_open_set_with_two_chip_contents_is_reported(monkeypatch):
     monkeypatch.setattr(ColouredCfg, "_open", tagged)
     with pytest.raises(RuntimeError, match="share a firing vector"):
         shared_gate_game().enumerate_space()
+
+
+def test_uld_games_match_full_scan():
+    for lattice in [Lattice.boolean(k) for k in range(1, 9)] + [gated_cube_lattice()]:
+        game = coloured_from_uld(lattice)
+        assert_matches_full_scan(game, game.enumerate_space())
+
+
+def test_opening_touches_only_colours_the_vertex_fires_in(coloured_corpus, monkeypatch):
+    visits = []
+    stabilize = ColouredCfg._stabilize_colour
+
+    def recording(self, ci, chips, opened, v):
+        visits.append((self, ci, chips, v))
+        return stabilize(self, ci, chips, opened, v)
+
+    monkeypatch.setattr(ColouredCfg, "_stabilize_colour", recording)
+    for game in coloured_corpus + [shared_gate_game(), split_track_game()]:
+        game.enumerate_space()
+    assert visits
+    for game, ci, chips, v in visits:
+        assert 0 < game.graph.restriction_to_colour(game.colours[ci]).out_degree(v) <= chips[v]
+
+
+def test_firing_count_matches_full_scan(coloured_corpus, monkeypatch):
+    counts = {}
+
+    def counting(module, key):
+        fire = module._fire_in_place
+
+        def fire_and_count(chips, graph, v):
+            counts[key] = counts.get(key, 0) + 1
+            fire(chips, graph, v)
+
+        monkeypatch.setattr(module, "_fire_in_place", fire_and_count)
+
+    counting(coloured, "worklist")
+    counting(helpers, "full scan")
+    games = coloured_corpus + [shared_gate_game(), coloured_from_uld(Lattice.boolean(5))]
+    for game in games:
+        game.enumerate_space()
+        full_scan_space(game)
+    assert counts["worklist"] == counts["full scan"] > 0
+
+
+def test_stabilize_cap_bound_and_message(monkeypatch):
+    # colour 1 on a looped vertex with a drain: 10 chips fire 9 times
+    graph = ColouredMultigraph(("a", "s"), {1: {(0, 0): 1, (0, 1): 1}})
+    game = ColouredCfg(graph, {1: (10, 0)})
+    monkeypatch.setattr(coloured, "_STABILIZE_CAP", 9)
+    assert game.enumerate_space().configs == full_scan_space(game).configs
+    monkeypatch.setattr(coloured, "_STABILIZE_CAP", 8)
+    for enumerate_ in (ColouredCfg.enumerate_space, full_scan_space):
+        with pytest.raises(StepCapExceeded, match="^colour 1 did not stabilize within 8 firings$"):
+            enumerate_(game)

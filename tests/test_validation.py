@@ -51,6 +51,26 @@ def test_callable_policy():
         game.run_to_fixpoint(policy="sideways")
 
 
+@pytest.mark.parametrize("bad", [9, -1])
+def test_fire_rejects_unknown_vertex_id(bad):
+    game = funnel_game()
+    with pytest.raises(ValueError, match=f"unknown vertex id {bad}"):
+        game.fire(game.init, bad)
+
+
+@pytest.mark.parametrize("bad", [99, -1])
+def test_callable_policy_rejects_unknown_vertex_id(bad):
+    with pytest.raises(ValueError, match=f"unknown vertex id {bad}"):
+        funnel_game().run_to_fixpoint(policy=lambda fs: bad)
+
+
+@pytest.mark.parametrize("bad", [9, -1])
+def test_open_vertex_rejects_unknown_vertex_id(bad):
+    game = shared_gate_game()
+    with pytest.raises(ValueError, match=f"unknown vertex id {bad}"):
+        game.open_vertex(game.initial_state(), bad)
+
+
 def test_coloured_cfg_rejects_bad_chips():
     graph = shared_gate_game().graph
     with pytest.raises(ValueError):
