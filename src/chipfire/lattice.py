@@ -608,6 +608,8 @@ class Lattice(Poset):
 
     def interval(self, a, b) -> "Lattice":
         """The sublattice {x : a <= x <= b}."""
+        if not (0 <= a < self.n and 0 <= b < self.n):
+            raise ValueError(f"element ids must lie in range({self.n}), got {a} and {b}")
         if not self.le(a, b):
             raise ValueError(
                 f"interval requires {self.labels[a]} <= {self.labels[b]}"

@@ -46,13 +46,12 @@ class Multigraph:
     @classmethod
     def from_edges(cls, names, edges: Iterable[tuple[str, str, int]]):
         """Build from (source name, target name, multiplicity) triples; repeats add up."""
-        names = tuple(str(x) for x in names)
-        index = {x: i for i, x in enumerate(names)}
+        graph = cls(names)  # checks the names; its vertex() looks them up
         mult: dict[tuple[int, int], int] = {}
         for u, v, k in edges:
-            key = (index[str(u)], index[str(v)])
+            key = (graph.vertex(u), graph.vertex(v))
             mult[key] = mult.get(key, 0) + int(k)
-        return cls(names, mult)
+        return cls(graph.names, mult)
 
     @property
     def n(self) -> int:
@@ -185,14 +184,13 @@ class ColouredMultigraph:
     @classmethod
     def from_edges(cls, names, edges: Iterable[tuple[str, str, int, int]]):
         """Build from (source, target, multiplicity, colour) tuples."""
-        names = tuple(str(x) for x in names)
-        index = {x: i for i, x in enumerate(names)}
+        graph = cls(names)  # checks the names; its vertex() looks them up
         layers: dict[int, dict[tuple[int, int], int]] = {}
         for u, v, k, c in edges:
             layer = layers.setdefault(int(c), {})
-            key = (index[str(u)], index[str(v)])
+            key = (graph.vertex(u), graph.vertex(v))
             layer[key] = layer.get(key, 0) + int(k)
-        return cls(names, layers)
+        return cls(graph.names, layers)
 
     @property
     def n(self) -> int:
@@ -202,12 +200,8 @@ class ColouredMultigraph:
     def colours(self) -> tuple[int, ...]:
         return tuple(sorted(self.layers))
 
-    def vertex(self, name: str) -> int:
-        try:
-            return self.names.index(str(name))
-        except ValueError:
-            raise ValueError(f"unknown vertex {name!r}") from None
-
+    _index = Multigraph._index
+    vertex = Multigraph.vertex
     _check = Multigraph._check
 
     def restriction_to_colour(self, c: int) -> Multigraph:

@@ -1,6 +1,7 @@
 """Constructive transforms between games and lattices.
 
 - vertex splitting and simplification (any convergent game becomes simple),
+  each split made in place, so ``simplify`` builds its game once,
 - synthesis of a game from a distributive lattice,
 - games realizing an interval of a simple game's space,
 - synthesis of a coloured game from any upper locally distributive lattice.
@@ -41,6 +42,34 @@ def _fresh_name(base: str, taken) -> str:
     return name
 
 
+def _split(names: list, mult: dict, chips: list, a: int) -> int:
+    """Split vertex a of a game's names, edge map and chips in place, as
+    :func:`split_vertex` does: copy 0 keeps a's slot, copy 1 is appended.
+    Returns the surplus, twice the chips before the split."""
+    taken = set(names)
+    names[a], name1 = _fresh_name(names[a] + "_0", taken), _fresh_name(names[a] + "_1", taken)
+    names.append(name1)
+    a1 = len(names) - 1
+    surplus = 2 * sum(chips)
+    out_a = 0  # a's non-loop out-degree
+    copy1 = []
+    for (u, v), k in mult.items():  # rewrites values only, never keys
+        if v == a:  # into a, or a's loop: each copy keeps one
+            copy1.append(((a1 if u == a else u, a1), k))
+        else:
+            mult[(u, v)] = 2 * k
+            if u == a:
+                copy1.append(((a1, v), 2 * k))
+                out_a += k
+    mult.update(copy1)
+    tie = max(0, surplus - out_a)  # clamps only for a vertex that can never fire
+    if tie:
+        mult[(a, a1)] = mult[(a1, a)] = tie
+    chips[:] = [2 * c for c in chips] + [chips[a]]  # copy 1 keeps a's chips
+    chips[a] = chips[a1] + surplus
+    return surplus
+
+
 def split_vertex(cfg: Cfg, a: int) -> Cfg:
     """Split vertex a into two alternating copies; the space stays isomorphic.
 
@@ -51,40 +80,9 @@ def split_vertex(cfg: Cfg, a: int) -> Cfg:
     g = cfg.graph
     if g.out_degree(a) == 0:
         raise ValueError(f"cannot split the sink {g.names[a]}")
-    surplus = 2 * sum(cfg.init)
-    taken = set(g.names)
-    name0 = _fresh_name(g.names[a] + "_0", taken)
-    name1 = _fresh_name(g.names[a] + "_1", taken)
-    # copy 0 takes a's slot, copy 1 goes last
-    names = tuple(
-        name0 if v == a else g.names[v] for v in range(g.n)
-    ) + (name1,)
-    a0, a1 = a, g.n
-    mult: dict[tuple[int, int], int] = {}
-
-    def add(u, v, k):
-        if k:
-            mult[(u, v)] = mult.get((u, v), 0) + k
-
-    for (u, v), k in g.mult.items():
-        if u != a and v != a:
-            add(u, v, 2 * k)
-        elif u != a:  # edge into a: one copy to each half
-            add(u, a0, k)
-            add(u, a1, k)
-        elif v != a:  # edge out of a: two copies from each half
-            add(a0, v, 2 * k)
-            add(a1, v, 2 * k)
-        else:  # loop: one loop on each half
-            add(a0, a0, k)
-            add(a1, a1, k)
-    # vertices that can never fire may make this negative; clamp, they stay inert
-    tie = max(0, surplus - g.nonloop_out_degree(a))
-    add(a0, a1, tie)
-    add(a1, a0, tie)
-    chips = [2 * c for c in cfg.init] + [cfg.init[a]]
-    chips[a0] = cfg.init[a] + surplus
-    return Cfg(Multigraph(names, mult), tuple(chips))
+    names, mult, chips = list(g.names), dict(g.mult), list(cfg.init)
+    _split(names, mult, chips, a)
+    return Cfg(Multigraph(names, mult), chips)
 
 
 def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tuple[SplitReport, ...]]:
@@ -94,6 +92,7 @@ def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tupl
     0) and floor(c/2) times (copy 1), the others as before, so one fixpoint
     run fixes every count: simplifying takes sum(c - 1) splits and one
     round more. CapExceeded, before any split, when that exceeds ``max_rounds``.
+    Every split lands on one copy of the game, built once at the end.
     """
     cfg._require_guard(step_cap, "run_to_fixpoint")
     bound = max_rounds + cfg.graph.n  # splits >= firings - n: a longer run is over the cap
@@ -110,18 +109,18 @@ def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tupl
             f"simplifying takes {splits + 1} rounds ({splits} splits), "
             f"over the cap of {max_rounds} rounds"
         )
+    if not splits:
+        return cfg, ()
+    names, mult, chips = list(cfg.graph.names), dict(cfg.graph.mult), list(cfg.init)
     reports = []
-    current = cfg
     for iteration in range(1, splits + 1):
         worst = max(counts)
         a = counts.index(worst)
-        reports.append(
-            SplitReport(current.graph.names[a], 2 * sum(current.init), iteration, a)
-        )
-        current = split_vertex(current, a)
+        vertex = names[a]  # before _split renames it
+        reports.append(SplitReport(vertex, _split(names, mult, chips, a), iteration, a))
         counts[a] = (worst + 1) // 2
         counts.append(worst // 2)
-    return current, tuple(reports)
+    return Cfg(Multigraph(names, mult), chips), tuple(reports)
 
 
 def _ideal_game_parts(poset: Poset):
@@ -180,6 +179,8 @@ def interval_cfg(cfg: Cfg, a: int, b: int, space: ConfigSpace | None = None) -> 
         raise ValueError("interval games need a unique sink")
     if space is None:
         space = cfg.enumerate_space()
+    if not (0 <= a < len(space) and 0 <= b < len(space)):
+        raise ValueError(f"element ids must lie in range({len(space)}), got {a} and {b}")
     low, high = space.vectors[a], space.vectors[b]
     if any(x > y for x, y in zip(low, high)):
         raise ValueError("interval endpoints must satisfy a <= b")

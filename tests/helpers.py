@@ -3,14 +3,14 @@
 Oracles here are written independently of the engine's breadth-first
 enumeration: depth-first exploration with an explicit stack (classical and
 coloured), raw firing sequences without memoisation, a subset walk over each
-state's cube of moves, a ``simplify`` that replays the fixpoint after every
-split, construction maps through the meet table, naive triple-loop law
-checks, loop-based arrow relations and witness reports, a scanning
-transitive reduction, the dense inclusion order of a set family, and
-powerset-based ideal enumeration. The one exception is the coloured opening
-rule that replays every colour over every open vertex after every firing:
-it is independent of the worklist stabilizer in ``chipfire.coloured`` but
-runs through the engine's closure.
+state's cube of moves, a vertex split that rebuilds the whole game and a
+``simplify`` that replays the fixpoint after every such split, construction
+maps through the meet table, naive triple-loop law checks, loop-based arrow
+relations and witness reports, a scanning transitive reduction, the dense
+inclusion order of a set family, and powerset-based ideal enumeration. The
+one exception is the coloured opening rule that replays every colour over
+every open vertex after every firing: it is independent of the worklist
+stabilizer in ``chipfire.coloured`` but runs through the engine's closure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from chipfire.engine import Cfg, ConfigSpace, _closure, _fire_in_place
 from chipfire.errors import StepCapExceeded
 from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset
 from chipfire.multigraph import ColouredMultigraph, Multigraph
-from chipfire.transforms import SplitReport, split_vertex
+from chipfire.transforms import SplitReport
 
 LETTERS = "abcdefghij"
 
@@ -184,10 +184,63 @@ def cube_walk_witness(space):
     return None
 
 
+def _fresh(base: str, taken) -> str:
+    name = base
+    while name in taken:
+        name += "_"
+    return name
+
+
+def rebuilding_split_vertex(cfg: Cfg, a: int) -> Cfg:
+    """Split vertex a into two alternating copies; the space stays isomorphic.
+
+    ``split_vertex`` written as a whole-game rebuild, sharing no code with
+    ``chipfire.transforms``: every edge is copied through ``add`` into a new
+    dict, then a new Multigraph and Cfg are built.
+    """
+    g = cfg.graph
+    if g.out_degree(a) == 0:
+        raise ValueError(f"cannot split the sink {g.names[a]}")
+    surplus = 2 * sum(cfg.init)
+    taken = set(g.names)
+    name0 = _fresh(g.names[a] + "_0", taken)
+    name1 = _fresh(g.names[a] + "_1", taken)
+    # copy 0 takes a's slot, copy 1 goes last
+    names = tuple(
+        name0 if v == a else g.names[v] for v in range(g.n)
+    ) + (name1,)
+    a0, a1 = a, g.n
+    mult: dict[tuple[int, int], int] = {}
+
+    def add(u, v, k):
+        if k:
+            mult[(u, v)] = mult.get((u, v), 0) + k
+
+    for (u, v), k in g.mult.items():
+        if u != a and v != a:
+            add(u, v, 2 * k)
+        elif u != a:  # edge into a: one copy to each half
+            add(u, a0, k)
+            add(u, a1, k)
+        elif v != a:  # edge out of a: two copies from each half
+            add(a0, v, 2 * k)
+            add(a1, v, 2 * k)
+        else:  # loop: one loop on each half
+            add(a0, a0, k)
+            add(a1, a1, k)
+    # vertices that can never fire may make this negative; clamp, they stay inert
+    tie = max(0, surplus - g.nonloop_out_degree(a))
+    add(a0, a1, tie)
+    add(a1, a0, tie)
+    chips = [2 * c for c in cfg.init] + [cfg.init[a]]
+    chips[a0] = cfg.init[a] + surplus
+    return Cfg(Multigraph(names, mult), tuple(chips))
+
+
 def replaying_simplify(cfg: Cfg, max_rounds=1000):
-    """(simple game, split reports) by splitting a most-fired vertex and
-    running the split game to its fixpoint again, until every vertex fires
-    at most once."""
+    """(simple game, split reports) by splitting a most-fired vertex with
+    ``rebuilding_split_vertex`` and running the split game to its fixpoint
+    again, until every vertex fires at most once."""
     reports = []
     current = cfg
     for iteration in range(1, max_rounds + 1):
@@ -197,7 +250,7 @@ def replaying_simplify(cfg: Cfg, max_rounds=1000):
             return current, tuple(reports)
         a = counts.index(worst)
         reports.append(SplitReport(current.graph.names[a], 2 * sum(current.init), iteration, a))
-        current = split_vertex(current, a)
+        current = rebuilding_split_vertex(current, a)
     raise AssertionError(f"not simple after {max_rounds} rounds")
 
 

@@ -4,6 +4,9 @@ from importlib import resources
 import pytest
 
 from chipfire.cli import main
+from chipfire.formats import parse_game_file, serialize_game
+
+from helpers import replaying_simplify
 
 
 def data_path(name):
@@ -228,6 +231,20 @@ def test_simplify_relay(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "split: v" in err
     assert "simple: yes" in err
+    assert "isomorphic: yes" in err
+
+
+def test_simplify_writes_the_replayed_game_of_a_40_chip_source(tmp_path, capsys):
+    path = write(tmp_path, "source.cfg", "vertices: a t\nedge: a t 1\nchips: a=40\n")
+    out_path = tmp_path / "simple.cfg"
+    assert main(["simplify", path, "-o", str(out_path)]) == 0
+    replayed, reports = replaying_simplify(parse_game_file(path))
+    assert out_path.read_bytes() == serialize_game(replayed).encode()
+    err = capsys.readouterr().err.splitlines()
+    assert len(reports) == 39
+    assert [line for line in err if line.startswith("split: ")] == [
+        f"split: {r.vertex} surplus={r.surplus} iteration={r.iteration}" for r in reports
+    ]
     assert "isomorphic: yes" in err
 
 

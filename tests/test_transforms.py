@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipfire.engine import Cfg
 from chipfire.errors import CapExceeded, StepCapExceeded
@@ -18,7 +19,12 @@ from chipfire.transforms import (
     split_vertex,
 )
 
-from helpers import all_posets_upto, random_convergent_game, replaying_simplify
+from helpers import (
+    all_posets_upto,
+    random_convergent_game,
+    rebuilding_split_vertex,
+    replaying_simplify,
+)
 from test_lattice_tables import convergent_games
 
 
@@ -84,6 +90,53 @@ def test_split_with_loops():
     assert is_isomorphic(space_lattice(split), space_lattice(game))
 
 
+def test_split_clamps_the_tie_of_a_vertex_that_can_never_fire():
+    # a holds at most 2 chips and has 5 non-loop out-edges: the surplus 4 is less
+    g = Multigraph(("a", "b", "t"), {(0, 0): 1, (0, 2): 5, (1, 0): 1})
+    game = Cfg(g, (1, 1, 0))
+    split = split_vertex(game, 0)
+    sg = split.graph
+    a0, a1 = sg.vertex("a_0"), sg.vertex("a_1")
+    assert sg.multiplicity(a0, a1) == 0 and sg.multiplicity(a1, a0) == 0
+    assert split.init == (5, 2, 0, 1)
+    assert is_isomorphic(space_lattice(split), space_lattice(game))
+
+
+def assert_splits_match_rebuilds(game):
+    for a in range(game.graph.n):
+        if game.graph.out_degree(a) == 0:
+            continue
+        split, rebuilt = split_vertex(game, a), rebuilding_split_vertex(game, a)
+        assert split.graph.names == rebuilt.graph.names, (game, a)
+        assert split.graph.mult == rebuilt.graph.mult, (game, a)
+        assert split.init == rebuilt.init, (game, a)
+
+
+def test_split_matches_the_rebuilding_split_on_the_corpus(game_corpus):
+    for game in game_corpus:
+        assert_splits_match_rebuilds(game)
+
+
+@st.composite
+def games_with_an_inert_vertex(draw):
+    """A generated game (loops and parallel edges allowed) plus a vertex fed
+    by the first one and draining to the sink by more than twice the game's
+    chips: it can never fire, and splitting it clamps the tie. It is named
+    ``a_1``, so splitting ``a`` must pick another name for copy 1."""
+    game = draw(convergent_games())
+    n = game.graph.n
+    mult = dict(game.graph.mult)
+    mult[(0, n)] = 1
+    mult[(n, n - 1)] = 2 * sum(game.init) + 1
+    return Cfg(Multigraph(game.graph.names + ("a_1",), mult), game.init + (0,))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(games_with_an_inert_vertex())
+def test_split_matches_the_rebuilding_split_on_generated_games(game):
+    assert_splits_match_rebuilds(game)
+
+
 # simplification
 
 
@@ -124,6 +177,7 @@ def assert_simplify_matches_replays(game):
     simple, reports = simplify(game)
     replayed, replayed_reports = replaying_simplify(game)
     assert reports == replayed_reports, game
+    assert simple == replayed, game
     assert serialize_game(simple) == serialize_game(replayed), game
 
 
@@ -143,6 +197,33 @@ def test_simplify_counts_match_replays_on_a_draining_source():
     game = Cfg(Multigraph(("a", "t"), {(0, 1): 2}), (24, 0))
     assert_simplify_matches_replays(game)
     assert len(simplify(game)[1]) == 11
+
+
+def test_simplify_matches_replays_on_the_relay_chain():
+    assert_simplify_matches_replays(relay_chain_game())
+
+
+def test_simplify_matches_replays_on_a_40_chip_source():
+    game = Cfg(Multigraph(("a", "t"), {(0, 1): 1}), (40, 0))
+    assert_simplify_matches_replays(game)
+    assert len(simplify(game)[1]) == 39
+
+
+def test_simplify_builds_one_multigraph(monkeypatch):
+    games = [relay_chain_game(), Cfg(Multigraph(("a", "t"), {(0, 1): 1}), (40, 0))]
+    built = []
+    post_init = Multigraph.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Multigraph, "__post_init__", counting_post_init)
+    for game in games:
+        built.clear()
+        simple, reports = simplify(game)
+        assert reports
+        assert built == [simple.graph]
 
 
 def test_simplify_round_cap_leaves_the_convergence_guard_and_step_cap():
@@ -264,6 +345,13 @@ def test_interval_cfg_bad_pair():
     a, b = incomparable[0]
     with pytest.raises(ValueError):
         interval_cfg(game, a, b, space)
+
+
+def test_interval_cfg_rejects_unknown_element_ids():
+    game = funnel_game()
+    for a, b in ((-1, -1), (0, 99)):
+        with pytest.raises(ValueError, match=r"element ids must lie in range\(7\)"):
+            interval_cfg(game, a, b)
 
 
 def test_interval_cfg_rejects_non_simple():

@@ -26,6 +26,23 @@ def test_coloured_from_edges_by_name():
     assert g.restriction_to_colour(2).multiplicity(0, 1) == 2
 
 
+def test_from_edges_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown vertex 'z'"):
+        Multigraph.from_edges("ab", [("a", "b", 1), ("a", "z", 1)])
+
+
+def test_coloured_from_edges_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown vertex 'z'"):
+        ColouredMultigraph.from_edges("ab", [("z", "b", 1, 1)])
+
+
+def test_lattice_interval_rejects_unknown_element_ids():
+    lattice = funnel_game().enumerate_space().lattice()
+    for a, b in ((-1, -1), (0, 99)):
+        with pytest.raises(ValueError, match=r"element ids must lie in range\(7\)"):
+            lattice.interval(a, b)
+
+
 def test_multigraph_rejects_bad_input():
     with pytest.raises(ValueError):
         Multigraph(("a", "a"), {})
