@@ -16,7 +16,6 @@ from .lattice import (
     ArrowPartition,
     ArrowRelations,
     ArrowWitnessReport,
-    IdealFamily,
     Lattice,
     Poset,
     arrow_witness_report,
@@ -54,7 +53,6 @@ __all__ = [
     "DetectorDisagreement",
     "FiringVectorConflict",
     "FixpointRun",
-    "IdealFamily",
     "Lattice",
     "Multigraph",
     "NotALatticeError",

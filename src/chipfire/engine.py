@@ -7,6 +7,8 @@ still count toward the firing threshold.
 Classical and coloured configuration spaces both come from ``_closure``, one
 breadth-first closure that holds the state cap, the canonical order and two
 checks: a revisited state keeps its firing vector, and no two states share one.
+So every cover it records adds exactly one firing: total firings ranks the
+space, and each (lower, upper) pair of states is at most one cover.
 
 A space answers the lattice questions ``chipfire space`` asks (J, M, rank,
 the two ULD detectors, distributivity) from its firing vectors and moves,
@@ -24,6 +26,7 @@ cover-step detector, on the meet-irreducible coding, is the independent one.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -35,7 +38,6 @@ from .lattice import (
     Lattice,
     _distributive_verdict,
     _first_bad_step,
-    _longest_path_ranks,
     _packed_ints,
     _uld_verdict,
 )
@@ -81,7 +83,6 @@ def _closure(game, start, successors, state_cap) -> "ConfigSpace":
     rank = {i: r for r, i in enumerate(order)}
     covers = tuple(sorted((rank[a], rank[b], v) for a, v, b in transitions))
     return ConfigSpace(
-        game=game,
         names=game.graph.names,
         vectors=tuple(vectors[i] for i in order),
         configs=tuple(states[i] for i in order),
@@ -129,7 +130,7 @@ class Cfg:
             raise ValueError("chip counts must be non-negative")
         object.__setattr__(self, "init", init)
 
-    @property
+    @cached_property
     def converges_guaranteed(self) -> bool:
         """True when every vertex can drain to a sink, which forces convergence."""
         return len(self.graph.drain_set()) == self.graph.n
@@ -221,11 +222,12 @@ class ConfigSpace:
     commute (``_moves``), which with distinct vectors proves the space is a
     lattice ordered componentwise and is also the hypercube detector's
     verdict; the cover-step detector on ``_mx_masks`` is checked against
-    it. The rules they share with ``Lattice`` live in ``chipfire.lattice``.
+    it. Rank and the join-irreducibles are read off the covers as
+    ``_closure`` guarantees them: one firing per cover, one cover per pair.
+    The rules they share with ``Lattice`` live in ``chipfire.lattice``.
     ``lattice()`` builds the dense, verified view only on demand.
     """
 
-    game: object
     names: tuple[str, ...]
     vectors: tuple[tuple[int, ...], ...]
     configs: tuple
@@ -325,17 +327,12 @@ class ConfigSpace:
         return moves
 
     @cached_property
-    def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
-        downs = [[] for _ in self.vectors]
-        for x, out in enumerate(self._moves):
-            for y in out.values():
-                downs[y].append(x)
-        return tuple(tuple(d) for d in downs)
-
-    @cached_property
     def J(self) -> tuple[int, ...]:
-        """Join-irreducibles: states with exactly one lower cover."""
-        return tuple(x for x, lows in enumerate(self._lower_covers) if len(lows) == 1)
+        """Join-irreducibles: states entered by exactly one cover (``_closure``
+        records each pair of states at most once)."""
+        self._moves
+        entering = Counter(hi for _, hi, _ in self.covers)
+        return tuple(x for x in range(len(self.vectors)) if entering[x] == 1)
 
     @cached_property
     def M(self) -> tuple[int, ...]:
@@ -353,10 +350,12 @@ class ConfigSpace:
             packed[:, b >> 3] |= (vecs <= vecs[m]).all(axis=1).view(np.uint8) << (b & 7)
         return _packed_ints(packed)
 
-    @cached_property
+    @property
     def is_ranked(self) -> bool:
-        # index order sorts by total firings, so it is a linear extension
-        return _longest_path_ranks(range(len(self.vectors)), self._lower_covers)[0]
+        """True once ``_moves`` has passed, which it forces: ``_closure`` keeps
+        a cover only when it adds one firing, so total firings is a rank."""
+        self._moves
+        return True
 
     def _hypercube_witness(self):
         """Least state whose k >= 2 moves do not span a cube of 2^k states,

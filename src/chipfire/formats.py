@@ -97,9 +97,9 @@ def parse_game(text: str, path: str = "<string>"):
             if names is None:
                 raise ParseError("chips before vertices line", path, lineno)
             for item in rest.split():
-                if "=" not in item:
+                name, eq, value = item.rpartition("=")  # names may hold '='
+                if not eq:
                     raise ParseError(f"bad chip entry {item!r}", path, lineno)
-                name, value = item.split("=", 1)
                 if name not in index:
                     raise ParseError(f"unknown vertex {name!r}", path, lineno)
                 for part in value.split(","):

@@ -12,10 +12,10 @@ make a finite order a lattice; meets, the same recurrence on the dual, are
 built on request. Distributivity is read off the irreducible coding: a
 finite lattice is distributive iff it is upper locally distributive (ULD)
 with as many join- as meet-irreducibles, so the triple law only names a
-witness. That rule, the rank rule, the cover-step test and the
-detector-agreement rule are module functions shared with
-``engine.ConfigSpace``, which answers the same questions from firing vectors
-instead of a dense order.
+witness. That rule, the cover-step test and the detector-agreement rule are
+module functions shared with ``engine.ConfigSpace``, which answers the same
+questions from firing vectors instead of a dense order, and reads its rank
+off its covers, each of which adds one firing.
 """
 
 from __future__ import annotations
@@ -48,23 +48,7 @@ def _some(a, b) -> np.ndarray:
 # Rules shared by Lattice and engine.ConfigSpace. Both expose J, M,
 # _mx_masks, uld_detectors and the two detector witnesses; a Lattice reads
 # them off its dense order, a ConfigSpace off its firing vectors and moves.
-
-
-def _longest_path_ranks(order, lower_covers) -> tuple[bool, list[int]]:
-    """(ranked, rank): each element's longest-path rank, visiting ``order``
-    (a linear extension); ranked when every element's lower covers share
-    one rank."""
-    rank = [0] * len(lower_covers)
-    ranked = True
-    for x in order:
-        lows = lower_covers[x]
-        if not lows:
-            continue
-        values = {rank[c] for c in lows}
-        if len(values) > 1:
-            ranked = False
-        rank[x] = max(values) + 1
-    return ranked, rank
+# The rank is not shared: a ConfigSpace is ranked by total firings.
 
 
 def _first_bad_step(cover_pairs, masks):
@@ -232,39 +216,31 @@ class Poset:
         return _row_masks(self.leq.T)
 
     def ideal_masks(self, cap=None) -> list[int]:
-        """All down-closed subsets as bitmasks, sorted by (size, value)."""
+        """All down-closed subsets as bitmasks, sorted by (size, value).
+
+        Walks a linear extension: the ideals holding x are those of the
+        elements before x that hold everything below x, each plus x.
+        """
         down = self._down_masks
-        ideals, seen = [0], {0}
-        for ideal in ideals:  # appending while iterating: a FIFO queue
+        ideals = [0]
+        for x in self.topo_order:
             if cap is not None and len(ideals) > cap:
-                raise CapExceeded(f"ideal family exceeds cap {cap}")
-            for x in range(self.n):
-                bit = 1 << x
-                if not ideal & bit and down[x] & ~ideal == bit and ideal | bit not in seen:
-                    seen.add(ideal | bit)
-                    ideals.append(ideal | bit)
+                break
+            bit = 1 << x
+            ideals += [m | bit for m in ideals if down[x] & ~m == bit]
+        if cap is not None and len(ideals) > cap:
+            raise CapExceeded(f"ideal family exceeds cap {cap}")
         return sorted(ideals, key=lambda m: (bin(m).count("1"), m))
 
-    def ideals(self, cap=None) -> "IdealFamily":
-        members = tuple(
+    def ideals(self, cap=None) -> tuple[frozenset[int], ...]:
+        """All down-closed subsets as sets of elements, in ``ideal_masks`` order."""
+        return tuple(
             frozenset(i for i in range(self.n) if m >> i & 1)
             for m in self.ideal_masks(cap)
         )
-        return IdealFamily(self, members)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.n} elements)"
-
-
-@dataclass(frozen=True)
-class IdealFamily:
-    """The down-closed subsets of a ground poset."""
-
-    poset: Poset
-    members: tuple[frozenset[int], ...]
-
-    def __len__(self):
-        return len(self.members)
 
 
 # table cells per slice of a join-table build; bounds its temporary arrays
@@ -468,8 +444,16 @@ class Lattice(Poset):
 
     @cached_property
     def _rank_info(self) -> tuple[bool, int, tuple[int, ...]]:
-        """(is_ranked, height, longest-path rank per element)."""
-        ranked, rank = _longest_path_ranks(self.topo_order, self._lower_covers)
+        """(is_ranked, height, longest-path rank per element): ranked when
+        every element's lower covers share one rank."""
+        rank = [0] * self.n
+        ranked = True
+        for x in self.topo_order:  # a linear extension
+            lows = self._lower_covers[x]
+            if lows:
+                values = {rank[c] for c in lows}
+                ranked = ranked and len(values) == 1
+                rank[x] = max(values) + 1
         return ranked, rank[self.top], tuple(rank)
 
     @property

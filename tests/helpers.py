@@ -7,7 +7,8 @@ state's cube of moves, a vertex split that rebuilds the whole game and a
 ``simplify`` that replays the fixpoint after every such split, construction
 maps through the meet table, naive triple-loop law checks, loop-based arrow
 relations and witness reports, a scanning transitive reduction, the dense
-inclusion order of a set family, and powerset-based ideal enumeration. The
+inclusion order of a set family, powerset-based ideal enumeration and the
+breadth-first ideal closure the linear-extension walk replaced. The
 one exception is the coloured opening rule that replays every colour over
 every open vertex after every firing: it is independent of the worklist
 stabilizer in ``chipfire.coloured`` but runs through the engine's closure.
@@ -24,7 +25,7 @@ import numpy as np
 from chipfire import coloured
 from chipfire.coloured import ColouredCfg, ColouredState
 from chipfire.engine import Cfg, ConfigSpace, _closure, _fire_in_place
-from chipfire.errors import StepCapExceeded
+from chipfire.errors import CapExceeded, StepCapExceeded
 from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport
@@ -432,6 +433,23 @@ def naive_arrow_witness_report(lattice: Lattice) -> ArrowWitnessReport:
                 up_ok = False
                 failures.append(("up", j, x))
     return ArrowWitnessReport(down_ok, updown_ok, up_ok, tuple(failures))
+
+
+def bfs_ideal_masks(poset: Poset, cap=None) -> list[int]:
+    """Ideals grown one element at a time by a breadth-first closure, sorted
+    by (size, value): the enumeration ``Poset.ideal_masks`` used before its
+    walk along a linear extension."""
+    down = poset._down_masks
+    ideals, seen = [0], {0}
+    for ideal in ideals:  # appending while iterating: a FIFO queue
+        if cap is not None and len(ideals) > cap:
+            raise CapExceeded(f"ideal family exceeds cap {cap}")
+        for x in range(poset.n):
+            bit = 1 << x
+            if not ideal & bit and down[x] & ~ideal == bit and ideal | bit not in seen:
+                seen.add(ideal | bit)
+                ideals.append(ideal | bit)
+    return sorted(ideals, key=lambda m: (bin(m).count("1"), m))
 
 
 def naive_ideals(poset: Poset):

@@ -5,6 +5,7 @@ import pytest
 
 from chipfire.cli import main
 from chipfire.formats import parse_game_file, serialize_game
+from chipfire.multigraph import Multigraph
 
 from helpers import replaying_simplify
 
@@ -232,6 +233,21 @@ def test_simplify_relay(tmp_path, capsys):
     assert "split: v" in err
     assert "simple: yes" in err
     assert "isomorphic: yes" in err
+
+
+def test_simplify_drains_each_game_once(monkeypatch):
+    # the input game's guard is cached: one drain for it, one for the result
+    calls = []
+    drain_set = Multigraph.drain_set
+
+    def counting(graph):
+        calls.append(graph)
+        return drain_set(graph)
+
+    monkeypatch.setattr(Multigraph, "drain_set", counting)
+    assert main(["simplify", data_path("relay_chain.cfg")]) == 0
+    assert len(calls) == 2
+    assert calls[0] != calls[1]
 
 
 def test_simplify_writes_the_replayed_game_of_a_40_chip_source(tmp_path, capsys):

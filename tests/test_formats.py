@@ -14,6 +14,7 @@ from chipfire.formats import (
     serialize_lattice,
     space_to_dot,
 )
+from chipfire.multigraph import ColouredMultigraph, Multigraph
 
 
 def test_parse_classical_game():
@@ -84,6 +85,28 @@ def test_game_round_trip_coloured():
     again = parse_game(serialize_game(game))
     assert again.graph == game.graph
     assert again.init == game.init
+
+
+def test_vertex_names_holding_equals_signs_round_trip():
+    # a chip entry splits on its last '=': counts and colours hold none
+    game = Cfg(Multigraph(("x=", "t"), {(0, 1): 1}), (1, 0))
+    assert serialize_game(game) == "vertices: x= t\nedge: x= t 1\nchips: x==1 t=0\n"
+    assert parse_game(serialize_game(game)) == game
+    coloured = ColouredCfg(ColouredMultigraph(("x=", "t"), {1: {(0, 1): 1}}), {1: (1, 0)})
+    text = serialize_game(coloured)
+    assert "chips: x==1@1\n" in text
+    again = parse_game(text)
+    assert again.graph == coloured.graph
+    assert again.init == coloured.init
+
+
+def test_run_on_a_vertex_name_holding_an_equals_sign(tmp_path, capsys):
+    path = tmp_path / "eq.cfg"
+    path.write_text("vertices: a=b t\nedge: a=b t 1\nchips: a=b=1\n")
+    assert main(["run", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "final: a=b=0 t=1" in out
+    assert "fired: a=b=1 t=0" in out
 
 
 def test_parse_lattice_round_trip():

@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chipfire.errors import NotALatticeError
+from chipfire.errors import CapExceeded, NotALatticeError
 from chipfire.fixtures import diamond, funnel_game, gated_cube_lattice, pentagon
 from chipfire.lattice import (
     Lattice,
@@ -16,11 +18,13 @@ from chipfire.lattice import (
 
 from helpers import (
     all_posets_upto,
+    bfs_ideal_masks,
     naive_distributive,
     naive_ideals,
     naive_join,
     random_convergent_game,
 )
+from test_lattice_tables import random_dag_poset
 
 
 def funnel_lattice():
@@ -333,18 +337,43 @@ def test_ideals_chain():
 
 def test_ideals_match_naive_oracle():
     for poset in all_posets_upto(4):
-        assert sorted(map(sorted, poset.ideals().members)) == sorted(
+        assert sorted(map(sorted, poset.ideals())) == sorted(
             map(sorted, naive_ideals(poset))
         )
 
 
 def test_ideals_are_down_closed():
     for poset in all_posets_upto(4):
-        for ideal in poset.ideals().members:
+        for ideal in poset.ideals():
             for x in ideal:
                 for y in range(poset.n):
                     if poset.le(y, x):
                         assert y in ideal
+
+
+def assert_ideal_masks_match_bfs(poset):
+    expected = bfs_ideal_masks(poset)
+    assert poset.ideal_masks() == expected
+    count = len(expected)
+    assert poset.ideal_masks(cap=count) == bfs_ideal_masks(poset, cap=count)
+    for walk in (poset.ideal_masks, lambda cap: bfs_ideal_masks(poset, cap)):
+        with pytest.raises(CapExceeded, match=f"^ideal family exceeds cap {count - 1}$"):
+            walk(count - 1)
+
+
+def test_ideal_masks_match_the_breadth_first_closure():
+    for poset in all_posets_upto(4) + [Poset(np.eye(8, dtype=bool))]:
+        assert_ideal_masks_match_bfs(poset)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 9))
+def test_ideal_masks_match_the_breadth_first_closure_on_random_dags(seed, n):
+    rng = random.Random(seed)
+    poset = random_dag_poset(rng, n)
+    # shuffled, so that index order need not be a linear extension
+    perm = rng.sample(range(n), n)
+    assert_ideal_masks_match_bfs(Poset(poset.leq[np.ix_(perm, perm)], _checked=True))
 
 
 def test_ideal_lattice_always_distributive():

@@ -76,6 +76,25 @@ def test_generated_coloured_games(game):
     assert_verdicts_match_lattice(game.enumerate_space())
 
 
+def assert_every_cover_fires_once(space):
+    # the closure's guarantee that is_ranked and J rest on
+    for lo, hi, v in space.covers:
+        step = [b - a for a, b in zip(space.vectors[lo], space.vectors[hi])]
+        assert step == [int(u == v) for u in range(len(space.names))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(convergent_games())
+def test_generated_games_fire_once_per_cover(game):
+    assert_every_cover_fires_once(game.enumerate_space())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coloured_games())
+def test_generated_coloured_games_fire_once_per_cover(game):
+    assert_every_cover_fires_once(game.enumerate_space())
+
+
 def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, capsys):
     text = "vertices: a b t\nedge: a t 1\nedge: b t 1\nchips: a=1 b=1\n"
     game = parse_game(text)
@@ -92,6 +111,10 @@ def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, ca
         space._hypercube_witness()
     with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
         space.is_uld
+    with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
+        space.is_ranked
+    with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
+        space.J
     path = tmp_path / "two.cfg"
     path.write_text(text)
     with pytest.raises(RuntimeError, match="do not commute"):
