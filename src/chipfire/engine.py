@@ -20,7 +20,9 @@ of Björner, Lovász & Shor (1991): the reachable vectors are closed under
 componentwise max, and x reaches y iff vec(x) <= vec(y). So the space is a
 lattice whose join is the componentwise max. The same check is the space's
 hypercube detector: every set of moves out of a state spans a cube. The
-cover-step detector, on the meet-irreducible coding, is the independent one.
+cover-step detector is the independent one, on the meet-irreducible coding,
+which ``lattice._mi_codes`` reads off the moves as it reads a lattice's off
+its upper covers.
 """
 
 from __future__ import annotations
@@ -31,16 +33,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
 
-import numpy as np
-
 from .errors import FiringVectorConflict, StateCapExceeded, StepCapExceeded
-from .lattice import (
-    Lattice,
-    _distributive_verdict,
-    _first_bad_step,
-    _packed_ints,
-    _uld_verdict,
-)
+from .lattice import Lattice, _distributive_verdict, _first_bad_step, _mi_codes, _uld_verdict
 from .multigraph import Multigraph
 
 
@@ -217,11 +211,11 @@ class ConfigSpace:
     labelled by the fired (or opened) vertex.
 
     The lattice verdicts (``J``, ``M``, ``is_ranked``, ``uld_detectors``,
-    ``is_uld``, ``is_distributive``) are read from the vectors and covers,
-    in O(states · |M| · vertices) at most; they first check that moves
-    commute (``_moves``), which with distinct vectors proves the space is a
-    lattice ordered componentwise and is also the hypercube detector's
-    verdict; the cover-step detector on ``_mx_masks`` is checked against
+    ``is_uld``, ``is_distributive``) are read from the covers; they first
+    check that moves commute (``_moves``), which with distinct vectors
+    proves the space is a lattice ordered componentwise and is also the
+    hypercube detector's verdict; the cover-step detector on ``_mx_masks``,
+    codes OR-ed down the moves (``lattice._mi_codes``), is checked against
     it. Rank and the join-irreducibles are read off the covers as
     ``_closure`` guarantees them: one firing per cover, one cover per pair.
     The rules they share with ``Lattice`` live in ``chipfire.lattice``.
@@ -341,14 +335,9 @@ class ConfigSpace:
 
     @cached_property
     def _mx_masks(self) -> tuple[int, ...]:
-        """mi_above as bitmask over positions in M: bit b of x is set when
-        vec(x) <= vec(M[b]) componentwise, one vectorised pass per M[b]."""
-        n = len(self.vectors)
-        vecs = np.array(self.vectors, dtype=np.int64).reshape(n, -1)
-        packed = np.zeros((n, -(-len(self.M) // 8)), dtype=np.uint8)
-        for b, m in enumerate(self.M):
-            packed[:, b >> 3] |= (vecs <= vecs[m]).all(axis=1).view(np.uint8) << (b & 7)
-        return _packed_ints(packed)
+        """mi_above as bitmask over positions in M, read off the moves:
+        canonical order is a linear extension, as every cover adds a firing."""
+        return _mi_codes(self.M, [out.values() for out in self._moves], range(len(self)))
 
     @property
     def is_ranked(self) -> bool:

@@ -152,19 +152,24 @@ def parse_game_file(path) -> Cfg | ColouredCfg:
         return parse_game(handle.read(), path=str(path))
 
 
+def _writable(names, kind):
+    """``names``; ValueError for the first that a file cannot hold."""
+    for name in names:  # split() cuts at each character that isspace()
+        if name.split() != [name] or "#" in name:
+            raise ValueError(f"{kind} {name!r} cannot be written: empty or holds whitespace or '#'")
+    return names
+
+
 def serialize_game(game: Cfg | ColouredCfg) -> str:
     """Canonical text form; parsing it back gives an equal game."""
-    lines = []
+    names = _writable(game.graph.names, "vertex")
+    lines = ["vertices: " + " ".join(names)]
     if isinstance(game, Cfg):
-        names = game.graph.names
-        lines.append("vertices: " + " ".join(names))
         for (u, v), k in sorted(game.graph.mult.items()):
             lines.append(f"edge: {names[u]} {names[v]} {k}")
         chips = " ".join(f"{names[v]}={c}" for v, c in enumerate(game.init))
         lines.append("chips: " + chips)
     else:
-        names = game.graph.names
-        lines.append("vertices: " + " ".join(names))
         for c in game.colours:
             for (u, v), k in sorted(game.graph.layers[c].items()):
                 lines.append(f"edge: {names[u]} {names[v]} {k} colour={c}")
@@ -223,7 +228,7 @@ def parse_lattice_file(path) -> Lattice:
 
 
 def serialize_lattice(lattice: Lattice) -> str:
-    lines = ["elements: " + " ".join(lattice.labels)]
+    lines = ["elements: " + " ".join(_writable(lattice.labels, "label"))]
     for lo, hi in lattice.cover_pairs:
         lines.append(f"cover: {lattice.labels[lo]} {lattice.labels[hi]}")
     return "\n".join(lines) + "\n"

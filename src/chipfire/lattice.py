@@ -1,26 +1,28 @@
 """Finite posets and lattices: irreducibles, codings, detectors, constructions.
 
-Orders are stored as boolean ``leq`` matrices on elements 0..n-1. Covers are
-kept when the order is built from them (``Poset.from_covers``; set families
-pass their one-element steps) and derived from ``leq`` otherwise.
+Orders are stored as boolean ``leq`` matrices on elements 0..n-1, and sets of
+elements as ints (bit x is element x). Covers are kept when the order is built
+from them (``Poset.from_covers`` closes up-sets over them; set families pass
+their one-element steps) and derived from ``leq`` otherwise.
 
 A lattice builds only its join table at construction, by dynamic programming
 over covers vectorised over whole levels of rows: for incomparable x and y,
 x∨y is the least of c∨y over the upper covers c of x, and there is no join
 when the candidates have no least element. Every join plus a least element
 make a finite order a lattice; meets, the same recurrence on the dual, are
-built on request. Distributivity is read off the irreducible coding: a
-finite lattice is distributive iff it is upper locally distributive (ULD)
-with as many join- as meet-irreducibles, so the triple law only names a
-witness. That rule, the cover-step test and the detector-agreement rule are
-module functions shared with ``engine.ConfigSpace``, which answers the same
-questions from firing vectors instead of a dense order, and reads its rank
-off its covers, each of which adds one firing.
+built on request. Distributivity is read off the meet-irreducible coding,
+one recurrence over upper covers (``_mi_codes``): a finite lattice is
+distributive iff it is upper locally distributive (ULD) with as many join-
+as meet-irreducibles, so the triple law only names a witness. That coding,
+the cover-step test and the verdict rules are shared with
+``engine.ConfigSpace``, which reads the coding off its moves instead of a
+dense order, and its rank off its covers, each of which adds one firing.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import graphlib
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -30,14 +32,10 @@ import numpy as np
 from .errors import CapExceeded, DetectorDisagreement, NotALatticeError
 
 
-def _packed_ints(packed) -> tuple[int, ...]:
-    """Each row of a little-endian ``packbits`` array as an int."""
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
-
-
 def _row_masks(matrix) -> tuple[int, ...]:
     """Each row of a boolean matrix as an int whose bit i is column i."""
-    return _packed_ints(np.packbits(matrix, axis=1, bitorder="little"))
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def _some(a, b) -> np.ndarray:
@@ -47,8 +45,21 @@ def _some(a, b) -> np.ndarray:
 
 # Rules shared by Lattice and engine.ConfigSpace. Both expose J, M,
 # _mx_masks, uld_detectors and the two detector witnesses; a Lattice reads
-# them off its dense order, a ConfigSpace off its firing vectors and moves.
+# them off its dense order and covers, a ConfigSpace off its moves.
 # The rank is not shared: a ConfigSpace is ranked by total firings.
+
+
+def _mi_codes(M, ups, order) -> tuple[int, ...]:
+    """mi_above as bitmask over positions in M: mx(x) = (bit b if x is M[b]) |
+    the OR of mx over the upper covers ``ups[x]``, filled in reverse along the
+    linear extension ``order``."""
+    codes = [0] * len(ups)
+    for b, m in enumerate(M):
+        codes[m] = 1 << b
+    for x in reversed(order):
+        for c in ups[x]:
+            codes[x] |= codes[c]
+    return tuple(codes)
 
 
 def _first_bad_step(cover_pairs, masks):
@@ -119,46 +130,41 @@ class Poset:
         Repeated pairs and pairs implied by transitivity are dropped; the
         reduced, sorted list is kept as ``cover_pairs``.
         """
-        up = [[] for _ in range(n)]
-        indeg = [0] * n
-        seen = set()
+        up = [set() for _ in range(n)]
         for lo, hi in covers:
             if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
                 raise ValueError(f"bad cover pair ({lo},{hi})")
-            if (lo, hi) in seen:
-                continue
-            seen.add((lo, hi))
-            up[lo].append(hi)
-            indeg[hi] += 1
-        order = deque(v for v in range(n) if indeg[v] == 0)
-        topo = []
-        while order:
-            v = order.popleft()
-            topo.append(v)
-            for w in up[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-        if len(topo) != n:
-            raise ValueError("cover relation contains a cycle")
-        leq = np.zeros((n, n), dtype=bool)  # strictly above, until the diagonal is set
+            up[lo].add(operator.index(hi))  # a numpy-integer shift overflows past bit 63
+        try:  # each element after its upper covers
+            order = tuple(graphlib.TopologicalSorter(dict(enumerate(up))).static_order())
+        except graphlib.CycleError:
+            raise ValueError("cover relation contains a cycle") from None
+        above = [0] * n  # strict up-sets
         kept = []
-        for v in reversed(topo):
-            ups = up[v]
-            if ups:
-                # reached by two or more steps: implied, not a cover
-                far = leq[ups].any(axis=0)
-                kept.extend((v, w) for w, implied in zip(ups, far[ups].tolist()) if not implied)
-                far[ups] = True
-                leq[v] = far
-        np.fill_diagonal(leq, True)
+        for v in order:  # a pair reached in two or more steps is implied
+            far = 0
+            for w in up[v]:
+                far |= above[w]
+            kept += [(v, w) for w in up[v] if not far >> w & 1]
+            above[v] = far | sum(1 << w for w in up[v])
+        width = -(-n // 8)
+        rows = b"".join((m | 1 << v).to_bytes(width, "little") for v, m in enumerate(above))
+        packed = np.frombuffer(rows, dtype=np.uint8).reshape(n, width)
+        leq = np.unpackbits(packed, axis=1, count=n, bitorder="little")
         return cls(leq, labels=labels, _checked=True, _covers=tuple(sorted(kept)), **kwargs)
 
+    def _check(self, x) -> int:
+        """x as a plain int; ValueError unless it is an element id."""
+        i = operator.index(x) if hasattr(x, "__index__") else -1
+        if not 0 <= i < self.n:
+            raise ValueError(f"unknown element id {x!r}")
+        return i
+
     def le(self, x, y) -> bool:
-        return bool(self.leq[x, y])
+        return bool(self.leq[self._check(x), self._check(y)])
 
     def lt(self, x, y) -> bool:
-        return x != y and bool(self.leq[x, y])
+        return self.le(x, y) and x != y
 
     @cached_property
     def _cover_matrix(self) -> np.ndarray:
@@ -185,10 +191,10 @@ class Poset:
         return tuple(tuple(d) for d in downs)
 
     def upper_covers(self, x) -> tuple[int, ...]:
-        return self._upper_covers[x]
+        return self._upper_covers[self._check(x)]
 
     def lower_covers(self, x) -> tuple[int, ...]:
-        return self._lower_covers[x]
+        return self._lower_covers[self._check(x)]
 
     @cached_property
     def minimal_elements(self) -> tuple[int, ...]:
@@ -339,14 +345,15 @@ class Lattice(Poset):
         self.cover_labels = dict(cover_labels) if cover_labels else {}
         self._build_tables()
 
-    def _witness_pair(self, i, j, rows, kind):
-        common = np.nonzero(rows[i] & rows[j])[0]
+    def _witness_pair(self, i, j, rows, reverse, kind):
+        """Raise for i and j; ``reverse`` holds the other side's masks."""
+        common = rows[i] & rows[j]
         li, lj = self.labels[i], self.labels[j]
-        if len(common) == 0:
+        if not common:
             raise NotALatticeError(f"not a lattice: {li} and {lj} have no common {kind} bound")
         extreme = [
-            int(a) for a in common
-            if not any(a != b and rows[b][a] for b in common)
+            a for a in range(common.bit_length())
+            if common >> a & 1 and reverse[a] & common == 1 << a
         ]
         word = "minimal" if kind == "upper" else "maximal"
         names = ", ".join(self.labels[a] for a in extreme[:4])
@@ -359,16 +366,14 @@ class Lattice(Poset):
         """Raise for the first pair (i, j), i <= j in index order, without a
         join or, checked second, a meet: its common upper (lower) bounds are
         not the up-set (down-set) of any element."""
-        up = np.packbits(self.leq, axis=1)
-        down = np.packbits(self.leq.T, axis=1)
-        ups = {row.tobytes() for row in up}
-        downs = {row.tobytes() for row in down}
+        up, down = _row_masks(self.leq), self._down_masks
+        ups, downs = set(up), set(down)
         for i in range(self.n):
             for j in range(i, self.n):
-                if (up[i] & up[j]).tobytes() not in ups:
-                    self._witness_pair(i, j, self.leq, "upper")
-                if (down[i] & down[j]).tobytes() not in downs:
-                    self._witness_pair(i, j, self.leq.T, "lower")
+                if up[i] & up[j] not in ups:
+                    self._witness_pair(i, j, up, down, "upper")
+                if down[i] & down[j] not in downs:
+                    self._witness_pair(i, j, down, up, "lower")
         raise RuntimeError("table build failed although every pair has a join and a meet")
 
     def _build_tables(self):
@@ -388,10 +393,10 @@ class Lattice(Poset):
         return _join_table(self.leq.T, self._lower_covers, np.array(self.topo_order[::-1]))
 
     def join(self, x, y) -> int:
-        return int(self.join_table[x, y])
+        return int(self.join_table[self._check(x), self._check(y)])
 
     def meet(self, x, y) -> int:
-        return int(self.meet_table[x, y])
+        return int(self.meet_table[self._check(x), self._check(y)])
 
     def restrict(self, elements):
         # restricting a lattice generally yields only a poset
@@ -402,12 +407,12 @@ class Lattice(Poset):
     @cached_property
     def J(self) -> tuple[int, ...]:
         """Join-irreducibles: elements with exactly one lower cover."""
-        return tuple(x for x in range(self.n) if len(self.lower_covers(x)) == 1)
+        return tuple(x for x, lows in enumerate(self._lower_covers) if len(lows) == 1)
 
     @cached_property
     def M(self) -> tuple[int, ...]:
         """Meet-irreducibles: elements with exactly one upper cover."""
-        return tuple(x for x in range(self.n) if len(self.upper_covers(x)) == 1)
+        return tuple(x for x, ups in enumerate(self._upper_covers) if len(ups) == 1)
 
     def j_lower(self, j) -> int:
         """The unique lower cover of a join-irreducible."""
@@ -430,7 +435,7 @@ class Lattice(Poset):
     @cached_property
     def _mx_masks(self) -> tuple[int, ...]:
         """mi_above as bitmask over positions in M, for each element."""
-        return _row_masks(self.leq[:, list(self.M)])
+        return _mi_codes(self.M, self._upper_covers, self.topo_order)
 
     def le_by_coding(self, x, y) -> bool:
         """Order test through the irreducible codings; both must agree with leq."""

@@ -8,7 +8,10 @@ state's cube of moves, a vertex split that rebuilds the whole game and a
 maps through the meet table, naive triple-loop law checks, loop-based arrow
 relations and witness reports, a scanning transitive reduction, the dense
 inclusion order of a set family, powerset-based ideal enumeration and the
-breadth-first ideal closure the linear-extension walk replaced. The
+breadth-first ideal closure the linear-extension walk replaced, and the
+numpy constructions the integer element sets replaced (Kahn's queue with a
+numpy row per up-set for ``Poset.from_covers``; the meet-irreducible coding
+as columns of the dense order and as compared firing vectors). The
 one exception is the coloured opening rule that replays every colour over
 every open vertex after every firing: it is independent of the worklist
 stabilizer in ``chipfire.coloured`` but runs through the engine's closure.
@@ -17,6 +20,7 @@ stabilizer in ``chipfire.coloured`` but runs through the engine's closure.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import replace
 from itertools import chain, combinations, permutations
 
@@ -26,7 +30,7 @@ from chipfire import coloured
 from chipfire.coloured import ColouredCfg, ColouredState
 from chipfire.engine import Cfg, ConfigSpace, _closure, _fire_in_place
 from chipfire.errors import CapExceeded, StepCapExceeded
-from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset
+from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset, _row_masks
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport
 
@@ -256,6 +260,63 @@ def replaying_simplify(cfg: Cfg, max_rounds=1000):
 
 
 # independent lattice oracles
+
+
+def kahn_from_covers(n, covers, labels=None) -> Poset:
+    """``Poset.from_covers`` as it was before up-sets were closed as ints: a
+    linear extension by Kahn's queue, then each element's strict up-set as
+    a numpy row, filled from the top."""
+    up = [[] for _ in range(n)]
+    indeg = [0] * n
+    seen = set()
+    for lo, hi in covers:
+        if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
+            raise ValueError(f"bad cover pair ({lo},{hi})")
+        if (lo, hi) in seen:
+            continue
+        seen.add((lo, hi))
+        up[lo].append(hi)
+        indeg[hi] += 1
+    order = deque(v for v in range(n) if indeg[v] == 0)
+    topo = []
+    while order:
+        v = order.popleft()
+        topo.append(v)
+        for w in up[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                order.append(w)
+    if len(topo) != n:
+        raise ValueError("cover relation contains a cycle")
+    leq = np.zeros((n, n), dtype=bool)  # strictly above, until the diagonal is set
+    kept = []
+    for v in reversed(topo):
+        ups = up[v]
+        if ups:
+            # reached by two or more steps: implied, not a cover
+            far = leq[ups].any(axis=0)
+            kept.extend((v, w) for w, implied in zip(ups, far[ups].tolist()) if not implied)
+            far[ups] = True
+            leq[v] = far
+    np.fill_diagonal(leq, True)
+    return Poset(leq, labels=labels, _checked=True, _covers=tuple(sorted(kept)))
+
+
+def dense_mx_masks(lattice: Lattice) -> tuple[int, ...]:
+    """mi_above masks over positions in M: the columns of the dense order at M."""
+    return _row_masks(lattice.leq[:, list(lattice.M)])
+
+
+def vector_mx_masks(space: ConfigSpace) -> tuple[int, ...]:
+    """mi_above masks over positions in M from firing vectors: bit b of x is
+    set when vec(x) <= vec(M[b]) componentwise, one vectorised pass per M[b],
+    packed a byte column at a time."""
+    n = len(space.vectors)
+    vecs = np.array(space.vectors, dtype=np.int64).reshape(n, -1)
+    packed = np.zeros((n, -(-len(space.M) // 8)), dtype=np.uint8)
+    for b, m in enumerate(space.M):
+        packed[:, b >> 3] |= (vecs <= vecs[m]).all(axis=1).view(np.uint8) << (b & 7)
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def meet_table_map(lattice: Lattice, ms, space):

@@ -1,0 +1,124 @@
+"""Element sets as ints, against the numpy constructions they replaced.
+
+``Poset.from_covers`` closes strict up-sets as ints over the covers; it is
+compared with Kahn's queue and a numpy row per element
+(``helpers.kahn_from_covers``) on order, kept covers and error text. The
+meet-irreducible coding ``_mi_codes``, read off upper covers for a
+``Lattice`` and off the moves for a ``ConfigSpace``, is compared with the
+columns of the dense order (``dense_mx_masks``) and with the compared firing
+vectors (``vector_mx_masks``).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chipfire.engine import Cfg
+from chipfire.fixtures import gated_cube_lattice
+from chipfire.lattice import Lattice, Poset
+from chipfire.multigraph import Multigraph
+
+from helpers import dense_mx_masks, dual, kahn_from_covers, vector_mx_masks
+from test_coloured import coloured_games
+from test_lattice_tables import convergent_games
+
+
+@st.composite
+def cover_lists(draw):
+    """(n, covers): pairs oriented along a shuffled linear order, so the input
+    is acyclic unless some pairs are flipped, with repeats, implied pairs, n
+    past one machine word, numpy-integer ids and, sometimes, a bad pair."""
+    n = draw(st.integers(0, 90))
+    rank = draw(st.permutations(range(n)))
+    pairs = []
+    if n >= 2:
+        raw = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+        pairs = [(rank[min(a, b)], rank[max(a, b)]) for a, b in raw if a != b]
+        # chains of covers with their shortcuts, which are implied
+        for start in draw(st.lists(st.integers(0, n - 2), max_size=3)):
+            stop = draw(st.integers(start + 1, n - 1))
+            pairs += [(rank[a], rank[a + 1]) for a in range(start, stop)] + [(rank[start], rank[stop])]
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=5))  # repeats
+        pairs = draw(st.permutations(pairs))
+        flips = draw(st.lists(st.integers(0, len(pairs) - 1), max_size=2))
+        for i in flips:  # a flipped pair may close a cycle
+            pairs[i] = pairs[i][::-1]
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([(-1, 0), (0, n), (n, n + 1), (0, 0)]))
+        pairs.insert(draw(st.integers(0, len(pairs))), bad)
+    if draw(st.booleans()):
+        pairs = [(np.int64(lo), np.int64(hi)) for lo, hi in pairs]
+    return n, pairs
+
+
+def outcome(build, n, covers):
+    try:
+        poset = build(n, covers)
+    except ValueError as exc:
+        return str(exc)
+    return poset.leq.tolist(), poset.cover_pairs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cover_lists())
+def test_from_covers_matches_the_kahn_construction(case):
+    n, covers = case
+    assert outcome(Poset.from_covers, n, covers) == outcome(kahn_from_covers, n, covers)
+
+
+def test_from_covers_reports_a_bad_pair_listed_after_a_cycle():
+    covers = [(0, 1), (1, 0), (2, 2)]
+    for build in (Poset.from_covers, kahn_from_covers):
+        with pytest.raises(ValueError, match=r"bad cover pair \(2,2\)"):
+            build(3, covers)
+
+
+def test_from_covers_past_bit_63_with_numpy_ids():
+    n = 100
+    covers = [(np.int64(x), np.int64(x + 1)) for x in range(n - 1)] + [(np.int64(0), np.int64(n - 1))]
+    poset = Poset.from_covers(n, covers)
+    assert np.array_equal(poset.leq, np.triu(np.ones((n, n), dtype=bool)))
+    assert poset.cover_pairs == tuple((x, x + 1) for x in range(n - 1))
+    assert all(type(x) is int for pair in poset.cover_pairs for x in pair)
+
+
+def assert_codes_match(lat, space=None):
+    for each in (lat, dual(lat)):
+        assert each._mx_masks == dense_mx_masks(each), each.labels
+    if space is not None:
+        assert space._mx_masks == vector_mx_masks(space) == lat._mx_masks
+
+
+def test_codes_on_corpora(space_corpus, coloured_space_corpus):
+    for space in space_corpus + coloured_space_corpus:
+        assert_codes_match(space.lattice(), space)
+
+
+def test_codes_on_ideal_lattices(distributive_corpus):
+    for lat in distributive_corpus:
+        assert_codes_match(lat)
+
+
+def test_codes_past_one_machine_word():
+    # one vertex firing 70 times: a chain of 71 states, 70 of them in M
+    space = Cfg(Multigraph(("a", "t"), {(0, 1): 1}), (70, 0)).enumerate_space()
+    assert len(space.M) == 70
+    assert_codes_match(space.lattice(), space)
+    assert_codes_match(Lattice.chain(100))
+    assert_codes_match(gated_cube_lattice())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(convergent_games())
+def test_codes_on_generated_games(game):
+    space = game.enumerate_space()
+    assert_codes_match(space.lattice(), space)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coloured_games())
+def test_codes_on_generated_coloured_games(game):
+    space = game.enumerate_space()
+    assert_codes_match(space.lattice(), space)

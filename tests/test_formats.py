@@ -14,6 +14,7 @@ from chipfire.formats import (
     serialize_lattice,
     space_to_dot,
 )
+from chipfire.lattice import Lattice
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 
 
@@ -98,6 +99,27 @@ def test_vertex_names_holding_equals_signs_round_trip():
     again = parse_game(text)
     assert again.graph == coloured.graph
     assert again.init == coloured.init
+
+
+BAD_NAMES = ["x#y", "a b", "", "a\tb", "a\nb", "a\x1cb", "a\u2028b"]
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_serialize_game_rejects_names_a_file_cannot_hold(name):
+    classical = Cfg(Multigraph((name, "t"), {(0, 1): 1}), (1, 0))
+    coloured = ColouredCfg(ColouredMultigraph((name, "t"), {1: {(0, 1): 1}}), {1: (1, 0)})
+    for game in (classical, coloured):
+        with pytest.raises(ValueError) as err:
+            serialize_game(game)
+        assert str(err.value).startswith(f"vertex {name!r} cannot be written")
+
+
+@pytest.mark.parametrize("name", BAD_NAMES)
+def test_serialize_lattice_rejects_labels_a_file_cannot_hold(name):
+    lat = Lattice.from_covers(2, [(0, 1)], labels=("0", name))
+    with pytest.raises(ValueError) as err:
+        serialize_lattice(lat)
+    assert str(err.value).startswith(f"label {name!r} cannot be written")
 
 
 def test_run_on_a_vertex_name_holding_an_equals_sign(tmp_path, capsys):

@@ -115,6 +115,11 @@ def test_non_lattice_error_names_the_first_failing_pair():
     posets = all_posets_upto(4) + [random_dag_poset(rng, rng.randint(2, 7)) for _ in range(150)]
     # bounded posets fail only by ambiguous bounds, never by missing ones
     posets += [bounded(poset) for poset in posets]
+    # boolean 2^5 plus two elements covering its top: only the last pair fails
+    steps = [(m ^ 1 << b, m) for m in range(32) for b in range(5) if m >> b & 1]
+    posets.append(Poset.from_covers(34, steps + [(31, 32), (31, 33)]))
+    # two minimal elements with six minimal common upper bounds: four are named
+    posets.append(Poset.from_covers(9, [(a, u) for a in (0, 1) for u in range(2, 8)] + [(u, 8) for u in range(2, 8)]))
     failures = 0
     for poset in posets:
         expected = naive_not_a_lattice_message(poset)

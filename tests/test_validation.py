@@ -43,6 +43,36 @@ def test_lattice_interval_rejects_unknown_element_ids():
             lattice.interval(a, b)
 
 
+ELEMENT_ACCESSORS = {
+    "le": lambda lat, x: lat.le(x, 0),
+    "le second": lambda lat, x: lat.le(0, x),
+    "lt": lambda lat, x: lat.lt(x, 0),
+    "lt second": lambda lat, x: lat.lt(0, x),
+    "upper_covers": lambda lat, x: lat.upper_covers(x),
+    "lower_covers": lambda lat, x: lat.lower_covers(x),
+    "join": lambda lat, x: lat.join(x, 0),
+    "join second": lambda lat, x: lat.join(0, x),
+    "meet": lambda lat, x: lat.meet(x, 0),
+    "meet second": lambda lat, x: lat.meet(0, x),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 4, 2.5])
+@pytest.mark.parametrize("accessor", ELEMENT_ACCESSORS)
+def test_element_accessors_reject_unknown_ids(accessor, bad):
+    with pytest.raises(ValueError, match=f"unknown element id {bad!r}"):
+        ELEMENT_ACCESSORS[accessor](Lattice.chain(4), bad)
+
+
+def test_element_accessors_take_numpy_ints_and_bools():
+    lat = Lattice.chain(4)
+    assert lat.join(np.int64(2), True) == 2
+    assert type(lat.meet(np.intp(3), np.int32(1))) is int
+    assert lat.le(False, np.int8(3)) and not lat.lt(np.int64(3), 3)
+    assert lat.upper_covers(np.int64(1)) == (2,)
+    assert lat.lower_covers(True) == (0,)
+
+
 def test_multigraph_rejects_bad_input():
     with pytest.raises(ValueError):
         Multigraph(("a", "a"), {})
