@@ -219,7 +219,7 @@ class ConfigSpace:
     it. Rank and the join-irreducibles are read off the covers as
     ``_closure`` guarantees them: one firing per cover, one cover per pair.
     The rules they share with ``Lattice`` live in ``chipfire.lattice``.
-    ``lattice()`` builds the dense, verified view only on demand.
+    ``lattice()`` builds the verified ``Lattice`` only on demand.
     """
 
     names: tuple[str, ...]

@@ -1,22 +1,28 @@
 """Finite posets and lattices: irreducibles, codings, detectors, constructions.
 
-Orders are stored as boolean ``leq`` matrices on elements 0..n-1, and sets of
-elements as ints (bit x is element x). Covers are kept when the order is built
-from them (``Poset.from_covers`` closes up-sets over them; set families pass
-their one-element steps) and derived from ``leq`` otherwise.
+Sets of elements are ints (bit x is element x), and so is the order: bit y of
+``_up_masks[x]`` says x <= y, and bit y of ``_down_masks[x]`` says y <= x.
+Covers are kept when the order is built from them (``Poset.from_covers``
+closes the up-sets over them; set families pass their one-element steps) and
+derived from the up-sets otherwise; the down-sets are closed over the lower
+covers.
 
-A lattice builds only its join table at construction, by dynamic programming
-over covers vectorised over whole levels of rows: for incomparable x and y,
-x∨y is the least of c∨y over the upper covers c of x, and there is no join
-when the candidates have no least element. Every join plus a least element
-make a finite order a lattice; meets, the same recurrence on the dual, are
-built on request. Distributivity is read off the meet-irreducible coding,
-one recurrence over upper covers (``_mi_codes``): a finite lattice is
-distributive iff it is upper locally distributive (ULD) with as many join-
-as meet-irreducibles, so the triple law only names a witness. That coding,
-the cover-step test and the verdict rules are shared with
-``engine.ConfigSpace``, which reads the coding off its moves instead of a
-dense order, and its rank off its covers, each of which adds one firing.
+A finite order with a least element is a lattice iff x∨j exists for every
+element x and join-irreducible j: along a linear extension, an element y
+above the least element and outside J is the join of two lower covers a and
+b, so x∨y = (x∨a)∨b. And x∨j exists iff the common up-set of x and j is the
+up-set of some element, one dict lookup; n·|J| lookups verify a lattice, and
+every join and meet is one more. The dense ``leq`` matrix and the join and
+meet tables are read-only numpy views, built only on request: by the tests,
+the triple law and the isomorphism search.
+
+Distributivity is read off the meet-irreducible coding, one recurrence over
+upper covers (``_mi_codes``): a finite lattice is distributive iff it is
+upper locally distributive (ULD) with as many join- as meet-irreducibles, so
+the triple law only names a witness. That coding, the cover-step test and
+the verdict rules are shared with ``engine.ConfigSpace``, which reads the
+coding off its moves, and its rank off its covers, each of which adds one
+firing.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import graphlib
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -32,34 +38,57 @@ import numpy as np
 from .errors import CapExceeded, DetectorDisagreement, NotALatticeError
 
 
-def _row_masks(matrix) -> tuple[int, ...]:
-    """Each row of a boolean matrix as an int whose bit i is column i."""
-    packed = np.packbits(matrix, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+def _bits(mask):
+    """The elements of a set, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _some(a, b) -> np.ndarray:
-    """Boolean matrix product: entry (i, k) says a[i, j] and b[j, k] for some j."""
-    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+def _matrix_rows(leq) -> tuple[int, ...]:
+    """Each row of a square boolean matrix as an int whose bit y is column y."""
+    try:
+        rows = [[bool(v) for v in row] for row in leq]
+    except (TypeError, ValueError):  # not a matrix of truth values
+        rows = None
+    if rows is None or any(len(row) != len(rows) for row in rows):
+        raise ValueError("leq must be a square matrix")
+    return tuple(int("".join("1" if v else "0" for v in reversed(row)), 2) for row in rows)
+
+
+def _table(masks, index) -> np.ndarray:
+    """Read-only n×n view of ``index[masks[x] & masks[y]]``: the joins from
+    up-sets, the meets from down-sets."""
+    table = np.array([[index[a & b] for b in masks] for a in masks], dtype=np.int32)
+    table.flags.writeable = False
+    return table
 
 
 # Rules shared by Lattice and engine.ConfigSpace. Both expose J, M,
 # _mx_masks, uld_detectors and the two detector witnesses; a Lattice reads
-# them off its dense order and covers, a ConfigSpace off its moves.
+# them off its up-sets and covers, a ConfigSpace off its moves.
 # The rank is not shared: a ConfigSpace is ranked by total firings.
+
+
+def _gather(seeds, covers, order) -> tuple[int, ...]:
+    """Each x's seed OR-ed with the results of ``covers[x]``, filled along
+    ``order``, where every x comes after its ``covers[x]``."""
+    out = list(seeds)
+    for x in order:
+        for c in covers[x]:
+            out[x] |= out[c]
+    return tuple(out)
 
 
 def _mi_codes(M, ups, order) -> tuple[int, ...]:
     """mi_above as bitmask over positions in M: mx(x) = (bit b if x is M[b]) |
     the OR of mx over the upper covers ``ups[x]``, filled in reverse along the
     linear extension ``order``."""
-    codes = [0] * len(ups)
+    seeds = [0] * len(ups)
     for b, m in enumerate(M):
-        codes[m] = 1 << b
-    for x in reversed(order):
-        for c in ups[x]:
-            codes[x] |= codes[c]
-    return tuple(codes)
+        seeds[m] = 1 << b
+    return _gather(seeds, ups, reversed(order))
 
 
 def _first_bad_step(cover_pairs, masks):
@@ -97,27 +126,28 @@ def _distributive_verdict(order) -> bool:
 
 
 class Poset:
-    """Finite partial order given by its full ``leq`` relation."""
+    """Finite partial order, stored as the up-set of each element.
 
-    def __init__(self, leq, labels=None, _checked=False, _covers=None):
-        leq = np.array(leq, dtype=bool)
-        if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
-            raise ValueError("leq must be a square matrix")
-        n = leq.shape[0]
+    ``Poset(leq)`` takes a square boolean matrix and checks that it is an
+    order; ``from_covers`` builds one from its covers.
+    """
+
+    def __init__(self, leq=None, labels=None, _checked=False, _covers=None, _up=None):
+        up = _matrix_rows(leq) if _up is None else _up
+        n = len(up)
         if labels is None:
             labels = tuple(f"e{i}" for i in range(n))
         labels = tuple(str(x) for x in labels)
         if len(labels) != n or len(set(labels)) != n:
             raise ValueError("labels must be unique and match the element count")
         if not _checked:
-            if not leq.diagonal().all():
+            if any(not m >> x & 1 for x, m in enumerate(up)):
                 raise ValueError("order is not reflexive")
-            if (leq & leq.T).sum() != n:
+            if any(up[y] >> x & 1 for x, m in enumerate(up) for y in _bits(m ^ 1 << x)):
                 raise ValueError("order is not antisymmetric")
-            if (_some(leq, leq) & ~leq).any():
+            if any(up[y] & ~m for m in up for y in _bits(m)):
                 raise ValueError("order is not transitive")
-        leq.flags.writeable = False
-        self.leq = leq
+        self._up_masks = up
         self.n = n
         self.labels = labels
         if _covers is not None:
@@ -132,9 +162,13 @@ class Poset:
         """
         up = [set() for _ in range(n)]
         for lo, hi in covers:
-            if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
+            try:  # plain ints: a numpy-integer shift overflows past bit 63
+                a, b = operator.index(lo), operator.index(hi)
+            except TypeError:
+                a = b = -1
+            if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"bad cover pair ({lo},{hi})")
-            up[lo].add(operator.index(hi))  # a numpy-integer shift overflows past bit 63
+            up[a].add(b)
         try:  # each element after its upper covers
             order = tuple(graphlib.TopologicalSorter(dict(enumerate(up))).static_order())
         except graphlib.CycleError:
@@ -142,16 +176,13 @@ class Poset:
         above = [0] * n  # strict up-sets
         kept = []
         for v in order:  # a pair reached in two or more steps is implied
-            far = 0
-            for w in up[v]:
-                far |= above[w]
+            far = reduce(operator.or_, (above[w] for w in up[v]), 0)
             kept += [(v, w) for w in up[v] if not far >> w & 1]
             above[v] = far | sum(1 << w for w in up[v])
-        width = -(-n // 8)
-        rows = b"".join((m | 1 << v).to_bytes(width, "little") for v, m in enumerate(above))
-        packed = np.frombuffer(rows, dtype=np.uint8).reshape(n, width)
-        leq = np.unpackbits(packed, axis=1, count=n, bitorder="little")
-        return cls(leq, labels=labels, _checked=True, _covers=tuple(sorted(kept)), **kwargs)
+        return cls(
+            labels=labels, _checked=True, _covers=tuple(sorted(kept)),
+            _up=tuple(m | 1 << v for v, m in enumerate(above)), **kwargs,
+        )
 
     def _check(self, x) -> int:
         """x as a plain int; ValueError unless it is an element id."""
@@ -161,20 +192,32 @@ class Poset:
         return i
 
     def le(self, x, y) -> bool:
-        return bool(self.leq[self._check(x), self._check(y)])
+        return bool(self._up_masks[self._check(x)] >> self._check(y) & 1)
 
     def lt(self, x, y) -> bool:
         return self.le(x, y) and x != y
 
     @cached_property
-    def _cover_matrix(self) -> np.ndarray:
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        return strict & ~_some(strict, strict)
+    def leq(self) -> np.ndarray:
+        """The order as a read-only boolean matrix, built on first use."""
+        n, width = self.n, -(-self.n // 8)
+        rows = b"".join(m.to_bytes(width, "little") for m in self._up_masks)
+        packed = np.frombuffer(rows, dtype=np.uint8).reshape(n, width)
+        leq = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
+        leq.flags.writeable = False
+        return leq
+
+    @cached_property
+    def _cover_matrix(self) -> tuple[int, ...]:
+        """Each element's upper covers as a set: its strict up-set less all
+        that lies strictly above a member. Derives the covers of an order
+        given without them."""
+        strict = [m ^ 1 << x for x, m in enumerate(self._up_masks)]
+        return tuple(s & ~reduce(operator.or_, (strict[y] for y in _bits(s)), 0) for s in strict)
 
     @cached_property
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        los, his = np.nonzero(self._cover_matrix)
-        return tuple(sorted(zip(los.tolist(), his.tolist())))
+        return tuple((x, y) for x, m in enumerate(self._cover_matrix) for y in _bits(m))
 
     @cached_property
     def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
@@ -206,20 +249,26 @@ class Poset:
 
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
-        """Elements sorted by down-set size; a linear extension."""
-        below = self.leq.sum(axis=0)
-        return tuple(np.argsort(below, kind="stable").tolist())
+        """Elements sorted stably by down-set size; a linear extension."""
+        down = self._down_masks
+        return tuple(sorted(range(self.n), key=lambda x: down[x].bit_count()))
 
     def restrict(self, elements: Iterable[int]) -> "Poset":
         """Induced suborder, keeping labels; elements in ascending index order."""
-        keep = sorted(set(elements))
-        sub = self.leq[np.ix_(keep, keep)]
-        return Poset(sub, labels=tuple(self.labels[x] for x in keep), _checked=True)
+        keep = sorted({self._check(x) for x in elements})
+        up = [self._up_masks[x] for x in keep]
+        pairs = [
+            (a, b) for a, m in enumerate(up) for b, y in enumerate(keep) if a != b and m >> y & 1
+        ]
+        return Poset.from_covers(len(keep), pairs, labels=tuple(self.labels[x] for x in keep))
 
     @cached_property
     def _down_masks(self) -> tuple[int, ...]:
-        """Bitmask of {y : y <= x} for each x."""
-        return _row_masks(self.leq.T)
+        """Bitmask of {y : y <= x} for each x: x and the down-sets of its
+        lower covers, filled from the bottom (x < y gives x the larger up-set)."""
+        up = self._up_masks
+        order = sorted(range(self.n), key=lambda x: -up[x].bit_count())
+        return _gather([1 << x for x in range(self.n)], self._lower_covers, order)
 
     def ideal_masks(self, cap=None) -> list[int]:
         """All down-closed subsets as bitmasks, sorted by (size, value).
@@ -240,78 +289,14 @@ class Poset:
 
     def ideals(self, cap=None) -> tuple[frozenset[int], ...]:
         """All down-closed subsets as sets of elements, in ``ideal_masks`` order."""
-        return tuple(
-            frozenset(i for i in range(self.n) if m >> i & 1)
-            for m in self.ideal_masks(cap)
-        )
+        return tuple(frozenset(_bits(m)) for m in self.ideal_masks(cap))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.n} elements)"
 
 
-# table cells per slice of a join-table build; bounds its temporary arrays
-_CELLS = 1 << 18
-
-
-def _join_table(le, covers, seq):
-    """The join table of an order, or None when some pair has no join.
-
-    ``le[x, y]`` says x <= y, ``covers[x]`` lists the upper covers of x. The
-    order is renumbered along the linear extension ``seq``, so every element's
-    index is below those of the elements above it and the least of a set of
-    upper bounds, if it has one, is its smallest index. Rows are filled
-    top-down, a level at a time (a level holds the elements whose covers all
-    lie in earlier levels): x∨y is y when x <= y, x when y <= x, and otherwise
-    the least of c∨y over the covers c of x. That is exact, because every
-    upper bound above x lies above some c and so above c∨y; if the smallest
-    candidate is not below all the others, x and y have no join.
-    """
-    n = len(le)
-    rank = np.argsort(seq)  # the inverse permutation
-    at = rank.tolist()
-    ups = [tuple(at[c] for c in covers[x]) for x in seq.tolist()]
-    le = le[seq][:, seq]
-    deg = np.array([len(u) for u in ups], dtype=np.intp)
-    level = [0] * n
-    for x in range(n - 1, -1, -1):
-        if ups[x]:
-            level[x] = 1 + max(level[c] for c in ups[x])
-    level = np.array(level)
-    width = int(deg.max())
-    padded = np.array([u + (0,) * (width - len(u)) for u in ups], dtype=np.intp).reshape(n, width)
-    flat = le.ravel()
-    everyone = np.arange(n, dtype=np.int32)
-    table = np.empty((n, n), dtype=np.int32)
-    # by level, then by falling degree, so the rows using cover slot i are a prefix
-    by = np.lexsort((-deg, level))
-    step = max(1, _CELLS // n)
-    for group in np.split(by, np.flatnonzero(np.diff(level[by])) + 1):
-        for start in range(0, group.size, step):
-            xs = group[start:start + step]
-            above = le[xs]
-            apart = ~(above | le[:, xs].T)
-            rows = np.where(above, everyone, xs[:, None].astype(np.int32))
-            if apart.any():
-                d = deg[xs]
-                if d[0] == 0:
-                    return None  # maximal elements below no common bound
-                slots = [(np.count_nonzero(d > i), padded[xs, i]) for i in range(d[0])]
-                best = table[slots[0][1]]
-                for m, cs in slots[1:]:
-                    np.minimum(best[:m], table[cs[:m]], out=best[:m])
-                base = best.astype(np.intp) * n
-                for m, cs in slots:
-                    if (apart[:m] & ~flat.take(base[:m] + table[cs[:m]])).any():
-                        return None
-                rows = np.where(apart, best, rows)
-            table[xs] = rows
-    table = seq.astype(np.int32)[table[rank][:, rank]]
-    table.flags.writeable = False
-    return table
-
-
 def _subset_label(labels, mask) -> str:
-    return "{" + ",".join(labels[b] for b in range(mask.bit_length()) if mask >> b & 1) + "}"
+    return "{" + ",".join(labels[b] for b in _bits(mask)) + "}"
 
 
 def _family_lattice(members, codes, ground_labels) -> "Lattice":
@@ -321,29 +306,29 @@ def _family_lattice(members, codes, ground_labels) -> "Lattice":
     index = {code: i for i, code in enumerate(codes)}
     covers = [
         (index[code ^ 1 << b], j)
-        for j, code in enumerate(codes) for b in range(code.bit_length())
-        if code >> b & 1 and code ^ 1 << b in index
+        for j, code in enumerate(codes) for b in _bits(code)
+        if code ^ 1 << b in index
     ]
     labels = tuple(_subset_label(ground_labels, m) for m in members)
     return Lattice.from_covers(len(codes), covers, labels=labels)
 
 
 class Lattice(Poset):
-    """Bounded lattice; construction checks every join and a least element.
-
-    ``join_table`` is :func:`_join_table`, built at construction;
-    ``meet_table`` is the same run on the dual order, built on first use. On
-    a failure the pairs are rescanned in index order, so the error names the
-    first offending pair.
+    """Bounded lattice, verified at construction by a least element and a
+    lookup of x∨j for every element x and join-irreducible j (see the module
+    docstring). On a failure the pairs are rescanned in index order, so the
+    error names the first offending pair. A join or a meet looks up a common
+    up-set or down-set; ``join_table`` and ``meet_table`` are dense views
+    built on request.
 
     ``cover_labels`` optionally annotates cover edges (e.g. with the vertex
     fired along a configuration-space edge).
     """
 
-    def __init__(self, leq, labels=None, cover_labels=None, _checked=False, _covers=None):
-        super().__init__(leq, labels=labels, _checked=_checked, _covers=_covers)
+    def __init__(self, leq=None, labels=None, cover_labels=None, **kwargs):
+        super().__init__(leq, labels=labels, **kwargs)
         self.cover_labels = dict(cover_labels) if cover_labels else {}
-        self._build_tables()
+        self._verify()
 
     def _witness_pair(self, i, j, rows, reverse, kind):
         """Raise for i and j; ``reverse`` holds the other side's masks."""
@@ -351,10 +336,7 @@ class Lattice(Poset):
         li, lj = self.labels[i], self.labels[j]
         if not common:
             raise NotALatticeError(f"not a lattice: {li} and {lj} have no common {kind} bound")
-        extreme = [
-            a for a in range(common.bit_length())
-            if common >> a & 1 and reverse[a] & common == 1 << a
-        ]
+        extreme = [a for a in _bits(common) if reverse[a] & common == 1 << a]
         word = "minimal" if kind == "upper" else "maximal"
         names = ", ".join(self.labels[a] for a in extreme[:4])
         raise NotALatticeError(
@@ -366,37 +348,52 @@ class Lattice(Poset):
         """Raise for the first pair (i, j), i <= j in index order, without a
         join or, checked second, a meet: its common upper (lower) bounds are
         not the up-set (down-set) of any element."""
-        up, down = _row_masks(self.leq), self._down_masks
-        ups, downs = set(up), set(down)
+        up, down, ups, downs = self._up_masks, self._down_masks, self._up_index, self._down_index
         for i in range(self.n):
             for j in range(i, self.n):
                 if up[i] & up[j] not in ups:
                     self._witness_pair(i, j, up, down, "upper")
                 if down[i] & down[j] not in downs:
                     self._witness_pair(i, j, down, up, "lower")
-        raise RuntimeError("table build failed although every pair has a join and a meet")
+        raise RuntimeError("lattice check failed although every pair has a join and a meet")
 
-    def _build_tables(self):
+    def _verify(self):
+        """A least element, and x∨j for each j in J apart from x (else it is x
+        or j), make every join and meet exist; else raise for the first pair."""
         if self.n == 0:
             raise NotALatticeError("not a lattice: empty element set")
-        order = np.array(self.topo_order, dtype=np.intp)
-        table = _join_table(self.leq, self._upper_covers, order)
-        # with every join, a least element makes every meet exist too
-        if table is None or len(self.minimal_elements) != 1:
+        up, down, index = self._up_masks, self._down_masks, self._up_index
+        joins = sum(1 << j for j in self.J)
+        if len(self.minimal_elements) != 1 or any(
+            up[x] & up[j] not in index
+            for x in range(self.n) for j in _bits(joins & ~(up[x] | down[x]))
+        ):
             self._raise_first_failure()
-        self.join_table = table
-        self.bottom, self.top = int(order[0]), int(order[-1])
+        (self.bottom,), (self.top,) = self.minimal_elements, self.maximal_elements
+
+    @cached_property
+    def _up_index(self) -> dict[int, int]:
+        """The element of each up-set: x∨y has the up-set up[x] & up[y]."""
+        return {m: x for x, m in enumerate(self._up_masks)}
+
+    @cached_property
+    def _down_index(self) -> dict[int, int]:
+        """The element of each down-set: x∧y has the down-set down[x] & down[y]."""
+        return {m: x for x, m in enumerate(self._down_masks)}
+
+    @cached_property
+    def join_table(self) -> np.ndarray:
+        return _table(self._up_masks, self._up_index)
 
     @cached_property
     def meet_table(self) -> np.ndarray:
-        """The join table of the dual order, built on first use."""
-        return _join_table(self.leq.T, self._lower_covers, np.array(self.topo_order[::-1]))
+        return _table(self._down_masks, self._down_index)
 
     def join(self, x, y) -> int:
-        return int(self.join_table[self._check(x), self._check(y)])
+        return self._up_index[self._up_masks[self._check(x)] & self._up_masks[self._check(y)]]
 
     def meet(self, x, y) -> int:
-        return int(self.meet_table[self._check(x), self._check(y)])
+        return self._down_index[self._down_masks[self._check(x)] & self._down_masks[self._check(y)]]
 
     def restrict(self, elements):
         # restricting a lattice generally yields only a poset
@@ -426,11 +423,13 @@ class Lattice(Poset):
 
     def ji_below(self, x) -> frozenset[int]:
         """Join-irreducibles below-or-equal x; x is their join."""
-        return frozenset(j for j in self.J if self.leq[j, x])
+        down = self._down_masks[self._check(x)]
+        return frozenset(j for j in self.J if down >> j & 1)
 
     def mi_above(self, x) -> frozenset[int]:
         """Meet-irreducibles above-or-equal x; x is their meet."""
-        return frozenset(m for m in self.M if self.leq[x, m])
+        up = self._up_masks[self._check(x)]
+        return frozenset(m for m in self.M if up >> m & 1)
 
     @cached_property
     def _mx_masks(self) -> tuple[int, ...]:
@@ -438,7 +437,7 @@ class Lattice(Poset):
         return _mi_codes(self.M, self._upper_covers, self.topo_order)
 
     def le_by_coding(self, x, y) -> bool:
-        """Order test through the irreducible codings; both must agree with leq."""
+        """Order test through the irreducible codings; both must agree with le."""
         by_j = self.ji_below(x) <= self.ji_below(y)
         by_m = self.mi_above(y) <= self.mi_above(x)
         if by_j != by_m or by_j != self.le(x, y):
@@ -475,10 +474,10 @@ class Lattice(Poset):
     def distributivity_witness(self):
         """A triple (x, y, z) with x∧(y∨z) != (x∧y)∨(x∧z), or None.
 
-        The triple law checked for every x; it names a witness once
-        :attr:`is_distributive` has said no.
+        The triple law checked for every x, on the dense tables; it names a
+        witness once :attr:`is_distributive` has said no.
         """
-        jt, mt = self.join_table, self.meet_table
+        mt, jt = self.meet_table, self.join_table
         for x in range(self.n):
             lhs = mt[x][jt]
             rhs = jt[np.ix_(mt[x], mt[x])]
@@ -497,25 +496,24 @@ class Lattice(Poset):
     def _hypercube_witness(self):
         """Least element whose cover interval is not a hypercube, or None.
 
-        Elements with k >= 2 upper covers are checked together, per k: the 2^k
-        joins of subsets of covers must be distinct and fill the interval up
+        For x with k >= 2 upper covers, the 2^k joins of subsets of covers,
+        each a common up-set, must be distinct and fill the interval from x
         to the join of all k.
         """
-        covers, table, le = self._upper_covers, self.join_table, self.leq
-        bad = []
-        for k in sorted({len(ups) for ups in covers} - {0, 1}):
-            xs = np.array([x for x, ups in enumerate(covers) if len(ups) == k])
-            if 1 << k > self.n:
-                bad.extend(xs.tolist())  # fewer elements than subsets of covers
+        up, down, index = self._up_masks, self._down_masks, self._up_index
+        for x, covers in enumerate(self._upper_covers):
+            k = len(covers)
+            if k < 2:
                 continue
-            ups = np.array([covers[x] for x in xs])
-            joins = xs[:, None]
-            for b in range(k):
-                joins = np.hstack((joins, table[joins, ups[:, b:b + 1]]))
-            distinct = (np.diff(np.sort(joins, axis=1), axis=1) != 0).all(axis=1)
-            size = np.count_nonzero(le[xs] & le[:, joins[:, -1]].T, axis=1)
-            bad.extend(xs[~distinct | (size != 1 << k)].tolist())
-        return min(bad, default=None)
+            if 1 << k > self.n:
+                return x  # fewer elements than subsets of covers
+            joins = [up[x]]
+            for c in covers:
+                joins += [m & up[c] for m in joins]
+            size = (up[x] & down[index[joins[-1]]]).bit_count()
+            if size != 1 << k or len(set(joins)) != 1 << k:
+                return x
+        return None
 
     def _cover_step_witness(self):
         """Cover that removes != 1 meet-irreducible, or None."""
@@ -534,36 +532,33 @@ class Lattice(Poset):
         """Map each cover (x, y) to the unique meet-irreducible leaving mi_above."""
         if not self.is_uld:
             raise ValueError("edge labelling requires an upper locally distributive lattice")
-        masks = self._mx_masks
-        out = {}
-        for lo, hi in self.cover_pairs:
-            diff = masks[lo] & ~masks[hi]
-            out[(lo, hi)] = self.M[diff.bit_length() - 1]
-        return out
+        mx = self._mx_masks
+        return {(a, b): self.M[(mx[a] & ~mx[b]).bit_length() - 1] for a, b in self.cover_pairs}
 
     # arrow relations and the induced partition of J
 
     @cached_property
-    def _arrows(self) -> tuple[np.ndarray, np.ndarray]:
-        """(down, up) as boolean |J|×|M| matrices over positions in J and M:
-        j ↓ m when j ≰ m and j_lower(j) <= m, j ↑ m when j ≰ m and
-        j <= m_upper(m)."""
-        J = np.array(self.J, dtype=np.intp)
-        M = np.array(self.M, dtype=np.intp)
-        j_lower = np.array([self.j_lower(j) for j in self.J], dtype=np.intp)
-        m_upper = np.array([self.m_upper(m) for m in self.M], dtype=np.intp)
-        apart = ~self.leq[np.ix_(J, M)]
-        return apart & self.leq[np.ix_(j_lower, M)], apart & self.leq[np.ix_(J, m_upper)]
+    def _arrows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(down, up): for each position in J, the positions in M of the m
+        with j ↓ m (j ≰ m and j_lower(j) <= m) and with j ↑ m (j ≰ m and
+        j <= m_upper(m)), as masks."""
+        mx, up = self._mx_masks, self._up_masks
+        m_upper = [self.m_upper(m) for m in self.M]
+        down_rows, up_rows = [], []
+        for j in self.J:
+            apart = ~mx[j]
+            down_rows.append(mx[self.j_lower(j)] & apart)
+            up_rows.append(sum(1 << b for b, u in enumerate(m_upper) if up[j] >> u & 1) & apart)
+        return tuple(down_rows), tuple(up_rows)
 
     @cached_property
     def arrow_relations(self) -> "ArrowRelations":
         down, up = self._arrows
 
-        def pairs(matrix):
-            rows, cols = np.nonzero(matrix)
-            return frozenset((self.J[a], self.M[b]) for a, b in zip(rows.tolist(), cols.tolist()))
+        def pairs(rows):
+            return frozenset((j, self.M[b]) for j, row in zip(self.J, rows) for b in _bits(row))
 
-        return ArrowRelations(pairs(down), pairs(up), pairs(down & up))
+        return ArrowRelations(pairs(down), pairs(up), pairs(d & u for d, u in zip(down, up)))
 
     def arrow_partition(self) -> "ArrowPartition":
         """Partition of J by the unique up-down arrow partner in M: j's down
@@ -575,7 +570,7 @@ class Lattice(Poset):
         partner = {}
         for j in self.J:
             m = labels[(self.j_lower(j), j)]
-            if not self.leq[j, self.m_upper(m)]:
+            if not self.le(j, self.m_upper(m)):
                 raise RuntimeError(f"join-irreducible {j} has 0 up-down partners")
             partner[j] = m
         classes = {
@@ -603,24 +598,17 @@ class Lattice(Poset):
             raise ValueError(
                 f"interval requires {self.labels[a]} <= {self.labels[b]}"
             )
-        keep = [x for x in range(self.n) if self.leq[a, x] and self.leq[x, b]]
-        pos = {x: i for i, x in enumerate(keep)}
-        sub_labels = tuple(self.labels[x] for x in keep)
-        sub_cover_labels = {
-            (pos[lo], pos[hi]): lab
-            for (lo, hi), lab in self.cover_labels.items()
-            if lo in pos and hi in pos
-        }
+        pos = {x: i for i, x in enumerate(_bits(self._up_masks[a] & self._down_masks[b]))}
         # an interval is convex, so its covers are the lattice's covers inside it
-        sub_covers = tuple(
-            (pos[lo], pos[hi]) for lo, hi in self.cover_pairs if lo in pos and hi in pos
-        )
-        return Lattice(
-            self.leq[np.ix_(keep, keep)],
-            labels=sub_labels,
-            cover_labels=sub_cover_labels,
-            _checked=True,
-            _covers=sub_covers,
+        return Lattice.from_covers(
+            len(pos),
+            [(pos[lo], pos[hi]) for lo, hi in self.cover_pairs if lo in pos and hi in pos],
+            labels=tuple(self.labels[x] for x in pos),
+            cover_labels={
+                (pos[lo], pos[hi]): lab
+                for (lo, hi), lab in self.cover_labels.items()
+                if lo in pos and hi in pos
+            },
         )
 
     def ideal_quotient(self, cap=None) -> "Lattice":
@@ -639,10 +627,7 @@ class Lattice(Poset):
         partner_bit = [1 << m_pos[partition.partner[j]] for j in self.J]
         groups: dict[int, int] = {}
         for mask in jp.ideal_masks(cap):
-            key = 0
-            for b in range(mask.bit_length()):
-                if mask >> b & 1:
-                    key |= partner_bit[b]
+            key = reduce(operator.or_, (partner_bit[b] for b in _bits(mask)), 0)
             groups[key] = groups.get(key, 0) | mask
         keys, reps = zip(*sorted(groups.items(), key=lambda kv: (kv[1].bit_count(), kv[1])))
         if len(set(reps)) != len(reps):
@@ -704,30 +689,44 @@ class ArrowWitnessReport:
 
 
 def arrow_witness_report(lattice: Lattice) -> ArrowWitnessReport:
-    """Every clause checked at once by boolean matrix products over J and M.
+    """Every clause checked on sets gathered along the covers: from the
+    bottom, the j <= x (over J) and their down and up-down arrows (over M,
+    packed into the same int); from the top, the j with an up arrow into
+    some m >= x (over J). x <= m is read off the meet-irreducible coding.
 
     ``failures`` lists down/updown failures m-major, then x, followed by up
     failures j-major, then x.
     """
     down, up = lattice._arrows
     uld = lattice.is_uld
-    J = np.array(lattice.J, dtype=np.intp)
-    M = np.array(lattice.M, dtype=np.intp)
-    j_below = lattice.leq[J].T  # (x, j): j <= x
-    below_m = lattice.leq[:, M]  # (x, m): x <= m
-    has_down = _some(j_below, down)
-    down_bad = ~below_m & ~has_down
-    updown_bad = ~below_m & has_down & ~_some(j_below, down & up) if uld else np.zeros_like(down_bad)
-    failures = []
-    for b, x in zip(*(side.tolist() for side in np.nonzero((down_bad | updown_bad).T))):
-        failures.append(("down" if down_bad[x, b] else "updown", x, lattice.M[b]))
-    up_bad = ~lattice.leq[J] & ~_some(up, below_m.T)
-    for a, x in zip(*(side.tolist() for side in np.nonzero(up_bad))):
-        failures.append(("up", lattice.J[a], x))
+    n, J, M, mx = lattice.n, lattice.J, lattice.M, lattice._mx_masks
+    nj, nm = len(J), len(M)
+    seeds = [0] * n
+    for a, j in enumerate(J):
+        seeds[j] = 1 << a | down[a] << nj | (down[a] & up[a]) << nj + nm
+    below = _gather(seeds, lattice._lower_covers, lattice.topo_order)
+    seeds = [0] * n
+    for b, m in enumerate(M):
+        seeds[m] = sum(1 << a for a, row in enumerate(up) if row >> b & 1)
+    up_into = _gather(seeds, lattice._upper_covers, reversed(lattice.topo_order))
+    every_j, every_m = (1 << nj) - 1, (1 << nm) - 1
+    bad, up_bad = [], []  # (position in M, x, clause), (position in J, x)
+    for x in range(n):
+        apart = every_m & ~mx[x]  # the m with x ≰ m
+        has_down, has_updown = below[x] >> nj & every_m, below[x] >> nj + nm
+        if no_down := apart & ~has_down:
+            bad += [(b, x, "down") for b in _bits(no_down)]
+        if uld and (no_updown := apart & has_down & ~has_updown):
+            bad += [(b, x, "updown") for b in _bits(no_updown)]
+        if no_up := every_j & ~below[x] & ~up_into[x]:
+            up_bad += [(a, x) for a in _bits(no_up)]
+    failures = [(kind, x, M[b]) for b, x, kind in sorted(bad)]
+    failures += [("up", J[a], x) for a, x in sorted(up_bad)]
+    kinds = {kind for kind, _, _ in failures}
     return ArrowWitnessReport(
-        down_ok=not down_bad.any(),
-        updown_ok=not updown_bad.any() if uld else None,
-        up_ok=not up_bad.any(),
+        down_ok="down" not in kinds,
+        updown_ok="updown" not in kinds if uld else None,
+        up_ok="up" not in kinds,
         failures=tuple(failures),
     )
 

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .coloured import ColouredCfg
 from .engine import Cfg, ConfigSpace
 from .errors import CapExceeded, StepCapExceeded
-from .lattice import Lattice, Poset, _row_masks
+from .lattice import Lattice, Poset
 from .multigraph import ColouredMultigraph, Multigraph
 
 
@@ -257,10 +255,11 @@ def _meet_map(lattice: Lattice, ms, space: ConfigSpace) -> list[int | None]:
     ``ms[v]`` of the vertices v it has not fired, hence their meet, or to
     None when no element has that code. ``ms`` is M in vertex order; later
     vertices (the sink) are not looked at."""
-    # M is ascending, so sorting ms puts the vertices in the order of M's bits
-    unfired = ~np.array(space.vectors, dtype=bool)[:, np.argsort(ms)]
+    # M is ascending, so bit b of a code is the vertex v with the b-th smallest ms[v]
+    order = sorted(range(len(ms)), key=ms.__getitem__)
     element = {code: x for x, code in enumerate(lattice._mx_masks)}
-    return [element.get(code) for code in _row_masks(unfired)]
+    codes = (sum(1 << b for b, v in enumerate(order) if not vec[v]) for vec in space.vectors)
+    return [element.get(code) for code in codes]
 
 
 def distributive_map(lattice: Lattice, space: ConfigSpace) -> list[int | None]:

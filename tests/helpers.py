@@ -30,7 +30,7 @@ from chipfire import coloured
 from chipfire.coloured import ColouredCfg, ColouredState
 from chipfire.engine import Cfg, ConfigSpace, _closure, _fire_in_place
 from chipfire.errors import CapExceeded, StepCapExceeded
-from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset, _row_masks
+from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport
 
@@ -302,9 +302,16 @@ def kahn_from_covers(n, covers, labels=None) -> Poset:
     return Poset(leq, labels=labels, _checked=True, _covers=tuple(sorted(kept)))
 
 
+def row_masks(matrix) -> tuple[int, ...]:
+    """Each row of a boolean matrix as an int whose bit i is column i, packed
+    by numpy: the dense form the library's int sets are checked against."""
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
 def dense_mx_masks(lattice: Lattice) -> tuple[int, ...]:
     """mi_above masks over positions in M: the columns of the dense order at M."""
-    return _row_masks(lattice.leq[:, list(lattice.M)])
+    return row_masks(lattice.leq[:, list(lattice.M)])
 
 
 def vector_mx_masks(space: ConfigSpace) -> tuple[int, ...]:

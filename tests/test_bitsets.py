@@ -2,7 +2,10 @@
 
 ``Poset.from_covers`` closes strict up-sets as ints over the covers; it is
 compared with Kahn's queue and a numpy row per element
-(``helpers.kahn_from_covers``) on order, kept covers and error text. The
+(``helpers.kahn_from_covers``) on order, kept covers and error text. On small
+acyclic inputs, with and without a new least and greatest element,
+``Lattice.from_covers`` and its n·|J| join lookups must give the scanning
+oracles' verdict, error text, joins and meets. The
 meet-irreducible coding ``_mi_codes``, read off upper covers for a
 ``Lattice`` and off the moves for a ``ConfigSpace``, is compared with the
 columns of the dense order (``dense_mx_masks``) and with the compared firing
@@ -15,21 +18,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipfire.engine import Cfg
+from chipfire.errors import NotALatticeError
 from chipfire.fixtures import gated_cube_lattice
 from chipfire.lattice import Lattice, Poset
 from chipfire.multigraph import Multigraph
 
-from helpers import dense_mx_masks, dual, kahn_from_covers, vector_mx_masks
+from helpers import (
+    dense_mx_masks,
+    dual,
+    kahn_from_covers,
+    naive_join,
+    naive_meet,
+    naive_not_a_lattice_message,
+    vector_mx_masks,
+)
 from test_coloured import coloured_games
-from test_lattice_tables import convergent_games
+from test_lattice_tables import bounded, convergent_games
 
 
 @st.composite
-def cover_lists(draw):
+def cover_lists(draw, max_n=90):
     """(n, covers): pairs oriented along a shuffled linear order, so the input
     is acyclic unless some pairs are flipped, with repeats, implied pairs, n
     past one machine word, numpy-integer ids and, sometimes, a bad pair."""
-    n = draw(st.integers(0, 90))
+    n = draw(st.integers(0, max_n))
     rank = draw(st.permutations(range(n)))
     pairs = []
     if n >= 2:
@@ -61,11 +73,35 @@ def outcome(build, n, covers):
     return poset.leq.tolist(), poset.cover_pairs
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(cover_lists())
+def assert_lattice_verdict(n, covers, poset):
+    """``Lattice.from_covers(n, covers)`` against the scanning oracles on
+    ``poset``, the same order built by Kahn's queue."""
+    expected = naive_not_a_lattice_message(poset) if n else "not a lattice: empty element set"
+    try:
+        lat = Lattice.from_covers(n, covers, labels=poset.labels)
+    except NotALatticeError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    for x in range(n):
+        for y in range(n):
+            assert lat.join(x, y) == naive_join(poset, x, y), (covers, x, y)
+            assert lat.meet(x, y) == naive_meet(poset, x, y), (covers, x, y)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.one_of(cover_lists(), cover_lists(max_n=12)))
 def test_from_covers_matches_the_kahn_construction(case):
     n, covers = case
-    assert outcome(Poset.from_covers, n, covers) == outcome(kahn_from_covers, n, covers)
+    expected = outcome(kahn_from_covers, n, covers)
+    assert outcome(Poset.from_covers, n, covers) == expected
+    if n <= 12 and not isinstance(expected, str):  # acyclic, no bad pair
+        poset = kahn_from_covers(n, covers)
+        assert_lattice_verdict(n, covers, poset)
+        # the same order between a new least and a new greatest element
+        ends = [(0, n + 1)] + [(0, x + 1) for x in range(n)] + [(x + 1, n + 1) for x in range(n)]
+        shifted = [(lo + 1, hi + 1) for lo, hi in covers] + ends
+        assert_lattice_verdict(n + 2, shifted, bounded(poset))
 
 
 def test_from_covers_reports_a_bad_pair_listed_after_a_cycle():
@@ -73,6 +109,11 @@ def test_from_covers_reports_a_bad_pair_listed_after_a_cycle():
     for build in (Poset.from_covers, kahn_from_covers):
         with pytest.raises(ValueError, match=r"bad cover pair \(2,2\)"):
             build(3, covers)
+    # a float id is a bad pair too, not a TypeError from indexing with it
+    for pair, text in (((0.5, 1), r"\(0.5,1\)"), ((0, 1.5), r"\(0,1.5\)")):
+        for build in (Poset.from_covers, Lattice.from_covers):
+            with pytest.raises(ValueError, match=r"bad cover pair " + text):
+                build(3, [pair])
 
 
 def test_from_covers_past_bit_63_with_numpy_ids():

@@ -5,9 +5,10 @@ construction implies (``distributive_map``, ``uld_map``, ``split_map``) with
 ``is_hasse_isomorphism``; that check is the whole verdict. These tests compare
 the check with ``is_isomorphic`` on the seeded corpora and on hypothesis
 games, corrupt covers and map entries to see the check refuse them and the
-CLI exit 1, and run the CLI with the search, the dense space lattice or the
-meet table switched off. The
-coding maps are compared entry for entry with a fold through the meet table.
+CLI exit 1, and run the CLI with the search, the dense space lattice, the
+dense order views (``leq``, the join and meet tables) or the derived cover
+matrix switched off. The coding maps are compared entry for entry with a
+fold through the meet table.
 """
 
 import os
@@ -311,7 +312,7 @@ def test_round_trips_skip_the_search_and_the_space_lattice(tmp_path, monkeypatch
         assert capsys.readouterr().err == err, argv
 
 
-# check, synth and simplify never build a meet table
+# check, synth and simplify never build a dense view or derive covers
 
 GATED_CUBE_CHECK = (
     "elements: 23\nlattice: yes\nranked: yes\nheight: 5\ndistributive: no\nULD: yes\n"
@@ -341,10 +342,16 @@ def test_cli_paths_build_no_meet_table(tmp_path, monkeypatch, capsys):
     assert all(err == SYNTH_ERR for argv, (_, _, err, _) in zip(runs, expected) if argv[0] == "synth")
     assert expected[-2][2] == RELAY_ERR and expected[-1][2] == FUNNEL_ERR
 
-    def refuse(self):
-        raise AssertionError("meet table built")
+    def refuse(what):
+        def build(self):
+            raise AssertionError(f"{what} built")
 
-    monkeypatch.setattr(Lattice, "meet_table", property(refuse))
+        return property(build)
+
+    monkeypatch.setattr(Lattice, "meet_table", refuse("meet table"))
+    monkeypatch.setattr(Lattice, "join_table", refuse("join table"))
+    monkeypatch.setattr(Poset, "leq", refuse("dense order"))
+    monkeypatch.setattr(Poset, "_cover_matrix", refuse("cover matrix"))
     for argv, before in zip(runs, expected):
         assert outcome(argv) == before, argv
     # the guard bites: naming a distributivity witness does read meets

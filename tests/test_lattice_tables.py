@@ -1,12 +1,14 @@
 """Differential tests of the lattice core.
 
-A lattice is verified by its join table, a cover recurrence, plus a least
-element; its meet table, the same recurrence on the dual, is built on first
-use; distributivity comes from the irreducible coding (ULD with as many
-join- as meet-irreducibles). These tests compare the tables and the verdict
-with the scanning oracles in ``helpers`` and with the triple law, and the
-errors for non-lattices with the first failing pair, on the seeded corpora,
-the stock shapes, their duals and hypothesis-generated games.
+A lattice keeps its order as up-set and down-set ints. It is verified by a
+least element and a lookup of x∨j for every element x and join-irreducible
+j (every join then exists); joins and meets are lookups of common up-sets
+and down-sets, and the dense tables are views built from them on request.
+Distributivity comes from the irreducible coding (ULD with as many join- as
+meet-irreducibles). These tests compare joins, meets and the verdict with
+the scanning oracles in ``helpers`` and with the triple law, and the errors
+for non-lattices with the first failing pair, on the seeded corpora, the
+stock shapes, their duals and hypothesis-generated games.
 """
 
 import random
@@ -136,6 +138,24 @@ def test_non_lattice_error_names_the_first_failing_pair():
     assert failures > 100
 
 
+def test_joins_with_join_irreducibles_are_checked_from_every_element():
+    """Every two join-irreducibles have a join, but a, b and j together have
+    none: c = a∨b and j, e = a∨j and b, and f = b∨j and a each have two
+    minimal common upper bounds, u and v. In the second numbering each of
+    those join-irreducibles comes after its partner, so x∨j must be checked
+    for every x, not only for the earlier ones."""
+    steps = ["0a", "0b", "0j", "ac", "bc", "ae", "je", "bf", "jf"]
+    steps += [x + y for x in "cef" for y in "uv"]
+    for labels in ("0abjcefuv", "0cefuvabj"):
+        at = {x: i for i, x in enumerate(labels)}
+        covers = [(at[lo], at[hi]) for lo, hi in steps]
+        expected = naive_not_a_lattice_message(Poset.from_covers(9, covers, labels=labels))
+        assert "2 minimal common upper bounds (u, v)" in expected
+        with pytest.raises(NotALatticeError) as err:
+            Lattice.from_covers(9, covers, labels=labels)
+        assert str(err.value) == expected
+
+
 def test_union_closed_family_order_and_labels():
     # 71 ground elements make the ideal masks wider than one machine word
     lat = ideal_lattice(Lattice.chain(71))
@@ -146,7 +166,7 @@ def test_union_closed_family_order_and_labels():
 
 def test_space_skips_cover_matrix_and_triple_law(tmp_path, capsys, monkeypatch):
     """``space`` keeps the covers it enumerated and decides distributivity
-    locally: the boolean-matrix cover derivation and the triple law are
+    locally: the cover derivation from the order and the triple law are
     never called on the 2^10-state wide game (ten sources, one sink)."""
 
     def refuse(*args):

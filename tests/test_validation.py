@@ -54,6 +54,8 @@ ELEMENT_ACCESSORS = {
     "join second": lambda lat, x: lat.join(0, x),
     "meet": lambda lat, x: lat.meet(x, 0),
     "meet second": lambda lat, x: lat.meet(0, x),
+    "ji_below": lambda lat, x: lat.ji_below(x),
+    "mi_above": lambda lat, x: lat.mi_above(x),
 }
 
 
