@@ -12,9 +12,8 @@ element x and join-irreducible j: along a linear extension, an element y
 above the least element and outside J is the join of two lower covers a and
 b, so x∨y = (x∨a)∨b. And x∨j exists iff the common up-set of x and j is the
 up-set of some element, one dict lookup; n·|J| lookups verify a lattice, and
-every join and meet is one more. The dense ``leq`` matrix and the join and
-meet tables are read-only numpy views, built only on request: by the tests,
-the triple law and the isomorphism search.
+every join and meet is one more. No dense matrix or table is built: the
+triple law and the isomorphism search read the same ints.
 
 Distributivity is read off the meet-irreducible coding, one recurrence over
 upper covers (``_mi_codes``): a finite lattice is distributive iff it is
@@ -32,8 +31,6 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterable, Mapping
-
-import numpy as np
 
 from .errors import CapExceeded, DetectorDisagreement, NotALatticeError
 
@@ -55,14 +52,6 @@ def _matrix_rows(leq) -> tuple[int, ...]:
     if rows is None or any(len(row) != len(rows) for row in rows):
         raise ValueError("leq must be a square matrix")
     return tuple(int("".join("1" if v else "0" for v in reversed(row)), 2) for row in rows)
-
-
-def _table(masks, index) -> np.ndarray:
-    """Read-only n×n view of ``index[masks[x] & masks[y]]``: the joins from
-    up-sets, the meets from down-sets."""
-    table = np.array([[index[a & b] for b in masks] for a in masks], dtype=np.int32)
-    table.flags.writeable = False
-    return table
 
 
 # Rules shared by Lattice and engine.ConfigSpace. Both expose J, M,
@@ -198,16 +187,6 @@ class Poset:
         return self.le(x, y) and x != y
 
     @cached_property
-    def leq(self) -> np.ndarray:
-        """The order as a read-only boolean matrix, built on first use."""
-        n, width = self.n, -(-self.n // 8)
-        rows = b"".join(m.to_bytes(width, "little") for m in self._up_masks)
-        packed = np.frombuffer(rows, dtype=np.uint8).reshape(n, width)
-        leq = np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
-        leq.flags.writeable = False
-        return leq
-
-    @cached_property
     def _cover_matrix(self) -> tuple[int, ...]:
         """Each element's upper covers as a set: its strict up-set less all
         that lies strictly above a member. Derives the covers of an order
@@ -318,8 +297,7 @@ class Lattice(Poset):
     lookup of x∨j for every element x and join-irreducible j (see the module
     docstring). On a failure the pairs are rescanned in index order, so the
     error names the first offending pair. A join or a meet looks up a common
-    up-set or down-set; ``join_table`` and ``meet_table`` are dense views
-    built on request.
+    up-set or down-set.
 
     ``cover_labels`` optionally annotates cover edges (e.g. with the vertex
     fired along a configuration-space edge).
@@ -380,14 +358,6 @@ class Lattice(Poset):
     def _down_index(self) -> dict[int, int]:
         """The element of each down-set: x∧y has the down-set down[x] & down[y]."""
         return {m: x for x, m in enumerate(self._down_masks)}
-
-    @cached_property
-    def join_table(self) -> np.ndarray:
-        return _table(self._up_masks, self._up_index)
-
-    @cached_property
-    def meet_table(self) -> np.ndarray:
-        return _table(self._down_masks, self._down_index)
 
     def join(self, x, y) -> int:
         return self._up_index[self._up_masks[self._check(x)] & self._up_masks[self._check(y)]]
@@ -474,16 +444,27 @@ class Lattice(Poset):
     def distributivity_witness(self):
         """A triple (x, y, z) with x∧(y∨z) != (x∧y)∨(x∧z), or None.
 
-        The triple law checked for every x, on the dense tables; it names a
-        witness once :attr:`is_distributive` has said no.
+        The first triple in index order; it names a witness once
+        :attr:`is_distributive` has said no. For each x, f(y) = x∧y is
+        monotone and every z is the join of the j <= z in J, so f keeps all
+        joins iff f(y∨j) = f(y)∨f(j) for every y and j in J: n·|J| pairs. Only
+        the first x that fails them is scanned over all (y, z).
         """
-        mt, jt = self.meet_table, self.join_table
+        up, down, ups, downs = self._up_masks, self._down_masks, self._up_index, self._down_index
+        J = self.J
         for x in range(self.n):
-            lhs = mt[x][jt]
-            rhs = jt[np.ix_(mt[x], mt[x])]
-            bad = np.nonzero(lhs != rhs)
-            if bad[0].size:
-                return (x, int(bad[0][0]), int(bad[1][0]))
+            meet = [downs[down[x] & d] for d in down]
+            image = [up[m] for m in meet]
+
+            def kept(y, z):
+                return meet[ups[up[y] & up[z]]] == ups[image[y] & image[z]]
+
+            if all(kept(y, j) for y in range(self.n) for j in J):
+                continue
+            for y in range(self.n):
+                for z in range(self.n):
+                    if not kept(y, z):
+                        return (x, y, z)
         return None
 
     @cached_property
@@ -809,22 +790,21 @@ def find_isomorphism(a: Lattice, b: Lattice, cap: int = 5000):
         by_colour.setdefault(cb[y], []).append(y)
     class_size = {c: len(v) for c, v in by_colour.items()}
     order = sorted(range(n), key=lambda x: (class_size.get(ca[x], 0), ca[x], x))
+    up_a, down_a, up_b, down_b = a._up_masks, a._down_masks, b._up_masks, b._down_masks
     mapping = [-1] * n
-    used = [False] * n
-    assigned: list[int] = []
+    assigned = used = 0  # the mapped elements of a, and their images in b
     choice_stack: list[list[int]] = []
 
+    def image(mask):
+        return sum(1 << mapping[z] for z in _bits(mask))
+
     def candidates(x):
-        out = []
-        for y in by_colour.get(ca[x], ()):
-            if used[y]:
-                continue
-            img = [mapping[z] for z in assigned]
-            if np.array_equal(a.leq[x, assigned], b.leq[y, img]) and np.array_equal(
-                a.leq[assigned, x], b.leq[img, y]
-            ):
-                out.append(y)
-        return out
+        """The unused y of x's colour related to every image as x is to its preimage."""
+        above, below = image(up_a[x] & assigned), image(down_a[x] & assigned)
+        return [
+            y for y in by_colour.get(ca[x], ())
+            if not used >> y & 1 and up_b[y] & used == above and down_b[y] & used == below
+        ]
 
     depth = 0
     choice_stack.append(candidates(order[0]))
@@ -833,16 +813,15 @@ def find_isomorphism(a: Lattice, b: Lattice, cap: int = 5000):
             x = order[depth]
             y = choice_stack[depth].pop()
             mapping[x] = y
-            used[y] = True
-            assigned.append(x)
+            used |= 1 << y
+            assigned |= 1 << x
             depth += 1
             if depth == n:
-                perm = np.array(mapping)
-                if np.array_equal(a.leq, b.leq[np.ix_(perm, perm)]):
+                if all(image(m) == up_b[mapping[i]] for i, m in enumerate(up_a)):
                     return mapping
                 # spurious full assignment: undo and continue
-                assigned.pop()
-                used[y] = False
+                assigned ^= 1 << x
+                used ^= 1 << y
                 mapping[x] = -1
                 depth -= 1
                 continue
@@ -853,9 +832,9 @@ def find_isomorphism(a: Lattice, b: Lattice, cap: int = 5000):
             if depth < 0:
                 return None
             x = order[depth]
-            used[mapping[x]] = False
+            used ^= 1 << mapping[x]
             mapping[x] = -1
-            assigned.pop()
+            assigned ^= 1 << x
 
 
 def is_isomorphic(a: Lattice, b: Lattice, cap: int = 5000) -> bool:

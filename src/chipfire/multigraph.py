@@ -7,6 +7,7 @@ creates large bundles of parallel edges.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -68,9 +69,11 @@ class Multigraph:
         return {x: i for i, x in enumerate(self.names)}
 
     def _check(self, v: int) -> int:
-        if not (isinstance(v, int) and 0 <= v < self.n):
+        """v as a plain int; ValueError unless it is a vertex id."""
+        i = operator.index(v) if hasattr(v, "__index__") else -1
+        if not 0 <= i < self.n:
             raise ValueError(f"unknown vertex id {v!r}")
-        return v
+        return i
 
     def multiplicity(self, u: int, v: int) -> int:
         return self.mult.get((self._check(u), self._check(v)), 0)

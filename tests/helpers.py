@@ -5,13 +5,16 @@ enumeration: depth-first exploration with an explicit stack (classical and
 coloured), raw firing sequences without memoisation, a subset walk over each
 state's cube of moves, a vertex split that rebuilds the whole game and a
 ``simplify`` that replays the fixpoint after every such split, construction
-maps through the meet table, naive triple-loop law checks, loop-based arrow
-relations and witness reports, a scanning transitive reduction, the dense
-inclusion order of a set family, powerset-based ideal enumeration and the
-breadth-first ideal closure the linear-extension walk replaced, and the
+maps folded through pairwise meets, naive triple-loop law checks, loop-based
+arrow relations and witness reports, a scanning transitive reduction, the
+dense inclusion order of a set family, powerset-based ideal enumeration and
+the breadth-first ideal closure the linear-extension walk replaced, and the
 numpy constructions the integer element sets replaced (Kahn's queue with a
 numpy row per up-set for ``Poset.from_covers``; the meet-irreducible coding
-as columns of the dense order and as compared firing vectors). The
+as columns of the dense order and as compared firing vectors; the triple-law
+witness on dense join and meet tables and the isomorphism search on the
+dense order). The dense order and tables are filled one public ``le``,
+``join`` or ``meet`` per cell, so they share no packing with the library. The
 one exception is the coloured opening rule that replays every colour over
 every open vertex after every firing: it is independent of the worklist
 stabilizer in ``chipfire.coloured`` but runs through the engine's closure.
@@ -20,6 +23,7 @@ stabilizer in ``chipfire.coloured`` but runs through the engine's closure.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import replace
 from itertools import chain, combinations, permutations
@@ -30,7 +34,7 @@ from chipfire import coloured
 from chipfire.coloured import ColouredCfg, ColouredState
 from chipfire.engine import Cfg, ConfigSpace, _closure, _fire_in_place
 from chipfire.errors import CapExceeded, StepCapExceeded
-from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset
+from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset, _refine_pair
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport
 
@@ -262,6 +266,116 @@ def replaying_simplify(cfg: Cfg, max_rounds=1000):
 # independent lattice oracles
 
 
+def _cells(n, cell, dtype) -> np.ndarray:
+    """The n×n matrix of ``cell(x, y)``."""
+    return np.array([[cell(x, y) for y in range(n)] for x in range(n)], dtype=dtype).reshape(n, n)
+
+
+_DENSE_LEQ: "weakref.WeakKeyDictionary[Poset, np.ndarray]" = weakref.WeakKeyDictionary()
+
+
+def dense_leq(poset: Poset) -> np.ndarray:
+    """The order as a read-only boolean matrix, one public ``le`` per cell;
+    kept while the poset lives, since the scanning oracles ask per pair."""
+    if poset not in _DENSE_LEQ:
+        leq = _cells(poset.n, poset.le, bool)
+        leq.flags.writeable = False
+        _DENSE_LEQ[poset] = leq
+    return _DENSE_LEQ[poset]
+
+
+def dense_join_table(lattice: Lattice) -> np.ndarray:
+    """Every join, one public ``join`` per cell."""
+    return _cells(lattice.n, lattice.join, np.int32)
+
+
+def dense_meet_table(lattice: Lattice) -> np.ndarray:
+    """Every meet, one public ``meet`` per cell."""
+    return _cells(lattice.n, lattice.meet, np.int32)
+
+
+def dense_distributivity_witness(lattice: Lattice):
+    """``Lattice.distributivity_witness`` as it was on the dense tables: the
+    triple law for every x, vectorised over all (y, z)."""
+    mt, jt = dense_meet_table(lattice), dense_join_table(lattice)
+    for x in range(lattice.n):
+        lhs = mt[x][jt]
+        rhs = jt[np.ix_(mt[x], mt[x])]
+        bad = np.nonzero(lhs != rhs)
+        if bad[0].size:
+            return (x, int(bad[0][0]), int(bad[1][0]))
+    return None
+
+
+def dense_find_isomorphism(a: Lattice, b: Lattice, cap: int = 5000):
+    """``find_isomorphism`` as it was on the dense order: the same refinement
+    and backtracking, with each candidate compared against the assigned
+    elements by rows and columns of ``leq``."""
+    if a.n != b.n:
+        return None
+    if a.n > cap or b.n > cap:
+        raise CapExceeded(f"isomorphism search capped at {cap} elements")
+    n = a.n
+    if n == 0:
+        return []
+    leq_a, leq_b = dense_leq(a), dense_leq(b)
+    ca, cb = _refine_pair(a, b)
+    if sorted(ca) != sorted(cb):
+        return None
+    by_colour: dict[int, list[int]] = {}
+    for y in range(n):
+        by_colour.setdefault(cb[y], []).append(y)
+    class_size = {c: len(v) for c, v in by_colour.items()}
+    order = sorted(range(n), key=lambda x: (class_size.get(ca[x], 0), ca[x], x))
+    mapping = [-1] * n
+    used = [False] * n
+    assigned: list[int] = []
+    choice_stack: list[list[int]] = []
+
+    def candidates(x):
+        out = []
+        for y in by_colour.get(ca[x], ()):
+            if used[y]:
+                continue
+            img = [mapping[z] for z in assigned]
+            if np.array_equal(leq_a[x, assigned], leq_b[y, img]) and np.array_equal(
+                leq_a[assigned, x], leq_b[img, y]
+            ):
+                out.append(y)
+        return out
+
+    depth = 0
+    choice_stack.append(candidates(order[0]))
+    while True:
+        if choice_stack[depth]:
+            x = order[depth]
+            y = choice_stack[depth].pop()
+            mapping[x] = y
+            used[y] = True
+            assigned.append(x)
+            depth += 1
+            if depth == n:
+                perm = np.array(mapping)
+                if np.array_equal(leq_a, leq_b[np.ix_(perm, perm)]):
+                    return mapping
+                # spurious full assignment: undo and continue
+                assigned.pop()
+                used[y] = False
+                mapping[x] = -1
+                depth -= 1
+                continue
+            choice_stack.append(candidates(order[depth]))
+        else:
+            choice_stack.pop()
+            depth -= 1
+            if depth < 0:
+                return None
+            x = order[depth]
+            used[mapping[x]] = False
+            mapping[x] = -1
+            assigned.pop()
+
+
 def kahn_from_covers(n, covers, labels=None) -> Poset:
     """``Poset.from_covers`` as it was before up-sets were closed as ints: a
     linear extension by Kahn's queue, then each element's strict up-set as
@@ -311,7 +425,7 @@ def row_masks(matrix) -> tuple[int, ...]:
 
 def dense_mx_masks(lattice: Lattice) -> tuple[int, ...]:
     """mi_above masks over positions in M: the columns of the dense order at M."""
-    return row_masks(lattice.leq[:, list(lattice.M)])
+    return row_masks(dense_leq(lattice)[:, list(lattice.M)])
 
 
 def vector_mx_masks(space: ConfigSpace) -> tuple[int, ...]:
@@ -328,7 +442,7 @@ def vector_mx_masks(space: ConfigSpace) -> tuple[int, ...]:
 
 def meet_table_map(lattice: Lattice, ms, space):
     """Each state's meet of ``ms[v]`` over the vertices v it has not fired,
-    folded through the meet table from the top."""
+    folded through ``meet`` from the top."""
     image = []
     for vec in space.vectors:
         x = lattice.top
@@ -341,36 +455,27 @@ def meet_table_map(lattice: Lattice, ms, space):
 
 def naive_join(lattice: Lattice, x, y):
     """Least common upper bound by scanning; None when absent or ambiguous."""
-    ups = [
-        z
-        for z in range(lattice.n)
-        if lattice.leq[x, z] and lattice.leq[y, z]
-    ]
-    mins = [a for a in ups if not any(b != a and lattice.leq[b, a] for b in ups)]
+    leq = dense_leq(lattice)
+    ups = [z for z in range(lattice.n) if leq[x, z] and leq[y, z]]
+    mins = [a for a in ups if not any(b != a and leq[b, a] for b in ups)]
     return mins[0] if len(mins) == 1 else None
 
 
 def naive_meet(lattice: Lattice, x, y):
     """Greatest common lower bound by scanning; None when absent or ambiguous."""
-    downs = [
-        z
-        for z in range(lattice.n)
-        if lattice.leq[z, x] and lattice.leq[z, y]
-    ]
-    maxs = [a for a in downs if not any(b != a and lattice.leq[a, b] for b in downs)]
+    leq = dense_leq(lattice)
+    downs = [z for z in range(lattice.n) if leq[z, x] and leq[z, y]]
+    maxs = [a for a in downs if not any(b != a and leq[a, b] for b in downs)]
     return maxs[0] if len(maxs) == 1 else None
 
 
 def naive_not_a_lattice_message(poset: Poset):
     """The error for the first pair (i <= j, join before meet) without a
     unique least upper or greatest lower bound; None for a lattice."""
-    labels, n = poset.labels, poset.n
+    labels, n, leq = poset.labels, poset.n, dense_leq(poset)
     for i in range(n):
         for j in range(i, n):
-            for kind, word, rel in (
-                ("upper", "minimal", poset.leq),
-                ("lower", "maximal", poset.leq.T),
-            ):
+            for kind, word, rel in (("upper", "minimal", leq), ("lower", "maximal", leq.T)):
                 common = [z for z in range(n) if rel[i, z] and rel[j, z]]
                 extreme = [a for a in common if not any(b != a and rel[b, a] for b in common)]
                 if len(extreme) == 1:
@@ -444,7 +549,7 @@ def dense_ideal_quotient(lattice: Lattice) -> Lattice:
 
 def dual(lattice: Lattice) -> Lattice:
     """The same elements under the reversed order."""
-    return Lattice(lattice.leq.T, labels=lattice.labels, _checked=True)
+    return Lattice(dense_leq(lattice).T, labels=lattice.labels, _checked=True)
 
 
 def naive_distributive(lattice: Lattice) -> bool:
@@ -462,14 +567,15 @@ def naive_distributive(lattice: Lattice) -> bool:
 def naive_arrow_relations(lattice: Lattice) -> ArrowRelations:
     """The arrow relations by a loop over J x M."""
     down, up = set(), set()
+    leq = dense_leq(lattice)
     for j in lattice.J:
         j_lo = lattice.j_lower(j)
         for m in lattice.M:
-            if lattice.leq[j, m]:
+            if leq[j, m]:
                 continue
-            if lattice.leq[j_lo, m]:
+            if leq[j_lo, m]:
                 down.add((j, m))
-            if lattice.leq[j, lattice.m_upper(m)]:
+            if leq[j, lattice.m_upper(m)]:
                 up.add((j, m))
     return ArrowRelations(frozenset(down), frozenset(up), frozenset(down & up))
 

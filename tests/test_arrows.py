@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from chipfire.fixtures import diamond, gated_cube_lattice, pentagon
 from chipfire.lattice import Lattice, arrow_witness_report
 
-from helpers import all_posets_upto, dual, naive_arrow_relations, naive_arrow_witness_report
+from helpers import (
+    all_posets_upto,
+    dense_leq,
+    dual,
+    naive_arrow_relations,
+    naive_arrow_witness_report,
+)
 from test_coloured import coloured_games
 from test_lattice_tables import bounded, convergent_games, random_dag_poset
 
@@ -36,7 +42,7 @@ def test_fixtures_and_bounded_posets():
     posets = all_posets_upto(4) + [random_dag_poset(rng, rng.randint(2, 7)) for _ in range(150)]
     for poset in map(bounded, posets):
         try:
-            lattices.append(Lattice(poset.leq, labels=poset.labels, _checked=True))
+            lattices.append(Lattice(dense_leq(poset), labels=poset.labels, _checked=True))
         except ValueError:
             pass
     reports = [assert_matches_oracles(lat) for lat in with_duals(lattices)]

@@ -5,19 +5,22 @@ construction implies (``distributive_map``, ``uld_map``, ``split_map``) with
 ``is_hasse_isomorphism``; that check is the whole verdict. These tests compare
 the check with ``is_isomorphic`` on the seeded corpora and on hypothesis
 games, corrupt covers and map entries to see the check refuse them and the
-CLI exit 1, and run the CLI with the search, the dense space lattice, the
-dense order views (``leq``, the join and meet tables) or the derived cover
-matrix switched off. The coding maps are compared entry for entry with a
-fold through the meet table.
+CLI exit 1, and run the CLI with the search, the dense space lattice or the
+derived cover matrix switched off, and in a fresh interpreter that must never
+import numpy. The coding maps are compared entry for entry with a fold
+through pairwise meets.
 """
 
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 
+import chipfire
 from chipfire import cli, transforms
 from chipfire import lattice as lattice_module
 from chipfire.engine import Cfg, ConfigSpace
@@ -312,7 +315,7 @@ def test_round_trips_skip_the_search_and_the_space_lattice(tmp_path, monkeypatch
         assert capsys.readouterr().err == err, argv
 
 
-# check, synth and simplify never build a dense view or derive covers
+# check, synth and simplify never derive covers, and never import numpy
 
 GATED_CUBE_CHECK = (
     "elements: 23\nlattice: yes\nranked: yes\nheight: 5\ndistributive: no\nULD: yes\n"
@@ -342,18 +345,40 @@ def test_cli_paths_build_no_meet_table(tmp_path, monkeypatch, capsys):
     assert all(err == SYNTH_ERR for argv, (_, _, err, _) in zip(runs, expected) if argv[0] == "synth")
     assert expected[-2][2] == RELAY_ERR and expected[-1][2] == FUNNEL_ERR
 
-    def refuse(what):
-        def build(self):
-            raise AssertionError(f"{what} built")
+    def refuse(self):
+        raise AssertionError("cover matrix built")
 
-        return property(build)
-
-    monkeypatch.setattr(Lattice, "meet_table", refuse("meet table"))
-    monkeypatch.setattr(Lattice, "join_table", refuse("join table"))
-    monkeypatch.setattr(Poset, "leq", refuse("dense order"))
-    monkeypatch.setattr(Poset, "_cover_matrix", refuse("cover matrix"))
+    monkeypatch.setattr(Poset, "_cover_matrix", property(refuse))
     for argv, before in zip(runs, expected):
         assert outcome(argv) == before, argv
-    # the guard bites: naming a distributivity witness does read meets
-    with pytest.raises(AssertionError, match="meet table built"):
-        cli.main(["synth", gated, "--mode", "distributive"])
+
+
+NO_NUMPY = (
+    "import sys, chipfire.cli as c; code = c.main(sys.argv[1:]); "
+    "assert 'numpy' not in sys.modules, 'numpy imported'; sys.exit(code)"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["check", "gated_cube.lat"], 0, ""),
+        (["synth", "gated_cube.lat", "--mode", "uld"], 0, SYNTH_ERR),
+        (
+            ["synth", "gated_cube.lat", "--mode", "distributive"],
+            1,
+            "error: lattice is not distributive: witness triple (abe, a, bcde)\n",
+        ),
+    ],
+    ids=["check", "synth-uld", "synth-distributive-witness"],
+)
+def test_cli_paths_import_no_numpy(argv, code, err):
+    """A fresh interpreter runs the command, the triple-law witness included,
+    and ends with numpy still unimported."""
+    src = os.path.dirname(os.path.dirname(chipfire.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [argv[0], data_path(argv[1]), *argv[2:]]
+    run = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (run.returncode, run.stderr) == (code, err)

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from chipfire.fixtures import diamond, funnel_game, gated_cube_lattice, pentagon
 from chipfire.lattice import Lattice, Poset, ideal_lattice
 
-from helpers import dense_ideal_quotient, dense_union_closed_lattice, naive_cover_pairs
+from helpers import (
+    dense_ideal_quotient,
+    dense_join_table,
+    dense_leq,
+    dense_union_closed_lattice,
+    naive_cover_pairs,
+)
 from test_coloured import coloured_games
 from test_lattice_tables import convergent_games
 
@@ -96,17 +102,18 @@ def test_stock_shapes_skip_cover_matrix(monkeypatch):
         perm = rng.sample(range(n), n)
         up = np.triu(np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]), 1)
         closed = Poset.from_covers(n, [(perm[i], perm[j]) for i, j in zip(*np.nonzero(up))])
-        shapes.append(Poset(closed.leq))
+        shapes.append(Poset(dense_leq(closed)))
     for lat in shapes:
-        assert lat.cover_pairs == Poset(lat.leq, _checked=True).cover_pairs, lat.labels
-        assert list(lat.cover_pairs) == naive_cover_pairs(lat.leq), lat.labels
+        leq = dense_leq(lat)
+        assert lat.cover_pairs == Poset(leq, _checked=True).cover_pairs, lat.labels
+        assert list(lat.cover_pairs) == naive_cover_pairs(leq), lat.labels
 
 
 def assert_matches_dense(lat, dense):
     assert lat.labels == dense.labels
-    assert np.array_equal(lat.leq, dense.leq)
+    assert np.array_equal(dense_leq(lat), dense_leq(dense))
     assert lat.cover_pairs == dense.cover_pairs, lat.labels
-    assert np.array_equal(lat.join_table, dense.join_table)
+    assert np.array_equal(dense_join_table(lat), dense_join_table(dense))
 
 
 def assert_family_lattices_match_dense(poset):

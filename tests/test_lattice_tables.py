@@ -3,7 +3,7 @@
 A lattice keeps its order as up-set and down-set ints. It is verified by a
 least element and a lookup of x∨j for every element x and join-irreducible
 j (every join then exists); joins and meets are lookups of common up-sets
-and down-sets, and the dense tables are views built from them on request.
+and down-sets.
 Distributivity comes from the irreducible coding (ULD with as many join- as
 meet-irreducibles). These tests compare joins, meets and the verdict with
 the scanning oracles in ``helpers`` and with the triple law, and the errors
@@ -27,6 +27,7 @@ from chipfire.multigraph import Multigraph
 
 from helpers import (
     all_posets_upto,
+    dense_leq,
     dual,
     naive_distributive,
     naive_join,
@@ -108,7 +109,7 @@ def bounded(poset):
     n = poset.n
     leq = np.zeros((n + 2, n + 2), dtype=bool)
     leq[0, :] = leq[:, n + 1] = True
-    leq[1:n + 1, 1:n + 1] = poset.leq
+    leq[1:n + 1, 1:n + 1] = dense_leq(poset)
     return Poset(leq, labels=("bot",) + poset.labels + ("top",), _checked=True)
 
 
@@ -126,11 +127,11 @@ def test_non_lattice_error_names_the_first_failing_pair():
     for poset in posets:
         expected = naive_not_a_lattice_message(poset)
         if expected is None:
-            Lattice(poset.leq, labels=poset.labels, _checked=True)
+            Lattice(dense_leq(poset), labels=poset.labels, _checked=True)
             continue
         failures += 1
         with pytest.raises(NotALatticeError) as err:
-            Lattice(poset.leq, labels=poset.labels, _checked=True)
+            Lattice(dense_leq(poset), labels=poset.labels, _checked=True)
         assert str(err.value) == expected
         with pytest.raises(NotALatticeError) as err:
             Lattice.from_covers(poset.n, poset.cover_pairs, labels=poset.labels)
@@ -161,7 +162,7 @@ def test_union_closed_family_order_and_labels():
     lat = ideal_lattice(Lattice.chain(71))
     assert lat.n == 72
     assert lat.labels[-1] == "{" + ",".join(f"e{b}" for b in range(71)) + "}"
-    assert np.array_equal(lat.leq, Lattice.chain(72).leq)
+    assert np.array_equal(dense_leq(lat), dense_leq(Lattice.chain(72)))
 
 
 def test_space_skips_cover_matrix_and_triple_law(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Validation, caps, and corner cases across modules."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -100,24 +102,39 @@ def test_callable_policy():
         game.run_to_fixpoint(policy="sideways")
 
 
-@pytest.mark.parametrize("bad", [9, -1])
+def numpy_int(value):
+    return pytest.param(np.int64(value), id=f"np.int64({value})")
+
+
+@pytest.mark.parametrize("bad", [9, -1, numpy_int(9), numpy_int(-1)])
 def test_fire_rejects_unknown_vertex_id(bad):
     game = funnel_game()
-    with pytest.raises(ValueError, match=f"unknown vertex id {bad}"):
+    with pytest.raises(ValueError, match=f"unknown vertex id {re.escape(repr(bad))}"):
         game.fire(game.init, bad)
 
 
-@pytest.mark.parametrize("bad", [99, -1])
+@pytest.mark.parametrize("bad", [99, -1, numpy_int(99)])
 def test_callable_policy_rejects_unknown_vertex_id(bad):
-    with pytest.raises(ValueError, match=f"unknown vertex id {bad}"):
+    with pytest.raises(ValueError, match=f"unknown vertex id {re.escape(repr(bad))}"):
         funnel_game().run_to_fixpoint(policy=lambda fs: bad)
 
 
-@pytest.mark.parametrize("bad", [9, -1])
+@pytest.mark.parametrize("bad", [9, -1, numpy_int(9)])
 def test_open_vertex_rejects_unknown_vertex_id(bad):
     game = shared_gate_game()
-    with pytest.raises(ValueError, match=f"unknown vertex id {bad}"):
+    with pytest.raises(ValueError, match=f"unknown vertex id {re.escape(repr(bad))}"):
         game.open_vertex(game.initial_state(), bad)
+
+
+def test_vertex_accessors_take_numpy_ints():
+    """Vertex ids follow the element-id rule: any int with ``__index__``."""
+    game = funnel_game()
+    with pytest.raises(ValueError, match="^vertex c is not firable$"):
+        game.fire(game.init, np.int64(2))
+    assert game.graph.multiplicity(np.int64(0), np.int64(2)) == 1
+    coloured = shared_gate_game()
+    with pytest.raises(ValueError, match="^vertex c cannot be opened$"):
+        coloured.open_vertex(coloured.initial_state(), np.int64(2))
 
 
 def test_coloured_cfg_rejects_bad_chips():
