@@ -28,7 +28,7 @@ from typing import Mapping
 
 from .engine import Cfg, ConfigSpace, _closure, _fire_in_place
 from .errors import StepCapExceeded
-from .multigraph import ColouredMultigraph
+from .multigraph import ColouredMultigraph, _as_int
 
 _STABILIZE_CAP = 1_000_000  # defensive; per-colour convergence is checked up front
 
@@ -52,10 +52,10 @@ class ColouredCfg:
         n = self.graph.n
         init = {}
         for c, chips in self.init.items():
-            c = int(c)
+            c = _as_int(c, "colour")
             if c not in self.graph.layers:
                 raise ValueError(f"chips of colour {c} but no such colour in the graph")
-            chips = tuple(int(x) for x in chips)
+            chips = tuple(_as_int(x, f"chip count of colour {c}") for x in chips)
             if len(chips) != n or any(x < 0 for x in chips):
                 raise ValueError(f"bad chip vector for colour {c}")
             init[c] = chips

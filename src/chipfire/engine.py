@@ -20,22 +20,21 @@ of Björner, Lovász & Shor (1991): the reachable vectors are closed under
 componentwise max, and x reaches y iff vec(x) <= vec(y). So the space is a
 lattice whose join is the componentwise max. The same check is the space's
 hypercube detector: every set of moves out of a state spans a cube. The
-cover-step detector is the independent one, on the meet-irreducible coding,
-which ``lattice._mi_codes`` reads off the moves as it reads a lattice's off
-its upper covers.
+cover-step detector is the independent one, on the meet-irreducible coding.
+It, J, M, the coding and the verdicts are ``Lattice``'s own members, which
+read nothing but covers: a space hands them its checked covers.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
 
 from .errors import FiringVectorConflict, StateCapExceeded, StepCapExceeded
-from .lattice import Lattice, _distributive_verdict, _first_bad_step, _mi_codes, _uld_verdict
-from .multigraph import Multigraph
+from .lattice import Lattice, Poset
+from .multigraph import Multigraph, _as_int
 
 
 def _fire_in_place(chips: list, graph: Multigraph, v: int) -> None:
@@ -117,7 +116,7 @@ class Cfg:
     init: tuple[int, ...]
 
     def __post_init__(self):
-        init = tuple(int(c) for c in self.init)
+        init = tuple(_as_int(c, "chip count") for c in self.init)
         if len(init) != self.graph.n:
             raise ValueError("initial configuration must cover every vertex")
         if any(c < 0 for c in init):
@@ -210,15 +209,15 @@ class ConfigSpace:
     by firing-count vector. Element 0 is the initial state; covers are
     labelled by the fired (or opened) vertex.
 
-    The lattice verdicts (``J``, ``M``, ``is_ranked``, ``uld_detectors``,
-    ``is_uld``, ``is_distributive``) are read from the covers; they first
-    check that moves commute (``_moves``), which with distinct vectors
-    proves the space is a lattice ordered componentwise and is also the
-    hypercube detector's verdict; the cover-step detector on ``_mx_masks``,
-    codes OR-ed down the moves (``lattice._mi_codes``), is checked against
-    it. Rank and the join-irreducibles are read off the covers as
-    ``_closure`` guarantees them: one firing per cover, one cover per pair.
-    The rules they share with ``Lattice`` live in ``chipfire.lattice``.
+    The lattice verdicts (``J``, ``M``, ``_mx_masks``, ``uld_detectors``,
+    ``is_uld``, ``is_distributive``) are ``Lattice``'s own members, taken by
+    assignment. They read the cover interface below: ``n``, ``cover_pairs``,
+    ``topo_order`` and the covers per element. ``cover_pairs`` first checks
+    that moves commute (``_moves``), which with distinct vectors proves the
+    space is a lattice ordered componentwise and is also the hypercube
+    detector's verdict; the cover-step detector on ``_mx_masks`` is checked
+    against it. Rank and height are read off the firing vectors, as
+    ``_closure`` keeps a cover only when it adds one firing.
     ``lattice()`` builds the verified ``Lattice`` only on demand.
     """
 
@@ -229,6 +228,12 @@ class ConfigSpace:
 
     def __len__(self):
         return len(self.vectors)
+
+    @property
+    def n(self) -> int:
+        return len(self.vectors)
+
+    _check = Poset._check  # element ids, as a Lattice takes them
 
     @cached_property
     def _index(self) -> Mapping[tuple[int, ...], int]:
@@ -257,10 +262,10 @@ class ConfigSpace:
 
     def shot_set(self, i) -> frozenset[int]:
         """Vertices fired at least once to reach element i."""
-        return frozenset(v for v, c in enumerate(self.vectors[i]) if c)
+        return frozenset(v for v, c in enumerate(self.vectors[self._check(i)]) if c)
 
     def shot_label(self, i) -> str:
-        vec = self.vectors[i]
+        vec = self.vectors[self._check(i)]
         if self.is_simple_space:
             inner = ",".join(self.names[v] for v, c in enumerate(vec) if c)
         else:
@@ -271,7 +276,7 @@ class ConfigSpace:
 
     def join_of(self, a: int, b: int) -> int:
         """The element whose firing vector is the componentwise union of a and b."""
-        union = tuple(map(max, self.vectors[a], self.vectors[b]))
+        union = tuple(map(max, self.vectors[self._check(a)], self.vectors[self._check(b)]))
         try:
             return self._index[union]
         except KeyError:
@@ -295,7 +300,7 @@ class ConfigSpace:
             cover_labels=cover_labels,
         )
 
-    # lattice verdicts from vectors and covers
+    # lattice verdicts: Lattice's rules over the checked covers
 
     @cached_property
     def _moves(self) -> tuple[dict[int, int], ...]:
@@ -321,23 +326,22 @@ class ConfigSpace:
         return moves
 
     @cached_property
-    def J(self) -> tuple[int, ...]:
-        """Join-irreducibles: states entered by exactly one cover (``_closure``
-        records each pair of states at most once)."""
+    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(lower, upper) per cover, once ``_moves`` has checked that moves
+        commute; ``_closure`` records each pair of states at most once."""
         self._moves
-        entering = Counter(hi for _, hi, _ in self.covers)
-        return tuple(x for x in range(len(self.vectors)) if entering[x] == 1)
+        return tuple((lo, hi) for lo, hi, _ in self.covers)
 
-    @cached_property
-    def M(self) -> tuple[int, ...]:
-        """Meet-irreducibles: states with exactly one move."""
-        return tuple(x for x, out in enumerate(self._moves) if len(out) == 1)
+    @property
+    def topo_order(self) -> range:
+        """The canonical order, a linear extension: every cover adds a firing."""
+        return range(self.n)
 
-    @cached_property
-    def _mx_masks(self) -> tuple[int, ...]:
-        """mi_above as bitmask over positions in M, read off the moves:
-        canonical order is a linear extension, as every cover adds a firing."""
-        return _mi_codes(self.M, [out.values() for out in self._moves], range(len(self)))
+    _upper_covers = Poset._upper_covers
+    _lower_covers = Poset._lower_covers
+    J = Lattice.J
+    M = Lattice.M
+    _mx_masks = Lattice._mx_masks
 
     @property
     def is_ranked(self) -> bool:
@@ -360,19 +364,7 @@ class ConfigSpace:
         self._moves
         return None
 
-    def _cover_step_witness(self):
-        """Cover that removes != 1 meet-irreducible, or None."""
-        return _first_bad_step(((lo, hi) for lo, hi, _ in self.covers), self._mx_masks)
-
-    @cached_property
-    def uld_detectors(self) -> tuple[bool, bool]:
-        """(hypercube-interval verdict, cover-step verdict); must agree."""
-        return (self._hypercube_witness() is None, self._cover_step_witness() is None)
-
-    @cached_property
-    def is_uld(self) -> bool:
-        return _uld_verdict(self)
-
-    @cached_property
-    def is_distributive(self) -> bool:
-        return _distributive_verdict(self)
+    _cover_step_witness = Lattice._cover_step_witness
+    uld_detectors = Lattice.uld_detectors
+    is_uld = Lattice.is_uld
+    is_distributive = Lattice.is_distributive

@@ -16,12 +16,12 @@ every join and meet is one more. No dense matrix or table is built: the
 triple law and the isomorphism search read the same ints.
 
 Distributivity is read off the meet-irreducible coding, one recurrence over
-upper covers (``_mi_codes``): a finite lattice is distributive iff it is
-upper locally distributive (ULD) with as many join- as meet-irreducibles, so
-the triple law only names a witness. That coding, the cover-step test and
-the verdict rules are shared with ``engine.ConfigSpace``, which reads the
-coding off its moves, and its rank off its covers, each of which adds one
-firing.
+upper covers (``Lattice._mx_masks``): a finite lattice is distributive iff it
+is upper locally distributive (ULD) with as many join- as meet-irreducibles,
+so the triple law only names a witness. The irreducibles, that coding, the
+cover-step detector and the verdicts read nothing but the covers, so
+``engine.ConfigSpace`` takes these very members over the covers of its
+moves; it keeps its own rank and hypercube detector.
 """
 
 from __future__ import annotations
@@ -54,12 +54,6 @@ def _matrix_rows(leq) -> tuple[int, ...]:
     return tuple(int("".join("1" if v else "0" for v in reversed(row)), 2) for row in rows)
 
 
-# Rules shared by Lattice and engine.ConfigSpace. Both expose J, M,
-# _mx_masks, uld_detectors and the two detector witnesses; a Lattice reads
-# them off its up-sets and covers, a ConfigSpace off its moves.
-# The rank is not shared: a ConfigSpace is ranked by total firings.
-
-
 def _gather(seeds, covers, order) -> tuple[int, ...]:
     """Each x's seed OR-ed with the results of ``covers[x]``, filled along
     ``order``, where every x comes after its ``covers[x]``."""
@@ -68,50 +62,6 @@ def _gather(seeds, covers, order) -> tuple[int, ...]:
         for c in covers[x]:
             out[x] |= out[c]
     return tuple(out)
-
-
-def _mi_codes(M, ups, order) -> tuple[int, ...]:
-    """mi_above as bitmask over positions in M: mx(x) = (bit b if x is M[b]) |
-    the OR of mx over the upper covers ``ups[x]``, filled in reverse along the
-    linear extension ``order``."""
-    seeds = [0] * len(ups)
-    for b, m in enumerate(M):
-        seeds[m] = 1 << b
-    return _gather(seeds, ups, reversed(order))
-
-
-def _first_bad_step(cover_pairs, masks):
-    """First cover (lo, hi) that removes != 1 meet-irreducible from the
-    mi_above ``masks``, or None."""
-    for lo, hi in cover_pairs:
-        if (masks[lo] & ~masks[hi]).bit_count() != 1:
-            return (lo, hi)
-    return None
-
-
-def _uld_verdict(order) -> bool:
-    """The common verdict of the two ULD detectors; DetectorDisagreement,
-    naming both witnesses, when they split."""
-    by_cube, by_step = order.uld_detectors
-    if by_cube != by_step:
-        raise DetectorDisagreement(
-            f"local-distributivity detectors disagree: hypercube={by_cube} "
-            f"(witness {order._hypercube_witness()}), cover-step={by_step} "
-            f"(witness {order._cover_step_witness()})"
-        )
-    return by_cube
-
-
-def _distributive_verdict(order) -> bool:
-    """Distributive iff ULD and |J| = |M|.
-
-    Every cover drops at least one meet-irreducible from ``mi_above`` and
-    adds at least one join-irreducible to ``ji_below``. If each drops
-    exactly one (ULD), every maximal chain has length |M| = |J|, so each
-    also adds exactly one: the dual is ULD too, which makes the lattice
-    distributive (Dilworth 1940; Monjardet 1985).
-    """
-    return len(order.J) == len(order.M) and order.is_uld
 
 
 class Poset:
@@ -175,7 +125,10 @@ class Poset:
 
     def _check(self, x) -> int:
         """x as a plain int; ValueError unless it is an element id."""
-        i = operator.index(x) if hasattr(x, "__index__") else -1
+        try:
+            i = operator.index(x)
+        except TypeError:
+            i = -1
         if not 0 <= i < self.n:
             raise ValueError(f"unknown element id {x!r}")
         return i
@@ -301,6 +254,12 @@ class Lattice(Poset):
 
     ``cover_labels`` optionally annotates cover edges (e.g. with the vertex
     fired along a configuration-space edge).
+
+    ``J``, ``M``, ``_mx_masks``, ``_cover_step_witness``, ``uld_detectors``,
+    ``is_uld`` and ``is_distributive`` read only ``n``, ``cover_pairs``,
+    ``topo_order``, ``_upper_covers``, ``_lower_covers`` and
+    ``_hypercube_witness``: ``engine.ConfigSpace`` provides those and takes
+    the members themselves by assignment.
     """
 
     def __init__(self, leq=None, labels=None, cover_labels=None, **kwargs):
@@ -403,8 +362,13 @@ class Lattice(Poset):
 
     @cached_property
     def _mx_masks(self) -> tuple[int, ...]:
-        """mi_above as bitmask over positions in M, for each element."""
-        return _mi_codes(self.M, self._upper_covers, self.topo_order)
+        """mi_above as bitmask over positions in M, for each element: its own
+        bit if it is in M, OR-ed with its upper covers' masks, filled from the
+        top down a linear extension."""
+        seeds = [0] * self.n
+        for b, m in enumerate(self.M):
+            seeds[m] = 1 << b
+        return _gather(seeds, self._upper_covers, reversed(self.topo_order))
 
     def le_by_coding(self, x, y) -> bool:
         """Order test through the irreducible codings; both must agree with le."""
@@ -469,8 +433,15 @@ class Lattice(Poset):
 
     @cached_property
     def is_distributive(self) -> bool:
-        """Distributive iff ULD and |J| = |M| (see ``_distributive_verdict``)."""
-        return _distributive_verdict(self)
+        """Distributive iff ULD and |J| = |M|.
+
+        Every cover drops at least one meet-irreducible from ``mi_above`` and
+        adds at least one join-irreducible to ``ji_below``. If each drops
+        exactly one (ULD), every maximal chain has length |M| = |J|, so each
+        also adds exactly one: the dual is ULD too, which makes the lattice
+        distributive (Dilworth 1940; Monjardet 1985).
+        """
+        return len(self.J) == len(self.M) and self.is_uld
 
     # upper local distributivity, two detectors
 
@@ -497,8 +468,12 @@ class Lattice(Poset):
         return None
 
     def _cover_step_witness(self):
-        """Cover that removes != 1 meet-irreducible, or None."""
-        return _first_bad_step(self.cover_pairs, self._mx_masks)
+        """First cover that removes != 1 meet-irreducible, or None."""
+        mx = self._mx_masks
+        for lo, hi in self.cover_pairs:
+            if (mx[lo] & ~mx[hi]).bit_count() != 1:
+                return (lo, hi)
+        return None
 
     @cached_property
     def uld_detectors(self) -> tuple[bool, bool]:
@@ -507,7 +482,16 @@ class Lattice(Poset):
 
     @cached_property
     def is_uld(self) -> bool:
-        return _uld_verdict(self)
+        """The common verdict of the two ULD detectors; DetectorDisagreement,
+        naming both witnesses, when they split."""
+        by_cube, by_step = self.uld_detectors
+        if by_cube != by_step:
+            raise DetectorDisagreement(
+                f"local-distributivity detectors disagree: hypercube={by_cube} "
+                f"(witness {self._hypercube_witness()}), cover-step={by_step} "
+                f"(witness {self._cover_step_witness()})"
+            )
+        return by_cube
 
     def edge_labels(self) -> dict[tuple[int, int], int]:
         """Map each cover (x, y) to the unique meet-irreducible leaving mi_above."""
@@ -543,14 +527,15 @@ class Lattice(Poset):
 
     def arrow_partition(self) -> "ArrowPartition":
         """Partition of J by the unique up-down arrow partner in M: j's down
-        arrows go to the labels of the cover j_lower(j) < j, in a ULD lattice
-        one m, which is j's partner when also j <= m_upper(m)."""
+        arrows go to the meet-irreducibles that the cover j_lower(j) < j
+        removes, in a ULD lattice one m, which is j's partner when also
+        j <= m_upper(m)."""
         if not self.is_uld:
             raise ValueError("the arrow partition requires an upper locally distributive lattice")
-        labels = self.edge_labels()
+        mx = self._mx_masks
         partner = {}
         for j in self.J:
-            m = labels[(self.j_lower(j), j)]
+            m = self.M[(mx[self.j_lower(j)] & ~mx[j]).bit_length() - 1]
             if not self.le(j, self.m_upper(m)):
                 raise RuntimeError(f"join-irreducible {j} has 0 up-down partners")
             partner[j] = m

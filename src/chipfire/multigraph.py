@@ -14,16 +14,30 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 
+def _as_int(x, what) -> int:
+    """x as a plain int (numpy ints and bools too); ValueError for anything
+    else, so a float is never truncated nor a string parsed."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {x!r}") from None
+
+
 def _as_edge_dict(mult, n):
     out = {}
     for (u, v), k in mult.items():
-        if not (0 <= u < n and 0 <= v < n):
+        try:  # inline, not _as_int: this runs once per edge bundle
+            a, b, m = operator.index(u), operator.index(v), operator.index(k)
+        except TypeError:
+            raise ValueError(
+                f"edge ({u!r},{v!r}) with multiplicity {k!r}: ids and multiplicity must be integers"
+            ) from None
+        if not (0 <= a < n and 0 <= b < n):
             raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
-        k = int(k)
-        if k < 0:
+        if m < 0:
             raise ValueError(f"negative multiplicity on edge ({u},{v})")
-        if k:
-            out[(u, v)] = k
+        if m:
+            out[(a, b)] = m
     return out
 
 
@@ -51,7 +65,7 @@ class Multigraph:
         mult: dict[tuple[int, int], int] = {}
         for u, v, k in edges:
             key = (graph.vertex(u), graph.vertex(v))
-            mult[key] = mult.get(key, 0) + int(k)
+            mult[key] = mult.get(key, 0) + _as_int(k, "multiplicity")
         return cls(graph.names, mult)
 
     @property
@@ -70,7 +84,10 @@ class Multigraph:
 
     def _check(self, v: int) -> int:
         """v as a plain int; ValueError unless it is a vertex id."""
-        i = operator.index(v) if hasattr(v, "__index__") else -1
+        try:
+            i = operator.index(v)
+        except TypeError:
+            i = -1
         if not 0 <= i < self.n:
             raise ValueError(f"unknown vertex id {v!r}")
         return i
@@ -178,7 +195,7 @@ class ColouredMultigraph:
         if len(set(names)) != len(names):
             raise ValueError("vertex names must be unique")
         layers = {
-            int(c): _as_edge_dict(edges, len(names))
+            _as_int(c, "colour"): _as_edge_dict(edges, len(names))
             for c, edges in self.layers.items()
         }
         object.__setattr__(self, "names", names)
@@ -190,9 +207,9 @@ class ColouredMultigraph:
         graph = cls(names)  # checks the names; its vertex() looks them up
         layers: dict[int, dict[tuple[int, int], int]] = {}
         for u, v, k, c in edges:
-            layer = layers.setdefault(int(c), {})
+            layer = layers.setdefault(_as_int(c, "colour"), {})
             key = (graph.vertex(u), graph.vertex(v))
-            layer[key] = layer.get(key, 0) + int(k)
+            layer[key] = layer.get(key, 0) + _as_int(k, "multiplicity")
         return cls(graph.names, layers)
 
     @property

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .coloured import ColouredCfg
 from .engine import Cfg, ConfigSpace
 from .errors import CapExceeded, StepCapExceeded
-from .lattice import Lattice, Poset
+from .lattice import Lattice, Poset, _bits
 from .multigraph import ColouredMultigraph, Multigraph
 
 
@@ -121,27 +121,31 @@ def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tupl
     return Cfg(Multigraph(names, mult), chips), tuple(reports)
 
 
-def _ideal_game_parts(poset: Poset):
-    """Edges and chips of a game whose shot-sets are exactly the poset's ideals.
+def _ideal_game_parts(poset: Poset, keep: int):
+    """Edges and chips of a game whose shot-sets are exactly the ideals of
+    the poset inside the down-set ``keep`` (a mask); the other vertices get
+    no chips and no out-edges.
 
-    Edges follow the cover relation upward; each vertex additionally drains
-    its in/out imbalance to a sink (index poset.n). Chips make every vertex
-    fire exactly once, after all its predecessors.
+    Edges follow the cover relation upward inside ``keep``, which holds every
+    lower cover of its members; each vertex additionally drains its in/out
+    imbalance to a sink (index poset.n). Chips make every vertex fire exactly
+    once, after all its predecessors.
     """
     edges: dict[tuple[int, int], int] = {}
     bot = poset.n
     for lo, hi in poset.cover_pairs:
-        edges[(lo, hi)] = 1
-    chips = []
-    for v in range(poset.n):
-        d_out = len(poset.upper_covers(v))
-        d_in = len(poset.lower_covers(v))
+        if keep >> hi & 1:
+            edges[(lo, hi)] = 1
+    chips = [0] * poset.n
+    for v in _bits(keep):
+        d_out = sum(keep >> w & 1 for w in poset._upper_covers[v])
+        d_in = len(poset._lower_covers[v])
         if d_in > d_out:
             edges[(v, bot)] = d_in - d_out
         elif d_in == 0 and d_out == 0:
             edges[(v, bot)] = 1
         total_out = d_out + edges.get((v, bot), 0)
-        chips.append(total_out - d_in)
+        chips[v] = total_out - d_in
     return edges, chips
 
 
@@ -160,7 +164,7 @@ def cfg_from_distributive(lattice: Lattice) -> Cfg:
             detail = f"witness triple ({x}, {y}, {z})"
         raise ValueError(f"lattice is not distributive: {detail}")
     poset = lattice.meet_irreducible_poset()
-    edges, chips = _ideal_game_parts(poset)
+    edges, chips = _ideal_game_parts(poset, (1 << poset.n) - 1)
     names = poset.labels + (_fresh_name("bot", set(poset.labels)),)
     return Cfg(Multigraph(names, edges), tuple(chips) + (0,))
 
@@ -200,14 +204,13 @@ def _merged_coloured_game(lattice: Lattice, classes) -> ColouredCfg:
     jp = lattice.join_irreducible_poset()
     bot = len(classes)
     target = {pos: ci for ci, members in enumerate(classes) for pos in members}
+    remap = [target[q] for q in range(jp.n)] + [bot]
     names = tuple("+".join(jp.labels[pos] for pos in members) for members in classes)
     names += (_fresh_name("bot", set(jp.labels)),)
     layers: dict[int, dict[tuple[int, int], int]] = {}
     init: dict[int, tuple[int, ...]] = {}
     for pos in range(jp.n):
-        down = [q for q in range(jp.n) if jp.le(q, pos)]
-        edges, chips = _ideal_game_parts(jp.restrict(down))
-        remap = [target[q] for q in down] + [bot]
+        edges, chips = _ideal_game_parts(jp, jp._down_masks[pos])
         layer: dict[tuple[int, int], int] = {}
         for (u, v), k in edges.items():
             key = (remap[u], remap[v])

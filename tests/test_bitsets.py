@@ -6,10 +6,11 @@ compared with Kahn's queue and a numpy row per element
 acyclic inputs, with and without a new least and greatest element,
 ``Lattice.from_covers`` and its n·|J| join lookups must give the scanning
 oracles' verdict, error text, joins and meets. The
-meet-irreducible coding ``_mi_codes``, read off upper covers for a
-``Lattice`` and off the moves for a ``ConfigSpace``, is compared with the
-columns of the dense order (``dense_mx_masks``) and with the compared firing
-vectors (``vector_mx_masks``).
+meet-irreducible coding ``Lattice._mx_masks``, read off the upper covers of a
+``Lattice`` and, by the same member, off the checked covers of a
+``ConfigSpace``, is compared with the columns of the dense order
+(``dense_mx_masks``) and with the compared firing vectors
+(``vector_mx_masks``).
 """
 
 import numpy as np

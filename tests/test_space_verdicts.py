@@ -37,6 +37,7 @@ def wide_text(k):
 
 def assert_verdicts_match_lattice(space):
     lat = space.lattice()
+    assert space.cover_pairs == lat.cover_pairs
     assert space.J == lat.J
     assert space.M == lat.M
     assert space._mx_masks == lat._mx_masks
@@ -115,11 +116,26 @@ def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, ca
         space.is_ranked
     with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
         space.J
+    # every rule taken from Lattice reads the covers through the same check
+    for rule in ("M", "_mx_masks", "cover_pairs", "uld_detectors", "is_distributive"):
+        with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
+            getattr(space, rule)
+    with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
+        space._cover_step_witness()
     path = tmp_path / "two.cfg"
     path.write_text(text)
     with pytest.raises(RuntimeError, match="do not commute"):
         cli.main(["space", str(path)])
     assert capsys.readouterr().out == ""
+
+
+def test_space_takes_the_lattice_rules():
+    # one copy of each rule: a space reads Lattice's members over its covers
+    for name in ("J", "M", "_mx_masks", "_cover_step_witness", "uld_detectors", "is_uld",
+                 "is_distributive"):
+        assert ConfigSpace.__dict__[name] is Lattice.__dict__[name], name
+    for name in ("_upper_covers", "_lower_covers", "_check"):
+        assert ConfigSpace.__dict__[name] is Poset.__dict__[name], name
 
 
 def test_split_detectors_raise():

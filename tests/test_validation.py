@@ -77,6 +77,29 @@ def test_element_accessors_take_numpy_ints_and_bools():
     assert lat.lower_covers(True) == (0,)
 
 
+SPACE_ACCESSORS = {
+    "join_of": lambda space, x: space.join_of(x, 0),
+    "join_of second": lambda space, x: space.join_of(0, x),
+    "shot_set": lambda space, x: space.shot_set(x),
+    "shot_label": lambda space, x: space.shot_label(x),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 7, 2.5])
+@pytest.mark.parametrize("accessor", SPACE_ACCESSORS)
+def test_space_accessors_reject_unknown_ids(accessor, bad):
+    space = funnel_game().enumerate_space()  # 7 states
+    with pytest.raises(ValueError, match=f"unknown element id {bad!r}"):
+        SPACE_ACCESSORS[accessor](space, bad)
+
+
+def test_space_accessors_take_numpy_ints_and_bools():
+    space = funnel_game().enumerate_space()
+    assert space.join_of(np.int64(1), True) == space.join_of(1, 1)
+    assert space.shot_set(np.intp(6)) == space.shot_set(6)
+    assert space.shot_label(np.int8(6)) == space.shot_label(6)
+
+
 def test_multigraph_rejects_bad_input():
     with pytest.raises(ValueError):
         Multigraph(("a", "a"), {})
@@ -84,6 +107,18 @@ def test_multigraph_rejects_bad_input():
         Multigraph(("a",), {(0, 3): 1})
     with pytest.raises(ValueError):
         Multigraph(("a",), {(0, 0): -1})
+    # one integer rule: no float endpoint, no truncated multiplicity
+    with pytest.raises(ValueError, match=r"edge \(0.5,1\) with multiplicity 1: ids and mult"):
+        Multigraph(("a", "b"), {(0.5, 1): 1})
+    with pytest.raises(ValueError, match=r"edge \(0,1\) with multiplicity 1.7: ids and mult"):
+        Multigraph(("a", "b"), {(0, 1): 1.7})
+    with pytest.raises(ValueError, match="multiplicity must be an integer, got '2'"):
+        Multigraph.from_edges("ab", [("a", "b", "2")])
+    with pytest.raises(ValueError, match="colour must be an integer, got 1.5"):
+        ColouredMultigraph(("a", "b"), {1.5: {(0, 1): 1}})
+    g = Multigraph(("a", "b"), {(np.int64(0), True): np.int32(2)})
+    assert g.mult == {(0, 1): 2}
+    assert all(type(x) is int for key, k in g.mult.items() for x in (*key, k))
 
 
 def test_cfg_rejects_bad_init():
@@ -92,6 +127,11 @@ def test_cfg_rejects_bad_init():
         Cfg(g, (1, 1, 1))
     with pytest.raises(ValueError):
         Cfg(g, (1, 1, 1, -1))
+    for bad in (1.9, "2"):
+        with pytest.raises(ValueError, match=f"chip count must be an integer, got {bad!r}"):
+            Cfg(g, (bad, 1, 1, 0))
+    init = Cfg(g, (np.int64(1), True, np.int8(1), False)).init
+    assert init == (1, 1, 1, 0) and all(type(c) is int for c in init)
 
 
 def test_callable_policy():
@@ -143,6 +183,13 @@ def test_coloured_cfg_rejects_bad_chips():
         ColouredCfg(graph, {9: (0, 0, 0, 0)})
     with pytest.raises(ValueError):
         ColouredCfg(graph, {1: (0, 0)})
+    for bad in (1.9, "2"):
+        with pytest.raises(ValueError, match=f"chip count of colour 1 must be an integer, got {bad!r}"):
+            ColouredCfg(graph, {1: (bad, 0, 0, 0)})
+    with pytest.raises(ValueError, match="colour must be an integer, got 1.0"):
+        ColouredCfg(graph, {1.0: (1, 0, 0, 0)})
+    game = ColouredCfg(graph, {np.int64(1): (np.int64(1), True, 0, 0)})
+    assert game.init[1] == (1, 1, 0, 0) and all(type(c) is int for c in game.init[1])
 
 
 def test_poset_input_validation():
