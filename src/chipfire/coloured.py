@@ -133,10 +133,11 @@ class ColouredCfg:
         chips, and within one colour strong convergence fixes the stable
         chips, so neither the colour order nor the firing order matters.
         """
+        v = self.graph._check(v)
         if v in state.opened:
             raise ValueError(f"vertex {self.graph.names[v]} is already open")
         if v not in self.openable(state):
-            raise ValueError(f"vertex {self.graph.names[self.graph._check(v)]} cannot be opened")
+            raise ValueError(f"vertex {self.graph.names[v]} cannot be opened")
         return self._open(state, v)
 
     def _open(self, state: ColouredState, v: int) -> ColouredState:

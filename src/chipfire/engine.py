@@ -83,7 +83,7 @@ def _closure(game, start, successors, state_cap) -> "ConfigSpace":
     )
 
 
-def _chooser(policy, rng) -> Callable[[frozenset[int]], int]:
+def _chooser(policy, rng, check) -> Callable[[frozenset[int]], int]:
     if policy == "min":
         return min
     if policy == "max":
@@ -91,8 +91,8 @@ def _chooser(policy, rng) -> Callable[[frozenset[int]], int]:
     if policy == "random":
         r = rng if rng is not None else random.Random(0)
         return lambda fs: r.choice(sorted(fs))
-    if callable(policy):
-        return policy
+    if callable(policy):  # it may pick any id: ``check`` converts it first
+        return lambda fs: check(policy(fs))
     raise ValueError(f"unknown firing policy {policy!r}")
 
 
@@ -142,8 +142,9 @@ class Cfg:
 
     def fire(self, conf, v: int) -> tuple[int, ...]:
         """Send one chip along each edge out of v; v must be firable."""
+        v = self.graph._check(v)
         if v not in self.firable(conf):
-            raise ValueError(f"vertex {self.graph.names[self.graph._check(v)]} is not firable")
+            raise ValueError(f"vertex {self.graph.names[v]} is not firable")
         return self._fire(conf, v)
 
     def _fire(self, conf, v) -> tuple[int, ...]:
@@ -161,7 +162,7 @@ class Cfg:
         independent of the policy (strong convergence).
         """
         self._require_guard(step_cap, "run_to_fixpoint")
-        choose = _chooser(policy, rng)
+        choose = _chooser(policy, rng, self.graph._check)
         conf = self.init
         counts = [0] * self.graph.n
         steps = 0
@@ -175,7 +176,7 @@ class Cfg:
                 )
             v = choose(fs)
             if v not in fs:  # a caller-supplied policy may pick any vertex
-                raise ValueError(f"vertex {self.graph.names[self.graph._check(v)]} is not firable")
+                raise ValueError(f"vertex {self.graph.names[v]} is not firable")
             conf = self._fire(conf, v)
             counts[v] += 1
             steps += 1
@@ -233,15 +234,12 @@ class ConfigSpace:
     def n(self) -> int:
         return len(self.vectors)
 
-    _check = Poset._check  # element ids, as a Lattice takes them
+    _id_kind = Poset._id_kind
+    _check = Poset._check  # the one id rule, for element ids as a Lattice takes them
 
     @cached_property
     def _index(self) -> Mapping[tuple[int, ...], int]:
         return {vec: i for i, vec in enumerate(self.vectors)}
-
-    @property
-    def bottom(self) -> int:
-        return 0
 
     @cached_property
     def top(self) -> int:

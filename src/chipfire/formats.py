@@ -49,7 +49,9 @@ def _split_keyword(line, lineno, path):
 
 
 def parse_game(text: str, path: str = "<string>"):
-    """Parse a game file; returns a Cfg or, when edges carry colours, a ColouredCfg."""
+    """Parse a game file: a Cfg, or a ColouredCfg when an edge or chip entry
+    has a colour. The edges and chips are gathered by colour in one pass each;
+    a classical game is the ``None`` layer."""
     names: tuple[str, ...] | None = None
     index: dict[str, int] = {}
     edges = []  # (u, v, k, colour or None, lineno)
@@ -116,34 +118,29 @@ def parse_game(text: str, path: str = "<string>"):
     coloured = any(c is not None for *_, c, _ in edges) or any(
         c is not None for *_, c, _ in chip_items
     )
-    if not coloured:
-        mult: dict[tuple[int, int], int] = {}
-        for u, v, k, _, _ in edges:
-            mult[(u, v)] = mult.get((u, v), 0) + k
-        chips = [0] * len(names)
-        for v, count, _, lineno in chip_items:
-            if count < 0:
-                raise ParseError("negative chip count", path, lineno)
-            chips[v] += count
-        return Cfg(Multigraph(names, mult), tuple(chips))
-    layers: dict[int, dict[tuple[int, int], int]] = {}
+    layers: dict[int | None, dict] = {} if coloured else {None: {}}  # classical: the None layer
     for u, v, k, c, lineno in edges:
-        if c is None:
-            raise ParseError("uncoloured edge in a coloured game", path, lineno)
-        layer = layers.setdefault(c, {})
+        layer = layers.get(c)
+        if layer is None:
+            if c is None:
+                raise ParseError("uncoloured edge in a coloured game", path, lineno)
+            layer = layers[c] = {}
         layer[(u, v)] = layer.get((u, v), 0) + k
-    init: dict[int, list[int]] = {c: [0] * len(names) for c in layers}
+    init = {c: [0] * len(names) for c in layers}
     for v, count, c, lineno in chip_items:
-        if c is None:
-            raise ParseError("chip entry without a colour in a coloured game", path, lineno)
-        if c not in init:
+        chips = init.get(c)
+        if chips is None:
+            if c is None:
+                raise ParseError("chip entry without a colour in a coloured game", path, lineno)
             raise ParseError(f"chips of colour {c} but no edges of that colour", path, lineno)
         if count < 0:
             raise ParseError("negative chip count", path, lineno)
-        init[c][v] += count
+        chips[v] += count
+    if not coloured:
+        return Cfg(Multigraph(names, layers[None]), tuple(init[None]))
     return ColouredCfg(
         ColouredMultigraph(names, layers),
-        {c: tuple(v) for c, v in init.items()},
+        {c: tuple(chips) for c, chips in init.items()},
     )
 
 

@@ -123,14 +123,17 @@ class Poset:
             _up=tuple(m | 1 << v for v, m in enumerate(above)), **kwargs,
         )
 
+    _id_kind = "element"  # the noun of ``_check``'s message
+
     def _check(self, x) -> int:
-        """x as a plain int; ValueError unless it is an element id."""
+        """x as a plain int; ValueError unless it is an id below ``n``. The one
+        id rule: graphs (vertex ids) and ``ConfigSpace`` take it by assignment."""
         try:
             i = operator.index(x)
         except TypeError:
             i = -1
         if not 0 <= i < self.n:
-            raise ValueError(f"unknown element id {x!r}")
+            raise ValueError(f"unknown {self._id_kind} id {x!r}")
         return i
 
     def le(self, x, y) -> bool:
@@ -324,9 +327,7 @@ class Lattice(Poset):
     def meet(self, x, y) -> int:
         return self._down_index[self._down_masks[self._check(x)] & self._down_masks[self._check(y)]]
 
-    def restrict(self, elements):
-        # restricting a lattice generally yields only a poset
-        return Poset.restrict(self, elements)
+    restrict = Poset.restrict  # a plain Poset: a restricted lattice is generally none
 
     # irreducibles and codings
 
@@ -341,14 +342,18 @@ class Lattice(Poset):
         return tuple(x for x, ups in enumerate(self._upper_covers) if len(ups) == 1)
 
     def j_lower(self, j) -> int:
-        """The unique lower cover of a join-irreducible."""
-        (lo,) = self.lower_covers(j)
-        return lo
+        """The unique lower cover of a join-irreducible; else ValueError."""
+        lows = self.lower_covers(j)
+        if len(lows) != 1:
+            raise ValueError(f"element {self.labels[j]} is not join-irreducible")
+        return lows[0]
 
     def m_upper(self, m) -> int:
-        """The unique upper cover of a meet-irreducible."""
-        (hi,) = self.upper_covers(m)
-        return hi
+        """The unique upper cover of a meet-irreducible; else ValueError."""
+        ups = self.upper_covers(m)
+        if len(ups) != 1:
+            raise ValueError(f"element {self.labels[m]} is not meet-irreducible")
+        return ups[0]
 
     def ji_below(self, x) -> frozenset[int]:
         """Join-irreducibles below-or-equal x; x is their join."""
@@ -550,16 +555,15 @@ class Lattice(Poset):
 
     def meet_irreducible_poset(self) -> Poset:
         """The order induced on the meet-irreducibles."""
-        return Poset.restrict(self, self.M)
+        return self.restrict(self.M)
 
     def join_irreducible_poset(self) -> Poset:
         """The order induced on the join-irreducibles."""
-        return Poset.restrict(self, self.J)
+        return self.restrict(self.J)
 
     def interval(self, a, b) -> "Lattice":
         """The sublattice {x : a <= x <= b}."""
-        if not (0 <= a < self.n and 0 <= b < self.n):
-            raise ValueError(f"element ids must lie in range({self.n}), got {a} and {b}")
+        a, b = self._check(a), self._check(b)
         if not self.le(a, b):
             raise ValueError(
                 f"interval requires {self.labels[a]} <= {self.labels[b]}"

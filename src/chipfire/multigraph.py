@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
+from .lattice import Poset
+
 
 def _as_int(x, what) -> int:
     """x as a plain int (numpy ints and bools too); ValueError for anything
@@ -82,15 +84,8 @@ class Multigraph:
     def _index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.names)}
 
-    def _check(self, v: int) -> int:
-        """v as a plain int; ValueError unless it is a vertex id."""
-        try:
-            i = operator.index(v)
-        except TypeError:
-            i = -1
-        if not 0 <= i < self.n:
-            raise ValueError(f"unknown vertex id {v!r}")
-        return i
+    _id_kind = "vertex"
+    _check = Poset._check  # the one id rule: v as a plain int, else ValueError
 
     def multiplicity(self, u: int, v: int) -> int:
         return self.mult.get((self._check(u), self._check(v)), 0)
@@ -134,9 +129,6 @@ class Multigraph:
     def total_multiplicity(self) -> int:
         return sum(self.mult.values())
 
-    def successors(self, v: int) -> tuple[int, ...]:
-        return tuple(w for w, _ in self._out_adj[self._check(v)])
-
     def sinks(self) -> frozenset[int]:
         """Vertices with no outgoing edges."""
         return frozenset(v for v in range(self.n) if self._out_degrees[v] == 0)
@@ -170,7 +162,7 @@ class Multigraph:
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Multigraph":
         """Subgraph on the given vertices, keeping edges with both endpoints inside."""
-        keep = sorted(self._check(v) for v in set(vertices))
+        keep = sorted({self._check(v) for v in vertices})
         remap = {v: i for i, v in enumerate(keep)}
         mult = {
             (remap[u], remap[v]): k
@@ -222,6 +214,7 @@ class ColouredMultigraph:
 
     _index = Multigraph._index
     vertex = Multigraph.vertex
+    _id_kind = Multigraph._id_kind
     _check = Multigraph._check
 
     def restriction_to_colour(self, c: int) -> Multigraph:
@@ -236,7 +229,8 @@ class ColouredMultigraph:
 
     def pair_multiplicity(self, u: int, v: int) -> int:
         """Total multiplicity of (u, v) summed over all colours."""
-        return sum(edges.get((u, v), 0) for edges in self.layers.values())
+        key = (self._check(u), self._check(v))
+        return sum(edges.get(key, 0) for edges in self.layers.values())
 
     def __repr__(self):
         return f"ColouredMultigraph({list(self.names)}, colours={list(self.colours)})"

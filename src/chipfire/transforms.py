@@ -76,7 +76,8 @@ def split_vertex(cfg: Cfg, a: int) -> Cfg:
     doubled so the rest of the game behaves as before.
     """
     g = cfg.graph
-    if g.out_degree(a) == 0:
+    a = g._check(a)
+    if g._out_degrees[a] == 0:
         raise ValueError(f"cannot split the sink {g.names[a]}")
     names, mult, chips = list(g.names), dict(g.mult), list(cfg.init)
     _split(names, mult, chips, a)
@@ -181,8 +182,7 @@ def interval_cfg(cfg: Cfg, a: int, b: int, space: ConfigSpace | None = None) -> 
         raise ValueError("interval games need a unique sink")
     if space is None:
         space = cfg.enumerate_space()
-    if not (0 <= a < len(space) and 0 <= b < len(space)):
-        raise ValueError(f"element ids must lie in range({len(space)}), got {a} and {b}")
+    a, b = space._check(a), space._check(b)
     low, high = space.vectors[a], space.vectors[b]
     if any(x > y for x, y in zip(low, high)):
         raise ValueError("interval endpoints must satisfy a <= b")

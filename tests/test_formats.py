@@ -223,3 +223,69 @@ def test_chips_of_a_missing_colour_error_carries_line_number():
 def test_malformed_chip_entry_names_the_entry_and_line(entry):
     text = f"vertices: x t\nedge: x t 1\nchips: {entry}\n"
     assert parse_error(text) == f"g.cfg:3: bad chip entry {entry!r}"
+
+
+# Every error of the assembly after the line loop, with its line, for
+# classical and coloured files; edges are checked before chip entries, and
+# chip entries in file order.
+ASSEMBLY_ERRORS = {
+    "no vertices line": ("# empty\n", "g.cfg: missing vertices line"),
+    "classical negative chips": (
+        "vertices: a b\nedge: a b\nchips: b=1\nchips: a=-1\n",
+        "g.cfg:4: negative chip count",
+    ),
+    "classical negative chips without edges": (
+        "vertices: a b\nchips: a=-2\n",
+        "g.cfg:2: negative chip count",
+    ),
+    "uncoloured edge": (
+        "vertices: a b\nedge: a b 1 colour=1\nedge: b a 1\n",
+        "g.cfg:3: uncoloured edge in a coloured game",
+    ),
+    "uncoloured edge, colour from chips": (
+        "vertices: a b\nedge: a b 1\nchips: a=1@1\n",
+        "g.cfg:2: uncoloured edge in a coloured game",
+    ),
+    "uncoloured edge before earlier bad chips": (
+        "vertices: a b\nchips: a=-1@1 b=1\nedge: a b 1 colour=1\nedge: b a 1\n",
+        "g.cfg:4: uncoloured edge in a coloured game",
+    ),
+    "uncoloured chip entry": (
+        "vertices: a b\nedge: a b 1 colour=1\nchips: a=1\n",
+        "g.cfg:3: chip entry without a colour in a coloured game",
+    ),
+    "chips of a colour without edges": (
+        "vertices: a b\nedge: a b 1 colour=1\nchips: a=1@2\n",
+        "g.cfg:3: chips of colour 2 but no edges of that colour",
+    ),
+    "coloured chips and no edges": (
+        "vertices: a b\nchips: a=1@2\n",
+        "g.cfg:2: chips of colour 2 but no edges of that colour",
+    ),
+    "coloured negative chips": (
+        "vertices: a b\nedge: a b 1 colour=1\nchips: a=-1@1\n",
+        "g.cfg:3: negative chip count",
+    ),
+    "first bad chip entry wins": (
+        "vertices: a b\nedge: a b 1 colour=1\nchips: b=1@5\nchips: a=-1@1 b=1\n",
+        "g.cfg:3: chips of colour 5 but no edges of that colour",
+    ),
+    "first bad entry of a line wins": (
+        "vertices: a b\nedge: a b 1 colour=1\nchips: a=-1@1 b=1\n",
+        "g.cfg:3: negative chip count",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", ASSEMBLY_ERRORS)
+def test_assembly_errors_carry_text_line_and_precedence(case):
+    text, message = ASSEMBLY_ERRORS[case]
+    assert parse_error(text) == message
+
+
+def test_classical_game_is_one_layer_without_colours():
+    game = parse_game("vertices: a b\nchips: b=2 b=1\n")
+    assert isinstance(game, Cfg) and game.graph.mult == {} and game.init == (0, 3)
+    coloured = parse_game("vertices: a b\nedge: a b 0 colour=4\nchips: b=2@4 b=1@4\n")
+    assert isinstance(coloured, ColouredCfg)
+    assert coloured.colours == (4,) and coloured.init == {4: (0, 3)}

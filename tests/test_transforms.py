@@ -350,7 +350,7 @@ def test_interval_cfg_bad_pair():
 def test_interval_cfg_rejects_unknown_element_ids():
     game = funnel_game()
     for a, b in ((-1, -1), (0, 99)):
-        with pytest.raises(ValueError, match=r"element ids must lie in range\(7\)"):
+        with pytest.raises(ValueError, match=r"^unknown element id (-1|99)$"):
             interval_cfg(game, a, b)
 
 

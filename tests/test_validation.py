@@ -9,11 +9,11 @@ from chipfire.cli import main
 from chipfire.coloured import ColouredCfg
 from chipfire.engine import Cfg
 from chipfire.errors import CapExceeded, StateCapExceeded
-from chipfire.fixtures import funnel_game, shared_gate_game
+from chipfire.fixtures import funnel_game, pentagon, shared_gate_game
 from chipfire.formats import parse_game
 from chipfire.lattice import Lattice, Poset
 from chipfire.multigraph import ColouredMultigraph, Multigraph
-from chipfire.transforms import simplify, split_vertex
+from chipfire.transforms import interval_cfg, simplify, split_vertex
 
 
 def test_from_edges_by_name():
@@ -41,7 +41,7 @@ def test_coloured_from_edges_rejects_an_unknown_name():
 def test_lattice_interval_rejects_unknown_element_ids():
     lattice = funnel_game().enumerate_space().lattice()
     for a, b in ((-1, -1), (0, 99)):
-        with pytest.raises(ValueError, match=r"element ids must lie in range\(7\)"):
+        with pytest.raises(ValueError, match=r"^unknown element id (-1|99)$"):
             lattice.interval(a, b)
 
 
@@ -58,6 +58,13 @@ ELEMENT_ACCESSORS = {
     "meet second": lambda lat, x: lat.meet(0, x),
     "ji_below": lambda lat, x: lat.ji_below(x),
     "mi_above": lambda lat, x: lat.mi_above(x),
+    "le_by_coding": lambda lat, x: lat.le_by_coding(x, 0),
+    "le_by_coding second": lambda lat, x: lat.le_by_coding(0, x),
+    "restrict": lambda lat, x: lat.restrict([0, x]),
+    "interval": lambda lat, x: lat.interval(x, 3),
+    "interval second": lambda lat, x: lat.interval(0, x),
+    "j_lower": lambda lat, x: lat.j_lower(x),
+    "m_upper": lambda lat, x: lat.m_upper(x),
 }
 
 
@@ -91,6 +98,83 @@ def test_space_accessors_reject_unknown_ids(accessor, bad):
     space = funnel_game().enumerate_space()  # 7 states
     with pytest.raises(ValueError, match=f"unknown element id {bad!r}"):
         SPACE_ACCESSORS[accessor](space, bad)
+
+
+def opened_a(game):
+    """The shared-gate game after opening vertex 0 (a)."""
+    return game.open_vertex(game.initial_state(), 0)
+
+
+GRAPH_ACCESSORS = {
+    "multiplicity": lambda g, x: g.multiplicity(x, 0),
+    "multiplicity second": lambda g, x: g.multiplicity(0, x),
+    "out_degree": lambda g, x: g.out_degree(x),
+    "in_degree": lambda g, x: g.in_degree(x),
+    "loops": lambda g, x: g.loops(x),
+    "nonloop_out_degree": lambda g, x: g.nonloop_out_degree(x),
+    "induced_subgraph": lambda g, x: g.induced_subgraph([0, x]),
+}
+
+# Every public entry point that takes an element or vertex id, as
+# (subject, its id kind and count, call); the float 0.0 equals a valid id.
+CHAIN = (lambda: Lattice.chain(4), "element", 4)
+SPACE = (lambda: funnel_game().enumerate_space(), "element", 7)
+FUNNEL_SPACE = (funnel_game, "element", 7)
+FUNNEL = (funnel_game, "vertex", 4)
+FUNNEL_GRAPH = (lambda: funnel_game().graph, "vertex", 4)
+GATE = (shared_gate_game, "vertex", 4)
+ID_ENTRY_POINTS = {
+    **{f"Lattice.{name}": (CHAIN, call) for name, call in ELEMENT_ACCESSORS.items()},
+    **{f"ConfigSpace.{name}": (SPACE, call) for name, call in SPACE_ACCESSORS.items()},
+    **{f"Multigraph.{name}": (FUNNEL_GRAPH, call) for name, call in GRAPH_ACCESSORS.items()},
+    "ColouredMultigraph.pair_multiplicity": (GATE, lambda g, x: g.graph.pair_multiplicity(x, 3)),
+    "ColouredMultigraph.pair_multiplicity second": (
+        GATE, lambda g, x: g.graph.pair_multiplicity(0, x)
+    ),
+    "interval_cfg": (FUNNEL_SPACE, lambda g, x: interval_cfg(g, x, 6)),
+    "interval_cfg second": (FUNNEL_SPACE, lambda g, x: interval_cfg(g, 0, x)),
+    "Cfg.fire": (FUNNEL, lambda g, x: g.fire(g.init, x)),
+    "callable policy": (FUNNEL, lambda g, x: g.run_to_fixpoint(policy=lambda fs: x)),
+    "split_vertex": (FUNNEL, split_vertex),
+    "ColouredCfg.open_vertex": (GATE, lambda g, x: g.open_vertex(opened_a(g), x)),
+}
+BAD_IDS = {"-1": lambda n: -1, "n": lambda n: n, "2.5": lambda n: 2.5, "0.0": lambda n: 0.0}
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
+@pytest.mark.parametrize("entry", ID_ENTRY_POINTS)
+def test_every_id_entry_point_rejects_bad_ids(entry, bad):
+    (make, kind, n), call = ID_ENTRY_POINTS[entry]
+    x = BAD_IDS[bad](n)
+    with pytest.raises(ValueError, match=f"^unknown {kind} id {re.escape(repr(x))}$"):
+        call(make(), x)
+
+
+def test_id_entry_points_take_numpy_ints_and_bools():
+    lat, game = Lattice.chain(4), funnel_game()
+    assert lat.interval(np.int64(1), np.intp(3)).n == 3
+    assert lat.j_lower(np.int64(2)) == 1 and lat.m_upper(True) == 2
+    assert interval_cfg(game, np.int64(0), np.int8(6)) == interval_cfg(game, 0, 6)
+    assert game.fire(game.init, np.int64(0)) == game.fire(game.init, 0)
+    policy = game.run_to_fixpoint(policy=lambda fs: np.int64(max(fs)))
+    assert policy == game.run_to_fixpoint(policy="max")
+    assert split_vertex(game, np.int64(2)) == split_vertex(game, 2)
+    gate = shared_gate_game()
+    assert gate.open_vertex(gate.initial_state(), np.int64(0)) == opened_a(gate)
+    assert gate.graph.pair_multiplicity(np.int64(0), True) == 0
+
+
+@pytest.mark.parametrize("lattice_name", ["chain", "pentagon"])
+def test_irreducible_covers_name_an_element_outside_j_or_m(lattice_name):
+    lat = Lattice.chain(4) if lattice_name == "chain" else pentagon()
+    for x in range(lat.n):
+        named = f"^element {re.escape(lat.labels[x])} is not"
+        if x not in lat.J:
+            with pytest.raises(ValueError, match=f"{named} join-irreducible$"):
+                lat.j_lower(x)
+        if x not in lat.M:
+            with pytest.raises(ValueError, match=f"{named} meet-irreducible$"):
+                lat.m_upper(x)
 
 
 def test_space_accessors_take_numpy_ints_and_bools():
