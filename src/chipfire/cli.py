@@ -13,6 +13,7 @@ unreadable input or unwritable output file, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 
@@ -222,9 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``main`` reads arguments with; parsing keeps no state
+    in it, so one per process serves every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

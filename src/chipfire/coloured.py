@@ -55,10 +55,7 @@ class ColouredCfg:
             c = _as_int(c, "colour")
             if c not in self.graph.layers:
                 raise ValueError(f"chips of colour {c} but no such colour in the graph")
-            chips = tuple(_as_int(x, f"chip count of colour {c}") for x in chips)
-            if len(chips) != n or any(x < 0 for x in chips):
-                raise ValueError(f"bad chip vector for colour {c}")
-            init[c] = chips
+            init[c] = self._chips(c, chips)
         for c in self.graph.colours:
             init.setdefault(c, (0,) * n)
             restriction = self.graph.restriction_to_colour(c)
@@ -68,6 +65,24 @@ class ColouredCfg:
                     "some vertex cannot drain to a sink"
                 )
         object.__setattr__(self, "init", init)
+
+    def _chips(self, c, chips) -> tuple[int, ...]:
+        """chips of colour c as a tuple of plain ints: one non-negative
+        integer per vertex."""
+        chips = tuple(_as_int(x, f"chip count of colour {c}") for x in chips)
+        if len(chips) != self.graph.n or any(x < 0 for x in chips):
+            raise ValueError(f"bad chip vector for colour {c}")
+        return chips
+
+    def _state(self, state: ColouredState) -> ColouredState:
+        """state with its chips checked as the initial chips are, one vector
+        per colour, and its open vertices as vertex ids."""
+        if len(state.chips) != len(self.colours):
+            raise ValueError(f"a state holds one chip vector per colour, {len(self.colours)}")
+        return ColouredState(
+            chips=tuple(self._chips(c, x) for c, x in zip(self.colours, state.chips)),
+            opened=frozenset(map(self.graph._check, state.opened)),
+        )
 
     @property
     def colours(self) -> tuple[int, ...]:
@@ -91,6 +106,10 @@ class ColouredCfg:
 
     def openable(self, state: ColouredState) -> frozenset[int]:
         """Closed vertices firable in at least one colour restriction."""
+        return self._openable(self._state(state))
+
+    def _openable(self, state: ColouredState) -> frozenset[int]:
+        """``openable`` for a state the caller has already checked."""
         chips, opened = state.chips, state.opened
         return frozenset(
             v
@@ -134,9 +153,10 @@ class ColouredCfg:
         chips, so neither the colour order nor the firing order matters.
         """
         v = self.graph._check(v)
+        state = self._state(state)
         if v in state.opened:
             raise ValueError(f"vertex {self.graph.names[v]} is already open")
-        if v not in self.openable(state):
+        if v not in self._openable(state):
             raise ValueError(f"vertex {self.graph.names[v]} cannot be opened")
         return self._open(state, v)
 
@@ -157,7 +177,7 @@ class ColouredCfg:
         """
 
         def successors(state):
-            return [(v, self._open(state, v)) for v in sorted(self.openable(state))]
+            return [(v, self._open(state, v)) for v in sorted(self._openable(state))]
 
         space = _closure(self, self.initial_state(), successors, state_cap)
         return replace(space, configs=tuple(state.chips for state in space.configs))

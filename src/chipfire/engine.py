@@ -10,6 +10,12 @@ checks: a revisited state keeps its firing vector, and no two states share one.
 So every cover it records adds exactly one firing: total firings ranks the
 space, and each (lower, upper) pair of states is at most one cover.
 
+Inside the closure a firing vector is one int, a 64-bit field per vertex, and
+a classical configuration is one int, a field per vertex as wide as the bit
+length of the total chip count. Neither field can overflow: a vertex fires at
+most as often as the states stored, and chips are conserved and never
+negative. Both are unpacked to tuples once, when the space is built.
+
 A space answers the lattice questions ``chipfire space`` asks (J, M, rank,
 the two ULD detectors, distributivity) from its firing vectors and moves,
 without a dense order. That rests on one more check, run lazily before the
@@ -28,7 +34,8 @@ read nothing but covers: a space hands them its checked covers.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Mapping
 
@@ -52,32 +59,46 @@ def _closure(game, start, successors, state_cap) -> "ConfigSpace":
     the space's configurations. Raises FiringVectorConflict when a state is
     reached again with a different firing vector, RuntimeError when two states
     share one (for a coloured game: one open-set with two chip contents).
+
+    A firing vector is one int with a 64-bit field per vertex, vertex 0 the
+    most significant, so a move adds one shifted bit and int order is the
+    lexicographic order of the vectors. No field can overflow: a vertex has
+    fired at most as often as the state's level (its total firings), and a
+    state at level L closes a path of L + 1 states already stored. Each
+    vector is unpacked once, at the end.
     """
+    n = game.graph.n
+    unit = [1 << 64 * (n - 1 - v) for v in range(n)]
     ids = {start: 0}  # state -> discovery number
-    states, vectors = [start], [(0,) * game.graph.n]
+    states, vectors, levels = [start], [0], [0]
     transitions = []
     for i, state in enumerate(states):  # appending while iterating: a FIFO queue
         if state_cap is not None and len(states) > state_cap:
             raise StateCapExceeded(f"state space exceeds cap {state_cap}")
-        vec = vectors[i]
+        vec, level = vectors[i], levels[i] + 1
         for v, nxt in successors(state):
-            nvec = vec[:v] + (vec[v] + 1,) + vec[v + 1:]
+            nvec = vec + unit[v]
             j = ids.get(nxt)
             if j is None:
                 j = ids[nxt] = len(states)
                 states.append(nxt)
                 vectors.append(nvec)
+                levels.append(level)
             elif vectors[j] != nvec:
                 raise FiringVectorConflict("revisited state with a different firing vector")
             transitions.append((i, v, j))
     if len(set(vectors)) != len(vectors):
         raise RuntimeError("two states share a firing vector")
-    order = sorted(range(len(states)), key=lambda i: (sum(vectors[i]), vectors[i]))
-    rank = {i: r for r, i in enumerate(order)}
-    covers = tuple(sorted((rank[a], rank[b], v) for a, v, b in transitions))
+    key = [level << 64 * n | vec for level, vec in zip(levels, vectors)]
+    order = sorted(range(len(states)), key=key.__getitem__)  # (level, vector)
+    rank = [0] * len(order)
+    for r, i in enumerate(order):
+        rank[i] = r
+    covers = tuple(sorted([(rank[a], rank[b], v) for a, v, b in transitions]))
+    unpack, size = struct.Struct(f">{n}Q").unpack, 8 * n
     return ConfigSpace(
         names=game.graph.names,
-        vectors=tuple(vectors[i] for i in order),
+        vectors=tuple(unpack(vectors[i].to_bytes(size, "big")) for i in order),
         configs=tuple(states[i] for i in order),
         covers=covers,
     )
@@ -116,12 +137,16 @@ class Cfg:
     init: tuple[int, ...]
 
     def __post_init__(self):
-        init = tuple(_as_int(c, "chip count") for c in self.init)
-        if len(init) != self.graph.n:
-            raise ValueError("initial configuration must cover every vertex")
-        if any(c < 0 for c in init):
+        object.__setattr__(self, "init", self._conf(self.init, "initial configuration"))
+
+    def _conf(self, conf, what="configuration") -> tuple[int, ...]:
+        """conf as a tuple of plain ints: one non-negative integer per vertex."""
+        conf = tuple(_as_int(c, "chip count") for c in conf)
+        if len(conf) != self.graph.n:
+            raise ValueError(f"{what} must cover every vertex")
+        if any(c < 0 for c in conf):
             raise ValueError("chip counts must be non-negative")
-        object.__setattr__(self, "init", init)
+        return conf
 
     @cached_property
     def converges_guaranteed(self) -> bool:
@@ -137,13 +162,18 @@ class Cfg:
 
     def firable(self, conf) -> frozenset[int]:
         """Vertices holding at least their (positive) out-degree in chips."""
+        return self._firable(self._conf(conf))
+
+    def _firable(self, conf) -> frozenset[int]:
+        """``firable`` for a configuration the caller has already checked."""
         deg = self.graph._out_degrees
         return frozenset(v for v in range(self.graph.n) if 0 < deg[v] <= conf[v])
 
     def fire(self, conf, v: int) -> tuple[int, ...]:
         """Send one chip along each edge out of v; v must be firable."""
         v = self.graph._check(v)
-        if v not in self.firable(conf):
+        conf = self._conf(conf)
+        if v not in self._firable(conf):
             raise ValueError(f"vertex {self.graph.names[v]} is not firable")
         return self._fire(conf, v)
 
@@ -167,7 +197,7 @@ class Cfg:
         counts = [0] * self.graph.n
         steps = 0
         while True:
-            fs = self.firable(conf)
+            fs = self._firable(conf)
             if not fs:
                 return FixpointRun(conf, tuple(counts))
             if step_cap is not None and steps >= step_cap:
@@ -192,14 +222,50 @@ class Cfg:
 
         States are keyed by configuration; the firing-count vector is stored
         and cross-checked on revisits (equal configurations reached from the
-        same start must have fired the same multiset of vertices).
+        same start must have fired the same multiset of vertices). The closure
+        runs on configurations packed by ``_packing``, unpacked once at the end.
         """
         self._require_guard(state_cap, "enumerate_space")
+        space = _closure(self, self._pack(self.init), self._successors, state_cap)
+        return replace(space, configs=tuple(map(self._unpack, space.configs)))
 
-        def successors(conf):
-            return [(v, self._fire(conf, v)) for v in sorted(self.firable(conf))]
+    @cached_property
+    def _packing(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
+        """How ``enumerate_space`` packs a configuration into one int: a field
+        of ``width`` bits per vertex, vertex v at bit width*v; and per vertex
+        of positive out-degree, in ascending order, its (vertex, shift,
+        out-degree, firing delta).
 
-        return _closure(self, self.init, successors, state_cap)
+        ``width`` is the bit length of the total chip count. Chips are
+        conserved and never negative, so every field of a reachable
+        configuration fits, and adding a firable vertex's delta (its
+        out-degree off its own field, each out-edge's chips onto the target's)
+        neither borrows nor carries between fields.
+        """
+        g = self.graph
+        width = max(1, sum(self.init).bit_length())
+        moves = tuple(
+            (v, width * v, deg, sum(k << width * w for w, k in g._out_adj[v]) - (deg << width * v))
+            for v, deg in enumerate(g._out_degrees)
+            if deg
+        )
+        return width, moves
+
+    def _pack(self, conf) -> int:
+        width, _ = self._packing
+        return sum(c << width * v for v, c in enumerate(conf))
+
+    def _unpack(self, conf: int) -> tuple[int, ...]:
+        width, _ = self._packing
+        mask = (1 << width) - 1
+        return tuple([conf >> s & mask for s in range(0, width * self.graph.n, width)])
+
+    def _successors(self, conf: int) -> list[tuple[int, int]]:
+        """The moves (v, next configuration) out of a packed configuration,
+        in ascending vertex order."""
+        width, moves = self._packing
+        mask = (1 << width) - 1
+        return [(v, conf + delta) for v, shift, deg, delta in moves if conf >> shift & mask >= deg]
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Oracles here are written independently of the engine's breadth-first
 enumeration: depth-first exploration with an explicit stack (classical and
-coloured), raw firing sequences without memoisation, a subset walk over each
+coloured), the breadth-first closure on configuration and firing-vector tuples
+that the engine's packed ints replaced, raw firing sequences without
+memoisation, a subset walk over each
 state's cube of moves, a vertex split that rebuilds the whole game and a
 ``simplify`` that replays the fixpoint after every such split, construction
 maps folded through pairwise meets, naive triple-loop law checks, loop-based
@@ -33,7 +35,7 @@ import numpy as np
 from chipfire import coloured
 from chipfire.coloured import ColouredCfg, ColouredState
 from chipfire.engine import Cfg, ConfigSpace, _closure, _fire_in_place
-from chipfire.errors import CapExceeded, StepCapExceeded
+from chipfire.errors import CapExceeded, FiringVectorConflict, StateCapExceeded, StepCapExceeded
 from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset, _refine_pair
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport
@@ -153,6 +155,58 @@ def full_scan_space(game: ColouredCfg) -> ConfigSpace:
 
     space = _closure(game, game.initial_state(), successors, None)
     return replace(space, configs=tuple(state.chips for state in space.configs))
+
+
+def tuple_closure(game, start, successors, state_cap) -> ConfigSpace:
+    """``engine._closure`` with each firing vector an n-tuple, sliced anew on
+    every move, and states sorted by (sum, tuple): the oracle for the packed
+    vectors. Same cap, same two checks, same texts."""
+    ids = {start: 0}
+    states, vectors = [start], [(0,) * game.graph.n]
+    transitions = []
+    for i, state in enumerate(states):
+        if state_cap is not None and len(states) > state_cap:
+            raise StateCapExceeded(f"state space exceeds cap {state_cap}")
+        vec = vectors[i]
+        for v, nxt in successors(state):
+            nvec = vec[:v] + (vec[v] + 1,) + vec[v + 1:]
+            j = ids.get(nxt)
+            if j is None:
+                j = ids[nxt] = len(states)
+                states.append(nxt)
+                vectors.append(nvec)
+            elif vectors[j] != nvec:
+                raise FiringVectorConflict("revisited state with a different firing vector")
+            transitions.append((i, v, j))
+    if len(set(vectors)) != len(vectors):
+        raise RuntimeError("two states share a firing vector")
+    order = sorted(range(len(states)), key=lambda i: (sum(vectors[i]), vectors[i]))
+    rank = {i: r for r, i in enumerate(order)}
+    return ConfigSpace(
+        names=game.graph.names,
+        vectors=tuple(vectors[i] for i in order),
+        configs=tuple(states[i] for i in order),
+        covers=tuple(sorted((rank[a], rank[b], v) for a, v, b in transitions)),
+    )
+
+
+def tuple_successors(cfg: Cfg, conf) -> list:
+    """The moves out of a configuration tuple, in ascending vertex order,
+    read off the edge multiplicities alone."""
+    n, mult = cfg.graph.n, cfg.graph.mult
+    moves = []
+    for v in range(n):
+        out = [mult.get((v, w), 0) for w in range(n)]
+        if 0 < sum(out) <= conf[v]:
+            nxt = list(conf)
+            nxt[v] -= sum(out)
+            moves.append((v, tuple(c + k for c, k in zip(nxt, out))))
+    return moves
+
+
+def tuple_space(cfg: Cfg, state_cap=None) -> ConfigSpace:
+    """``Cfg.enumerate_space`` on configuration tuples, through ``tuple_closure``."""
+    return tuple_closure(cfg, cfg.init, lambda conf: tuple_successors(cfg, conf), state_cap)
 
 
 def all_firing_sequences(cfg: Cfg, limit=50_000):

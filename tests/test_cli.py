@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from chipfire.cli import main
+from chipfire import cli
+from chipfire.cli import build_parser, main
 from chipfire.formats import parse_game_file, serialize_game
 from chipfire.multigraph import Multigraph
 
@@ -309,3 +314,46 @@ def test_space_on_a_cycling_game_is_an_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: revisited state with a different firing vector\n"
+
+
+def test_main_parses_with_one_parser_per_process(tmp_path, capsys, monkeypatch):
+    """Calls in one process, different commands in turn and argparse errors
+    among them, print what each prints in a fresh interpreter."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    dot = str(tmp_path / "space.dot")
+    funnel, cube = data_path("funnel.cfg"), data_path("gated_cube.lat")
+    calls = [
+        ["run", funnel],
+        ["space", funnel, "--dot", dot],
+        ["space", data_path("shared_gate.ccfg"), "--coloured"],
+        ["check", cube],
+        ["synth", cube, "--mode", "uld"],
+        ["simplify", data_path("relay_chain.cfg")],
+        ["space"],  # no game: argparse exits with 2
+        ["run", funnel],
+        ["space", funnel, "--cap", "-1"],
+        ["frobnicate"],
+        ["run", funnel, "--order", "sideways"],
+        ["check", cube],
+    ]
+    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    for argv in calls:
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        captured = capsys.readouterr()
+        written = Path(dot).read_text() if "--dot" in argv else None
+        fresh = subprocess.run(
+            [sys.executable, "-m", "chipfire.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (rc, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        if written is not None:
+            assert Path(dot).read_text() == written
+    assert cli._parser() is cli._parser()
+
+
+def test_build_parser_returns_a_new_parser():
+    assert build_parser() is not build_parser()
+    assert build_parser() is not cli._parser()

@@ -99,13 +99,13 @@ def test_generated_coloured_games_fire_once_per_cover(game):
 def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, capsys):
     text = "vertices: a b t\nedge: a t 1\nedge: b t 1\nchips: a=1 b=1\n"
     game = parse_game(text)
-    firable = Cfg.firable
+    successors = Cfg._successors
 
     def hide_b_after_a(self, conf):
-        moves = firable(self, conf)
-        return moves - {1} if conf == (0, 1, 1) else moves
+        moves = successors(self, conf)
+        return [m for m in moves if m[0] != 1] if self._unpack(conf) == (0, 1, 1) else moves
 
-    monkeypatch.setattr(Cfg, "firable", hide_b_after_a)
+    monkeypatch.setattr(Cfg, "_successors", hide_b_after_a)
     space = game.enumerate_space()
     # the hypercube verdict is the commuting check's, never an unchecked None
     with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):

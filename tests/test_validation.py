@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chipfire.cli import main
-from chipfire.coloured import ColouredCfg
+from chipfire.coloured import ColouredCfg, ColouredState
 from chipfire.engine import Cfg
 from chipfire.errors import CapExceeded, StateCapExceeded
 from chipfire.fixtures import funnel_game, pentagon, shared_gate_game
@@ -274,6 +274,97 @@ def test_coloured_cfg_rejects_bad_chips():
         ColouredCfg(graph, {1.0: (1, 0, 0, 0)})
     game = ColouredCfg(graph, {np.int64(1): (np.int64(1), True, 0, 0)})
     assert game.init[1] == (1, 1, 0, 0) and all(type(c) is int for c in game.init[1])
+
+
+# a configuration handed to an entry point follows the rule of a game's
+# initial chips: one non-negative integer per vertex
+BAD_CONFS = {
+    "short": ((1, 1), "^configuration must cover every vertex$"),
+    "long": ((1, 1, 1, 0, 0), "^configuration must cover every vertex$"),
+    "half chip": ((1.5, 0, 0, 0), r"^chip count must be an integer, got 1\.5$"),
+    "string": (("1", 1, 1, 0), "^chip count must be an integer, got '1'$"),
+    "negative": ((1, 1, 1, -1), "^chip counts must be non-negative$"),
+}
+CONF_ENTRY_POINTS = {
+    "Cfg.fire": lambda g, conf: g.fire(conf, 0),
+    "Cfg.firable": lambda g, conf: g.firable(conf),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_CONFS)
+@pytest.mark.parametrize("entry", CONF_ENTRY_POINTS)
+def test_conf_entry_points_reject_bad_configurations(entry, bad):
+    conf, message = BAD_CONFS[bad]
+    with pytest.raises(ValueError, match=message):
+        CONF_ENTRY_POINTS[entry](funnel_game(), conf)
+
+
+def test_conf_entry_points_take_numpy_ints_and_bools():
+    game = funnel_game()
+    conf = (np.int64(1), True, np.int8(1), False)
+    assert game.firable(conf) == game.firable((1, 1, 1, 0))
+    nxt = game.fire(conf, 0)
+    assert nxt == (0, 1, 2, 0) and all(type(c) is int for c in nxt)
+
+
+def gate_state(game, chips=None, opened=()):
+    """A shared-gate state: the initial chips unless given, and the given open set."""
+    return ColouredState(
+        chips=game.initial_state().chips if chips is None else chips, opened=frozenset(opened)
+    )
+
+
+BAD_STATES = {
+    "three colours": (lambda c: c[:3], None, "^a state holds one chip vector per colour, 4$"),
+    "short vector": (lambda c: ((1, 0),) + c[1:], None, "^bad chip vector for colour 1$"),
+    "half chip": (
+        lambda c: ((1.5, 0, 0, 0),) + c[1:],
+        None,
+        r"^chip count of colour 1 must be an integer, got 1\.5$",
+    ),
+    "negative": (lambda c: c[:3] + ((0, 1, -1, 0),), None, "^bad chip vector for colour 4$"),
+    "unknown open vertex": (lambda c: c, (9,), "^unknown vertex id 9$"),
+    "float open vertex": (lambda c: c, (0.0,), r"^unknown vertex id 0\.0$"),
+}
+STATE_ENTRY_POINTS = {
+    "ColouredCfg.open_vertex": lambda g, state: g.open_vertex(state, 1),
+    "ColouredCfg.openable": lambda g, state: g.openable(state),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_STATES)
+@pytest.mark.parametrize("entry", STATE_ENTRY_POINTS)
+def test_state_entry_points_reject_bad_states(entry, bad):
+    change, opened, message = BAD_STATES[bad]
+    game = shared_gate_game()
+    state = gate_state(game, change(game.initial_state().chips), opened or ())
+    with pytest.raises(ValueError, match=message):
+        STATE_ENTRY_POINTS[entry](game, state)
+
+
+def test_state_entry_points_take_numpy_ints_and_bools():
+    game = shared_gate_game()
+    start = game.initial_state()
+    chips = tuple(tuple(np.int64(x) for x in c) for c in start.chips)
+    state = gate_state(game, chips, [np.int64(3)])
+    assert game.openable(state) == game.openable(gate_state(game, opened=[3]))
+    nxt = game.open_vertex(state, np.int64(0))
+    assert nxt == game.open_vertex(gate_state(game, opened=[3]), 0)
+    assert all(type(x) is int for c in nxt.chips for x in c)
+    assert all(type(v) is int for v in nxt.opened)
+
+
+def test_hot_paths_do_not_recheck_configurations(monkeypatch):
+    # fixpoint runs and both closures read states they built themselves
+    game, gate = funnel_game(), shared_gate_game()
+    expected = (game.run_to_fixpoint(), game.enumerate_space(), gate.enumerate_space())
+
+    def refuse(*args):
+        raise AssertionError("a hot path re-checked a state it built")
+
+    monkeypatch.setattr(Cfg, "_conf", refuse)
+    monkeypatch.setattr(ColouredCfg, "_state", refuse)
+    assert (game.run_to_fixpoint(), game.enumerate_space(), gate.enumerate_space()) == expected
 
 
 def test_poset_input_validation():
