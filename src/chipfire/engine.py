@@ -11,10 +11,12 @@ So every cover it records adds exactly one firing: total firings ranks the
 space, and each (lower, upper) pair of states is at most one cover.
 
 Inside the closure a firing vector is one int, a 64-bit field per vertex, and
-a classical configuration is one int, a field per vertex as wide as the bit
-length of the total chip count. Neither field can overflow: a vertex fires at
-most as often as the states stored, and chips are conserved and never
-negative. Both are unpacked to tuples once, when the space is built.
+the states of both kinds of game are ints: a classical configuration has a
+field per vertex as wide as the bit length of the total chip count, and a
+coloured state (``chipfire.coloured``) has the open-set mask and one such
+block per colour. No field can overflow: a vertex fires at most as often as
+the states stored, and chips are conserved and never negative. Both are
+unpacked to tuples once, when the space is built.
 
 A space answers the lattice questions ``chipfire space`` asks (J, M, rank,
 the two ULD detectors, distributivity) from its firing vectors and moves,
@@ -201,9 +203,12 @@ class Cfg:
             if not fs:
                 return FixpointRun(conf, tuple(counts))
             if step_cap is not None and steps >= step_cap:
-                raise StepCapExceeded(
-                    f"possibly divergent: no fixpoint within step cap {step_cap}"
+                verdict = (
+                    "the game converges, but the step cap came first"
+                    if self.converges_guaranteed
+                    else "possibly divergent"
                 )
+                raise StepCapExceeded(f"{verdict}: no fixpoint within step cap {step_cap}")
             v = choose(fs)
             if v not in fs:  # a caller-supplied policy may pick any vertex
                 raise ValueError(f"vertex {self.graph.names[v]} is not firable")

@@ -3,9 +3,9 @@
 Oracles here are written independently of the engine's breadth-first
 enumeration: depth-first exploration with an explicit stack (classical and
 coloured), the breadth-first closure on configuration and firing-vector tuples
-that the engine's packed ints replaced, raw firing sequences without
-memoisation, a subset walk over each
-state's cube of moves, a vertex split that rebuilds the whole game and a
+that the engine's packed ints replaced and the worklist opening rule on
+coloured chip tuples that the packed coloured states replaced, raw firing
+sequences without memoisation, a subset walk over each state's cube of moves, a vertex split that rebuilds the whole game and a
 ``simplify`` that replays the fixpoint after every such split, construction
 maps folded through pairwise meets, naive triple-loop law checks, loop-based
 arrow relations and witness reports, a scanning transitive reduction, the
@@ -207,6 +207,75 @@ def tuple_successors(cfg: Cfg, conf) -> list:
 def tuple_space(cfg: Cfg, state_cap=None) -> ConfigSpace:
     """``Cfg.enumerate_space`` on configuration tuples, through ``tuple_closure``."""
     return tuple_closure(cfg, cfg.init, lambda conf: tuple_successors(cfg, conf), state_cap)
+
+
+def colour_index(game: ColouredCfg) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per vertex, the (colour index, out-degree) pairs of the colours it
+    has out-edges in."""
+    degrees = [game.graph.restriction_to_colour(c)._out_degrees for c in game.colours]
+    return tuple(
+        tuple((ci, deg[v]) for ci, deg in enumerate(degrees) if deg[v])
+        for v in range(game.graph.n)
+    )
+
+
+def worklist_openable(game: ColouredCfg, state: ColouredState) -> frozenset[int]:
+    """Closed vertices firable in at least one colour restriction, read off
+    chip tuples."""
+    chips, opened = state.chips, state.opened
+    return frozenset(
+        v
+        for v, colours in enumerate(colour_index(game))
+        if v not in opened and any(deg <= chips[ci][v] for ci, deg in colours)
+    )
+
+
+def worklist_stabilize_colour(game: ColouredCfg, ci, chips, opened, v):
+    """Play colour index ci on the open vertices, from a worklist seeded
+    with v; closed vertices absorb chips.
+
+    The chips must be stable at every open vertex but v.
+    """
+    c = game.colours[ci]
+    restriction = game.graph.restriction_to_colour(c)
+    deg, adj = restriction._out_degrees, restriction._out_adj
+    chips = list(chips)
+    todo = [v]
+    steps = 0
+    while todo:
+        u = todo.pop()
+        if u not in opened or not 0 < deg[u] <= chips[u]:
+            continue
+        while deg[u] <= chips[u]:
+            _fire_in_place(chips, restriction, u)
+            steps += 1
+            if steps > coloured._STABILIZE_CAP:
+                raise StepCapExceeded(
+                    f"colour {c} did not stabilize within {coloured._STABILIZE_CAP} firings"
+                )
+        todo.extend(w for w, _ in adj[u])
+    return tuple(chips)
+
+
+def worklist_open(game: ColouredCfg, state: ColouredState, v: int) -> ColouredState:
+    """Open v on chip tuples, then stabilize the colours in which v can fire."""
+    opened = state.opened | {v}
+    chips = list(state.chips)
+    for ci, deg in colour_index(game)[v]:
+        if deg <= chips[ci][v]:
+            chips[ci] = worklist_stabilize_colour(game, ci, chips[ci], opened, v)
+    return ColouredState(chips=tuple(chips), opened=opened)
+
+
+def coloured_tuple_space(game: ColouredCfg, state_cap=None) -> ConfigSpace:
+    """``ColouredCfg.enumerate_space`` on ``ColouredState``s of chip tuples,
+    through ``tuple_closure`` and the worklist opening rule on tuples."""
+
+    def successors(state):
+        return [(v, worklist_open(game, state, v)) for v in sorted(worklist_openable(game, state))]
+
+    space = tuple_closure(game, game.initial_state(), successors, state_cap)
+    return replace(space, configs=tuple(state.chips for state in space.configs))
 
 
 def all_firing_sequences(cfg: Cfg, limit=50_000):

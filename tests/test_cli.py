@@ -60,6 +60,20 @@ def test_run_refuses_sink_free_cycle(tmp_path, capsys):
     assert main(["run", path, "--step-cap", "10"]) == 3
 
 
+def test_run_step_cap_on_a_convergent_game_says_it_converges(tmp_path, capsys):
+    path = write(tmp_path, "drain.cfg", "vertices: a t\nedge: a t 1\nchips: a=100000000000000000000\n")
+    assert main(["run", path, "--step-cap", "5"]) == 3
+    assert capsys.readouterr().err == (
+        "cap exceeded: the game converges, but the step cap came first: "
+        "no fixpoint within step cap 5\n"
+    )
+    cycle = write(tmp_path, "cycle.cfg", "vertices: a b\nedge: a b 1\nedge: b a 1\nchips: a=1\n")
+    assert main(["run", cycle, "--step-cap", "10"]) == 3
+    assert capsys.readouterr().err == (
+        "cap exceeded: possibly divergent: no fixpoint within step cap 10\n"
+    )
+
+
 def test_run_parse_error_exit_code(tmp_path, capsys):
     path = write(tmp_path, "bad.cfg", "vertices: a\nedge: a zz 1\n")
     assert main(["run", path]) == 2

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +20,12 @@ from chipfire.multigraph import ColouredMultigraph
 from chipfire.transforms import coloured_from_uld, simplify
 
 import helpers
-from helpers import dfs_coloured_reachable, full_scan_space, random_coloured_game
+from helpers import (
+    coloured_tuple_space,
+    dfs_coloured_reachable,
+    full_scan_space,
+    random_coloured_game,
+)
 
 
 def v(game, name):
@@ -250,21 +254,23 @@ def test_generated_spaces_match_dfs_oracle(game):
 
 def test_revisit_with_another_firing_vector_is_reported(monkeypatch):
     # an opening that changes nothing brings every move back to the start
-    monkeypatch.setattr(ColouredCfg, "_open", lambda self, state, v: state)
+    successors = ColouredCfg._successors
+    monkeypatch.setattr(
+        ColouredCfg, "_successors", lambda self, x: [(v, x) for v, _ in successors(self, x)]
+    )
     with pytest.raises(RuntimeError, match="revisited"):
         shared_gate_game().enumerate_space()
 
 
 def test_open_set_with_two_chip_contents_is_reported(monkeypatch):
     # tag the chips with the last opened vertex, so {a,b} opened as a-then-b
-    # and as b-then-a holds two chip contents
-    open_ = ColouredCfg._open
+    # and as b-then-a holds two chip contents; the tag sits above every field
+    successors, tag = ColouredCfg._successors, 2**1000
 
-    def tagged(self, state, v):
-        nxt = open_(self, state, v)
-        return replace(nxt, chips=nxt.chips + ((v,),))
+    def tagged(self, x):
+        return [(v, nxt % tag + v * tag) for v, nxt in successors(self, x % tag)]
 
-    monkeypatch.setattr(ColouredCfg, "_open", tagged)
+    monkeypatch.setattr(ColouredCfg, "_successors", tagged)
     with pytest.raises(RuntimeError, match="share a firing vector"):
         shared_gate_game().enumerate_space()
 
@@ -277,13 +283,14 @@ def test_uld_games_match_full_scan():
 
 def test_opening_touches_only_colours_the_vertex_fires_in(coloured_corpus, monkeypatch):
     visits = []
-    stabilize = ColouredCfg._stabilize_colour
+    stabilize = ColouredCfg._stabilize
 
-    def recording(self, ci, chips, opened, v):
-        visits.append((self, ci, chips, v))
-        return stabilize(self, ci, chips, opened, v)
+    def recording(self, x, ci, v):
+        [chips] = self._unpack([x])
+        visits.append((self, ci, chips[ci], v))
+        return stabilize(self, x, ci, v)
 
-    monkeypatch.setattr(ColouredCfg, "_stabilize_colour", recording)
+    monkeypatch.setattr(ColouredCfg, "_stabilize", recording)
     for game in coloured_corpus + [shared_gate_game(), split_track_game()]:
         game.enumerate_space()
     assert visits
@@ -294,19 +301,27 @@ def test_opening_touches_only_colours_the_vertex_fires_in(coloured_corpus, monke
 def test_firing_count_matches_full_scan(coloured_corpus, monkeypatch):
     counts = {}
 
-    def counting(module, key):
-        fire = module._fire_in_place
+    class CountedDelta(int):
+        """A packed firing delta that counts each time a state adds it."""
 
-        def fire_and_count(chips, graph, v):
-            counts[key] = counts.get(key, 0) + 1
-            fire(chips, graph, v)
+        def __radd__(self, x):
+            counts["worklist"] = counts.get("worklist", 0) + 1
+            return x + int(self)
 
-        monkeypatch.setattr(module, "_fire_in_place", fire_and_count)
+    fire = helpers._fire_in_place
 
-    counting(coloured, "worklist")
-    counting(helpers, "full scan")
+    def fire_and_count(chips, graph, v):
+        counts["full scan"] = counts.get("full scan", 0) + 1
+        fire(chips, graph, v)
+
+    monkeypatch.setattr(helpers, "_fire_in_place", fire_and_count)
     games = coloured_corpus + [shared_gate_game(), coloured_from_uld(Lattice.boolean(5))]
     for game in games:
+        colours, gates = game._packing
+        colours = tuple(
+            (*layout[:6], tuple(map(CountedDelta, layout[6])), layout[7]) for layout in colours
+        )
+        game.__dict__["_packing"] = colours, gates
         game.enumerate_space()
         full_scan_space(game)
     assert counts["worklist"] == counts["full scan"] > 0
@@ -316,9 +331,10 @@ def test_stabilize_cap_bound_and_message(monkeypatch):
     # colour 1 on a looped vertex with a drain: 10 chips fire 9 times
     graph = ColouredMultigraph(("a", "s"), {1: {(0, 0): 1, (0, 1): 1}})
     game = ColouredCfg(graph, {1: (10, 0)})
+    enumerators = (ColouredCfg.enumerate_space, full_scan_space, coloured_tuple_space)
     monkeypatch.setattr(coloured, "_STABILIZE_CAP", 9)
-    assert game.enumerate_space().configs == full_scan_space(game).configs
+    assert {enumerate_(game).configs for enumerate_ in enumerators} == {(((10, 0),), ((1, 9),))}
     monkeypatch.setattr(coloured, "_STABILIZE_CAP", 8)
-    for enumerate_ in (ColouredCfg.enumerate_space, full_scan_space):
+    for enumerate_ in enumerators:
         with pytest.raises(StepCapExceeded, match="^colour 1 did not stabilize within 8 firings$"):
             enumerate_(game)

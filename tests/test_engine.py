@@ -113,6 +113,24 @@ def test_run_guard_requires_cap():
     assert "50" in str(err.value)
 
 
+def test_step_cap_text_says_whether_the_game_converges():
+    cyclic = Cfg(Multigraph(("a", "b"), {(0, 1): 1, (1, 0): 1}), (1, 0))
+    with pytest.raises(
+        StepCapExceeded, match="^possibly divergent: no fixpoint within step cap 7$"
+    ):
+        cyclic.run_to_fixpoint(step_cap=7)
+    drain = Cfg(Multigraph(("a", "t"), {(0, 1): 1}), (10**20, 0))
+    assert drain.converges_guaranteed
+    with pytest.raises(
+        StepCapExceeded,
+        match="^the game converges, but the step cap came first: "
+        "no fixpoint within step cap 7$",
+    ):
+        drain.run_to_fixpoint(step_cap=7)
+    # the bound is unchanged: seven firings fit a step cap of 7
+    assert Cfg(drain.graph, (7, 0)).run_to_fixpoint(step_cap=7).steps == 7
+
+
 def test_is_simple():
     assert funnel_game().is_simple()
     assert not relay_chain_game().is_simple()
