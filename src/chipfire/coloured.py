@@ -20,12 +20,11 @@ and its two checks; the second one reports an open-set reached with two chip
 contents.
 
 Inside the closure a state is one int: the open-set mask in the low n bits,
-then one block of n fields per colour, each field as wide as the bit length
-of that colour's chip total. Chips are conserved within each colour and never
-go negative, so no field overflows, and a firing is one added delta that
-neither borrows nor carries. States are unpacked to chip tuples once, when
-the space is built. ``open_vertex`` and ``openable`` check the state they are
-given, pack it and run the same packed code.
+then one chip block per colour, laid out by ``engine._block`` for that
+colour's chip total (chips are conserved within each colour). States are
+unpacked to chip tuples once, when the space is built. ``open_vertex`` and
+``openable`` check the state they are given, down to its stability over its
+open set, then pack it and run the same packed code.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping
 
-from .engine import Cfg, ConfigSpace, _closure
+from .engine import Cfg, ConfigSpace, _block, _closure, _pack_block, _unpack_block
 from .errors import StepCapExceeded
 from .multigraph import ColouredMultigraph, _as_int
 
@@ -107,35 +106,21 @@ class ColouredCfg:
         """How ``enumerate_space`` packs a state into one int, and what the
         packed moves read: (per colour, per vertex).
 
-        The open-set mask sits in the low n bits, bit v for vertex v. Above it
-        comes one block of n fields per colour, in colour order; a field is as
-        wide as the bit length of that colour's chip total, and vertex v's
-        field sits at ``shifts[v]``. Chips are conserved within each colour and
-        never go negative, so every field of a reachable state fits, and
-        adding a firing's delta (the out-degree off the vertex's own field,
-        each out-edge's chips onto the target's, all in one colour's block)
-        neither borrows nor carries between fields.
-
-        Per colour, in colour order: (colour, block offset, field width,
-        shifts, field mask, out-degrees, firing deltas, out-neighbours). Per
-        vertex: the (colour index, shift, field mask, out-degree) of each
-        colour it has out-edges in, the gates ``_openable`` reads.
+        The open-set mask sits in the low n bits, bit v for vertex v; above
+        it, one ``engine._block`` per colour, in colour order, for that
+        colour's chip total. Per colour: (colour, block, out-degrees,
+        out-neighbours). Per vertex: the (colour index, shift, field mask,
+        out-degree) of each colour it has out-edges in, the gates
+        ``_openable`` reads.
         """
         n = self.graph.n
         colours, gates = [], [[] for _ in range(n)]
         offset = n
         for ci, c in enumerate(self.colours):
             g = self.graph.restriction_to_colour(c)
-            width = max(1, sum(self.init[c]).bit_length())
-            shifts = tuple(range(offset, offset + width * n, width))
-            mask = (1 << width) - 1
+            block = width, shifts, mask, _ = _block(g, sum(self.init[c]), offset)
             deg = g._out_degrees
-            deltas = tuple(
-                sum(k << shifts[w] for w, k in g._out_adj[v]) - (deg[v] << shifts[v])
-                for v in range(n)
-            )
-            targets = tuple(tuple(w for w, _ in adj) for adj in g._out_adj)
-            colours.append((c, offset, width, shifts, mask, deg, deltas, targets))
+            colours.append((c, block, deg, tuple(tuple(w for w, _ in adj) for adj in g._out_adj)))
             for v in range(n):
                 if deg[v]:
                     gates[v].append((ci, shifts[v], mask, deg[v]))
@@ -143,30 +128,29 @@ class ColouredCfg:
         return tuple(colours), tuple(map(tuple, gates))
 
     def _pack(self, state: ColouredState) -> int:
-        colours, _ = self._packing
-        x = sum(1 << v for v in state.opened)
-        for (_, _, _, shifts, *_), chips in zip(colours, state.chips):
-            x += sum(k << s for k, s in zip(chips, shifts))
-        return x
+        blocks = (block for _, block, *_ in self._packing[0])
+        return sum(1 << v for v in state.opened) + sum(map(_pack_block, state.chips, blocks))
 
     def _unpack(self, states) -> list[tuple[tuple[int, ...], ...]]:
-        """The per-colour chips of each packed state. A colour block takes
-        only a few distinct values, so each one is unpacked once."""
-        colours, _ = self._packing
-        n = self.graph.n
-        columns = []
-        for _, offset, width, _, mask, *_ in colours:
-            block_mask, fields = (1 << width * n) - 1, range(0, width * n, width)
-            blocks = [x >> offset & block_mask for x in states]
-            chips = {b: tuple([b >> s & mask for s in fields]) for b in set(blocks)}
-            columns.append(map(chips.__getitem__, blocks))
+        """The per-colour chips of each packed state."""
+        columns = [_unpack_block(states, block) for _, block, *_ in self._packing[0]]
         return list(zip(*columns)) if columns else [()] * len(states)
 
     def _packed(self, state: ColouredState) -> tuple["ColouredCfg", int]:
         """The game started from a checked state's chips, and the state packed
-        by it: that game's packing fits the state whatever its chip totals."""
+        by it: that game's packing fits the state whatever its chip totals.
+
+        Raises ValueError unless the state is stable over its open set, as
+        every reached state is: an open vertex may pass none of its gates.
+        """
         game = replace(self, init=dict(zip(self.colours, state.chips)))
-        return game, game._pack(state)
+        x = game._pack(state)
+        for v in sorted(state.opened):
+            for ci, shift, mask, deg in game._packing[1][v]:
+                if x >> shift & mask >= deg:
+                    name, c = self.graph.names[v], self.colours[ci]
+                    raise ValueError(f"open vertex {name} can still fire in colour {c}")
+        return game, x
 
     def openable(self, state: ColouredState) -> frozenset[int]:
         """Closed vertices firable in at least one colour restriction."""
@@ -187,8 +171,8 @@ class ColouredCfg:
     def open_vertex(self, state: ColouredState, v: int) -> ColouredState:
         """Open v, then stabilize the colours in which v can fire.
 
-        A state reached from the initial one is stable in every colour over
-        its open set, so the opening restarts a colour only at v, and the
+        The state must be stable in every colour over its open set, as every
+        reached state is, so the opening restarts a colour only at v, and the
         colours in which v cannot fire keep their chips. Colours share no
         chips, and within one colour strong convergence fixes the stable
         chips, so neither the colour order nor the firing order matters.
@@ -218,7 +202,7 @@ class ColouredCfg:
 
         The chips must be stable at every open vertex but v.
         """
-        c, _, _, shifts, mask, degs, deltas, targets = self._packing[0][ci]
+        c, (_, shifts, mask, deltas), degs, targets = self._packing[0][ci]
         todo = [v]
         steps = 0
         while todo:

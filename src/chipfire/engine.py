@@ -11,11 +11,9 @@ So every cover it records adds exactly one firing: total firings ranks the
 space, and each (lower, upper) pair of states is at most one cover.
 
 Inside the closure a firing vector is one int, a 64-bit field per vertex, and
-the states of both kinds of game are ints: a classical configuration has a
-field per vertex as wide as the bit length of the total chip count, and a
-coloured state (``chipfire.coloured``) has the open-set mask and one such
-block per colour. No field can overflow: a vertex fires at most as often as
-the states stored, and chips are conserved and never negative. Both are
+the states of both kinds of game are ints built from the chip blocks of
+``_block``: a classical configuration is one block, a coloured state
+(``chipfire.coloured``) the open-set mask and one block per colour. Both are
 unpacked to tuples once, when the space is built.
 
 A space answers the lattice questions ``chipfire space`` asks (J, M, rank,
@@ -51,6 +49,42 @@ def _fire_in_place(chips: list, graph: Multigraph, v: int) -> None:
     chips[v] -= graph._out_degrees[v]
     for w, k in graph._out_adj[v]:
         chips[w] += k
+
+
+def _block(graph: Multigraph, total: int, offset: int):
+    """The layout of one chip vector on ``graph`` packed into an int, as
+    (width, shifts, mask, deltas): vertex v's field is the ``mask`` bits from
+    ``shifts[v] = offset + width*v``, and adding ``deltas[v]`` fires v (its
+    out-degree off its own field, each out-edge's chips onto the target's).
+
+    ``width`` is the bit length of ``total``, the vector's chip total. Chips
+    are conserved and never negative, so every field of a reachable vector
+    fits and a firing neither borrows nor carries out of its block.
+    """
+    n, deg = graph.n, graph._out_degrees
+    width = max(1, total.bit_length())
+    shifts = tuple(range(offset, offset + width * n, width))
+    deltas = tuple(
+        sum(k << shifts[w] for w, k in graph._out_adj[v]) - (deg[v] << shifts[v])
+        for v in range(n)
+    )
+    return width, shifts, (1 << width) - 1, deltas
+
+
+def _pack_block(chips, block) -> int:
+    """A chip vector laid out in ``block`` (from ``_block``), as an int."""
+    return sum(c << s for c, s in zip(chips, block[1]))
+
+
+def _unpack_block(states, block) -> list[tuple[int, ...]]:
+    """The chip vector that ``block`` holds in each packed state. Each distinct
+    block value is shifted to bit 0 and unpacked once (a colour's are few)."""
+    width, shifts, mask, _ = block
+    low, bits = min(shifts, default=0), (1 << width * len(shifts)) - 1
+    fields = range(0, width * len(shifts), width)
+    blocks = [x >> low & bits for x in states]
+    chips = {b: tuple([b >> s & mask for s in fields]) for b in set(blocks)}
+    return list(map(chips.__getitem__, blocks))
 
 
 def _closure(game, start, successors, state_cap) -> "ConfigSpace":
@@ -231,45 +265,26 @@ class Cfg:
         runs on configurations packed by ``_packing``, unpacked once at the end.
         """
         self._require_guard(state_cap, "enumerate_space")
-        space = _closure(self, self._pack(self.init), self._successors, state_cap)
-        return replace(space, configs=tuple(map(self._unpack, space.configs)))
+        block = self._packing[0]
+        space = _closure(self, _pack_block(self.init, block), self._successors, state_cap)
+        return replace(space, configs=tuple(_unpack_block(space.configs, block)))
 
     @cached_property
-    def _packing(self) -> tuple[int, tuple[tuple[int, int, int, int], ...]]:
-        """How ``enumerate_space`` packs a configuration into one int: a field
-        of ``width`` bits per vertex, vertex v at bit width*v; and per vertex
-        of positive out-degree, in ascending order, its (vertex, shift,
-        out-degree, firing delta).
-
-        ``width`` is the bit length of the total chip count. Chips are
-        conserved and never negative, so every field of a reachable
-        configuration fits, and adding a firable vertex's delta (its
-        out-degree off its own field, each out-edge's chips onto the target's)
-        neither borrows nor carries between fields.
-        """
-        g = self.graph
-        width = max(1, sum(self.init).bit_length())
+    def _packing(self):
+        """How ``enumerate_space`` packs a configuration, one ``_block`` at bit
+        0; and the moves ``_successors`` reads: per vertex of positive
+        out-degree, ascending, its (vertex, shift, out-degree, firing delta)."""
+        block = _block(self.graph, sum(self.init), 0)
+        _, shifts, _, deltas = block
         moves = tuple(
-            (v, width * v, deg, sum(k << width * w for w, k in g._out_adj[v]) - (deg << width * v))
-            for v, deg in enumerate(g._out_degrees)
-            if deg
+            (v, shifts[v], deg, deltas[v]) for v, deg in enumerate(self.graph._out_degrees) if deg
         )
-        return width, moves
-
-    def _pack(self, conf) -> int:
-        width, _ = self._packing
-        return sum(c << width * v for v, c in enumerate(conf))
-
-    def _unpack(self, conf: int) -> tuple[int, ...]:
-        width, _ = self._packing
-        mask = (1 << width) - 1
-        return tuple([conf >> s & mask for s in range(0, width * self.graph.n, width)])
+        return block, moves
 
     def _successors(self, conf: int) -> list[tuple[int, int]]:
         """The moves (v, next configuration) out of a packed configuration,
         in ascending vertex order."""
-        width, moves = self._packing
-        mask = (1 << width) - 1
+        (_, _, mask, _), moves = self._packing
         return [(v, conf + delta) for v, shift, deg, delta in moves if conf >> shift & mask >= deg]
 
 

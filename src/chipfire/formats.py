@@ -168,7 +168,10 @@ def serialize_game(game: Cfg | ColouredCfg) -> str:
         lines.append("chips: " + chips)
     else:
         for c in game.colours:
-            for (u, v), k in sorted(game.graph.layers[c].items()):
+            layer = sorted(game.graph.layers[c].items())
+            if not layer and names:  # an edge of multiplicity 0 declares an edgeless colour
+                layer = [((0, 0), 0)]
+            for (u, v), k in layer:
                 lines.append(f"edge: {names[u]} {names[v]} {k} colour={c}")
         entries = []
         for v in range(game.graph.n):

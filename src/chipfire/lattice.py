@@ -184,9 +184,10 @@ class Poset:
 
     @cached_property
     def topo_order(self) -> tuple[int, ...]:
-        """Elements sorted stably by down-set size; a linear extension."""
-        down = self._down_masks
-        return tuple(sorted(range(self.n), key=lambda x: down[x].bit_count()))
+        """Elements sorted stably by up-set size, largest first; a linear
+        extension, as x < y gives x the larger up-set."""
+        up = self._up_masks
+        return tuple(sorted(range(self.n), key=lambda x: -up[x].bit_count()))
 
     def restrict(self, elements: Iterable[int]) -> "Poset":
         """Induced suborder, keeping labels; elements in ascending index order."""
@@ -200,10 +201,8 @@ class Poset:
     @cached_property
     def _down_masks(self) -> tuple[int, ...]:
         """Bitmask of {y : y <= x} for each x: x and the down-sets of its
-        lower covers, filled from the bottom (x < y gives x the larger up-set)."""
-        up = self._up_masks
-        order = sorted(range(self.n), key=lambda x: -up[x].bit_count())
-        return _gather([1 << x for x in range(self.n)], self._lower_covers, order)
+        lower covers, filled from the bottom along ``topo_order``."""
+        return _gather([1 << x for x in range(self.n)], self._lower_covers, self.topo_order)
 
     def ideal_masks(self, cap=None) -> list[int]:
         """All down-closed subsets as bitmasks, sorted by (size, value).

@@ -319,7 +319,8 @@ def test_firing_count_matches_full_scan(coloured_corpus, monkeypatch):
     for game in games:
         colours, gates = game._packing
         colours = tuple(
-            (*layout[:6], tuple(map(CountedDelta, layout[6])), layout[7]) for layout in colours
+            (c, (*block[:3], tuple(map(CountedDelta, block[3]))), *rest)
+            for c, block, *rest in colours
         )
         game.__dict__["_packing"] = colours, gates
         game.enumerate_space()

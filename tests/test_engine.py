@@ -235,7 +235,7 @@ def test_two_states_with_one_firing_vector_are_reported(monkeypatch):
     # as a-then-b and as b-then-a gives two states with one firing vector
     successors = Cfg._successors
     game = funnel_game()
-    top = game._packing[0] * game.graph.n  # the tag sits above every vertex's field
+    top = game._packing[0][0] * game.graph.n  # the tag sits above every vertex's field
     untag = (1 << top) - 1
     monkeypatch.setattr(
         Cfg,

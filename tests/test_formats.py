@@ -88,6 +88,22 @@ def test_game_round_trip_coloured():
     assert again.init == game.init
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "vertices: a b\nedge: a b 0 colour=1\nchips: a=1@1\n",
+        "vertices: a b\nedge: a b 0 colour=1\nedge: a b 1 colour=2\n",
+    ],
+)
+def test_colour_without_edges_round_trips(text):
+    # the graph drops zero multiplicities, so colour 1 has an empty layer
+    game = parse_game(text)
+    assert game.graph.layers[1] == {}
+    again = parse_game(serialize_game(game))
+    assert again.colours == game.colours
+    assert again == game
+
+
 def test_vertex_names_holding_equals_signs_round_trip():
     # a chip entry splits on its last '=': counts and colours hold none
     game = Cfg(Multigraph(("x=", "t"), {(0, 1): 1}), (1, 0))

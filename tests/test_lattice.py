@@ -352,6 +352,23 @@ def test_ideals_are_down_closed():
                         assert y in ideal
 
 
+def assert_linear_extension(order):
+    position = {x: i for i, x in enumerate(order.topo_order)}
+    assert sorted(position) == list(range(order.n))
+    for x in range(order.n):
+        for y in order._upper_covers[x]:
+            assert position[x] < position[y], (x, y)
+
+
+def test_topo_order_is_a_linear_extension(distributive_corpus, space_corpus, coloured_space_corpus):
+    # every element comes before each of its upper covers
+    for poset in all_posets_upto(4) + distributive_corpus:
+        assert_linear_extension(poset)
+    for space in space_corpus + coloured_space_corpus:
+        assert_linear_extension(space)
+        assert_linear_extension(space.lattice())
+
+
 def assert_ideal_masks_match_bfs(poset):
     expected = bfs_ideal_masks(poset)
     assert poset.ideal_masks() == expected

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 
 from chipfire import cli
-from chipfire.engine import Cfg, ConfigSpace
+from chipfire.engine import Cfg, ConfigSpace, _unpack_block
 from chipfire.errors import DetectorDisagreement
 from chipfire.fixtures import funnel_game, relay_chain_game, shared_gate_game, split_track_game
 from chipfire.formats import parse_game
@@ -103,7 +103,8 @@ def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, ca
 
     def hide_b_after_a(self, conf):
         moves = successors(self, conf)
-        return [m for m in moves if m[0] != 1] if self._unpack(conf) == (0, 1, 1) else moves
+        [chips] = _unpack_block([conf], self._packing[0])
+        return [m for m in moves if m[0] != 1] if chips == (0, 1, 1) else moves
 
     monkeypatch.setattr(Cfg, "_successors", hide_b_after_a)
     space = game.enumerate_space()

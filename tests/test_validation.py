@@ -325,6 +325,7 @@ BAD_STATES = {
     "negative": (lambda c: c[:3] + ((0, 1, -1, 0),), None, "^bad chip vector for colour 4$"),
     "unknown open vertex": (lambda c: c, (9,), "^unknown vertex id 9$"),
     "float open vertex": (lambda c: c, (0.0,), r"^unknown vertex id 0\.0$"),
+    "unstable open vertex": (lambda c: c, (0,), "^open vertex a can still fire in colour 1$"),
 }
 STATE_ENTRY_POINTS = {
     "ColouredCfg.open_vertex": lambda g, state: g.open_vertex(state, 1),
