@@ -158,7 +158,10 @@ def _writable(names, kind):
 
 
 def serialize_game(game: Cfg | ColouredCfg) -> str:
-    """Canonical text form; parsing it back gives an equal game."""
+    """Canonical text form; parsing it back gives an equal game. A game
+    without vertices has none: ValueError."""
+    if not game.graph.names:
+        raise ValueError("a game without vertices cannot be written")
     names = _writable(game.graph.names, "vertex")
     lines = ["vertices: " + " ".join(names)]
     if isinstance(game, Cfg):
@@ -169,7 +172,7 @@ def serialize_game(game: Cfg | ColouredCfg) -> str:
     else:
         for c in game.colours:
             layer = sorted(game.graph.layers[c].items())
-            if not layer and names:  # an edge of multiplicity 0 declares an edgeless colour
+            if not layer:  # an edge of multiplicity 0 declares an edgeless colour
                 layer = [((0, 0), 0)]
             for (u, v), k in layer:
                 lines.append(f"edge: {names[u]} {names[v]} {k} colour={c}")
@@ -186,12 +189,29 @@ def serialize_game(game: Cfg | ColouredCfg) -> str:
 
 
 def parse_lattice(text: str, path: str = "<string>") -> Lattice:
+    """Parse a lattice file in one pass over its lines; cover lines, nearly
+    all of a file, are tested first."""
     labels: tuple[str, ...] | None = None
     index: dict[str, int] = {}
     covers = []
-    for lineno, line in _lines(text):
-        keyword, rest = _split_keyword(line, lineno, path)
-        if keyword == "elements":
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        keyword, colon, rest = raw.partition("#")[0].partition(":")
+        keyword = keyword.strip()
+        if keyword == "cover" and colon:
+            if labels is None:
+                raise ParseError("cover before elements line", path, lineno)
+            tokens = rest.split()
+            if len(tokens) != 2:
+                raise ParseError("cover needs 'cover: LOW HIGH'", path, lineno)
+            lo, hi = index.get(tokens[0]), index.get(tokens[1])
+            if lo is None or hi is None:
+                name = tokens[0] if lo is None else tokens[1]
+                raise ParseError(f"unknown element {name!r}", path, lineno)
+            covers.append((lo, hi))
+        elif not colon:  # the keyword is the whole line
+            if keyword:
+                raise ParseError(f"expected 'keyword: ...', got {keyword!r}", path, lineno)
+        elif keyword == "elements":
             if labels is not None:
                 raise ParseError("duplicate elements line", path, lineno)
             tokens = rest.split()
@@ -199,16 +219,6 @@ def parse_lattice(text: str, path: str = "<string>") -> Lattice:
                 raise ParseError("duplicate element name", path, lineno)
             labels = tuple(tokens)
             index = {x: i for i, x in enumerate(labels)}
-        elif keyword == "cover":
-            if labels is None:
-                raise ParseError("cover before elements line", path, lineno)
-            tokens = rest.split()
-            if len(tokens) != 2:
-                raise ParseError("cover needs 'cover: LOW HIGH'", path, lineno)
-            for name in tokens:
-                if name not in index:
-                    raise ParseError(f"unknown element {name!r}", path, lineno)
-            covers.append((index[tokens[0]], index[tokens[1]]))
         else:
             raise ParseError(f"unknown keyword {keyword!r}", path, lineno)
     if labels is None:

@@ -11,9 +11,12 @@ A finite order with a least element is a lattice iff x∨j exists for every
 element x and join-irreducible j: along a linear extension, an element y
 above the least element and outside J is the join of two lower covers a and
 b, so x∨y = (x∨a)∨b. And x∨j exists iff the common up-set of x and j is the
-up-set of some element, one dict lookup; n·|J| lookups verify a lattice, and
-every join and meet is one more. No dense matrix or table is built: the
-triple law and the isomorphism search read the same ints.
+up-set of some element (for x comparable with j it is x or j). So a lattice
+is verified by one containment check per join-irreducible j: the common
+up-sets of j and the elements incomparable with it, picked in C by the bits
+of one mask, are all keys of the index of up-sets. Every join and meet is
+one lookup. No dense matrix or table is built: the triple law and the
+isomorphism search read the same ints.
 
 Distributivity is read off the meet-irreducible coding, one recurrence over
 upper covers (``Lattice._mx_masks``): a finite lattice is distributive iff it
@@ -26,10 +29,10 @@ moves; it keeps its own rank and hypercube detector.
 
 from __future__ import annotations
 
-import graphlib
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress
 from typing import Iterable, Mapping
 
 from .errors import CapExceeded, DetectorDisagreement, NotALatticeError
@@ -41,6 +44,15 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _picked(items, mask):
+    """The items at the set bits of ``mask``, picked in C: its binary digits,
+    lowest first, select them."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_DIGITS))
 
 
 def _matrix_rows(leq) -> tuple[int, ...]:
@@ -96,10 +108,15 @@ class Poset:
     def from_covers(cls, n, covers, labels=None, **kwargs):
         """Build from cover pairs (lower, upper); rejects cyclic input.
 
-        Repeated pairs and pairs implied by transitivity are dropped; the
-        reduced, sorted list is kept as ``cover_pairs``.
+        Every pair is checked first. Kahn's queue then places the elements
+        from the top, each once all its upper covers are placed, and fewer
+        than n placed means a cycle. Along that order each strict up-set is
+        the union of its upper covers and their strict up-sets; a pair whose
+        upper element is in it already is implied or repeated and dropped.
+        The reduced, sorted list is kept as ``cover_pairs``.
         """
-        up = [set() for _ in range(n)]
+        up = [[] for _ in range(n)]  # upper covers, as listed
+        below = [[] for _ in range(n)]  # lower covers, as listed
         for lo, hi in covers:
             try:  # plain ints: a numpy-integer shift overflows past bit 63
                 a, b = operator.index(lo), operator.index(hi)
@@ -107,17 +124,28 @@ class Poset:
                 a = b = -1
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"bad cover pair ({lo},{hi})")
-            up[a].add(b)
-        try:  # each element after its upper covers
-            order = tuple(graphlib.TopologicalSorter(dict(enumerate(up))).static_order())
-        except graphlib.CycleError:
-            raise ValueError("cover relation contains a cycle") from None
+            up[a].append(b)
+            below[b].append(a)
+        left = [len(ups) for ups in up]  # listed pairs whose upper element is not placed
+        order = [v for v in range(n) if not left[v]]
+        for w in order:  # grows while it is read: each element after its upper covers
+            for v in below[w]:
+                left[v] -= 1
+                if not left[v]:
+                    order.append(v)
+        if len(order) < n:
+            raise ValueError("cover relation contains a cycle")
         above = [0] * n  # strict up-sets
         kept = []
-        for v in order:  # a pair reached in two or more steps is implied
-            far = reduce(operator.or_, (above[w] for w in up[v]), 0)
-            kept += [(v, w) for w in up[v] if not far >> w & 1]
-            above[v] = far | sum(1 << w for w in up[v])
+        for v in order:
+            near = 0
+            for w in up[v]:
+                near |= above[w]
+            for w in up[v]:  # reached in two or more steps, or listed before
+                if not near >> w & 1:
+                    kept.append((v, w))
+                    near |= 1 << w
+            above[v] = near
         return cls(
             labels=labels, _checked=True, _covers=tuple(sorted(kept)),
             _up=tuple(m | 1 << v for v, m in enumerate(above)), **kwargs,
@@ -248,11 +276,11 @@ def _family_lattice(members, codes, ground_labels) -> "Lattice":
 
 
 class Lattice(Poset):
-    """Bounded lattice, verified at construction by a least element and a
-    lookup of x∨j for every element x and join-irreducible j (see the module
-    docstring). On a failure the pairs are rescanned in index order, so the
-    error names the first offending pair. A join or a meet looks up a common
-    up-set or down-set.
+    """Bounded lattice, verified at construction by a least element and one
+    containment check per join-irreducible j, that x∨j exists for every
+    element x (see the module docstring). On a failure the pairs are
+    rescanned in index order, so the error names the first offending pair. A
+    join or a meet looks up a common up-set or down-set.
 
     ``cover_labels`` optionally annotates cover edges (e.g. with the vertex
     fired along a configuration-space edge).
@@ -297,15 +325,17 @@ class Lattice(Poset):
         raise RuntimeError("lattice check failed although every pair has a join and a meet")
 
     def _verify(self):
-        """A least element, and x∨j for each j in J apart from x (else it is x
-        or j), make every join and meet exist; else raise for the first pair."""
+        """A least element, and x∨j for each j in J and each x incomparable
+        with j (else it is x or j), make every join and meet exist. One
+        containment check per j: no common up-set of j and those x is missing
+        from ``_up_index``. Else raise for the first pair."""
         if self.n == 0:
             raise NotALatticeError("not a lattice: empty element set")
         up, down, index = self._up_masks, self._down_masks, self._up_index
-        joins = sum(1 << j for j in self.J)
-        if len(self.minimal_elements) != 1 or any(
-            up[x] & up[j] not in index
-            for x in range(self.n) for j in _bits(joins & ~(up[x] | down[x]))
+        every = (1 << self.n) - 1
+        if len(self.minimal_elements) != 1 or any(  # index is a dict: the set's hashes are reused
+            {u & up[j] for u in _picked(up, every & ~(up[j] | down[j]))}.difference(index)
+            for j in self.J
         ):
             self._raise_first_failure()
         (self.bottom,), (self.top,) = self.minimal_elements, self.maximal_elements

@@ -10,8 +10,9 @@ sequences without memoisation, a subset walk over each state's cube of moves, a 
 maps folded through pairwise meets, naive triple-loop law checks, loop-based
 arrow relations and witness reports, a scanning transitive reduction, the
 dense inclusion order of a set family, powerset-based ideal enumeration and
-the breadth-first ideal closure the linear-extension walk replaced, and the
-numpy constructions the integer element sets replaced (Kahn's queue with a
+the breadth-first ideal closure the linear-extension walk replaced, the
+line-by-line lattice-file parser the one-loop ``parse_lattice`` replaced, and
+the numpy constructions the integer element sets replaced (Kahn's queue with a
 numpy row per up-set for ``Poset.from_covers``; the meet-irreducible coding
 as columns of the dense order and as compared firing vectors; the triple-law
 witness on dense join and meet tables and the isomorphism search on the
@@ -35,7 +36,15 @@ import numpy as np
 from chipfire import coloured
 from chipfire.coloured import ColouredCfg, ColouredState
 from chipfire.engine import Cfg, ConfigSpace, _closure, _fire_in_place
-from chipfire.errors import CapExceeded, FiringVectorConflict, StateCapExceeded, StepCapExceeded
+from chipfire.errors import (
+    CapExceeded,
+    FiringVectorConflict,
+    NotALatticeError,
+    ParseError,
+    StateCapExceeded,
+    StepCapExceeded,
+)
+from chipfire.formats import _lines, _split_keyword
 from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset, _refine_pair
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport
@@ -500,9 +509,10 @@ def dense_find_isomorphism(a: Lattice, b: Lattice, cap: int = 5000):
 
 
 def kahn_from_covers(n, covers, labels=None) -> Poset:
-    """``Poset.from_covers`` as it was before up-sets were closed as ints: a
-    linear extension by Kahn's queue, then each element's strict up-set as
-    a numpy row, filled from the top."""
+    """``Poset.from_covers`` as it was before up-sets were closed as ints.
+    Both place the elements by Kahn's queue (this one from the bottom, over
+    a set of seen pairs); they differ in the closure, here each element's
+    strict up-set as a numpy row, filled from the top."""
     up = [[] for _ in range(n)]
     indeg = [0] * n
     seen = set()
@@ -609,6 +619,45 @@ def naive_not_a_lattice_message(poset: Poset):
                 names = ", ".join(labels[a] for a in extreme[:4])
                 return head + f"{len(extreme)} {word} common {kind} bounds ({names})"
     return None
+
+
+def keyword_parse_lattice(text: str, path: str = "<string>") -> Lattice:
+    """``formats.parse_lattice`` as it was before its one-loop pass: the lines
+    through ``formats._lines``, each split by ``formats._split_keyword``."""
+    labels: tuple[str, ...] | None = None
+    index: dict[str, int] = {}
+    covers = []
+    for lineno, line in _lines(text):
+        keyword, rest = _split_keyword(line, lineno, path)
+        if keyword == "elements":
+            if labels is not None:
+                raise ParseError("duplicate elements line", path, lineno)
+            tokens = rest.split()
+            if len(set(tokens)) != len(tokens):
+                raise ParseError("duplicate element name", path, lineno)
+            labels = tuple(tokens)
+            index = {x: i for i, x in enumerate(labels)}
+        elif keyword == "cover":
+            if labels is None:
+                raise ParseError("cover before elements line", path, lineno)
+            tokens = rest.split()
+            if len(tokens) != 2:
+                raise ParseError("cover needs 'cover: LOW HIGH'", path, lineno)
+            for name in tokens:
+                if name not in index:
+                    raise ParseError(f"unknown element {name!r}", path, lineno)
+            covers.append((index[tokens[0]], index[tokens[1]]))
+        else:
+            raise ParseError(f"unknown keyword {keyword!r}", path, lineno)
+    if labels is None:
+        raise ParseError("missing elements line", path)
+    try:
+        return Lattice.from_covers(len(labels), covers, labels=labels)
+    except ValueError as exc:
+        # NotALatticeError passes through; cycles etc. become parse errors
+        if isinstance(exc, NotALatticeError):
+            raise
+        raise ParseError(str(exc), path) from None
 
 
 def naive_cover_pairs(leq) -> list[tuple[int, int]]:

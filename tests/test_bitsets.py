@@ -3,15 +3,19 @@
 ``Poset.from_covers`` closes strict up-sets as ints over the covers; it is
 compared with Kahn's queue and a numpy row per element
 (``helpers.kahn_from_covers``) on order, kept covers and error text. On small
-acyclic inputs, with and without a new least and greatest element,
-``Lattice.from_covers`` and its n·|J| join lookups must give the scanning
-oracles' verdict, error text, joins and meets. The
+acyclic inputs, with and without a new least and greatest element, and on
+fixed lattice-shaped inputs past 64 elements, ``Lattice.from_covers`` and its
+one containment check per join-irreducible must give the scanning oracles'
+verdict, error text, joins and meets. The
 meet-irreducible coding ``Lattice._mx_masks``, read off the upper covers of a
 ``Lattice`` and, by the same member, off the checked covers of a
 ``ConfigSpace``, is compared with the columns of the dense order
 (``dense_mx_masks``) and with the compared firing vectors
 (``vector_mx_masks``).
 """
+
+import itertools
+import random
 
 import numpy as np
 import pytest
@@ -75,9 +79,10 @@ def outcome(build, n, covers):
     return dense_leq(poset).tolist(), poset.cover_pairs
 
 
-def assert_lattice_verdict(n, covers, poset):
+def assert_lattice_verdict(n, covers, poset, pairs=None):
     """``Lattice.from_covers(n, covers)`` against the scanning oracles on
-    ``poset``, the same order built by Kahn's queue."""
+    ``poset``, the same order built by Kahn's queue; joins and meets on
+    ``pairs``, all pairs by default."""
     expected = naive_not_a_lattice_message(poset) if n else "not a lattice: empty element set"
     try:
         lat = Lattice.from_covers(n, covers, labels=poset.labels)
@@ -85,10 +90,9 @@ def assert_lattice_verdict(n, covers, poset):
         assert str(exc) == expected
         return
     assert expected is None
-    for x in range(n):
-        for y in range(n):
-            assert lat.join(x, y) == naive_join(poset, x, y), (covers, x, y)
-            assert lat.meet(x, y) == naive_meet(poset, x, y), (covers, x, y)
+    for x, y in itertools.product(range(n), repeat=2) if pairs is None else pairs:
+        assert lat.join(x, y) == naive_join(poset, x, y), (covers, x, y)
+        assert lat.meet(x, y) == naive_meet(poset, x, y), (covers, x, y)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
@@ -104,6 +108,48 @@ def test_from_covers_matches_the_kahn_construction(case):
         ends = [(0, n + 1)] + [(0, x + 1) for x in range(n)] + [(x + 1, n + 1) for x in range(n)]
         shifted = [(lo + 1, hi + 1) for lo, hi in covers] + ends
         assert_lattice_verdict(n + 2, shifted, bounded(poset))
+
+
+def chain_product(sizes):
+    """(n, covers) of the product of chains with ``sizes`` elements each, its
+    elements in lexicographic order: 0 is the bottom, n - 1 the top."""
+    elems = list(itertools.product(*map(range, sizes)))
+    index = {e: i for i, e in enumerate(elems)}
+    covers = [
+        (index[e], index[e[:k] + (e[k] + 1,) + e[k + 1:]])
+        for e in elems for k, size in enumerate(sizes) if e[k] + 1 < size
+    ]
+    return len(elems), covers
+
+
+def wide_cases():
+    """Lattice-shaped cover lists past 64 elements, valid and not."""
+    cube = Lattice.boolean(7).cover_pairs
+    n, grid = chain_product((3, 4, 6))
+    return {
+        "boolean 2^7 less its first cover": (128, cube[1:]),
+        "boolean 2^7 less a middle cover": (128, cube[:200] + cube[201:]),
+        "boolean 2^7 less its last cover": (128, cube[:-1]),
+        "product with an extra top over a coatom": (n + 1, grid + [(n - 2, n)]),
+        "product with an extra top over the top": (n + 1, grid + [(n - 1, n)]),
+        # only the pair of new tops, both above bit 63, has no join
+        "product with two extra tops over the top": (n + 2, grid + [(n - 1, n), (n - 1, n + 1)]),
+        "product with an extra bottom under an atom": (n + 1, grid + [(n, 1)]),
+        "product with an extra bottom under the bottom": (n + 1, grid + [(n, 0)]),
+        "product with an extra middle element": (n + 1, grid + [(1, n), (n, n - 2)]),
+    }
+
+
+WIDE = wide_cases()
+
+
+@pytest.mark.parametrize("case", WIDE)
+def test_lattice_verdict_past_one_machine_word(case):
+    n, covers = WIDE[case]
+    assert outcome(Poset.from_covers, n, covers) == outcome(kahn_from_covers, n, covers)
+    rng = random.Random(case)
+    pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)] + [(x, n - 1) for x in range(n)]
+    assert_lattice_verdict(n, covers, kahn_from_covers(n, covers), pairs)
 
 
 def test_from_covers_reports_a_bad_pair_listed_after_a_cycle():

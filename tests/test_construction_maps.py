@@ -355,7 +355,8 @@ def test_cli_paths_build_no_meet_table(tmp_path, monkeypatch, capsys):
 
 NO_NUMPY = (
     "import sys, chipfire.cli as c; code = c.main(sys.argv[1:]); "
-    "assert 'numpy' not in sys.modules, 'numpy imported'; sys.exit(code)"
+    "assert 'numpy' not in sys.modules, 'numpy imported'; "
+    "assert 'graphlib' not in sys.modules, 'graphlib imported'; sys.exit(code)"
 )
 
 
@@ -374,7 +375,7 @@ NO_NUMPY = (
 )
 def test_cli_paths_import_no_numpy(argv, code, err):
     """A fresh interpreter runs the command, the triple-law witness included,
-    and ends with numpy still unimported."""
+    and ends with numpy and graphlib still unimported."""
     src = os.path.dirname(os.path.dirname(chipfire.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [argv[0], data_path(argv[1]), *argv[2:]]

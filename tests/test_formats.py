@@ -104,6 +104,23 @@ def test_colour_without_edges_round_trips(text):
     assert again == game
 
 
+@pytest.mark.parametrize(
+    "game",
+    [
+        Cfg(Multigraph((), {}), ()),
+        ColouredCfg(ColouredMultigraph((), {}), {}),
+        ColouredCfg(ColouredMultigraph((), {1: {}}), {1: ()}),
+    ],
+    ids=["classical", "coloured", "coloured-edgeless-colour"],
+)
+def test_serialize_game_refuses_a_game_without_vertices(game):
+    # a vertices line needs at least one name, so no file reads back as this game
+    with pytest.raises(ValueError, match="^a game without vertices cannot be written$"):
+        serialize_game(game)
+    with pytest.raises(ParseError, match="vertices line needs at least one name"):
+        parse_game("vertices: \nchips: \n")
+
+
 def test_vertex_names_holding_equals_signs_round_trip():
     # a chip entry splits on its last '=': counts and colours hold none
     game = Cfg(Multigraph(("x=", "t"), {(0, 1): 1}), (1, 0))
@@ -305,3 +322,58 @@ def test_classical_game_is_one_layer_without_colours():
     coloured = parse_game("vertices: a b\nedge: a b 0 colour=4\nchips: b=2@4 b=1@4\n")
     assert isinstance(coloured, ColouredCfg)
     assert coloured.colours == (4,) and coloured.init == {4: (0, 3)}
+
+
+def lattice_error(text):
+    with pytest.raises(ParseError) as err:
+        parse_lattice(text, path="l.lat")
+    return str(err.value)
+
+
+# Every ParseError of a lattice file, with its text and ``path:lineno``; a
+# comment or blank line before the failing line still counts.
+LATTICE_ERRORS = {
+    "no colon": ("elements: a b\ncover a b\n", "l.lat:2: expected 'keyword: ...', got 'cover a b'"),
+    "no colon, comment stripped": (
+        "# lattice\n\nelements: a b  # two\n   cover  # a: b\n",
+        "l.lat:4: expected 'keyword: ...', got 'cover'",
+    ),
+    "unknown keyword": ("elements: a b\nedge: a b\n", "l.lat:2: unknown keyword 'edge'"),
+    "empty keyword": ("elements: a b\n: a b\n", "l.lat:2: unknown keyword ''"),
+    "keyword with a space": ("elements: a b\nco ver: a b\n", "l.lat:2: unknown keyword 'co ver'"),
+    "keyword case": ("elements: a b\nCover: a b\n", "l.lat:2: unknown keyword 'Cover'"),
+    "unknown keyword before elements": ("covers: a b\nelements: a b\n", "l.lat:1: unknown keyword 'covers'"),
+    "duplicate elements line": (
+        "elements: a b\ncover: a b\n\nelements: a b\n",
+        "l.lat:4: duplicate elements line",
+    ),
+    "duplicate element name": ("# x\nelements: a b a\n", "l.lat:2: duplicate element name"),
+    "cover before elements line": ("\n# c\ncover: a b\nelements: a b\n", "l.lat:3: cover before elements line"),
+    "cover with one name": ("elements: a b\ncover: a\n", "l.lat:2: cover needs 'cover: LOW HIGH'"),
+    "cover with no name": ("elements: a b\ncover:   # none\n", "l.lat:2: cover needs 'cover: LOW HIGH'"),
+    "cover with three names": ("elements: a b c\ncover: a b c\n", "l.lat:2: cover needs 'cover: LOW HIGH'"),
+    "unknown low": ("elements: a b\n# c\ncover: z b\n", "l.lat:3: unknown element 'z'"),
+    "unknown high": ("elements: a b\ncover: a b\n\ncover: a z\n", "l.lat:4: unknown element 'z'"),
+    "both unknown, low named": ("elements: a b\ncover: y z\n", "l.lat:2: unknown element 'y'"),
+    "colon in a name": ("elements: a b\ncover: a: b\n", "l.lat:2: unknown element 'a:'"),
+    "missing elements line": ("# only a comment\n\n", "l.lat: missing elements line"),
+    "cycle": ("elements: a b\ncover: a b\n# back\ncover: b a\n", "l.lat: cover relation contains a cycle"),
+    "self cover": ("elements: a b\ncover: a b\ncover: b b\n", "l.lat: bad cover pair (1,1)"),
+}
+
+
+@pytest.mark.parametrize("case", LATTICE_ERRORS)
+def test_lattice_parse_errors_carry_text_and_line(case):
+    text, message = LATTICE_ERRORS[case]
+    assert lattice_error(text) == message
+
+
+def test_lattice_file_whitespace_and_comments_are_ignored():
+    lat = parse_lattice(
+        "  # header\n\t elements :  bot\tx y  top # four\n\n"
+        "cover:bot x\ncover :  bot y \n  cover: x top#c\ncover: y top\n"
+    )
+    assert lat.labels == ("bot", "x", "y", "top")
+    assert lat.cover_pairs == ((0, 1), (0, 2), (1, 3), (2, 3))
+    with pytest.raises(NotALatticeError, match="^not a lattice: empty element set$"):
+        parse_lattice("elements:\n")
