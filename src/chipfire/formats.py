@@ -17,7 +17,10 @@ Lattice files::
     elements: e0 e1 e2
     cover: e0 e1
 
-Blank lines and ``#`` comments are ignored everywhere.
+Both read their lines through one grammar: ``#`` starts a comment, a line
+left blank is skipped, and any other line is ``keyword: rest``, the keyword
+ending at its first colon. The three DOT writers lay out their digraphs
+through one emitter: header lines, one line per node, one per edge.
 """
 
 from __future__ import annotations
@@ -34,18 +37,15 @@ _PALETTE = (
 )
 
 
-def _lines(text):
+def _keyword_lines(text, path):
+    """``(lineno, keyword, rest)`` for each line with content; ParseError for
+    one without a colon."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _split_keyword(line, lineno, path):
-    if ":" not in line:
-        raise ParseError(f"expected 'keyword: ...', got {line!r}", path, lineno)
-    keyword, rest = line.split(":", 1)
-    return keyword.strip(), rest.strip()
+        keyword, colon, rest = raw.partition("#")[0].partition(":")
+        if colon:
+            yield lineno, keyword.strip(), rest
+        elif keyword := keyword.strip():
+            raise ParseError(f"expected 'keyword: ...', got {keyword!r}", path, lineno)
 
 
 def parse_game(text: str, path: str = "<string>"):
@@ -56,8 +56,7 @@ def parse_game(text: str, path: str = "<string>"):
     index: dict[str, int] = {}
     edges = []  # (u, v, k, colour or None, lineno)
     chip_items = []  # (vertex, count, colour or None, lineno)
-    for lineno, line in _lines(text):
-        keyword, rest = _split_keyword(line, lineno, path)
+    for lineno, keyword, rest in _keyword_lines(text, path):
         if keyword == "vertices":
             if names is not None:
                 raise ParseError("duplicate vertices line", path, lineno)
@@ -159,9 +158,12 @@ def _writable(names, kind):
 
 def serialize_game(game: Cfg | ColouredCfg) -> str:
     """Canonical text form; parsing it back gives an equal game. A game
-    without vertices has none: ValueError."""
+    without vertices, or a coloured one without colours (its file would read
+    back as classical), has none: ValueError."""
     if not game.graph.names:
         raise ValueError("a game without vertices cannot be written")
+    if isinstance(game, ColouredCfg) and not game.colours:
+        raise ValueError("a coloured game without colours cannot be written")
     names = _writable(game.graph.names, "vertex")
     lines = ["vertices: " + " ".join(names)]
     if isinstance(game, Cfg):
@@ -194,10 +196,8 @@ def parse_lattice(text: str, path: str = "<string>") -> Lattice:
     labels: tuple[str, ...] | None = None
     index: dict[str, int] = {}
     covers = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        keyword, colon, rest = raw.partition("#")[0].partition(":")
-        keyword = keyword.strip()
-        if keyword == "cover" and colon:
+    for lineno, keyword, rest in _keyword_lines(text, path):
+        if keyword == "cover":
             if labels is None:
                 raise ParseError("cover before elements line", path, lineno)
             tokens = rest.split()
@@ -208,9 +208,6 @@ def parse_lattice(text: str, path: str = "<string>") -> Lattice:
                 name = tokens[0] if lo is None else tokens[1]
                 raise ParseError(f"unknown element {name!r}", path, lineno)
             covers.append((lo, hi))
-        elif not colon:  # the keyword is the whole line
-            if keyword:
-                raise ParseError(f"expected 'keyword: ...', got {keyword!r}", path, lineno)
         elif keyword == "elements":
             if labels is not None:
                 raise ParseError("duplicate elements line", path, lineno)
@@ -248,61 +245,60 @@ def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _dot(name, header, nodes, edges) -> str:
+    """A digraph: its header lines, then ``nodes`` as ``(id, attrs)`` and
+    ``edges`` as ``(low, high, attrs)``; an edge with empty attrs has none."""
+    lines = [f"digraph {name} {{"]
+    for line in header:
+        lines.append(f"  {line};")
+    for x, attrs in nodes:
+        lines.append(f"  n{x} [{attrs}];")
+    for lo, hi, attrs in edges:
+        lines.append(f"  n{lo} -> n{hi} [{attrs}];" if attrs else f"  n{lo} -> n{hi};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def space_to_dot(space: ConfigSpace) -> str:
     """Hasse diagram of a configuration space, initial state at the bottom."""
-    lines = ["digraph configuration_space {", "  rankdir=BT;", "  node [shape=box];"]
-    for i in range(len(space)):
-        lines.append(f"  n{i} [label={_quote(space.shot_label(i))}];")
-    for lo, hi, v in space.covers:
-        lines.append(f"  n{lo} -> n{hi} [label={_quote(space.names[v])}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    fired = [f"label={_quote(name)}" for name in space.names]  # a cover firing v: fired[v]
+    return _dot(
+        "configuration_space",
+        ("rankdir=BT", "node [shape=box]"),
+        ((i, f"label={_quote(space.shot_label(i))}") for i in range(len(space))),
+        ((lo, hi, fired[v]) for lo, hi, v in space.covers),
+    )
 
 
-def lattice_to_dot(lattice: Lattice, edge_labels=False, mark_irreducibles=False) -> str:
-    """Hasse diagram, bottom-up; optionally label covers and mark J/M members."""
-    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    j_set, m_set = set(), set()
-    if mark_irreducibles:
-        j_set, m_set = set(lattice.J), set(lattice.M)
-    labelling = lattice.edge_labels() if edge_labels else {}
-    for x in range(lattice.n):
-        attrs = [f"label={_quote(lattice.labels[x])}"]
-        if x in j_set and x in m_set:
-            attrs.append("peripheries=3")
-        elif x in j_set:
-            attrs.append("peripheries=2")
-        elif x in m_set:
-            attrs.append("style=dashed")
-        lines.append(f"  n{x} [{', '.join(attrs)}];")
+def lattice_to_dot(lattice: Lattice, edge_labels=False) -> str:
+    """Hasse diagram, bottom-up; covers carry the edge labelling (which
+    labels every cover) when asked, else the lattice's own cover labels."""
+    labels = lattice.labels
+    labelling = lattice.cover_labels
+    if edge_labels:
+        labelling = {c: labels[m] for c, m in lattice.edge_labels().items()}
+    edges = []
     for lo, hi in lattice.cover_pairs:
-        attrs = ""
-        if (lo, hi) in labelling:
-            attrs = f" [label={_quote(lattice.labels[labelling[(lo, hi)]])}]"
-        elif (lo, hi) in lattice.cover_labels:
-            attrs = f" [label={_quote(lattice.cover_labels[(lo, hi)])}]"
-        lines.append(f"  n{lo} -> n{hi}{attrs};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        label = labelling.get((lo, hi))
+        edges.append((lo, hi, "" if label is None else f"label={_quote(label)}"))
+    return _dot(
+        "lattice",
+        ("rankdir=BT", "node [shape=box]"),
+        ((x, f"label={_quote(labels[x])}") for x in range(lattice.n)),
+        edges,
+    )
 
 
 def coloured_game_to_dot(game: ColouredCfg, state=None) -> str:
     """The coloured support graph; open vertices of a state are filled grey."""
     opened = state.opened if state is not None else frozenset()
-    names = game.graph.names
-    lines = ["digraph coloured_game {", "  node [shape=circle];"]
-    for v in range(game.graph.n):
-        attrs = [f"label={_quote(names[v])}"]
-        if v in opened:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=gray85")
-        lines.append(f"  n{v} [{', '.join(attrs)}];")
+    nodes = []
+    for v, name in enumerate(game.graph.names):
+        fill = ", style=filled, fillcolor=gray85" if v in opened else ""
+        nodes.append((v, f"label={_quote(name)}{fill}"))
+    edges = []
     for ci, c in enumerate(game.colours):
-        tint = _PALETTE[ci % len(_PALETTE)]
+        attrs = f"label={_quote(str(c))}, color={_PALETTE[ci % len(_PALETTE)]}"
         for (u, v), k in sorted(game.graph.layers[c].items()):
-            for _ in range(k):
-                lines.append(
-                    f"  n{u} -> n{v} [label={_quote(str(c))}, color={tint}];"
-                )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            edges += [(u, v, attrs)] * k
+    return _dot("coloured_game", ("node [shape=circle]",), nodes, edges)

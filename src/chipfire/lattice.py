@@ -560,19 +560,16 @@ class Lattice(Poset):
         return ArrowRelations(pairs(down), pairs(up), pairs(d & u for d, u in zip(down, up)))
 
     def arrow_partition(self) -> "ArrowPartition":
-        """Partition of J by the unique up-down arrow partner in M: j's down
-        arrows go to the meet-irreducibles that the cover j_lower(j) < j
-        removes, in a ULD lattice one m, which is j's partner when also
-        j <= m_upper(m)."""
+        """Partition of J by the unique up-down arrow partner in M: in a ULD
+        lattice j has one down arrow, to the m that the cover
+        j_lower(j) < j removes, and that m is j's partner when j ↑ m too."""
         if not self.is_uld:
             raise ValueError("the arrow partition requires an upper locally distributive lattice")
-        mx = self._mx_masks
         partner = {}
-        for j in self.J:
-            m = self.M[(mx[self.j_lower(j)] & ~mx[j]).bit_length() - 1]
-            if not self.le(j, self.m_upper(m)):
+        for j, down, up in zip(self.J, *self._arrows):
+            if not down & up:
                 raise RuntimeError(f"join-irreducible {j} has 0 up-down partners")
-            partner[j] = m
+            partner[j] = self.M[(down & up).bit_length() - 1]
         classes = {
             m: frozenset(j for j in self.J if partner[j] == m) for m in self.M
         }
@@ -688,39 +685,35 @@ class ArrowWitnessReport:
 
 
 def arrow_witness_report(lattice: Lattice) -> ArrowWitnessReport:
-    """Every clause checked on sets gathered along the covers: from the
-    bottom, the j <= x (over J) and their down and up-down arrows (over M,
-    packed into the same int); from the top, the j with an up arrow into
-    some m >= x (over J). x <= m is read off the meet-irreducible coding.
+    """Every clause as set algebra on the up- and down-sets: the x ≰ m
+    without a down (up-down) witness lie outside ``down[m]`` and outside
+    every ``up[j]`` with j ↓ m (j ↕ m); an x with j ≰ x fails the up clause
+    unless it lies in ``down[m]`` for some m with j ↑ m.
 
     ``failures`` lists down/updown failures m-major, then x, followed by up
     failures j-major, then x.
     """
-    down, up = lattice._arrows
+    down_rows, up_rows = lattice._arrows
     uld = lattice.is_uld
-    n, J, M, mx = lattice.n, lattice.J, lattice.M, lattice._mx_masks
-    nj, nm = len(J), len(M)
-    seeds = [0] * n
-    for a, j in enumerate(J):
-        seeds[j] = 1 << a | down[a] << nj | (down[a] & up[a]) << nj + nm
-    below = _gather(seeds, lattice._lower_covers, lattice.topo_order)
-    seeds = [0] * n
-    for b, m in enumerate(M):
-        seeds[m] = sum(1 << a for a, row in enumerate(up) if row >> b & 1)
-    up_into = _gather(seeds, lattice._upper_covers, reversed(lattice.topo_order))
-    every_j, every_m = (1 << nj) - 1, (1 << nm) - 1
-    bad, up_bad = [], []  # (position in M, x, clause), (position in J, x)
-    for x in range(n):
-        apart = every_m & ~mx[x]  # the m with x ≰ m
-        has_down, has_updown = below[x] >> nj & every_m, below[x] >> nj + nm
-        if no_down := apart & ~has_down:
-            bad += [(b, x, "down") for b in _bits(no_down)]
-        if uld and (no_updown := apart & has_down & ~has_updown):
-            bad += [(b, x, "updown") for b in _bits(no_updown)]
-        if no_up := every_j & ~below[x] & ~up_into[x]:
-            up_bad += [(a, x) for a in _bits(no_up)]
-    failures = [(kind, x, M[b]) for b, x, kind in sorted(bad)]
-    failures += [("up", J[a], x) for a, x in sorted(up_bad)]
+    J, M, up, down = lattice.J, lattice.M, lattice._up_masks, lattice._down_masks
+    every = (1 << lattice.n) - 1
+    has_down, has_updown = [0] * len(M), [0] * len(M)  # the x above some witness
+    for j, d, u in zip(J, down_rows, up_rows):
+        for b in _bits(d):
+            has_down[b] |= up[j]
+        for b in _bits(d & u):
+            has_updown[b] |= up[j]
+    failures = []
+    for m, witnessed, updown_witnessed in zip(M, has_down, has_updown):
+        apart = every & ~down[m]  # the x with x ≰ m
+        no_updown = apart & witnessed & ~updown_witnessed if uld else 0
+        for x in _bits(apart & ~witnessed | no_updown):
+            failures.append(("updown" if no_updown >> x & 1 else "down", x, m))
+    for j, u in zip(J, up_rows):
+        covered = up[j]
+        for b in _bits(u):
+            covered |= down[M[b]]
+        failures += [("up", j, x) for x in _bits(every & ~covered)]
     kinds = {kind for kind, _, _ in failures}
     return ArrowWitnessReport(
         down_ok="down" not in kinds,

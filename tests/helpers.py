@@ -11,12 +11,12 @@ maps folded through pairwise meets, naive triple-loop law checks, loop-based
 arrow relations and witness reports, a scanning transitive reduction, the
 dense inclusion order of a set family, powerset-based ideal enumeration and
 the breadth-first ideal closure the linear-extension walk replaced, the
-line-by-line lattice-file parser the one-loop ``parse_lattice`` replaced, and
-the numpy constructions the integer element sets replaced (Kahn's queue with a
-numpy row per up-set for ``Poset.from_covers``; the meet-irreducible coding
-as columns of the dense order and as compared firing vectors; the triple-law
-witness on dense join and meet tables and the isomorphism search on the
-dense order). The dense order and tables are filled one public ``le``,
+line-by-line lattice-file parser the one-loop ``parse_lattice`` replaced
+(with its own copies of the line helpers), and the numpy constructions the
+integer element sets replaced (Kahn's queue with a numpy row per up-set for
+``Poset.from_covers``; the meet-irreducible coding as columns of the dense
+order and as compared firing vectors; the triple-law witness on dense join
+and meet tables and the isomorphism search on the dense order). The dense order and tables are filled one public ``le``,
 ``join`` or ``meet`` per cell, so they share no packing with the library. The
 one exception is the coloured opening rule that replays every colour over
 every open vertex after every firing: it is independent of the worklist
@@ -44,7 +44,6 @@ from chipfire.errors import (
     StateCapExceeded,
     StepCapExceeded,
 )
-from chipfire.formats import _lines, _split_keyword
 from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset, _refine_pair
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport
@@ -621,9 +620,25 @@ def naive_not_a_lattice_message(poset: Poset):
     return None
 
 
+def _lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _split_keyword(line, lineno, path):
+    if ":" not in line:
+        raise ParseError(f"expected 'keyword: ...', got {line!r}", path, lineno)
+    keyword, rest = line.split(":", 1)
+    return keyword.strip(), rest.strip()
+
+
 def keyword_parse_lattice(text: str, path: str = "<string>") -> Lattice:
     """``formats.parse_lattice`` as it was before its one-loop pass: the lines
-    through ``formats._lines``, each split by ``formats._split_keyword``."""
+    through ``_lines``, each split by ``_split_keyword``, the line helpers the
+    library's game parser once used, copied here so that this oracle shares
+    no line handling with the parser it checks."""
     labels: tuple[str, ...] | None = None
     index: dict[str, int] = {}
     covers = []

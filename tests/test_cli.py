@@ -371,3 +371,14 @@ def test_main_parses_with_one_parser_per_process(tmp_path, capsys, monkeypatch):
 def test_build_parser_returns_a_new_parser():
     assert build_parser() is not build_parser()
     assert build_parser() is not cli._parser()
+
+
+def test_synth_uld_refuses_a_one_element_lattice(tmp_path, capsys):
+    # its game has a vertex but no colour, and would read back as classical
+    lat = write(tmp_path, "one.lat", "elements: x\n")
+    out_path = tmp_path / "one.g"
+    assert main(["synth", lat, "--mode", "uld", "-o", str(out_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a coloured game without colours cannot be written\n"
+    assert not out_path.exists()

@@ -4,7 +4,7 @@ from chipfire.cli import main
 from chipfire.coloured import ColouredCfg
 from chipfire.engine import Cfg
 from chipfire.errors import NotALatticeError, ParseError
-from chipfire.fixtures import funnel_game, gated_cube_lattice, shared_gate_game
+from chipfire.fixtures import funnel_game, gated_cube_lattice, pentagon, shared_gate_game
 from chipfire.formats import (
     coloured_game_to_dot,
     lattice_to_dot,
@@ -69,6 +69,51 @@ def test_parse_errors_carry_line_numbers():
         parse_game("vertices: a b\nwhat: ever\n")
 
 
+# Every ParseError of the line loop of a game file, with its text and
+# ``path:lineno``; a comment or blank line before the failing line still
+# counts, and within a line the multiplicity is read before the names.
+GAME_ERRORS = {
+    "no colon": ("vertices: a b\nchips a=1\n", "g.cfg:2: expected 'keyword: ...', got 'chips a=1'"),
+    "no colon, comment stripped": (
+        "# game\n\nvertices: a b  # two\n   edge a b # a: b\n",
+        "g.cfg:4: expected 'keyword: ...', got 'edge a b'",
+    ),
+    "unknown keyword": ("vertices: a b\nwhat: ever\n", "g.cfg:2: unknown keyword 'what'"),
+    "unknown keyword before vertices": ("# x\nedges: a b\nvertices: a b\n", "g.cfg:2: unknown keyword 'edges'"),
+    "keyword case": ("vertices: a b\nEdge: a b\n", "g.cfg:2: unknown keyword 'Edge'"),
+    "empty keyword": ("vertices: a b\n: a b\n", "g.cfg:2: unknown keyword ''"),
+    "duplicate vertices line": ("vertices: a b\n\nvertices: c\n", "g.cfg:3: duplicate vertices line"),
+    "empty vertices line": ("# none\nvertices:   # here\n", "g.cfg:2: vertices line needs at least one name"),
+    "duplicate vertex name": ("\nvertices: a b a\n", "g.cfg:2: duplicate vertex name"),
+    "edge before vertices line": ("# e\nedge: a b\nvertices: a b\n", "g.cfg:2: edge before vertices line"),
+    "chips before vertices line": ("\nchips: a=1\nvertices: a b\n", "g.cfg:2: chips before vertices line"),
+    "bad colour": ("vertices: a b\nedge: a b 1 colour=x\n", "g.cfg:2: bad colour in 'colour=x'"),
+    "empty colour": ("vertices: a b\nedge: a b colour=\n", "g.cfg:2: bad colour in 'colour='"),
+    "edge with one name": ("vertices: a b\nedge: a\n", "g.cfg:2: edge needs 'edge: U V [K] [colour=C]'"),
+    "edge with no name": ("vertices: a b\nedge: colour=1\n", "g.cfg:2: edge needs 'edge: U V [K] [colour=C]'"),
+    "edge with four tokens": ("vertices: a b\nedge: a b 1 2\n", "g.cfg:2: edge needs 'edge: U V [K] [colour=C]'"),
+    "bad multiplicity": ("vertices: a b\n# m\nedge: a b q\n", "g.cfg:3: bad multiplicity 'q'"),
+    "bad multiplicity before unknown vertex": ("vertices: a b\nedge: z b q\n", "g.cfg:2: bad multiplicity 'q'"),
+    "negative multiplicity": ("vertices: a b\nedge: a b -1 colour=2\n", "g.cfg:2: negative multiplicity"),
+    "unknown tail": ("vertices: a b\nedge: zz b 1\n", "g.cfg:2: unknown vertex 'zz'"),
+    "unknown head": ("vertices: a b\nedge: a b\n\nedge: a zz 1\n", "g.cfg:4: unknown vertex 'zz'"),
+    "unknown vertex before negative multiplicity": (
+        "vertices: a b\nedge: a zz -1\n",
+        "g.cfg:2: unknown vertex 'zz'",
+    ),
+    "unknown vertex in chips": ("vertices: a b\nchips: a=1 zz=2\n", "g.cfg:2: unknown vertex 'zz'"),
+    "unknown vertex holding '='": ("vertices: a b\nchips: a=b=1\n", "g.cfg:2: unknown vertex 'a=b'"),
+    "bad chip entry": ("vertices: a b\n# c\nchips: a1\n", "g.cfg:3: bad chip entry 'a1'"),
+    "bad chip count": ("vertices: a b\nchips: a=1 b=x\n", "g.cfg:2: bad chip entry 'b=x'"),
+}
+
+
+@pytest.mark.parametrize("case", GAME_ERRORS)
+def test_game_parse_errors_carry_text_and_line(case):
+    text, message = GAME_ERRORS[case]
+    assert parse_error(text) == message
+
+
 def test_parse_mixed_colouring_rejected():
     with pytest.raises(ParseError):
         parse_game("vertices: a b\nedge: a b 1 colour=1\nedge: b a 1\n")
@@ -119,6 +164,14 @@ def test_serialize_game_refuses_a_game_without_vertices(game):
         serialize_game(game)
     with pytest.raises(ParseError, match="vertices line needs at least one name"):
         parse_game("vertices: \nchips: \n")
+
+
+def test_serialize_game_refuses_a_coloured_game_without_colours():
+    # its file would be a vertices line alone, which reads back as classical
+    game = ColouredCfg(ColouredMultigraph(("a",), {}), {})
+    with pytest.raises(ValueError, match="^a coloured game without colours cannot be written$"):
+        serialize_game(game)
+    assert isinstance(parse_game("vertices: a\n"), Cfg)
 
 
 def test_vertex_names_holding_equals_signs_round_trip():
@@ -203,9 +256,9 @@ def test_space_dot_deterministic_and_labelled():
 
 def test_lattice_dot_edge_labels():
     lat = funnel_game().enumerate_space().lattice()
-    dot = lattice_to_dot(lat, edge_labels=True, mark_irreducibles=True)
+    dot = lattice_to_dot(lat, edge_labels=True)
     assert dot.count("->") == len(lat.cover_pairs)
-    assert "peripheries=2" in dot
+    assert '-> n1 [label="{a,c}"]' in dot
 
 
 def test_coloured_game_dot_marks_open_vertices():
@@ -214,6 +267,132 @@ def test_coloured_game_dot_marks_open_vertices():
     dot = coloured_game_to_dot(game, state)
     assert dot.count("fillcolor=gray85") == 1
     assert 'color=red3' in dot or 'color=black' in dot
+
+
+# The exact bytes of each DOT writer on the bundled examples.
+FUNNEL_SPACE_DOT = """\
+digraph configuration_space {
+  rankdir=BT;
+  node [shape=box];
+  n0 [label="{}"];
+  n1 [label="{b}"];
+  n2 [label="{a}"];
+  n3 [label="{b,c}"];
+  n4 [label="{a,c}"];
+  n5 [label="{a,b}"];
+  n6 [label="{a,b,c}"];
+  n0 -> n1 [label="b"];
+  n0 -> n2 [label="a"];
+  n1 -> n3 [label="c"];
+  n1 -> n5 [label="a"];
+  n2 -> n4 [label="c"];
+  n2 -> n5 [label="b"];
+  n3 -> n6 [label="a"];
+  n4 -> n6 [label="b"];
+  n5 -> n6 [label="c"];
+}
+"""
+
+PENTAGON_DOT = """\
+digraph lattice {
+  rankdir=BT;
+  node [shape=box];
+  n0 [label="0"];
+  n1 [label="x"];
+  n2 [label="y"];
+  n3 [label="z"];
+  n4 [label="1"];
+  n0 -> n1;
+  n0 -> n3;
+  n1 -> n2;
+  n2 -> n4;
+  n3 -> n4;
+}
+"""
+
+FUNNEL_LATTICE_EDGE_LABELS_DOT = """\
+digraph lattice {
+  rankdir=BT;
+  node [shape=box];
+  n0 [label="{}"];
+  n1 [label="{b}"];
+  n2 [label="{a}"];
+  n3 [label="{b,c}"];
+  n4 [label="{a,c}"];
+  n5 [label="{a,b}"];
+  n6 [label="{a,b,c}"];
+  n0 -> n1 [label="{a,c}"];
+  n0 -> n2 [label="{b,c}"];
+  n1 -> n3 [label="{a,b}"];
+  n1 -> n5 [label="{b,c}"];
+  n2 -> n4 [label="{a,b}"];
+  n2 -> n5 [label="{a,c}"];
+  n3 -> n6 [label="{b,c}"];
+  n4 -> n6 [label="{a,c}"];
+  n5 -> n6 [label="{a,b}"];
+}
+"""
+
+FUNNEL_INTERVAL_DOT = """\
+digraph lattice {
+  rankdir=BT;
+  node [shape=box];
+  n0 [label="{b}"];
+  n1 [label="{b,c}"];
+  n2 [label="{a,b}"];
+  n3 [label="{a,b,c}"];
+  n0 -> n1 [label="c"];
+  n0 -> n2 [label="a"];
+  n1 -> n3 [label="a"];
+  n2 -> n3 [label="c"];
+}
+"""
+
+SHARED_GATE_OPEN_A_DOT = """\
+digraph coloured_game {
+  node [shape=circle];
+  n0 [label="a", style=filled, fillcolor=gray85];
+  n1 [label="b"];
+  n2 [label="c"];
+  n3 [label="bot"];
+  n0 -> n2 [label="1", color=black];
+  n2 -> n3 [label="1", color=black];
+  n1 -> n2 [label="2", color=red3];
+  n2 -> n3 [label="2", color=red3];
+  n0 -> n3 [label="3", color=blue3];
+  n1 -> n3 [label="4", color=green4];
+}
+"""
+
+
+def test_space_dot_bytes():
+    assert space_to_dot(funnel_game().enumerate_space()) == FUNNEL_SPACE_DOT
+
+
+def test_lattice_dot_bytes():
+    assert lattice_to_dot(pentagon()) == PENTAGON_DOT
+    lat = funnel_game().enumerate_space().lattice()
+    assert lattice_to_dot(lat, edge_labels=True) == FUNNEL_LATTICE_EDGE_LABELS_DOT
+    interval = lat.interval(1, lat.n - 1)  # keeps the space's vertex names on its covers
+    assert interval.cover_labels
+    assert lattice_to_dot(interval) == FUNNEL_INTERVAL_DOT
+
+
+def test_coloured_game_dot_bytes():
+    game = shared_gate_game()
+    state = game.open_vertex(game.initial_state(), game.graph.vertex("a"))
+    assert coloured_game_to_dot(game, state) == SHARED_GATE_OPEN_A_DOT
+
+
+def test_dot_quotes_labels_and_repeats_parallel_edges():
+    lat = Lattice.from_covers(2, [(0, 1)], labels=('a"b', "c\\d"))
+    assert lattice_to_dot(lat).splitlines()[3:5] == ['  n0 [label="a\\"b"];', '  n1 [label="c\\\\d"];']
+    game = parse_game("vertices: a b\nedge: a b 2 colour=1\n")
+    assert coloured_game_to_dot(game) == (
+        "digraph coloured_game {\n  node [shape=circle];\n"
+        '  n0 [label="a"];\n  n1 [label="b"];\n'
+        '  n0 -> n1 [label="1", color=black];\n  n0 -> n1 [label="1", color=black];\n}\n'
+    )
 
 
 def parse_error(text):

@@ -1,11 +1,12 @@
 """The one-loop ``parse_lattice`` against the line-by-line parser it replaced.
 
-``helpers.keyword_parse_lattice`` reads each line through ``formats._lines``
-and ``formats._split_keyword``. On generated lattice files both parsers must
-build equal labels, covers and up-sets, or raise the same exception with the
-same text. The files hold real lattices and random orders with shuffled,
-repeated and implied covers, comments, blank lines, stray whitespace and line
-ends, and mutated keywords, token counts and names.
+``helpers.keyword_parse_lattice`` reads each line through its own copies of
+the ``_lines`` and ``_split_keyword`` helpers the library once had, so it
+shares no line handling with ``formats``. On generated lattice files both
+parsers must build equal labels, covers and up-sets, or raise the same
+exception with the same text. The files hold real lattices and random orders
+with shuffled, repeated and implied covers, comments, blank lines, stray
+whitespace and line ends, and mutated keywords, token counts and names.
 """
 
 import itertools
