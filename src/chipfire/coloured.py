@@ -233,8 +233,7 @@ class ColouredCfg:
         runs on states packed by ``_packing``, unpacked once at the end.
         """
         start = self._pack(self.initial_state())
-        space = _closure(self, start, self._successors, state_cap)
-        return replace(space, configs=tuple(self._unpack(space.configs)))
+        return _closure(self, start, self._successors, self._unpack, state_cap)
 
 
 def from_classical(cfg: Cfg) -> ColouredCfg:

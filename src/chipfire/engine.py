@@ -13,14 +13,15 @@ space, and each (lower, upper) pair of states is at most one cover.
 Inside the closure a firing vector is one int, a 64-bit field per vertex, and
 the states of both kinds of game are ints built from the chip blocks of
 ``_block``: a classical configuration is one block, a coloured state
-(``chipfire.coloured``) the open-set mask and one block per colour. Both are
-unpacked to tuples once, when the space is built.
+(``chipfire.coloured``) the open-set mask and one block per colour. The
+closure unpacks them by the game's rule, once, into the finished space.
 
 A space answers the lattice questions ``chipfire space`` asks (J, M, rank,
 the two ULD detectors, distributivity) from its firing vectors and moves,
 without a dense order. That rests on one more check, run lazily before the
 first such answer: at every state, any two moves u != v commute, i.e. after
 u the move v is still possible (firing or opening u only adds chips to v).
+Each state's moves are one int mask, so the check is one test per cover.
 With distinct firing vectors, this local confluence gives the exchange lemma
 of Björner, Lovász & Shor (1991): the reachable vectors are closed under
 componentwise max, and x reaches y iff vec(x) <= vec(y). So the space is a
@@ -35,20 +36,13 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Mapping
 
 from .errors import FiringVectorConflict, StateCapExceeded, StepCapExceeded
 from .lattice import Lattice, Poset
 from .multigraph import Multigraph, _as_int
-
-
-def _fire_in_place(chips: list, graph: Multigraph, v: int) -> None:
-    """Fire v on a mutable chip list, without checking that v may fire."""
-    chips[v] -= graph._out_degrees[v]
-    for w, k in graph._out_adj[v]:
-        chips[w] += k
 
 
 def _block(graph: Multigraph, total: int, offset: int):
@@ -87,21 +81,22 @@ def _unpack_block(states, block) -> list[tuple[int, ...]]:
     return list(map(chips.__getitem__, blocks))
 
 
-def _closure(game, start, successors, state_cap) -> "ConfigSpace":
+def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     """Breadth-first closure of ``start`` under ``successors``, as a ConfigSpace.
 
     ``successors(state)`` lists the moves ``(v, next_state)``; each move adds
-    one to entry v of the firing vector. States are hashable and stored as
-    the space's configurations. Raises FiringVectorConflict when a state is
-    reached again with a different firing vector, RuntimeError when two states
-    share one (for a coloured game: one open-set with two chip contents).
+    one to entry v of the firing vector. States are hashable; ``unpack`` turns
+    the list of them, in canonical order, into the space's configurations.
+    Raises FiringVectorConflict when a state is reached again with a
+    different firing vector, RuntimeError when two states share one (for a
+    coloured game: one open-set with two chip contents).
 
     A firing vector is one int with a 64-bit field per vertex, vertex 0 the
     most significant, so a move adds one shifted bit and int order is the
     lexicographic order of the vectors. No field can overflow: a vertex has
     fired at most as often as the state's level (its total firings), and a
     state at level L closes a path of L + 1 states already stored. Each
-    vector is unpacked once, at the end.
+    vector and state is unpacked once, at the end.
     """
     n = game.graph.n
     unit = [1 << 64 * (n - 1 - v) for v in range(n)]
@@ -130,13 +125,12 @@ def _closure(game, start, successors, state_cap) -> "ConfigSpace":
     rank = [0] * len(order)
     for r, i in enumerate(order):
         rank[i] = r
-    covers = tuple(sorted([(rank[a], rank[b], v) for a, v, b in transitions]))
-    unpack, size = struct.Struct(f">{n}Q").unpack, 8 * n
+    fields, size = struct.Struct(f">{n}Q").unpack, 8 * n
     return ConfigSpace(
         names=game.graph.names,
-        vectors=tuple(unpack(vectors[i].to_bytes(size, "big")) for i in order),
-        configs=tuple(states[i] for i in order),
-        covers=covers,
+        vectors=tuple(fields(vectors[i].to_bytes(size, "big")) for i in order),
+        configs=tuple(unpack([states[i] for i in order])),
+        covers=tuple(sorted([(rank[a], rank[b], v) for a, v, b in transitions])),
     )
 
 
@@ -215,8 +209,10 @@ class Cfg:
 
     def _fire(self, conf, v) -> tuple[int, ...]:
         """``fire`` for a vertex the caller has already found firable."""
-        nxt = list(conf)
-        _fire_in_place(nxt, self.graph, v)
+        graph, nxt = self.graph, list(conf)
+        nxt[v] -= graph._out_degrees[v]
+        for w, k in graph._out_adj[v]:
+            nxt[w] += k
         return tuple(nxt)
 
     def run_to_fixpoint(
@@ -266,8 +262,8 @@ class Cfg:
         """
         self._require_guard(state_cap, "enumerate_space")
         block = self._packing[0]
-        space = _closure(self, _pack_block(self.init, block), self._successors, state_cap)
-        return replace(space, configs=tuple(_unpack_block(space.configs, block)))
+        unpack = partial(_unpack_block, block=block)
+        return _closure(self, _pack_block(self.init, block), self._successors, unpack, state_cap)
 
     @cached_property
     def _packing(self):
@@ -292,20 +288,22 @@ class Cfg:
 class ConfigSpace:
     """All reachable states of a game, ordered by how much has been fired.
 
-    Elements are in canonical order: by total firings, then lexicographically
-    by firing-count vector. Element 0 is the initial state; covers are
-    labelled by the fired (or opened) vertex.
+    ``_closure`` builds it finished, with unpacked configurations. Elements
+    are in canonical order: by total firings, then lexicographically by
+    firing-count vector. Element 0 is the initial state; covers are labelled
+    by the fired (or opened) vertex. ``labels`` holds every state's shot
+    label, made in one pass, for ``shot_label``, the DOT text and ``lattice()``.
 
     The lattice verdicts (``J``, ``M``, ``_mx_masks``, ``uld_detectors``,
     ``is_uld``, ``is_distributive``) are ``Lattice``'s own members, taken by
     assignment. They read the cover interface below: ``n``, ``cover_pairs``,
     ``topo_order`` and the covers per element. ``cover_pairs`` first checks
-    that moves commute (``_moves``), which with distinct vectors proves the
-    space is a lattice ordered componentwise and is also the hypercube
-    detector's verdict; the cover-step detector on ``_mx_masks`` is checked
-    against it. Rank and height are read off the firing vectors, as
-    ``_closure`` keeps a cover only when it adds one firing.
-    ``lattice()`` builds the verified ``Lattice`` only on demand.
+    that moves commute on each state's mask of moves (``_moves``), which with
+    distinct vectors proves the space is a lattice ordered componentwise and
+    is the hypercube detector's verdict; the cover-step detector on
+    ``_mx_masks`` is checked against it. Rank and height are read off the
+    firing vectors, as ``_closure`` keeps a cover only when it adds one
+    firing. ``lattice()`` builds the verified ``Lattice`` only on demand.
     """
 
     names: tuple[str, ...]
@@ -340,23 +338,23 @@ class ConfigSpace:
     def height(self) -> int:
         return sum(self.vectors[self.top])
 
-    @cached_property
-    def is_simple_space(self) -> bool:
-        return all(c <= 1 for vec in self.vectors for c in vec)
-
     def shot_set(self, i) -> frozenset[int]:
         """Vertices fired at least once to reach element i."""
         return frozenset(v for v, c in enumerate(self.vectors[self._check(i)]) if c)
 
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Every state's shot label: its fired names, ``{a,b}``, or each with
+        its count, ``{a:1,b:2}``, if any vertex fires twice in the space."""
+        names, counted = self.names, any(c > 1 for vec in self.vectors for c in vec)
+        word = "{}:{}" if counted else "{}"  # "{}" formats the name and drops the count
+        return tuple(
+            "{" + ",".join([word.format(names[v], c) for v, c in enumerate(vec) if c]) + "}"
+            for vec in self.vectors
+        )
+
     def shot_label(self, i) -> str:
-        vec = self.vectors[self._check(i)]
-        if self.is_simple_space:
-            inner = ",".join(self.names[v] for v, c in enumerate(vec) if c)
-        else:
-            inner = ",".join(
-                f"{self.names[v]}:{c}" for v, c in enumerate(vec) if c
-            )
-        return "{" + inner + "}"
+        return self.labels[self._check(i)]
 
     def join_of(self, a: int, b: int) -> int:
         """The element whose firing vector is the componentwise union of a and b."""
@@ -375,39 +373,38 @@ class ConfigSpace:
 
     @cached_property
     def _lattice(self):
-        labels = tuple(self.shot_label(i) for i in range(len(self.vectors)))
         cover_labels = {(lo, hi): self.names[v] for lo, hi, v in self.covers}
         return Lattice.from_covers(
             len(self.vectors),
             [(lo, hi) for lo, hi, _ in self.covers],
-            labels=labels,
+            labels=self.labels,
             cover_labels=cover_labels,
         )
 
     # lattice verdicts: Lattice's rules over the checked covers
 
     @cached_property
-    def _moves(self) -> tuple[dict[int, int], ...]:
-        """Per state, its moves as {fired vertex: next state}.
+    def _moves(self) -> tuple[int, ...]:
+        """Per state, the vertices it can fire or open, as a mask (bit v for
+        vertex v).
 
-        Raises RuntimeError when two moves u != v out of a state do not
-        commute: after u, the move v is gone. Chips only ever arrive at v
-        when u fires or opens, so that is an engine fault.
+        Raises RuntimeError at the first cover (x, child, u), in ``covers``
+        order, after which another move v of x is gone, naming the lowest
+        such v. Chips only ever arrive at v when u fires or opens, so moves
+        that do not commute are an engine fault.
         """
-        moves = tuple({} for _ in self.vectors)
-        for lo, hi, v in self.covers:
-            moves[lo][v] = hi
-        for x, out in enumerate(moves):
-            for u, child in out.items():
-                lost = out.keys() - moves[child].keys() - {u}
-                if lost:
-                    v = min(lost)
-                    raise RuntimeError(
-                        f"moves {self.names[u]} and {self.names[v]} do not commute "
-                        f"at state {self.shot_label(x)}: {self.names[v]} is lost "
-                        f"after {self.names[u]}"
-                    )
-        return moves
+        moves = [0] * len(self.vectors)
+        for lo, _, v in self.covers:
+            moves[lo] |= 1 << v
+        for x, child, u in self.covers:
+            lost = moves[x] & ~moves[child] & ~(1 << u)
+            if lost:
+                u, v = self.names[u], self.names[(lost & -lost).bit_length() - 1]
+                raise RuntimeError(
+                    f"moves {u} and {v} do not commute at state {self.labels[x]}: "
+                    f"{v} is lost after {u}"
+                )
+        return tuple(moves)
 
     @cached_property
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:

@@ -265,7 +265,7 @@ def space_to_dot(space: ConfigSpace) -> str:
     return _dot(
         "configuration_space",
         ("rankdir=BT", "node [shape=box]"),
-        ((i, f"label={_quote(space.shot_label(i))}") for i in range(len(space))),
+        ((i, f"label={_quote(label)}") for i, label in enumerate(space.labels)),
         ((lo, hi, fired[v]) for lo, hi, v in space.covers),
     )
 

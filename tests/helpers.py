@@ -17,10 +17,12 @@ integer element sets replaced (Kahn's queue with a numpy row per up-set for
 ``Poset.from_covers``; the meet-irreducible coding as columns of the dense
 order and as compared firing vectors; the triple-law witness on dense join
 and meet tables and the isomorphism search on the dense order). The dense order and tables are filled one public ``le``,
-``join`` or ``meet`` per cell, so they share no packing with the library. The
-one exception is the coloured opening rule that replays every colour over
-every open vertex after every firing: it is independent of the worklist
-stabilizer in ``chipfire.coloured`` but runs through the engine's closure.
+``join`` or ``meet`` per cell, so they share no packing with the library.
+The coloured opening rule that replays every colour over every open vertex
+after every firing runs through the tuple closure too, and firing reads the
+edge multiplicities alone (``_fire_in_place``): no oracle here imports a
+private function or class of ``chipfire.engine`` or ``chipfire.coloured``
+(``tests/test_oracle_imports.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from chipfire import coloured
 from chipfire.coloured import ColouredCfg, ColouredState
-from chipfire.engine import Cfg, ConfigSpace, _closure, _fire_in_place
+from chipfire.engine import Cfg, ConfigSpace
 from chipfire.errors import (
     CapExceeded,
     FiringVectorConflict,
@@ -113,6 +115,15 @@ def dfs_coloured_reachable(game: ColouredCfg, cap=200_000):
     return chips, covers
 
 
+def _fire_in_place(chips: list, graph: Multigraph, v: int) -> None:
+    """Fire v on a mutable chip list, read off the edge multiplicities alone:
+    one chip leaves v along each edge out of v (a loop's comes back)."""
+    for (u, w), k in graph.mult.items():
+        if u == v:
+            chips[v] -= k
+            chips[w] += k
+
+
 def full_scan_openable(game: ColouredCfg, state: ColouredState) -> frozenset[int]:
     """Closed vertices firable in at least one colour restriction."""
     out = set()
@@ -155,13 +166,14 @@ def full_scan_open(game: ColouredCfg, state: ColouredState, v: int) -> ColouredS
 
 
 def full_scan_space(game: ColouredCfg) -> ConfigSpace:
-    """``ColouredCfg.enumerate_space`` with the full-scan opening rule."""
+    """``ColouredCfg.enumerate_space`` with the full-scan opening rule,
+    through ``tuple_closure``."""
 
     def successors(state):
         openable = sorted(full_scan_openable(game, state))
         return [(v, full_scan_open(game, state, v)) for v in openable]
 
-    space = _closure(game, game.initial_state(), successors, None)
+    space = tuple_closure(game, game.initial_state(), successors, None)
     return replace(space, configs=tuple(state.chips for state in space.configs))
 
 
@@ -309,9 +321,12 @@ def cube_walk_witness(space):
 
     The subsets S of the moves u_1..u_k out of x are walked by subset
     DP: the state for S is the state for S - {u_b} moved along u_b, with
-    b the highest index in S. Every such move must exist.
+    b the highest index in S. Every such move must exist. The moves are
+    read off ``space.covers``, as {vertex: next state} per state.
     """
-    moves = space._moves
+    moves = [{} for _ in range(len(space))]
+    for lo, hi, v in space.covers:
+        moves[lo][v] = hi
     for x, out in enumerate(moves):
         if len(out) < 2:
             continue

@@ -4,7 +4,13 @@ from chipfire.cli import main
 from chipfire.coloured import ColouredCfg
 from chipfire.engine import Cfg
 from chipfire.errors import NotALatticeError, ParseError
-from chipfire.fixtures import funnel_game, gated_cube_lattice, pentagon, shared_gate_game
+from chipfire.fixtures import (
+    funnel_game,
+    gated_cube_lattice,
+    pentagon,
+    relay_chain_game,
+    shared_gate_game,
+)
 from chipfire.formats import (
     coloured_game_to_dot,
     lattice_to_dot,
@@ -348,6 +354,57 @@ digraph lattice {
 }
 """
 
+# relay_chain fires u and v twice or more: every label counts its firings
+RELAY_CHAIN_SPACE_DOT = """\
+digraph configuration_space {
+  rankdir=BT;
+  node [shape=box];
+  n0 [label="{}"];
+  n1 [label="{u:1}"];
+  n2 [label="{u:1,v:1}"];
+  n3 [label="{u:2}"];
+  n4 [label="{u:1,v:2}"];
+  n5 [label="{u:2,v:1}"];
+  n6 [label="{u:2,v:2}"];
+  n7 [label="{u:2,v:3}"];
+  n8 [label="{u:2,v:4}"];
+  n0 -> n1 [label="u"];
+  n1 -> n2 [label="v"];
+  n1 -> n3 [label="u"];
+  n2 -> n4 [label="v"];
+  n2 -> n5 [label="u"];
+  n3 -> n5 [label="v"];
+  n4 -> n6 [label="u"];
+  n5 -> n6 [label="v"];
+  n6 -> n7 [label="v"];
+  n7 -> n8 [label="v"];
+}
+"""
+
+# a coloured space labels each state by its open set
+SHARED_GATE_SPACE_DOT = """\
+digraph configuration_space {
+  rankdir=BT;
+  node [shape=box];
+  n0 [label="{}"];
+  n1 [label="{b}"];
+  n2 [label="{a}"];
+  n3 [label="{b,c}"];
+  n4 [label="{a,c}"];
+  n5 [label="{a,b}"];
+  n6 [label="{a,b,c}"];
+  n0 -> n1 [label="b"];
+  n0 -> n2 [label="a"];
+  n1 -> n3 [label="c"];
+  n1 -> n5 [label="a"];
+  n2 -> n4 [label="c"];
+  n2 -> n5 [label="b"];
+  n3 -> n6 [label="a"];
+  n4 -> n6 [label="b"];
+  n5 -> n6 [label="c"];
+}
+"""
+
 SHARED_GATE_OPEN_A_DOT = """\
 digraph coloured_game {
   node [shape=circle];
@@ -367,6 +424,15 @@ digraph coloured_game {
 
 def test_space_dot_bytes():
     assert space_to_dot(funnel_game().enumerate_space()) == FUNNEL_SPACE_DOT
+    assert space_to_dot(relay_chain_game().enumerate_space()) == RELAY_CHAIN_SPACE_DOT
+    assert space_to_dot(shared_gate_game().enumerate_space()) == SHARED_GATE_SPACE_DOT
+
+
+def test_space_lattice_labels_count_firings():
+    assert relay_chain_game().enumerate_space().lattice().labels == (
+        "{}", "{u:1}", "{u:1,v:1}", "{u:2}", "{u:1,v:2}", "{u:2,v:1}", "{u:2,v:2}",
+        "{u:2,v:3}", "{u:2,v:4}",
+    )
 
 
 def test_lattice_dot_bytes():

@@ -96,18 +96,24 @@ def test_generated_coloured_games_fire_once_per_cover(game):
     assert_every_cover_fires_once(game.enumerate_space())
 
 
-def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, capsys):
-    text = "vertices: a b t\nedge: a t 1\nedge: b t 1\nchips: a=1 b=1\n"
+def planted_space(monkeypatch, text, at, hidden):
+    """The space of a parsed game whose moves of the vertex ids ``hidden``
+    are dropped at the configuration ``at``."""
     game = parse_game(text)
     successors = Cfg._successors
 
-    def hide_b_after_a(self, conf):
+    def hide(self, conf):
         moves = successors(self, conf)
         [chips] = _unpack_block([conf], self._packing[0])
-        return [m for m in moves if m[0] != 1] if chips == (0, 1, 1) else moves
+        return [m for m in moves if m[0] not in hidden] if chips == at else moves
 
-    monkeypatch.setattr(Cfg, "_successors", hide_b_after_a)
-    space = game.enumerate_space()
+    monkeypatch.setattr(Cfg, "_successors", hide)
+    return game.enumerate_space()
+
+
+def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, capsys):
+    text = "vertices: a b t\nedge: a t 1\nedge: b t 1\nchips: a=1 b=1\n"
+    space = planted_space(monkeypatch, text, (0, 1, 1), {1})  # b is lost after a
     # the hypercube verdict is the commuting check's, never an unchecked None
     with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
         space._hypercube_witness()
@@ -128,6 +134,24 @@ def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, ca
     with pytest.raises(RuntimeError, match="do not commute"):
         cli.main(["space", str(path)])
     assert capsys.readouterr().out == ""
+
+
+def test_commuting_report_names_the_lowest_lost_move(monkeypatch):
+    # three moves out of {}: c, checked first, loses both a and b
+    text = "vertices: a b c t\nedge: a t 1\nedge: b t 1\nedge: c t 1\nchips: a=1 b=1 c=1\n"
+    space = planted_space(monkeypatch, text, (1, 1, 0, 1), {0, 1})
+    with pytest.raises(RuntimeError) as err:
+        space.cover_pairs
+    assert str(err.value) == "moves c and a do not commute at state {}: a is lost after c"
+
+
+def test_commuting_report_at_a_state_above_the_bottom(monkeypatch):
+    # a fires twice, so states are labelled with counts; b is gone at {a:2}
+    text = "vertices: a b t\nedge: a t 1\nedge: b t 1\nchips: a=2 b=1\n"
+    space = planted_space(monkeypatch, text, (0, 1, 2), {1})
+    with pytest.raises(RuntimeError) as err:
+        space.is_ranked
+    assert str(err.value) == "moves a and b do not commute at state {a:1}: b is lost after a"
 
 
 def test_space_takes_the_lattice_rules():
