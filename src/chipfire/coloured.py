@@ -24,13 +24,14 @@ then one chip block per colour, laid out by ``engine._block`` for that
 colour's chip total (chips are conserved within each colour). States are
 unpacked to chip tuples once, when the space is built. ``open_vertex`` and
 ``openable`` check the state they are given, down to its stability over its
-open set, then pack it and run the same packed code.
+open set, then pack it and run the same packed code: by the game's own
+layout when the state's chip totals fit it, else by a layout made from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Mapping
 
 from .engine import Cfg, ConfigSpace, _block, _closure, _pack_block, _unpack_block
@@ -101,10 +102,9 @@ class ColouredCfg:
             opened=frozenset(),
         )
 
-    @cached_property
-    def _packing(self):
-        """How ``enumerate_space`` packs a state into one int, and what the
-        packed moves read: (per colour, per vertex).
+    def _layout(self, totals):
+        """How a state whose colours hold ``totals`` chips packs into one
+        int, and what the packed moves read: (per colour, per vertex).
 
         The open-set mask sits in the low n bits, bit v for vertex v; above
         it, one ``engine._block`` per colour, in colour order, for that
@@ -116,9 +116,9 @@ class ColouredCfg:
         n = self.graph.n
         colours, gates = [], [[] for _ in range(n)]
         offset = n
-        for ci, c in enumerate(self.colours):
+        for ci, (c, total) in enumerate(zip(self.colours, totals)):
             g = self.graph.restriction_to_colour(c)
-            block = width, shifts, mask, _ = _block(g, sum(self.init[c]), offset)
+            block = width, shifts, mask, _ = _block(g, total, offset)
             deg = g._out_degrees
             colours.append((c, block, deg, tuple(tuple(w for w, _ in adj) for adj in g._out_adj)))
             for v in range(n):
@@ -127,40 +127,52 @@ class ColouredCfg:
             offset += width * n
         return tuple(colours), tuple(map(tuple, gates))
 
-    def _pack(self, state: ColouredState) -> int:
-        blocks = (block for _, block, *_ in self._packing[0])
+    @cached_property
+    def _packing(self):
+        """The ``_layout`` of the initial chip totals, which every reached
+        state keeps: chips are conserved within each colour."""
+        return self._layout([sum(self.init[c]) for c in self.colours])
+
+    @staticmethod
+    def _pack(state: ColouredState, packing) -> int:
+        blocks = (block for _, block, *_ in packing[0])
         return sum(1 << v for v in state.opened) + sum(map(_pack_block, state.chips, blocks))
 
-    def _unpack(self, states) -> list[tuple[tuple[int, ...], ...]]:
+    @staticmethod
+    def _unpack(states, packing) -> list[tuple[tuple[int, ...], ...]]:
         """The per-colour chips of each packed state."""
-        columns = [_unpack_block(states, block) for _, block, *_ in self._packing[0]]
+        columns = [_unpack_block(states, block) for _, block, *_ in packing[0]]
         return list(zip(*columns)) if columns else [()] * len(states)
 
-    def _packed(self, state: ColouredState) -> tuple["ColouredCfg", int]:
-        """The game started from a checked state's chips, and the state packed
-        by it: that game's packing fits the state whatever its chip totals.
+    def _packed(self, state: ColouredState):
+        """A layout that holds a checked state, and the state packed by it:
+        the game's own when each colour's chip total fits its field, as
+        every reached state's does, else one laid out from those totals.
 
         Raises ValueError unless the state is stable over its open set, as
         every reached state is: an open vertex may pass none of its gates.
         """
-        game = replace(self, init=dict(zip(self.colours, state.chips)))
-        x = game._pack(state)
+        packing, totals = self._packing, [sum(chips) for chips in state.chips]
+        if any(t > block[2] for t, (_, block, *_) in zip(totals, packing[0])):
+            packing = self._layout(totals)
+        x = self._pack(state, packing)
         for v in sorted(state.opened):
-            for ci, shift, mask, deg in game._packing[1][v]:
+            for ci, shift, mask, deg in packing[1][v]:
                 if x >> shift & mask >= deg:
                     name, c = self.graph.names[v], self.colours[ci]
                     raise ValueError(f"open vertex {name} can still fire in colour {c}")
-        return game, x
+        return packing, x
 
     def openable(self, state: ColouredState) -> frozenset[int]:
         """Closed vertices firable in at least one colour restriction."""
-        game, x = self._packed(self._state(state))
-        return frozenset(game._openable(x))
+        packing, x = self._packed(self._state(state))
+        return frozenset(self._openable(x, packing))
 
-    def _openable(self, x: int) -> list[int]:
+    @staticmethod
+    def _openable(x: int, packing) -> list[int]:
         """``openable`` on a packed state, in ascending order."""
         out = []
-        for v, gates in enumerate(self._packing[1]):
+        for v, gates in enumerate(packing[1]):
             if not x >> v & 1:
                 for _, shift, mask, deg in gates:
                     if x >> shift & mask >= deg:
@@ -181,28 +193,30 @@ class ColouredCfg:
         state = self._state(state)
         if v in state.opened:
             raise ValueError(f"vertex {self.graph.names[v]} is already open")
-        game, x = self._packed(state)
-        if v not in game._openable(x):
+        packing, x = self._packed(state)
+        if v not in self._openable(x, packing):
             raise ValueError(f"vertex {self.graph.names[v]} cannot be opened")
-        [chips] = game._unpack([game._open(x, v)])
+        [chips] = self._unpack([self._open(x, v, packing)], packing)
         return ColouredState(chips, state.opened | {v})
 
-    def _open(self, x: int, v: int) -> int:
-        """``open_vertex`` on a packed state, for a vertex the caller has
-        already found openable."""
+    def _open(self, x: int, v: int, packing) -> int:
+        """``open_vertex`` on a state packed by ``packing``, for a vertex the
+        caller has already found openable."""
+        colours = packing[0]
         x |= 1 << v
-        for ci, shift, mask, deg in self._packing[1][v]:
+        for ci, shift, mask, deg in packing[1][v]:
             if x >> shift & mask >= deg:
-                x = self._stabilize(x, ci, v)
+                x = self._stabilize(x, colours[ci], v)
         return x
 
-    def _stabilize(self, x: int, ci: int, v: int) -> int:
-        """Play colour index ci of a packed state on the open vertices, from
-        a worklist seeded with v; closed vertices absorb chips.
+    def _stabilize(self, x: int, colour, v: int) -> int:
+        """Play one colour of a packed state, its entry of the layout, on the
+        open vertices, from a worklist seeded with v; closed vertices absorb
+        chips.
 
         The chips must be stable at every open vertex but v.
         """
-        c, (_, shifts, mask, deltas), degs, targets = self._packing[0][ci]
+        c, (_, shifts, mask, deltas), degs, targets = colour
         todo = [v]
         steps = 0
         while todo:
@@ -223,7 +237,8 @@ class ColouredCfg:
     def _successors(self, x: int) -> list[tuple[int, int]]:
         """The moves (v, next state) out of a packed state, in ascending
         vertex order."""
-        return [(v, self._open(x, v)) for v in self._openable(x)]
+        packing = self._packing
+        return [(v, self._open(x, v, packing)) for v in self._openable(x, packing)]
 
     def enumerate_space(self, state_cap=None) -> ConfigSpace:
         """Breadth-first closure over open-sets; chip state is cross-checked.
@@ -232,8 +247,10 @@ class ColouredCfg:
         single chip content, and a second one would be reported. The closure
         runs on states packed by ``_packing``, unpacked once at the end.
         """
-        start = self._pack(self.initial_state())
-        return _closure(self, start, self._successors, self._unpack, state_cap)
+        packing = self._packing
+        start = self._pack(self.initial_state(), packing)
+        unpack = partial(self._unpack, packing=packing)
+        return _closure(self, start, self._successors, unpack, state_cap)
 
 
 def from_classical(cfg: Cfg) -> ColouredCfg:

@@ -41,7 +41,7 @@ from functools import cached_property, partial
 from typing import Callable, Mapping
 
 from .errors import FiringVectorConflict, StateCapExceeded, StepCapExceeded
-from .lattice import Lattice, Poset
+from .lattice import Lattice, Poset, _commuting
 from .multigraph import Multigraph, _as_int
 
 
@@ -390,20 +390,18 @@ class ConfigSpace:
 
         Raises RuntimeError at the first cover (x, child, u), in ``covers``
         order, after which another move v of x is gone, naming the lowest
-        such v. Chips only ever arrive at v when u fires or opens, so moves
-        that do not commute are an engine fault.
+        such v: the rule of ``lattice._commuting``, which ``Lattice`` runs on
+        meet-irreducible codes. Chips only ever arrive at v when u fires or
+        opens, so moves that do not commute are an engine fault.
         """
-        moves = [0] * len(self.vectors)
-        for lo, _, v in self.covers:
-            moves[lo] |= 1 << v
-        for x, child, u in self.covers:
-            lost = moves[x] & ~moves[child] & ~(1 << u)
-            if lost:
-                u, v = self.names[u], self.names[(lost & -lost).bit_length() - 1]
-                raise RuntimeError(
-                    f"moves {u} and {v} do not commute at state {self.labels[x]}: "
-                    f"{v} is lost after {u}"
-                )
+        moves, lost = _commuting(len(self.vectors), self.covers)
+        if lost:
+            x, _, u, v = lost
+            u, v = self.names[u], self.names[v]
+            raise RuntimeError(
+                f"moves {u} and {v} do not commute at state {self.labels[x]}: "
+                f"{v} is lost after {u}"
+            )
         return tuple(moves)
 
     @cached_property

@@ -7,7 +7,13 @@ closes the up-sets over them; set families pass their one-element steps) and
 derived from the up-sets otherwise; the down-sets are closed over the lower
 covers.
 
-A finite order with a least element is a lattice iff x∨j exists for every
+A lattice is first verified by its codes (``Lattice._antimatroid``): the
+code of x is the set of meet-irreducibles not above x. With a least element,
+distinct codes, one new code element per cover and commuting labels, as in
+the engine's commuting-moves test, the order is a ULD lattice, isomorphic to
+the antimatroid of its codes: no up-set is compared and no cube is walked.
+
+Any other order with a least element is a lattice iff x∨j exists for every
 element x and join-irreducible j: along a linear extension, an element y
 above the least element and outside J is the join of two lower covers a and
 b, so x∨y = (x∨a)∨b. And x∨j exists iff the common up-set of x and j is the
@@ -24,7 +30,10 @@ is upper locally distributive (ULD) with as many join- as meet-irreducibles,
 so the triple law only names a witness. The irreducibles, that coding, the
 cover-step detector and the verdicts read nothing but the covers, so
 ``engine.ConfigSpace`` takes these very members over the covers of its
-moves; it keeps its own rank and hypercube detector.
+moves; it keeps its own rank and hypercube detector. The arrow witness
+report reads the arrow table and codes gathered over the covers, so a
+certified lattice checks every verdict of ``chipfire check`` without its
+down-sets.
 """
 
 from __future__ import annotations
@@ -64,6 +73,21 @@ def _matrix_rows(leq) -> tuple[int, ...]:
     if rows is None or any(len(row) != len(rows) for row in rows):
         raise ValueError("leq must be a square matrix")
     return tuple(int("".join("1" if v else "0" for v in reversed(row)), 2) for row in rows)
+
+
+def _commuting(n, covers):
+    """Each element's moves as a mask, bit v for an upper cover labelled v,
+    from (lower, upper, label) covers; and the first cover (x, y, u) after
+    which another move of x is not a move of y, as (x, y, u, v) with v the
+    lowest such move, or None when every move keeps every other."""
+    moves = [0] * n
+    for lo, _, v in covers:
+        moves[lo] |= 1 << v
+    for x, y, u in covers:
+        lost = moves[x] & ~moves[y] & ~(1 << u)
+        if lost:
+            return moves, (x, y, u, (lost & -lost).bit_length() - 1)
+    return moves, None
 
 
 def _gather(seeds, covers, order) -> tuple[int, ...]:
@@ -276,11 +300,13 @@ def _family_lattice(members, codes, ground_labels) -> "Lattice":
 
 
 class Lattice(Poset):
-    """Bounded lattice, verified at construction by a least element and one
-    containment check per join-irreducible j, that x∨j exists for every
-    element x (see the module docstring). On a failure the pairs are
-    rescanned in index order, so the error names the first offending pair. A
-    join or a meet looks up a common up-set or down-set.
+    """Bounded lattice, verified at construction by a least element and the
+    certificate ``_antimatroid``, which reads the covers' meet-irreducible
+    codes and accepts exactly the ULD lattices. Any other order falls back
+    to one containment check per join-irreducible j, that x∨j exists for
+    every element x (see the module docstring). On a failure the pairs are
+    rescanned in index order, so the error names the first offending pair.
+    A join or a meet looks up a common up-set or down-set.
 
     ``cover_labels`` optionally annotates cover edges (e.g. with the vertex
     fired along a configuration-space edge).
@@ -325,20 +351,57 @@ class Lattice(Poset):
         raise RuntimeError("lattice check failed although every pair has a join and a meet")
 
     def _verify(self):
-        """A least element, and x∨j for each j in J and each x incomparable
-        with j (else it is x or j), make every join and meet exist. One
-        containment check per j: no common up-set of j and those x is missing
-        from ``_up_index``. Else raise for the first pair."""
+        """A least element and the code certificate ``_antimatroid`` make a
+        ULD lattice. Failing the certificate, x∨j for each j in J and each x
+        incomparable with j (else it is x or j) make every join and meet
+        exist: one containment check per j, no common up-set of j and those
+        x is missing from ``_up_index``. Else raise for the first pair."""
         if self.n == 0:
             raise NotALatticeError("not a lattice: empty element set")
-        up, down, index = self._up_masks, self._down_masks, self._up_index
-        every = (1 << self.n) - 1
-        if len(self.minimal_elements) != 1 or any(  # index is a dict: the set's hashes are reused
-            {u & up[j] for u in _picked(up, every & ~(up[j] | down[j]))}.difference(index)
+        up, every = self._up_masks, (1 << self.n) - 1
+        if len(self.minimal_elements) != 1 or not self._antimatroid and any(
+            {u & up[j] for u in _picked(up, every & ~(up[j] | self._down_masks[j]))}
+            .difference(self._up_index)  # a dict: the set's hashes are reused
             for j in self.J
         ):
             self._raise_first_failure()
         (self.bottom,), (self.top,) = self.minimal_elements, self.maximal_elements
+
+    @cached_property
+    def _antimatroid(self) -> bool:
+        """True when the meet-irreducible codes certify a ULD lattice; read
+        off the covers alone, and sound once a least element is known.
+
+        The code S(x) of x is the set of meet-irreducibles not above it, the
+        complement of ``_mx_masks[x]``, so x <= y gives S(x) ⊆ S(y). The
+        certificate: the codes are distinct, each cover adds one element to
+        the code, its label, and at each x any two labels commute: after the
+        cover labelled u the label v is still open (``_commuting``, the rule
+        ``engine.ConfigSpace._moves`` runs on firings). Then any two upper
+        covers a and b of x have a common upper cover with code S(a) ∪ S(b):
+        the v-cover of a and the u-cover of b share that code, so they are
+        one element. By induction down from the top, any two elements above
+        x have an upper bound coded by the union of their codes; from the
+        least element, so do any y and z. If w is that bound and u is any
+        upper bound of y and z, the bound of w and u is coded S(u), so it is
+        u, and w <= u: w is the join. So the order is a lattice that S
+        embeds, and the codes, closed under union and grown one element per
+        cover from the empty set, are an antimatroid (Korte, Lovász &
+        Schrader 1991): the lattice is ULD, and each cover interval is the
+        cube of the unions of its labels. A ULD lattice passes, as every
+        cover interval is such a cube, so the certificate refuses exactly the
+        orders that are not ULD lattices.
+        """
+        mx = self._mx_masks
+        if len(set(mx)) < self.n:
+            return False
+        labelled = []
+        for lo, hi in self.cover_pairs:
+            step = mx[lo] ^ mx[hi]  # the meet-irreducibles the cover drops
+            if step & (step - 1):
+                return False
+            labelled.append((lo, hi, step.bit_length() - 1))
+        return _commuting(self.n, labelled)[1] is None
 
     @cached_property
     def _up_index(self) -> dict[int, int]:
@@ -482,10 +545,15 @@ class Lattice(Poset):
     def _hypercube_witness(self):
         """Least element whose cover interval is not a hypercube, or None.
 
-        For x with k >= 2 upper covers, the 2^k joins of subsets of covers,
-        each a common up-set, must be distinct and fill the interval from x
-        to the join of all k.
+        None on a lattice that passed ``_antimatroid``: its labels commute,
+        so by the induction of ``engine.ConfigSpace._hypercube_witness`` the
+        unions of any k labels out of x are 2^k distinct codes, the whole
+        interval. Else, for x with k >= 2 upper covers, the 2^k joins of
+        subsets of covers, each a common up-set, must be distinct and fill the
+        interval from x to the join of all k.
         """
+        if self._antimatroid:
+            return None
         up, down, index = self._up_masks, self._down_masks, self._up_index
         for x, covers in enumerate(self._upper_covers):
             k = len(covers)
@@ -685,35 +753,35 @@ class ArrowWitnessReport:
 
 
 def arrow_witness_report(lattice: Lattice) -> ArrowWitnessReport:
-    """Every clause as set algebra on the up- and down-sets: the x ≰ m
-    without a down (up-down) witness lie outside ``down[m]`` and outside
-    every ``up[j]`` with j ↓ m (j ↕ m); an x with j ≰ x fails the up clause
-    unless it lies in ``down[m]`` for some m with j ↑ m.
+    """Every clause read off codes per element x, with no up- or down-set:
+    x ≤ m iff m is in ``_mx_masks[x]``. One pass up the covers gathers, from
+    the join-irreducibles below x, the m with a down witness j <= x (j ↓ m),
+    those with an up-down one (j ↕ m), and the j <= x; one pass down gathers,
+    from the meet-irreducibles above x, the j with j ↑ m for some m >= x. So
+    x fails the down (up-down) clause for each m ≱ x without such a witness,
+    and the up clause for each j ≰ x that the pass down did not reach.
 
     ``failures`` lists down/updown failures m-major, then x, followed by up
     failures j-major, then x.
     """
     down_rows, up_rows = lattice._arrows
     uld = lattice.is_uld
-    J, M, up, down = lattice.J, lattice.M, lattice._up_masks, lattice._down_masks
-    every = (1 << lattice.n) - 1
-    has_down, has_updown = [0] * len(M), [0] * len(M)  # the x above some witness
-    for j, d, u in zip(J, down_rows, up_rows):
-        for b in _bits(d):
-            has_down[b] |= up[j]
-        for b in _bits(d & u):
-            has_updown[b] |= up[j]
-    failures = []
-    for m, witnessed, updown_witnessed in zip(M, has_down, has_updown):
-        apart = every & ~down[m]  # the x with x ≰ m
-        no_updown = apart & witnessed & ~updown_witnessed if uld else 0
-        for x in _bits(apart & ~witnessed | no_updown):
-            failures.append(("updown" if no_updown >> x & 1 else "down", x, m))
-    for j, u in zip(J, up_rows):
-        covered = up[j]
+    J, M, mx, n, k = lattice.J, lattice.M, lattice._mx_masks, lattice.n, len(lattice.M)
+    below, above = [0] * n, [0] * n  # bits: the m ↓ j, the m ↕ j, j; at m: the j ↑ m
+    for p, (j, d, u) in enumerate(zip(J, down_rows, up_rows)):
+        below[j] = d | (d & u) << k | 1 << 2 * k + p
         for b in _bits(u):
-            covered |= down[M[b]]
-        failures += [("up", j, x) for x in _bits(every & ~covered)]
+            above[M[b]] |= 1 << p
+    below = _gather(below, lattice._lower_covers, lattice.topo_order)
+    above = _gather(above, lattice._upper_covers, reversed(lattice.topo_order))
+    every_m, every_j = (1 << k) - 1, (1 << len(J)) - 1
+    down = [every_m & ~(m | w) for m, w in zip(mx, below)]
+    updown = [every_m & ~(m | w >> k) for m, w in zip(mx, below)] if uld else down
+    up = [every_j & ~(w >> 2 * k | a) for w, a in zip(below, above)]
+    m_fails = sorted((b, x) for x, f in enumerate(updown) if f for b in _bits(f))
+    j_fails = sorted((p, x) for x, f in enumerate(up) if f for p in _bits(f))
+    failures = [("down" if down[x] >> b & 1 else "updown", x, M[b]) for b, x in m_fails]
+    failures += [("up", J[p], x) for p, x in j_fails]
     kinds = {kind for kind, _, _ in failures}
     return ArrowWitnessReport(
         down_ok="down" not in kinds,

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -382,3 +383,73 @@ def test_synth_uld_refuses_a_one_element_lattice(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: a coloured game without colours cannot be written\n"
     assert not out_path.exists()
+
+
+def product_lattice_file(tmp_path, name, a, b, seed):
+    """The product of lattices a and b as a lattice file, named ``x*y``, its
+    elements and covers listed in a seeded shuffled order."""
+    rng = random.Random(seed)
+    names = [f"{x}*{y}" for x in a.labels for y in b.labels]  # element x * b.n + y
+    covers = [(x * b.n + y, hi * b.n + y) for x, hi in a.cover_pairs for y in range(b.n)]
+    covers += [(x * b.n + y, x * b.n + hi) for x in range(a.n) for y, hi in b.cover_pairs]
+    rng.shuffle(covers)
+    lines = ["elements: " + " ".join(rng.sample(names, len(names)))]
+    lines += [f"cover: {names[lo]} {names[hi]}" for lo, hi in covers]
+    return write(tmp_path, name, "\n".join(lines) + "\n")
+
+
+# Captured from the release before lattices were certified by their codes: the
+# pentagon product is no ULD lattice and takes the containment scan, the
+# boolean lattice passes the certificate.
+N5_B3_CHECK = """\
+elements: 40
+lattice: yes
+ranked: no
+height: 6
+distributive: no
+ULD: no
+  hypercube-interval detector: no
+  cover-step detector: no
+|J|: 6
+|M|: 6
+arrow witnesses: down=yes updown=n/a up(interpretive)=yes
+"""
+B6_CHECK = """\
+elements: 64
+lattice: yes
+ranked: yes
+height: 6
+distributive: yes
+ULD: yes
+  hypercube-interval detector: yes
+  cover-step detector: yes
+|J|: 6
+|M|: 6
+classes: 6 sizes: 1 1 1 1 1 1
+arrow witnesses: down=yes updown=yes up(interpretive)=yes
+"""
+
+
+def test_check_and_synth_output_on_the_scanned_and_the_certified_path(tmp_path, capsys):
+    from chipfire.fixtures import pentagon
+    from chipfire.formats import serialize_lattice
+    from chipfire.lattice import Lattice
+
+    n5b3 = product_lattice_file(tmp_path, "n5b3.lat", pentagon(), Lattice.boolean(3), 26)
+    b6 = write(tmp_path, "b6.lat", serialize_lattice(Lattice.boolean(6)))
+    cfg, ccfg = str(tmp_path / "x.cfg"), str(tmp_path / "x.ccfg")
+    runs = [
+        (["check", n5b3], 0, N5_B3_CHECK, ""),
+        (["synth", n5b3, "--mode", "distributive", "-o", cfg], 1, "",
+         "error: lattice is not distributive: witness triple (y*{a,b}, x*{a}, z*{b,c})\n"),
+        (["synth", n5b3, "--mode", "uld", "-o", ccfg], 1, "",
+         "error: the arrow partition requires an upper locally distributive lattice\n"),
+        (["check", b6], 0, B6_CHECK, ""),
+        (["synth", b6, "--mode", "distributive", "-o", cfg], 0, "",
+         f"synthesized: {cfg}\nround-trip: isomorphic\n"),
+        (["synth", b6, "--mode", "uld", "-o", ccfg], 0, "",
+         f"synthesized: {ccfg}\nround-trip: isomorphic\n"),
+    ]
+    for argv, rc, out, err in runs:
+        assert main(argv) == rc, argv
+        assert capsys.readouterr() == (out, err), argv

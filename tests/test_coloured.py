@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipfire import coloured
-from chipfire.coloured import ColouredCfg, from_classical
+from chipfire.coloured import ColouredCfg, ColouredState, from_classical
 from chipfire.engine import Cfg
 from chipfire.errors import StateCapExceeded, StepCapExceeded
 from chipfire.fixtures import (
@@ -92,6 +92,39 @@ def test_open_non_openable_errors():
     game = shared_gate_game()
     with pytest.raises(ValueError):
         game.open_vertex(game.initial_state(), v(game, "c"))
+
+
+def test_given_states_open_like_the_tuple_rule_and_build_no_game(monkeypatch):
+    """``openable`` and ``open_vertex`` on states with fewer, as many or far
+    more chips than the game's own: the packed layout is chosen or laid out
+    from the state's chip totals, no game is built, and an open vertex that
+    can still fire is refused."""
+    rng = random.Random(26)
+    games = [shared_gate_game(), split_track_game()]
+    games += [random_coloured_game(rng) for _ in range(20)]
+    built = []
+    monkeypatch.setattr(ColouredCfg, "__post_init__", lambda self: built.append(self))
+    for game in games:
+        index = helpers.colour_index(game)
+        for _ in range(20):
+            n = game.graph.n
+            chips = tuple(
+                tuple(rng.choice([0, 0, 1, 2, 3, 9, 300]) for _ in range(n)) for _ in game.colours
+            )
+            opened = frozenset(x for x in range(n) if rng.random() < 0.3)
+            state = ColouredState(chips, opened)
+            unstable = [
+                x for x in sorted(opened) if any(d <= chips[ci][x] for ci, d in index[x])
+            ]
+            if unstable:
+                with pytest.raises(ValueError, match="^open vertex .* can still fire in colour"):
+                    game.openable(state)
+                continue
+            openable = helpers.worklist_openable(game, state)
+            assert game.openable(state) == openable
+            for x in sorted(openable):
+                assert game.open_vertex(state, x) == helpers.worklist_open(game, state, x)
+    assert built == []
 
 
 def test_enumerate_shared_gate_space():
@@ -285,10 +318,11 @@ def test_opening_touches_only_colours_the_vertex_fires_in(coloured_corpus, monke
     visits = []
     stabilize = ColouredCfg._stabilize
 
-    def recording(self, x, ci, v):
-        [chips] = self._unpack([x])
+    def recording(self, x, colour, v):
+        [chips] = self._unpack([x], self._packing)
+        ci = self.colours.index(colour[0])
         visits.append((self, ci, chips[ci], v))
-        return stabilize(self, x, ci, v)
+        return stabilize(self, x, colour, v)
 
     monkeypatch.setattr(ColouredCfg, "_stabilize", recording)
     for game in coloured_corpus + [shared_gate_game(), split_track_game()]:

@@ -7,6 +7,13 @@ parsers must build equal labels, covers and up-sets, or raise the same
 exception with the same text. The files hold real lattices and random orders
 with shuffled, repeated and implied covers, comments, blank lines, stray
 whitespace and line ends, and mutated keywords, token counts and names.
+
+A lattice passes ``Lattice._antimatroid``, the certificate read off its
+meet-irreducible codes, or falls back to the containment scan and the
+subset-join walk. ``Scanned`` refuses every certificate, so it runs the
+fallback on every input: on drawn cover lists both must give the same error
+text or the same verdicts, and the certificate must accept exactly the lattices
+that the scan and the walk call ULD.
 """
 
 import itertools
@@ -14,11 +21,14 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from chipfire import cli
+from chipfire.errors import NotALatticeError
 from chipfire.fixtures import diamond, gated_cube_lattice, pentagon
-from chipfire.formats import parse_lattice, serialize_lattice
-from chipfire.lattice import Lattice
+from chipfire.formats import parse_lattice, parse_lattice_file, serialize_lattice
+from chipfire.lattice import Lattice, Poset, _family_lattice, arrow_witness_report, ideal_lattice
+from chipfire.transforms import coloured_from_uld
 
-from helpers import keyword_parse_lattice
+from helpers import keyword_parse_lattice, naive_arrow_witness_report
 
 LATTICES = [
     Lattice.chain(1), Lattice.chain(4), Lattice.boolean(2), Lattice.boolean(3),
@@ -135,3 +145,123 @@ def test_serialized_lattices_parse_alike():
         text = serialize_lattice(lat)
         assert outcome(parse_lattice, text) == outcome(keyword_parse_lattice, text)
         assert outcome(parse_lattice, text)[1] == lat.cover_pairs
+
+
+class Scanned(Lattice):
+    """A lattice verified by the containment scan, its ULD verdict by the
+    subset-join walk: the certificate refuses every input."""
+
+    _antimatroid = False
+
+
+def product(a, b):
+    """(n, covers) of the product of two lattices, element x * b.n + y."""
+    covers = [(x * b.n + y, hi * b.n + y) for x, hi in a.cover_pairs for y in range(b.n)]
+    covers += [(x * b.n + y, x * b.n + hi) for x in range(a.n) for y, hi in b.cover_pairs]
+    return a.n * b.n, covers
+
+
+@st.composite
+def antimatroids(draw):
+    """The union closure of the prefixes of a few words over at most 5
+    letters, an antimatroid, as a lattice of sets."""
+    k = draw(st.integers(1, 5))
+    words = draw(st.lists(st.permutations(range(k)), min_size=1, max_size=4))
+    family = {0}
+    for word in words:
+        prefix = 0
+        for letter in word[:draw(st.integers(0, k))]:
+            prefix |= 1 << letter
+            family |= {prefix | member for member in family}
+    members = sorted(family, key=lambda m: (m.bit_count(), m))
+    return _family_lattice(members, members, "abcde")
+
+
+@st.composite
+def cover_lists(draw):
+    """(n, covers) of an ideal lattice, an antimatroid, a coloured game's
+    space or N5 times a boolean lattice, now and then with implied or
+    repeated covers added, a cover dropped or a second top added."""
+    kind = draw(st.sampled_from(["ideals", "antimatroid", "coloured", "n5"]))
+    if kind == "ideals":
+        size = draw(st.integers(1, 6))
+        pairs = draw(st.lists(st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))))
+        lat = ideal_lattice(Poset.from_covers(size, [(a, b) for a, b in pairs if a < b]))
+        n, covers = lat.n, list(lat.cover_pairs)
+    elif kind == "antimatroid":
+        lat = draw(antimatroids())
+        n, covers = lat.n, list(lat.cover_pairs)
+    elif kind == "coloured":
+        space = coloured_from_uld(draw(antimatroids())).enumerate_space()
+        n, covers = space.n, [(lo, hi) for lo, hi, _ in space.covers]
+    else:
+        n, covers = product(pentagon(), Lattice.boolean(draw(st.integers(0, 3))))
+    mutation = draw(st.sampled_from([None, "implied", "repeated", "dropped", "second top"]))
+    if mutation == "implied":
+        covers += [(lo, top) for lo, hi in covers for mid, top in covers if mid == hi][:3]
+    elif mutation == "repeated" and covers:
+        covers += draw(st.lists(st.sampled_from(covers), min_size=1, max_size=3))
+    elif mutation == "dropped" and covers:
+        del covers[draw(st.integers(0, len(covers) - 1))]
+    elif mutation == "second top":
+        covers.append((draw(st.integers(0, n - 1)), n))
+        n += 1
+    return n, draw(st.permutations(covers))
+
+
+def verdicts(cls, n, covers):
+    """The error text, or what ``chipfire check`` reads off the lattice."""
+    try:
+        lat = cls.from_covers(n, covers)
+    except NotALatticeError as exc:
+        return str(exc)
+    classes = lat.arrow_partition().class_sizes() if lat.is_uld else None
+    return (
+        lat.cover_pairs, lat._up_masks, lat.bottom, lat.top, lat._rank_info, lat.J, lat.M,
+        lat.uld_detectors, lat.is_uld, lat.is_distributive, classes, arrow_witness_report(lat),
+    )
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(cover_lists())
+def test_certificate_agrees_with_the_scan_and_the_walk(case):
+    n, covers = case
+    assert verdicts(Lattice, n, covers) == verdicts(Scanned, n, covers)
+    try:
+        scanned = Scanned.from_covers(n, covers)
+    except NotALatticeError:
+        return
+    lat = Lattice.from_covers(n, covers)
+    assert lat._antimatroid == (scanned._hypercube_witness() is None)
+    assert arrow_witness_report(lat) == naive_arrow_witness_report(lat)
+
+
+def test_check_reads_a_certified_lattice_without_up_set_index_or_down_sets(
+    tmp_path, monkeypatch, capsys
+):
+    """``chipfire check`` on boolean 2^9 read from text prints every verdict
+    and leaves no up-set index and no down-set on the lattice. A second run
+    with both made to raise prints the same: the containment scan, the
+    subset-join walk (which reads both before its loop) and the arrow
+    witness report never touch them."""
+    path = tmp_path / "b9.lat"
+    path.write_text(serialize_lattice(Lattice.boolean(9)))
+    parsed = []
+
+    def parse(name):
+        parsed.append(parse_lattice_file(name))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_lattice_file", parse)
+    assert cli.main(["check", str(path), "--dot", str(tmp_path / "b9.dot")]) == 0
+    out = capsys.readouterr().out
+    assert "ULD: yes" in out and "up(interpretive)=yes" in out
+    assert {"_up_index", "_down_masks", "_down_index"}.isdisjoint(parsed[0].__dict__)
+
+    def sentinel(self):
+        raise AssertionError("a certified lattice read its up-set index or its down-sets")
+
+    monkeypatch.setattr(Lattice, "_up_index", property(sentinel))
+    monkeypatch.setattr(Poset, "_down_masks", property(sentinel))
+    assert cli.main(["check", str(path), "--dot", str(tmp_path / "b9.dot")]) == 0
+    assert capsys.readouterr().out == out
