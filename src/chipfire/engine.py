@@ -10,11 +10,14 @@ checks: a revisited state keeps its firing vector, and no two states share one.
 So every cover it records adds exactly one firing: total firings ranks the
 space, and each (lower, upper) pair of states is at most one cover.
 
-Inside the closure a firing vector is one int, a 64-bit field per vertex, and
-the states of both kinds of game are ints built from the chip blocks of
-``_block``: a classical configuration is one block, a coloured state
-(``chipfire.coloured``) the open-set mask and one block per colour. The
-closure unpacks them by the game's rule, once, into the finished space.
+Inside the closure a firing vector is one int, a 64-bit field per vertex and
+above them a 64-bit level field, the total firings, so int order is the
+canonical order. No field overflows: a level is below the state count, and no
+vertex has fired more often than the level. The states of both kinds of game
+are ints built from the chip blocks of ``_block``: a classical configuration
+is one block, a coloured state (``chipfire.coloured``) the open-set mask and
+one block per colour. The closure unpacks them by the game's rule, once, into
+the finished space.
 
 A space answers the lattice questions ``chipfire space`` asks (J, M, rank,
 the two ULD detectors, distributivity) from its firing vectors and moves,
@@ -91,22 +94,24 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     different firing vector, RuntimeError when two states share one (for a
     coloured game: one open-set with two chip contents).
 
-    A firing vector is one int with a 64-bit field per vertex, vertex 0 the
-    most significant, so a move adds one shifted bit and int order is the
-    lexicographic order of the vectors. No field can overflow: a vertex has
-    fired at most as often as the state's level (its total firings), and a
-    state at level L closes a path of L + 1 states already stored. Each
-    vector and state is unpacked once, at the end.
+    A firing vector is one int: a 64-bit field per vertex, vertex 0 the most
+    significant, and above them a 64-bit level field, the total firings. A
+    move adds one to its vertex's field and one to the level, so int order is
+    the canonical order, (total firings, vector). No field can overflow: a
+    vertex has fired at most as often as the state's level, and a state at
+    level L closes a path of L + 1 states already stored, so every field is
+    below the state count. Each vector and state is unpacked once, at the
+    end, after the covers are sorted and the discovery-order lists dropped.
     """
     n = game.graph.n
-    unit = [1 << 64 * (n - 1 - v) for v in range(n)]
+    unit = [1 << 64 * n | 1 << 64 * (n - 1 - v) for v in range(n)]
     ids = {start: 0}  # state -> discovery number
-    states, vectors, levels = [start], [0], [0]
+    states, vectors = [start], [0]
     transitions = []
     for i, state in enumerate(states):  # appending while iterating: a FIFO queue
         if state_cap is not None and len(states) > state_cap:
             raise StateCapExceeded(f"state space exceeds cap {state_cap}")
-        vec, level = vectors[i], levels[i] + 1
+        vec = vectors[i]
         for v, nxt in successors(state):
             nvec = vec + unit[v]
             j = ids.get(nxt)
@@ -114,24 +119,22 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
                 j = ids[nxt] = len(states)
                 states.append(nxt)
                 vectors.append(nvec)
-                levels.append(level)
             elif vectors[j] != nvec:
                 raise FiringVectorConflict("revisited state with a different firing vector")
             transitions.append((i, v, j))
+    del ids
     if len(set(vectors)) != len(vectors):
         raise RuntimeError("two states share a firing vector")
-    key = [level << 64 * n | vec for level, vec in zip(levels, vectors)]
-    order = sorted(range(len(states)), key=key.__getitem__)  # (level, vector)
+    order = sorted(range(len(states)), key=vectors.__getitem__)
     rank = [0] * len(order)
     for r, i in enumerate(order):
         rank[i] = r
-    fields, size = struct.Struct(f">{n}Q").unpack, 8 * n
-    return ConfigSpace(
-        names=game.graph.names,
-        vectors=tuple(fields(vectors[i].to_bytes(size, "big")) for i in order),
-        configs=tuple(unpack([states[i] for i in order])),
-        covers=tuple(sorted([(rank[a], rank[b], v) for a, v, b in transitions])),
-    )
+    covers = tuple(sorted([(rank[a], rank[b], v) for a, v, b in transitions]))
+    del transitions, rank
+    fields, size = struct.Struct(f">8x{n}Q").unpack, 8 * (n + 1)  # skip the level
+    vectors = tuple(fields(vectors[i].to_bytes(size, "big")) for i in order)
+    configs = tuple(unpack([states[i] for i in order]))
+    return ConfigSpace(names=game.graph.names, vectors=vectors, configs=configs, covers=covers)
 
 
 def _chooser(policy, rng, check) -> Callable[[frozenset[int]], int]:
@@ -296,9 +299,12 @@ class ConfigSpace:
 
     The lattice verdicts (``J``, ``M``, ``_mx_masks``, ``uld_detectors``,
     ``is_uld``, ``is_distributive``) are ``Lattice``'s own members, taken by
-    assignment. They read the cover interface below: ``n``, ``cover_pairs``,
-    ``topo_order`` and the covers per element. ``cover_pairs`` first checks
-    that moves commute on each state's mask of moves (``_moves``), which with
+    assignment. They read the cover interface below: ``n``, ``topo_order``
+    and the upper covers per element, which ``_upper_covers`` fills from
+    ``cover_pairs``; the lower covers are filled from the upper ones.
+    ``cover_pairs`` is made on request and not kept, so the cover relation is
+    held as ``covers`` and the two adjacencies only. It first checks that
+    moves commute on each state's mask of moves (``_moves``), which with
     distinct vectors proves the space is a lattice ordered componentwise and
     is the hypercube detector's verdict; the cover-step detector on
     ``_mx_masks`` is checked against it. Rank and height are read off the
@@ -404,10 +410,11 @@ class ConfigSpace:
             )
         return tuple(moves)
 
-    @cached_property
+    @property
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
         """(lower, upper) per cover, once ``_moves`` has checked that moves
-        commute; ``_closure`` records each pair of states at most once."""
+        commute; ``_closure`` records each pair of states at most once. Made
+        on each request and not kept: the verdicts read ``_upper_covers``."""
         self._moves
         return tuple((lo, hi) for lo, hi, _ in self.covers)
 

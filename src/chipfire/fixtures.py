@@ -4,6 +4,9 @@
   distributive (it contains a pentagon).
 - ``relay_chain``: smallest natural non-simple game (one vertex fires twice,
   the next four times).
+- ``sand_pile_21``: the Sand Pile Model with 21 grains (Goles & Kiwi 1993),
+  one vertex per height difference of adjacent columns and a sink at each
+  end; its 209-state space is ULD but not distributive.
 - ``gated_cube``: 23-element union-closed family, the stock example of a ULD
   lattice with one more join- than meet-irreducible.
 - ``shared_gate`` / ``split_track``: coloured games; the first realizes the
@@ -28,6 +31,10 @@ def funnel_game():
 
 def relay_chain_game():
     return parse_game(_read("relay_chain.cfg"), path="relay_chain.cfg")
+
+
+def sand_pile_21_game():
+    return parse_game(_read("sand_pile_21.cfg"), path="sand_pile_21.cfg")
 
 
 def shared_gate_game():

@@ -28,7 +28,8 @@ Distributivity is read off the meet-irreducible coding, one recurrence over
 upper covers (``Lattice._mx_masks``): a finite lattice is distributive iff it
 is upper locally distributive (ULD) with as many join- as meet-irreducibles,
 so the triple law only names a witness. The irreducibles, that coding, the
-cover-step detector and the verdicts read nothing but the covers, so
+cover-step detector and the verdicts read nothing but the covers per element,
+``_upper_covers`` (the lower covers are filled from it), so
 ``engine.ConfigSpace`` takes these very members over the covers of its
 moves; it keeps its own rank and hypercube detector. The arrow witness
 report reads the arrow table and codes gathered over the covers, so a
@@ -137,7 +138,8 @@ class Poset:
         than n placed means a cycle. Along that order each strict up-set is
         the union of its upper covers and their strict up-sets; a pair whose
         upper element is in it already is implied or repeated and dropped.
-        The reduced, sorted list is kept as ``cover_pairs``.
+        The reduced, sorted list is kept as ``cover_pairs``, and each strict
+        up-set is made reflexive in place, so one copy of the order is held.
         """
         up = [[] for _ in range(n)]  # upper covers, as listed
         below = [[] for _ in range(n)]  # lower covers, as listed
@@ -170,9 +172,11 @@ class Poset:
                     kept.append((v, w))
                     near |= 1 << w
             above[v] = near
+        del up, below, order
+        for v in range(n):  # each up-set made reflexive in place: one copy at a time
+            above[v] |= 1 << v
         return cls(
-            labels=labels, _checked=True, _covers=tuple(sorted(kept)),
-            _up=tuple(m | 1 << v for v, m in enumerate(above)), **kwargs,
+            labels=labels, _checked=True, _covers=tuple(sorted(kept)), _up=tuple(above), **kwargs
         )
 
     _id_kind = "element"  # the noun of ``_check``'s message
@@ -216,8 +220,9 @@ class Poset:
     @cached_property
     def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
         downs = [[] for _ in range(self.n)]
-        for lo, hi in self.cover_pairs:
-            downs[hi].append(lo)
+        for lo, ups in enumerate(self._upper_covers):
+            for hi in ups:
+                downs[hi].append(lo)
         return tuple(tuple(d) for d in downs)
 
     def upper_covers(self, x) -> tuple[int, ...]:
@@ -312,10 +317,11 @@ class Lattice(Poset):
     fired along a configuration-space edge).
 
     ``J``, ``M``, ``_mx_masks``, ``_cover_step_witness``, ``uld_detectors``,
-    ``is_uld`` and ``is_distributive`` read only ``n``, ``cover_pairs``,
-    ``topo_order``, ``_upper_covers``, ``_lower_covers`` and
+    ``is_uld`` and ``is_distributive`` read only ``n``, ``topo_order``,
+    ``_upper_covers``, ``_lower_covers`` (filled from ``_upper_covers``) and
     ``_hypercube_witness``: ``engine.ConfigSpace`` provides those and takes
-    the members themselves by assignment.
+    the members themselves by assignment. The cover-step detector walks
+    ``_upper_covers`` in the order of the sorted ``cover_pairs``.
     """
 
     def __init__(self, leq=None, labels=None, cover_labels=None, **kwargs):
@@ -570,11 +576,13 @@ class Lattice(Poset):
         return None
 
     def _cover_step_witness(self):
-        """First cover that removes != 1 meet-irreducible, or None."""
+        """First cover, in (lower, upper) order, that removes != 1
+        meet-irreducible, or None."""
         mx = self._mx_masks
-        for lo, hi in self.cover_pairs:
-            if (mx[lo] & ~mx[hi]).bit_count() != 1:
-                return (lo, hi)
+        for lo, ups in enumerate(self._upper_covers):
+            for hi in ups:
+                if (mx[lo] & ~mx[hi]).bit_count() != 1:
+                    return (lo, hi)
         return None
 
     @cached_property

@@ -22,12 +22,15 @@ The coloured opening rule that replays every colour over every open vertex
 after every firing runs through the tuple closure too, and firing reads the
 edge multiplicities alone (``_fire_in_place``): no oracle here imports a
 private function or class of ``chipfire.engine`` or ``chipfire.coloured``
-(``tests/test_oracle_imports.py``).
+(``tests/test_oracle_imports.py``). The Sand Pile Model's spaces are checked
+against its own grain move on height vectors, which knows no chip or vertex.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 import weakref
 from collections import deque
 from dataclasses import replace
@@ -409,6 +412,54 @@ def replaying_simplify(cfg: Cfg, max_rounds=1000):
     raise AssertionError(f"not simple after {max_rounds} rounds")
 
 
+def sand_pile_text(n: int) -> str:
+    """The Sand Pile Model SPM(n) as a game file: n grains in column 0, and
+    vertex d_i holding h_i - h_(i+1), the height difference of columns i and
+    i + 1, for i < m = isqrt(2n) + 2. Firing d_i moves one grain from column i
+    to column i + 1: d_i loses two chips, d_(i-1) and d_(i+1) gain one. The
+    grains that leave d_0 and d_(m-1) fall into the sinks L and R."""
+    d = [f"d{i}" for i in range(math.isqrt(2 * n) + 2)]
+    ends = ["L", *d, "R"]
+    edges = [f"edge: {v} {w} 1\n" for i, v in enumerate(d) for w in (ends[i], ends[i + 2])]
+    return "vertices: " + " ".join(d + ["L", "R"]) + "\n" + "".join(edges) + f"chips: d0={n}\n"
+
+
+def sand_pile_heights(n: int) -> set[tuple[int, ...]]:
+    """Every height vector (h_0, h_1, ...) that the grain move reaches from
+    one column of n grains, trailing zeros dropped: a grain falls from column
+    i to column i + 1 when column i is at least two higher. Depth-first, on
+    tuples of heights."""
+    start = (n,) if n else ()
+    seen, stack = {start}, [start]
+    while stack:
+        heights = stack.pop()
+        columns = list(heights) + [0]
+        for i in range(len(heights)):
+            if columns[i] - columns[i + 1] >= 2:
+                nxt = columns[:]
+                nxt[i] -= 1
+                nxt[i + 1] += 1
+                if not nxt[-1]:
+                    nxt.pop()
+                nxt = tuple(nxt)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+    return seen
+
+
+def peak_traced(run):
+    """``run()``'s result, the bytes tracemalloc finds still held when it
+    returns (the result included) and the peak bytes on the way."""
+    tracemalloc.start()
+    try:
+        result = run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
+
+
 # independent lattice oracles
 
 
@@ -700,6 +751,22 @@ def naive_cover_pairs(leq) -> list[tuple[int, int]]:
         if x != y and leq[x, y]
         and not any(z not in (x, y) and leq[x, z] and leq[z, y] for z in range(n))
     ]
+
+
+def assert_adjacencies_match(order, leq):
+    """``order``'s upper and lower covers per element, and a lattice's first
+    cover-step witness, against the scanned transitive reduction of ``leq``:
+    the first sorted cover whose upper element leaves more or fewer than one
+    meet-irreducible (an element with one upper cover) above its lower one."""
+    pairs = naive_cover_pairs(leq)
+    n = len(leq)
+    assert order._upper_covers == tuple(tuple(b for a, b in pairs if a == x) for x in range(n))
+    assert order._lower_covers == tuple(tuple(a for a, b in pairs if b == x) for x in range(n))
+    if isinstance(order, Lattice):
+        M = [x for x in range(n) if sum(a == x for a, _ in pairs) == 1]
+        mx = row_masks(np.asarray(leq)[:, M])
+        steps = [(a, b) for a, b in pairs if bin(mx[a] & ~mx[b]).count("1") != 1]
+        assert order._cover_step_witness() == (steps[0] if steps else None)
 
 
 def _subset_label(labels, members) -> str:

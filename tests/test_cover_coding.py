@@ -7,7 +7,8 @@ and hypothesis-generated classical and coloured games. The stock shapes, the
 ideal lattices and the ideal quotient are built from their known covers (a
 set family's one-element steps); their order, labels, covers and joins are
 compared with the dense inclusion order of the same family, and the covers
-with those derived from the order.
+with those derived from the order: as pairs, per element, and in the first
+cover-step witness, also on orders given as a ``leq`` matrix.
 """
 
 import random
@@ -21,6 +22,8 @@ from chipfire.fixtures import diamond, funnel_game, gated_cube_lattice, pentagon
 from chipfire.lattice import Lattice, Poset, ideal_lattice
 
 from helpers import (
+    all_posets_upto,
+    assert_adjacencies_match,
     dense_ideal_quotient,
     dense_join_table,
     dense_leq,
@@ -103,10 +106,15 @@ def test_stock_shapes_skip_cover_matrix(monkeypatch):
         up = np.triu(np.array([[rng.random() < 0.3 for _ in range(n)] for _ in range(n)]), 1)
         closed = Poset.from_covers(n, [(perm[i], perm[j]) for i, j in zip(*np.nonzero(up))])
         shapes.append(Poset(dense_leq(closed)))
+    shapes += all_posets_upto(4)
+    for lat in [pentagon(), diamond(), gated_cube_lattice(), Lattice.boolean(3), funnel]:
+        perm = rng.sample(range(lat.n), lat.n)
+        shapes.append(Lattice(dense_leq(lat)[np.ix_(perm, perm)]))  # renumbered, by leq
     for lat in shapes:
         leq = dense_leq(lat)
         assert lat.cover_pairs == Poset(leq, _checked=True).cover_pairs, lat.labels
         assert list(lat.cover_pairs) == naive_cover_pairs(leq), lat.labels
+        assert_adjacencies_match(lat, leq)
 
 
 def assert_matches_dense(lat, dense):

@@ -13,10 +13,14 @@ meet-irreducible codes, or falls back to the containment scan and the
 subset-join walk. ``Scanned`` refuses every certificate, so it runs the
 fallback on every input: on drawn cover lists both must give the same error
 text or the same verdicts, and the certificate must accept exactly the lattices
-that the scan and the walk call ULD.
+that the scan and the walk call ULD. Their covers per element and the
+cover-step witness are checked against the order's transitive reduction.
+Parsing holds one copy of the up-sets: ``from_covers`` makes them reflexive
+in place.
 """
 
 import itertools
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,7 +32,13 @@ from chipfire.formats import parse_lattice, parse_lattice_file, serialize_lattic
 from chipfire.lattice import Lattice, Poset, _family_lattice, arrow_witness_report, ideal_lattice
 from chipfire.transforms import coloured_from_uld
 
-from helpers import keyword_parse_lattice, naive_arrow_witness_report
+from helpers import (
+    assert_adjacencies_match,
+    dense_leq,
+    keyword_parse_lattice,
+    naive_arrow_witness_report,
+    peak_traced,
+)
 
 LATTICES = [
     Lattice.chain(1), Lattice.chain(4), Lattice.boolean(2), Lattice.boolean(3),
@@ -234,6 +244,7 @@ def test_certificate_agrees_with_the_scan_and_the_walk(case):
     lat = Lattice.from_covers(n, covers)
     assert lat._antimatroid == (scanned._hypercube_witness() is None)
     assert arrow_witness_report(lat) == naive_arrow_witness_report(lat)
+    assert_adjacencies_match(lat, dense_leq(lat))
 
 
 def test_check_reads_a_certified_lattice_without_up_set_index_or_down_sets(
@@ -265,3 +276,10 @@ def test_check_reads_a_certified_lattice_without_up_set_index_or_down_sets(
     monkeypatch.setattr(Poset, "_down_masks", property(sentinel))
     assert cli.main(["check", str(path), "--dot", str(tmp_path / "b9.dot")]) == 0
     assert capsys.readouterr().out == out
+
+
+def test_parsing_holds_one_copy_of_the_up_sets():
+    text = serialize_lattice(Lattice.boolean(12))
+    lat, held, peak = peak_traced(lambda: parse_lattice(text))
+    up = sys.getsizeof(lat._up_masks) + sum(map(sys.getsizeof, lat._up_masks))
+    assert peak - held <= 2 * up, (peak - held, up)

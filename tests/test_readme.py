@@ -34,7 +34,7 @@ def test_library_example_prints_its_comments(capsys):
 def test_command_line_examples_exit_zero(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     commands = [shlex.split(line) for line in block("Command line", "sh").splitlines()]
-    assert len(commands) == 6
+    assert len(commands) == 7
     for command in commands:
         assert command[0] == "chipfire"
         argv = [str(ROOT / arg) if arg.startswith("src/") else arg for arg in command[1:]]

@@ -5,10 +5,9 @@ and moves, against the dense, verified ``space.lattice()`` view.
 view; the commuting-moves check that stands in for the lattice verification
 and the detector-agreement rule get a fault each. The hypercube verdict, which
 the commuting check gives, is also checked against the subset walk over each
-state's moves (``helpers.cube_walk_witness``).
+state's moves (``helpers.cube_walk_witness``). A space keeps no copy of its
+cover pairs, and enumeration peaks near what the finished space holds.
 """
-
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,7 @@ from chipfire.fixtures import funnel_game, relay_chain_game, shared_gate_game, s
 from chipfire.formats import parse_game
 from chipfire.lattice import Lattice, Poset
 
-from helpers import cube_walk_witness
+from helpers import cube_walk_witness, peak_traced, sand_pile_text
 from test_coloured import coloured_games
 from test_lattice_tables import convergent_games
 
@@ -38,6 +37,8 @@ def wide_text(k):
 def assert_verdicts_match_lattice(space):
     lat = space.lattice()
     assert space.cover_pairs == lat.cover_pairs
+    assert space._upper_covers == lat._upper_covers
+    assert space._lower_covers == lat._lower_covers
     assert space.J == lat.J
     assert space.M == lat.M
     assert space._mx_masks == lat._mx_masks
@@ -175,20 +176,36 @@ def test_space_builds_no_dense_lattice(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense lattice built")
 
+    spaces = []
+    enumerate_space = Cfg.enumerate_space
+
+    def keep(self, state_cap=None):
+        spaces.append(enumerate_space(self, state_cap))
+        return spaces[-1]
+
     monkeypatch.setattr(Lattice, "__init__", refuse)
     monkeypatch.setattr(Poset, "from_covers", refuse)
     monkeypatch.setattr(ConfigSpace, "lattice", refuse)
+    monkeypatch.setattr(Cfg, "enumerate_space", keep)
     k = 12
     path = tmp_path / "wide.cfg"
     path.write_text(wide_text(k))
-    tracemalloc.start()
-    try:
-        assert cli.main(["space", str(path)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    status, _, peak = peak_traced(lambda: cli.main(["space", str(path)]))
+    assert status == 0
     assert capsys.readouterr().out == (
         "elements: 4096\nheight: 12\nranked: yes\ndistributive: yes\nULD: yes\n"
     )
     # an n x n boolean order alone would take n^2 = 16 MiB
     assert peak < (1 << 2 * k) // 2
+    # the verdicts read the covers per element; the pairs were made and freed
+    [space] = spaces
+    assert "_upper_covers" in vars(space) and "_lower_covers" in vars(space)
+    assert "cover_pairs" not in vars(space)
+
+
+def test_enumeration_peak_is_near_what_the_space_holds():
+    # the closure drops its discovery-order lists before it unpacks
+    game = parse_game(sand_pile_text(45))
+    space, held, peak = peak_traced(game.enumerate_space)
+    assert len(space) == 9329
+    assert peak <= 1.9 * held, (peak, held)
