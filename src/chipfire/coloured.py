@@ -140,8 +140,16 @@ class ColouredCfg:
 
     @staticmethod
     def _unpack(states, packing) -> list[tuple[tuple[int, ...], ...]]:
-        """The per-colour chips of each packed state."""
-        columns = [_unpack_block(states, block) for _, block, *_ in packing[0]]
+        """The per-colour chips of each packed state. A colour's block takes
+        few distinct values over a space, so each is unpacked once."""
+        columns = []
+        for _, block, *_ in packing[0]:
+            width, shifts = block[:2]
+            span = ((1 << width * len(shifts)) - 1) << min(shifts, default=0)
+            values = [x & span for x in states]
+            distinct = set(values)
+            chips = dict(zip(distinct, _unpack_block(distinct, block)))
+            columns.append(list(map(chips.__getitem__, values)))
         return list(zip(*columns)) if columns else [()] * len(states)
 
     def _packed(self, state: ColouredState):

@@ -19,12 +19,21 @@ is one block, a coloured state (``chipfire.coloured``) the open-set mask and
 one block per colour. The closure unpacks them by the game's rule, once, into
 the finished space.
 
+The closure hands the space its cover relation once, with no sort: each
+state's upper covers and its moves as a mask. All successors of one state
+are on the same level, and vertex 0 is the most significant field, so among
+them a smaller fired vertex is a larger element: the successors, listed by
+ascending vertex, are the upper covers reversed. So the k-th upper cover of
+a state fires its k-th highest move, and the (lower, upper, vertex) triples
+are read off on request.
+
 A space answers the lattice questions ``chipfire space`` asks (J, M, rank,
 the two ULD detectors, distributivity) from its firing vectors and moves,
 without a dense order. That rests on one more check, run lazily before the
 first such answer: at every state, any two moves u != v commute, i.e. after
 u the move v is still possible (firing or opening u only adds chips to v).
-Each state's moves are one int mask, so the check is one test per cover.
+Each state's moves are the int mask the closure recorded, so the check is
+one test per cover.
 With distinct firing vectors, this local confluence gives the exchange lemma
 of Björner, Lovász & Shor (1991): the reachable vectors are closed under
 componentwise max, and x reaches y iff vec(x) <= vec(y). So the space is a
@@ -32,7 +41,7 @@ lattice whose join is the componentwise max. The same check is the space's
 hypercube detector: every set of moves out of a state spans a cube. The
 cover-step detector is the independent one, on the meet-irreducible coding.
 It, J, M, the coding and the verdicts are ``Lattice``'s own members, which
-read nothing but covers: a space hands them its checked covers.
+read nothing but covers: a space hands them its checked upper covers.
 """
 
 from __future__ import annotations
@@ -74,25 +83,22 @@ def _pack_block(chips, block) -> int:
 
 
 def _unpack_block(states, block) -> list[tuple[int, ...]]:
-    """The chip vector that ``block`` holds in each packed state. Each distinct
-    block value is shifted to bit 0 and unpacked once (a colour's are few)."""
-    width, shifts, mask, _ = block
-    low, bits = min(shifts, default=0), (1 << width * len(shifts)) - 1
-    fields = range(0, width * len(shifts), width)
-    blocks = [x >> low & bits for x in states]
-    chips = {b: tuple([b >> s & mask for s in fields]) for b in set(blocks)}
-    return list(map(chips.__getitem__, blocks))
+    """The chip vector that ``block`` holds in each packed state, field by
+    field (the states of a classical space are all distinct)."""
+    _, shifts, mask, _ = block
+    return [tuple([x >> s & mask for s in shifts]) for x in states]
 
 
 def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     """Breadth-first closure of ``start`` under ``successors``, as a ConfigSpace.
 
-    ``successors(state)`` lists the moves ``(v, next_state)``; each move adds
-    one to entry v of the firing vector. States are hashable; ``unpack`` turns
-    the list of them, in canonical order, into the space's configurations.
-    Raises FiringVectorConflict when a state is reached again with a
-    different firing vector, RuntimeError when two states share one (for a
-    coloured game: one open-set with two chip contents).
+    ``successors(state)`` lists the moves ``(v, next_state)`` in ascending
+    vertex order; each move adds one to entry v of the firing vector. States
+    are hashable; ``unpack`` turns the list of them, in canonical order, into
+    the space's configurations. Raises FiringVectorConflict when a state is
+    reached again with a different firing vector, RuntimeError when two
+    states share one (for a coloured game: one open-set with two chip
+    contents).
 
     A firing vector is one int: a 64-bit field per vertex, vertex 0 the most
     significant, and above them a 64-bit level field, the total firings. A
@@ -100,18 +106,24 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     the canonical order, (total firings, vector). No field can overflow: a
     vertex has fired at most as often as the state's level, and a state at
     level L closes a path of L + 1 states already stored, so every field is
-    below the state count. Each vector and state is unpacked once, at the
-    end, after the covers are sorted and the discovery-order lists dropped.
+    below the state count.
+
+    Each state records its successors in move order and its moves as a mask
+    (bit v for a move of v). Reversed, the successors are its upper covers
+    in canonical order (see the module docstring), so no cover triple is
+    made and only the vectors are sorted. Each vector and state is unpacked
+    once, at the end, after the discovery-order lists are dropped.
     """
     n = game.graph.n
     unit = [1 << 64 * n | 1 << 64 * (n - 1 - v) for v in range(n)]
     ids = {start: 0}  # state -> discovery number
     states, vectors = [start], [0]
-    transitions = []
+    nexts, masks = [], []  # per state: its successors' numbers, its moves
     for i, state in enumerate(states):  # appending while iterating: a FIFO queue
         if state_cap is not None and len(states) > state_cap:
             raise StateCapExceeded(f"state space exceeds cap {state_cap}")
         vec = vectors[i]
+        out, mask = [], 0
         for v, nxt in successors(state):
             nvec = vec + unit[v]
             j = ids.get(nxt)
@@ -121,7 +133,10 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
                 vectors.append(nvec)
             elif vectors[j] != nvec:
                 raise FiringVectorConflict("revisited state with a different firing vector")
-            transitions.append((i, v, j))
+            out.append(j)
+            mask |= 1 << v
+        nexts.append(out)
+        masks.append(mask)
     del ids
     if len(set(vectors)) != len(vectors):
         raise RuntimeError("two states share a firing vector")
@@ -129,12 +144,37 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     rank = [0] * len(order)
     for r, i in enumerate(order):
         rank[i] = r
-    covers = tuple(sorted([(rank[a], rank[b], v) for a, v, b in transitions]))
-    del transitions, rank
+    ups = tuple([tuple([rank[j] for j in reversed(nexts[i])]) for i in order])
+    masks = tuple([masks[i] for i in order])
+    del nexts, rank
     fields, size = struct.Struct(f">8x{n}Q").unpack, 8 * (n + 1)  # skip the level
     vectors = tuple(fields(vectors[i].to_bytes(size, "big")) for i in order)
     configs = tuple(unpack([states[i] for i in order]))
-    return ConfigSpace(names=game.graph.names, vectors=vectors, configs=configs, covers=covers)
+    return ConfigSpace(
+        names=game.graph.names, vectors=vectors, configs=configs, ups=ups, move_masks=masks
+    )
+
+
+class _Covers:
+    """A space's covers as (lower, upper, vertex) triples in sorted order,
+    read off its upper covers and move masks: the k-th upper cover of x,
+    ascending, fires the k-th highest move of x. Iterating and ``len`` make
+    no tuple of triples."""
+
+    __slots__ = ("_ups", "_masks")
+
+    def __init__(self, ups, masks):
+        self._ups, self._masks = ups, masks
+
+    def __len__(self):
+        return sum(map(len, self._ups))
+
+    def __iter__(self):
+        for lo, (ups, mask) in enumerate(zip(self._ups, self._masks)):
+            for hi in ups:
+                v = mask.bit_length() - 1
+                mask ^= 1 << v
+                yield lo, hi, v
 
 
 def _chooser(policy, rng, check) -> Callable[[frozenset[int]], int]:
@@ -293,29 +333,32 @@ class ConfigSpace:
 
     ``_closure`` builds it finished, with unpacked configurations. Elements
     are in canonical order: by total firings, then lexicographically by
-    firing-count vector. Element 0 is the initial state; covers are labelled
-    by the fired (or opened) vertex. ``labels`` holds every state's shot
-    label, made in one pass, for ``shot_label``, the DOT text and ``lattice()``.
+    firing-count vector. Element 0 is the initial state. The cover relation
+    is held once, as each state's upper covers in canonical order (``ups``)
+    and its moves as a mask (``move_masks``, bit v when the state can fire or
+    open v); ``covers``, the (lower, upper, fired vertex) triples in sorted
+    order, and ``cover_pairs`` are read off them on request and not kept.
+    ``labels`` holds every state's shot label, made in one pass, for
+    ``shot_label``, the DOT text and ``lattice()``.
 
     The lattice verdicts (``J``, ``M``, ``_mx_masks``, ``uld_detectors``,
     ``is_uld``, ``is_distributive``) are ``Lattice``'s own members, taken by
-    assignment. They read the cover interface below: ``n``, ``topo_order``
-    and the upper covers per element, which ``_upper_covers`` fills from
-    ``cover_pairs``; the lower covers are filled from the upper ones.
-    ``cover_pairs`` is made on request and not kept, so the cover relation is
-    held as ``covers`` and the two adjacencies only. It first checks that
-    moves commute on each state's mask of moves (``_moves``), which with
-    distinct vectors proves the space is a lattice ordered componentwise and
-    is the hypercube detector's verdict; the cover-step detector on
-    ``_mx_masks`` is checked against it. Rank and height are read off the
-    firing vectors, as ``_closure`` keeps a cover only when it adds one
-    firing. ``lattice()`` builds the verified ``Lattice`` only on demand.
+    assignment. They read the cover interface below: ``n``, ``topo_order``,
+    ``_upper_covers`` and the lower covers filled from it. ``_upper_covers``
+    first checks that moves commute on the move masks (``_moves``), which
+    with distinct vectors proves the space is a lattice ordered
+    componentwise and is the hypercube detector's verdict; the cover-step
+    detector on ``_mx_masks`` is checked against it. Rank and height are
+    read off the firing vectors, as ``_closure`` keeps a cover only when it
+    adds one firing. ``lattice()`` builds the verified ``Lattice`` only on
+    demand.
     """
 
     names: tuple[str, ...]
     vectors: tuple[tuple[int, ...], ...]
     configs: tuple
-    covers: tuple[tuple[int, int, int], ...]
+    ups: tuple[tuple[int, ...], ...]
+    move_masks: tuple[int, ...]
 
     def __len__(self):
         return len(self.vectors)
@@ -327,6 +370,11 @@ class ConfigSpace:
     _id_kind = Poset._id_kind
     _check = Poset._check  # the one id rule, for element ids as a Lattice takes them
 
+    @property
+    def covers(self) -> _Covers:
+        """(lower, upper, fired vertex) per cover, in sorted order."""
+        return _Covers(self.ups, self.move_masks)
+
     @cached_property
     def _index(self) -> Mapping[tuple[int, ...], int]:
         return {vec: i for i, vec in enumerate(self.vectors)}
@@ -334,8 +382,7 @@ class ConfigSpace:
     @cached_property
     def top(self) -> int:
         """The unique state with no outgoing cover."""
-        has_up = {lo for lo, _, _ in self.covers}
-        tops = [i for i in range(len(self.vectors)) if i not in has_up]
+        tops = [i for i, ups in enumerate(self.ups) if not ups]
         if len(tops) != 1:
             raise RuntimeError(f"expected a unique maximal state, found {len(tops)}")
         return tops[0]
@@ -391,16 +438,16 @@ class ConfigSpace:
 
     @cached_property
     def _moves(self) -> tuple[int, ...]:
-        """Per state, the vertices it can fire or open, as a mask (bit v for
-        vertex v).
+        """``move_masks``, once every two moves of each state commute.
 
         Raises RuntimeError at the first cover (x, child, u), in ``covers``
         order, after which another move v of x is gone, naming the lowest
         such v: the rule of ``lattice._commuting``, which ``Lattice`` runs on
-        meet-irreducible codes. Chips only ever arrive at v when u fires or
-        opens, so moves that do not commute are an engine fault.
+        meet-irreducible codes, here on the recorded masks and the ``covers``
+        view. Chips only ever arrive at v when u fires or opens, so moves
+        that do not commute are an engine fault.
         """
-        moves, lost = _commuting(len(self.vectors), self.covers)
+        lost = _commuting(self.move_masks, self.covers)
         if lost:
             x, _, u, v = lost
             u, v = self.names[u], self.names[v]
@@ -408,22 +455,26 @@ class ConfigSpace:
                 f"moves {u} and {v} do not commute at state {self.labels[x]}: "
                 f"{v} is lost after {u}"
             )
-        return tuple(moves)
+        return self.move_masks
+
+    @property
+    def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
+        """``ups``, once ``_moves`` has checked that moves commute: what the
+        verdicts read, and the lower covers are filled from."""
+        self._moves
+        return self.ups
 
     @property
     def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(lower, upper) per cover, once ``_moves`` has checked that moves
-        commute; ``_closure`` records each pair of states at most once. Made
-        on each request and not kept: the verdicts read ``_upper_covers``."""
-        self._moves
-        return tuple((lo, hi) for lo, hi, _ in self.covers)
+        """(lower, upper) per cover, in sorted order, once ``_moves`` has
+        checked that moves commute. Made on each request and not kept."""
+        return tuple((lo, hi) for lo, ups in enumerate(self._upper_covers) for hi in ups)
 
     @property
     def topo_order(self) -> range:
         """The canonical order, a linear extension: every cover adds a firing."""
         return range(self.n)
 
-    _upper_covers = Poset._upper_covers
     _lower_covers = Poset._lower_covers
     J = Lattice.J
     M = Lattice.M

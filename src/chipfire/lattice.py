@@ -30,10 +30,10 @@ is upper locally distributive (ULD) with as many join- as meet-irreducibles,
 so the triple law only names a witness. The irreducibles, that coding, the
 cover-step detector and the verdicts read nothing but the covers per element,
 ``_upper_covers`` (the lower covers are filled from it), so
-``engine.ConfigSpace`` takes these very members over the covers of its
-moves; it keeps its own rank and hypercube detector. The arrow witness
-report reads the arrow table and codes gathered over the covers, so a
-certified lattice checks every verdict of ``chipfire check`` without its
+``engine.ConfigSpace`` takes these very members over the upper covers its
+closure hands over; it keeps its own rank and hypercube detector. The arrow
+witness report reads the arrow table and codes gathered over the covers, so
+a certified lattice checks every verdict of ``chipfire check`` without its
 down-sets.
 """
 
@@ -76,19 +76,16 @@ def _matrix_rows(leq) -> tuple[int, ...]:
     return tuple(int("".join("1" if v else "0" for v in reversed(row)), 2) for row in rows)
 
 
-def _commuting(n, covers):
-    """Each element's moves as a mask, bit v for an upper cover labelled v,
-    from (lower, upper, label) covers; and the first cover (x, y, u) after
+def _commuting(moves, covers):
+    """The first of the (lower, upper, label) ``covers`` (x, y, u) after
     which another move of x is not a move of y, as (x, y, u, v) with v the
-    lowest such move, or None when every move keeps every other."""
-    moves = [0] * n
-    for lo, _, v in covers:
-        moves[lo] |= 1 << v
+    lowest such move, or None when every move keeps every other. ``moves[x]``
+    has bit v for each upper cover of x labelled v."""
     for x, y, u in covers:
         lost = moves[x] & ~moves[y] & ~(1 << u)
         if lost:
-            return moves, (x, y, u, (lost & -lost).bit_length() - 1)
-    return moves, None
+            return x, y, u, (lost & -lost).bit_length() - 1
+    return None
 
 
 def _gather(seeds, covers, order) -> tuple[int, ...]:
@@ -320,7 +317,9 @@ class Lattice(Poset):
     ``is_uld`` and ``is_distributive`` read only ``n``, ``topo_order``,
     ``_upper_covers``, ``_lower_covers`` (filled from ``_upper_covers``) and
     ``_hypercube_witness``: ``engine.ConfigSpace`` provides those and takes
-    the members themselves by assignment. The cover-step detector walks
+    the members themselves by assignment. Its ``_upper_covers`` are its own,
+    handed over by the closure in canonical order; it takes
+    ``_lower_covers`` from ``Poset``. The cover-step detector walks
     ``_upper_covers`` in the order of the sorted ``cover_pairs``.
     """
 
@@ -401,13 +400,14 @@ class Lattice(Poset):
         mx = self._mx_masks
         if len(set(mx)) < self.n:
             return False
-        labelled = []
+        moves, labelled = [0] * self.n, []
         for lo, hi in self.cover_pairs:
             step = mx[lo] ^ mx[hi]  # the meet-irreducibles the cover drops
             if step & (step - 1):
                 return False
+            moves[lo] |= step
             labelled.append((lo, hi, step.bit_length() - 1))
-        return _commuting(self.n, labelled)[1] is None
+        return _commuting(moves, labelled) is None
 
     @cached_property
     def _up_index(self) -> dict[int, int]:

@@ -3,7 +3,9 @@
 Oracles here are written independently of the engine's breadth-first
 enumeration: depth-first exploration with an explicit stack (classical and
 coloured), the breadth-first closure on configuration and firing-vector tuples
-that the engine's packed ints replaced and the worklist opening rule on
+that the engine's packed ints replaced, with the sorted cover triples that its
+per-state upper covers and move masks replaced (grouped per state here), and
+the worklist opening rule on
 coloured chip tuples that the packed coloured states replaced, raw firing
 sequences without memoisation, a subset walk over each state's cube of moves, a vertex split that rebuilds the whole game and a
 ``simplify`` that replays the fixpoint after every such split, construction
@@ -33,7 +35,6 @@ import random
 import tracemalloc
 import weakref
 from collections import deque
-from dataclasses import replace
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -176,14 +177,16 @@ def full_scan_space(game: ColouredCfg) -> ConfigSpace:
         openable = sorted(full_scan_openable(game, state))
         return [(v, full_scan_open(game, state, v)) for v in openable]
 
-    space = tuple_closure(game, game.initial_state(), successors, None)
-    return replace(space, configs=tuple(state.chips for state in space.configs))
+    vectors, states, covers = tuple_closure(game, game.initial_state(), successors, None)
+    return grouped_space(game.graph.names, vectors, tuple(state.chips for state in states), covers)
 
 
-def tuple_closure(game, start, successors, state_cap) -> ConfigSpace:
+def tuple_closure(game, start, successors, state_cap):
     """``engine._closure`` with each firing vector an n-tuple, sliced anew on
     every move, and states sorted by (sum, tuple): the oracle for the packed
-    vectors. Same cap, same two checks, same texts."""
+    vectors. Same cap, same two checks, same texts. Returns the vectors, the
+    states and the sorted (lower, upper, fired vertex) cover triples, all in
+    canonical order."""
     ids = {start: 0}
     states, vectors = [start], [(0,) * game.graph.n]
     transitions = []
@@ -205,12 +208,28 @@ def tuple_closure(game, start, successors, state_cap) -> ConfigSpace:
         raise RuntimeError("two states share a firing vector")
     order = sorted(range(len(states)), key=lambda i: (sum(vectors[i]), vectors[i]))
     rank = {i: r for r, i in enumerate(order)}
-    return ConfigSpace(
-        names=game.graph.names,
-        vectors=tuple(vectors[i] for i in order),
-        configs=tuple(states[i] for i in order),
-        covers=tuple(sorted((rank[a], rank[b], v) for a, v, b in transitions)),
+    return (
+        tuple(vectors[i] for i in order),
+        tuple(states[i] for i in order),
+        tuple(sorted((rank[a], rank[b], v) for a, v, b in transitions)),
     )
+
+
+def grouped_by_state(n, covers):
+    """Per state of n, its upper covers in the order of the (lower, upper,
+    vertex) triples ``covers``, and its fired vertices as a mask (bit v)."""
+    ups, masks = [[] for _ in range(n)], [0] * n
+    for lo, hi, v in covers:
+        ups[lo].append(hi)
+        masks[lo] |= 1 << v
+    return tuple(map(tuple, ups)), tuple(masks)
+
+
+def grouped_space(names, vectors, configs, covers) -> ConfigSpace:
+    """The ConfigSpace of sorted cover triples, grouped per state here
+    (``grouped_by_state``), not by the engine."""
+    ups, masks = grouped_by_state(len(vectors), covers)
+    return ConfigSpace(names=names, vectors=vectors, configs=configs, ups=ups, move_masks=masks)
 
 
 def tuple_successors(cfg: Cfg, conf) -> list:
@@ -227,9 +246,14 @@ def tuple_successors(cfg: Cfg, conf) -> list:
     return moves
 
 
+def tuple_parts(cfg: Cfg, state_cap=None):
+    """``tuple_closure`` of a game on configuration tuples."""
+    return tuple_closure(cfg, cfg.init, lambda conf: tuple_successors(cfg, conf), state_cap)
+
+
 def tuple_space(cfg: Cfg, state_cap=None) -> ConfigSpace:
     """``Cfg.enumerate_space`` on configuration tuples, through ``tuple_closure``."""
-    return tuple_closure(cfg, cfg.init, lambda conf: tuple_successors(cfg, conf), state_cap)
+    return grouped_space(cfg.graph.names, *tuple_parts(cfg, state_cap))
 
 
 def colour_index(game: ColouredCfg) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -290,15 +314,20 @@ def worklist_open(game: ColouredCfg, state: ColouredState, v: int) -> ColouredSt
     return ColouredState(chips=tuple(chips), opened=opened)
 
 
-def coloured_tuple_space(game: ColouredCfg, state_cap=None) -> ConfigSpace:
-    """``ColouredCfg.enumerate_space`` on ``ColouredState``s of chip tuples,
-    through ``tuple_closure`` and the worklist opening rule on tuples."""
+def coloured_tuple_parts(game: ColouredCfg, state_cap=None):
+    """``tuple_closure`` of a coloured game on ``ColouredState``s of chip
+    tuples, with the worklist opening rule on tuples; the states as chips."""
 
     def successors(state):
         return [(v, worklist_open(game, state, v)) for v in sorted(worklist_openable(game, state))]
 
-    space = tuple_closure(game, game.initial_state(), successors, state_cap)
-    return replace(space, configs=tuple(state.chips for state in space.configs))
+    vectors, states, covers = tuple_closure(game, game.initial_state(), successors, state_cap)
+    return vectors, tuple(state.chips for state in states), covers
+
+
+def coloured_tuple_space(game: ColouredCfg, state_cap=None) -> ConfigSpace:
+    """``ColouredCfg.enumerate_space`` through ``coloured_tuple_parts``."""
+    return grouped_space(game.graph.names, *coloured_tuple_parts(game, state_cap))
 
 
 def all_firing_sequences(cfg: Cfg, limit=50_000):

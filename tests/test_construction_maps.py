@@ -167,11 +167,12 @@ def test_correct_map_passes():
 
 def test_corrupted_cover_fails():
     lat, space, image = boolean_synth()
-    lo, hi, v = space.covers[3]
+    covers = tuple(space.covers)
+    lo, hi, v = covers[3]
     for wrong in ((lo, len(space) - 1, v), (hi, lo, v)):
-        covers = space.covers[:3] + (wrong,) + space.covers[4:]
-        assert not transforms.is_hasse_isomorphism(image, covers, lat.n, lat.cover_pairs)
-    assert not transforms.is_hasse_isomorphism(image, space.covers[1:], lat.n, lat.cover_pairs)
+        bad = covers[:3] + (wrong,) + covers[4:]
+        assert not transforms.is_hasse_isomorphism(image, bad, lat.n, lat.cover_pairs)
+    assert not transforms.is_hasse_isomorphism(image, covers[1:], lat.n, lat.cover_pairs)
 
 
 def test_corrupted_map_entry_fails():
@@ -185,8 +186,8 @@ def test_corrupted_map_entry_fails():
     assert not transforms.is_hasse_isomorphism(bad, space.covers, lat.n, lat.cover_pairs)
     assert not transforms.is_hasse_isomorphism(image[:-1], space.covers, lat.n, lat.cover_pairs)
     # an extra element folded onto the top, with a copy of a cover into the top
-    lo, top, v = space.covers[-1]
-    covers = space.covers + ((lo, len(space), v),)
+    lo, top, v = tuple(space.covers)[-1]
+    covers = tuple(space.covers) + ((lo, len(space), v),)
     folded = image + [image[top]]
     assert not transforms.is_hasse_isomorphism(folded, covers, lat.n, lat.cover_pairs)
     # without covers, only the bijection check can refuse

@@ -8,6 +8,13 @@ successors read off the edge multiplicities alone; ``helpers.coloured_tuple_spac
 runs it on ``ColouredState``s of chip tuples, with the worklist opening rule on
 tuples. Both sides must give the same vectors, configurations and covers,
 and, past a cap or on a faulty game, the same exception and text.
+
+The closure hands a space its covers as each state's upper covers and its
+mask of moves, with no sorted triple. So the space's ``covers``,
+``_upper_covers`` and ``_moves`` are also checked against the oracle's own
+sorted triples, grouped per state by ``helpers.grouped_by_state``, and the
+rule that lets the closure skip the sort is checked on those triples: among
+one state's upper covers, a larger element fires a smaller vertex.
 """
 
 import re
@@ -20,20 +27,48 @@ from chipfire.coloured import ColouredCfg
 from chipfire.engine import Cfg
 from chipfire.errors import FiringVectorConflict, StateCapExceeded
 from chipfire.fixtures import gated_cube_lattice, shared_gate_game, split_track_game
+from chipfire.formats import parse_game
 from chipfire.lattice import Lattice
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import coloured_from_uld
 
-from helpers import coloured_tuple_space, tuple_space
+from helpers import (
+    coloured_tuple_parts,
+    coloured_tuple_space,
+    grouped_by_state,
+    grouped_space,
+    sand_pile_text,
+    tuple_parts,
+    tuple_space,
+)
 from test_coloured import coloured_games
 from test_lattice_tables import convergent_games
 
 
+def assert_fired_vertices_descend(covers):
+    """Sorted (lower, upper, vertex) triples: per lower state, the vertex
+    falls as the upper state rises."""
+    for (lo, hi, v), (lo2, hi2, v2) in zip(covers, covers[1:]):
+        assert lo != lo2 or (hi < hi2 and v > v2), (lo, hi, v, hi2, v2)
+
+
+def assert_same_covers(space, names, parts):
+    """The space's covers against the oracle space of ``parts`` and against
+    the oracle's sorted triples themselves, grouped here per state."""
+    oracle, covers = grouped_space(names, *parts), parts[2]
+    assert tuple(space.covers) == tuple(oracle.covers)
+    assert tuple(space.covers) == covers and len(space.covers) == len(covers)
+    ups, masks = grouped_by_state(len(space), covers)
+    assert space._upper_covers == oracle._upper_covers == ups
+    assert space._moves == oracle._moves == masks
+    assert_fired_vertices_descend(covers)
+
+
 def assert_same_space(game, state_cap=None):
-    space, oracle = game.enumerate_space(state_cap), tuple_space(game, state_cap)
-    assert space.vectors == oracle.vectors
-    assert space.configs == oracle.configs
-    assert space.covers == oracle.covers
+    space, parts = game.enumerate_space(state_cap), tuple_parts(game, state_cap)
+    assert space.vectors == parts[0]
+    assert space.configs == parts[1]
+    assert_same_covers(space, game.graph.names, parts)
     assert all(type(c) is int for conf in space.configs for c in conf)
 
 
@@ -42,6 +77,18 @@ def assert_same_failure(game, state_cap):
         tuple_space(game, state_cap)
     with pytest.raises(oracle.type, match=f"^{re.escape(str(oracle.value))}$"):
         game.enumerate_space(state_cap)
+
+
+def test_a_larger_upper_cover_fires_a_smaller_vertex(game_corpus, coloured_corpus):
+    # vertex 0 is the most significant field of a firing vector, so the
+    # closure's successor lists, reversed, are upper covers in canonical order
+    games = game_corpus + [parse_game(sand_pile_text(28))]
+    parts = [tuple_parts(g) for g in games] + [coloured_tuple_parts(g) for g in coloured_corpus]
+    for _, _, covers in parts:
+        assert_fired_vertices_descend(covers)
+    wide = Cfg(Multigraph.from_edges("abcdt", [(v, "t", 1) for v in "abcd"]), (1, 1, 1, 1, 0))
+    bottom = [(hi, v) for lo, hi, v in wide.enumerate_space().covers if lo == 0]
+    assert bottom == [(1, 3), (2, 2), (3, 1), (4, 0)]
 
 
 def test_game_corpus(game_corpus):
@@ -114,10 +161,10 @@ def test_cyclic_game_failures_are_the_closure_checks():
 
 
 def assert_same_coloured_space(game, state_cap=None):
-    space, oracle = game.enumerate_space(state_cap), coloured_tuple_space(game, state_cap)
-    assert space.vectors == oracle.vectors
-    assert space.configs == oracle.configs
-    assert space.covers == oracle.covers
+    space, parts = game.enumerate_space(state_cap), coloured_tuple_parts(game, state_cap)
+    assert space.vectors == parts[0]
+    assert space.configs == parts[1]
+    assert_same_covers(space, game.graph.names, parts)
     assert all(type(c) is int for chips in space.configs for conf in chips for c in conf)
 
 

@@ -6,7 +6,9 @@ view; the commuting-moves check that stands in for the lattice verification
 and the detector-agreement rule get a fault each. The hypercube verdict, which
 the commuting check gives, is also checked against the subset walk over each
 state's moves (``helpers.cube_walk_witness``). A space keeps no copy of its
-cover pairs, and enumeration peaks near what the finished space holds.
+cover pairs or triples, enumeration peaks near what the finished space
+holds, and enumeration with the four verdicts ``space`` prints stays under a
+bound per state.
 """
 
 import pytest
@@ -160,8 +162,10 @@ def test_space_takes_the_lattice_rules():
     for name in ("J", "M", "_mx_masks", "_cover_step_witness", "uld_detectors", "is_uld",
                  "is_distributive"):
         assert ConfigSpace.__dict__[name] is Lattice.__dict__[name], name
-    for name in ("_upper_covers", "_lower_covers", "_check"):
+    for name in ("_lower_covers", "_check"):
         assert ConfigSpace.__dict__[name] is Poset.__dict__[name], name
+    # the upper covers are the closure's own, handed over in canonical order
+    assert ConfigSpace.__dict__["_upper_covers"] is not Poset.__dict__["_upper_covers"]
 
 
 def test_split_detectors_raise():
@@ -197,10 +201,12 @@ def test_space_builds_no_dense_lattice(tmp_path, capsys, monkeypatch):
     )
     # an n x n boolean order alone would take n^2 = 16 MiB
     assert peak < (1 << 2 * k) // 2
-    # the verdicts read the covers per element; the pairs were made and freed
+    # the verdicts read the closure's upper covers and fill the lower ones;
+    # no pair or triple of a cover is kept
     [space] = spaces
-    assert "_upper_covers" in vars(space) and "_lower_covers" in vars(space)
-    assert "cover_pairs" not in vars(space)
+    assert "_moves" in vars(space) and "_lower_covers" in vars(space)
+    assert "cover_pairs" not in vars(space) and "covers" not in vars(space)
+    assert space._upper_covers is space.ups
 
 
 def test_enumeration_peak_is_near_what_the_space_holds():
@@ -209,3 +215,30 @@ def test_enumeration_peak_is_near_what_the_space_holds():
     space, held, peak = peak_traced(game.enumerate_space)
     assert len(space) == 9329
     assert peak <= 1.9 * held, (peak, held)
+
+
+def space_and_its_verdicts(game):
+    """The space of a game and the four verdicts ``chipfire space`` prints."""
+    space = game.enumerate_space()
+    space.height, space.is_ranked, space.is_distributive, space.is_uld
+    return space
+
+
+def test_space_and_its_verdicts_peak_below_750_bytes_per_state():
+    # SPM(45) measured 612 bytes per state; holding the cover triples beside
+    # the adjacency, as a space once did, took 905
+    game = parse_game(sand_pile_text(45))
+    game._packing  # the game's own layout, made once per game
+    space, held, peak = peak_traced(lambda: space_and_its_verdicts(game))
+    assert len(space) == 9329
+    assert peak < 750 * len(space), (peak, held)
+
+
+def test_the_finished_space_keeps_no_cover_triples():
+    space = space_and_its_verdicts(parse_game(sand_pile_text(28)))
+    triples = tuple(space.covers)
+    assert len(triples) == len(space.covers) > len(space)
+    assert all(value != triples for value in vars(space).values())
+    # the count of covers is read off the adjacency: no triple is made
+    count, _, peak = peak_traced(lambda: len(space.covers))
+    assert count == len(triples) and peak < 1000, peak
