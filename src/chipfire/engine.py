@@ -41,7 +41,9 @@ lattice whose join is the componentwise max. The same check is the space's
 hypercube detector: every set of moves out of a state spans a cube. The
 cover-step detector is the independent one, on the meet-irreducible coding.
 It, J, M, the coding and the verdicts are ``Lattice``'s own members, which
-read nothing but covers: a space hands them its checked upper covers.
+read nothing but covers: a space hands them its checked upper covers, the
+one store its (lower, upper) pairs are read off by ``Poset``'s own rule.
+No lower covers are filled: J counts them off the upper covers.
 """
 
 from __future__ import annotations
@@ -342,9 +344,10 @@ class ConfigSpace:
     ``shot_label``, the DOT text and ``lattice()``.
 
     The lattice verdicts (``J``, ``M``, ``_mx_masks``, ``uld_detectors``,
-    ``is_uld``, ``is_distributive``) are ``Lattice``'s own members, taken by
-    assignment. They read the cover interface below: ``n``, ``topo_order``,
-    ``_upper_covers`` and the lower covers filled from it. ``_upper_covers``
+    ``is_uld``, ``is_distributive``) are ``Lattice``'s own members, and
+    ``cover_pairs`` and ``_check`` are ``Poset``'s, taken by assignment.
+    They read the cover interface below: ``n``, ``topo_order`` and
+    ``_upper_covers``; no lower covers are filled. ``_upper_covers``
     first checks that moves commute on the move masks (``_moves``), which
     with distinct vectors proves the space is a lattice ordered
     componentwise and is the hypercube detector's verdict; the cover-step
@@ -460,22 +463,17 @@ class ConfigSpace:
     @property
     def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
         """``ups``, once ``_moves`` has checked that moves commute: what the
-        verdicts read, and the lower covers are filled from."""
+        verdicts and ``cover_pairs`` read."""
         self._moves
         return self.ups
 
-    @property
-    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        """(lower, upper) per cover, in sorted order, once ``_moves`` has
-        checked that moves commute. Made on each request and not kept."""
-        return tuple((lo, hi) for lo, ups in enumerate(self._upper_covers) for hi in ups)
+    cover_pairs = Poset.cover_pairs  # read off _upper_covers, so it forces _moves
 
     @property
     def topo_order(self) -> range:
         """The canonical order, a linear extension: every cover adds a firing."""
         return range(self.n)
 
-    _lower_covers = Poset._lower_covers
     J = Lattice.J
     M = Lattice.M
     _mx_masks = Lattice._mx_masks

@@ -207,6 +207,8 @@ def parse_lattice(text: str, path: str = "<string>") -> Lattice:
             if lo is None or hi is None:
                 name = tokens[0] if lo is None else tokens[1]
                 raise ParseError(f"unknown element {name!r}", path, lineno)
+            if lo == hi:
+                raise ParseError(f"element {tokens[0]!r} cannot cover itself", path, lineno)
             covers.append((lo, hi))
         elif keyword == "elements":
             if labels is not None:
@@ -223,7 +225,7 @@ def parse_lattice(text: str, path: str = "<string>") -> Lattice:
     try:
         return Lattice.from_covers(len(labels), covers, labels=labels)
     except ValueError as exc:
-        # NotALatticeError passes through; cycles etc. become parse errors
+        # NotALatticeError passes through; a cycle becomes a parse error
         if isinstance(exc, NotALatticeError):
             raise
         raise ParseError(str(exc), path) from None

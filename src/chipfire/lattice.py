@@ -2,10 +2,12 @@
 
 Sets of elements are ints (bit x is element x), and so is the order: bit y of
 ``_up_masks[x]`` says x <= y, and bit y of ``_down_masks[x]`` says y <= x.
-Covers are kept when the order is built from them (``Poset.from_covers``
-closes the up-sets over them; set families pass their one-element steps) and
-derived from the up-sets otherwise; the down-sets are closed over the lower
-covers.
+Every order holds its covers once, as each element's upper covers,
+ascending (``_upper_covers``): ``Poset.from_covers`` hands over the ones it
+keeps while it closes the up-sets over them (set families pass their
+one-element steps), and an order given as a matrix derives them from its
+up-sets. The sorted pairs (``cover_pairs``) and the lower covers are read
+off them; the down-sets are closed over the lower covers.
 
 A lattice is first verified by its codes (``Lattice._antimatroid``): the
 code of x is the set of meet-irreducibles not above x. With a least element,
@@ -29,20 +31,21 @@ upper covers (``Lattice._mx_masks``): a finite lattice is distributive iff it
 is upper locally distributive (ULD) with as many join- as meet-irreducibles,
 so the triple law only names a witness. The irreducibles, that coding, the
 cover-step detector and the verdicts read nothing but the covers per element,
-``_upper_covers`` (the lower covers are filled from it), so
-``engine.ConfigSpace`` takes these very members over the upper covers its
-closure hands over; it keeps its own rank and hypercube detector. The arrow
-witness report reads the arrow table and codes gathered over the covers, so
-a certified lattice checks every verdict of ``chipfire check`` without its
-down-sets.
+``_upper_covers`` (J counts each element's lower covers off it), so
+``engine.ConfigSpace`` takes these very members, and ``cover_pairs``, over
+the upper covers its closure hands over; it keeps its own rank and
+hypercube detector and never fills lower covers. The arrow witness report
+reads the arrow table and codes gathered over the covers, so a certified
+lattice checks every verdict of ``chipfire check`` without its down-sets.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterable, Mapping
 
 from .errors import CapExceeded, DetectorDisagreement, NotALatticeError
@@ -102,7 +105,8 @@ class Poset:
     """Finite partial order, stored as the up-set of each element.
 
     ``Poset(leq)`` takes a square boolean matrix and checks that it is an
-    order; ``from_covers`` builds one from its covers.
+    order; ``from_covers`` builds one from its covers and hands over each
+    element's upper covers, the one stored form of the cover relation.
     """
 
     def __init__(self, leq=None, labels=None, _checked=False, _covers=None, _up=None):
@@ -124,7 +128,7 @@ class Poset:
         self.n = n
         self.labels = labels
         if _covers is not None:
-            self.cover_pairs = _covers
+            self._upper_covers = _covers
 
     @classmethod
     def from_covers(cls, n, covers, labels=None, **kwargs):
@@ -135,8 +139,9 @@ class Poset:
         than n placed means a cycle. Along that order each strict up-set is
         the union of its upper covers and their strict up-sets; a pair whose
         upper element is in it already is implied or repeated and dropped.
-        The reduced, sorted list is kept as ``cover_pairs``, and each strict
-        up-set is made reflexive in place, so one copy of the order is held.
+        Each element's kept upper covers, sorted, are handed over as its
+        ``_upper_covers``, and each strict up-set is made reflexive in place,
+        so one copy of the order is held.
         """
         up = [[] for _ in range(n)]  # upper covers, as listed
         below = [[] for _ in range(n)]  # lower covers, as listed
@@ -159,22 +164,20 @@ class Poset:
         if len(order) < n:
             raise ValueError("cover relation contains a cycle")
         above = [0] * n  # strict up-sets
-        kept = []
         for v in order:
-            near = 0
+            near, kept = 0, []
             for w in up[v]:
                 near |= above[w]
             for w in up[v]:  # reached in two or more steps, or listed before
                 if not near >> w & 1:
-                    kept.append((v, w))
+                    kept.append(w)
                     near |= 1 << w
             above[v] = near
-        del up, below, order
+            up[v] = tuple(sorted(kept))  # read only at v: now v's kept covers
+        del below, order
         for v in range(n):  # each up-set made reflexive in place: one copy at a time
             above[v] |= 1 << v
-        return cls(
-            labels=labels, _checked=True, _covers=tuple(sorted(kept)), _up=tuple(above), **kwargs
-        )
+        return cls(labels=labels, _checked=True, _covers=tuple(up), _up=tuple(above), **kwargs)
 
     _id_kind = "element"  # the noun of ``_check``'s message
 
@@ -204,15 +207,17 @@ class Poset:
         return tuple(s & ~reduce(operator.or_, (strict[y] for y in _bits(s)), 0) for s in strict)
 
     @cached_property
-    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
-        return tuple((x, y) for x, m in enumerate(self._cover_matrix) for y in _bits(m))
-
-    @cached_property
     def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        ups = [[] for _ in range(self.n)]
-        for lo, hi in self.cover_pairs:
-            ups[lo].append(hi)
-        return tuple(tuple(u) for u in ups)
+        """Each element's upper covers, ascending: the one stored form of the
+        cover relation, handed over by ``from_covers`` or else read off
+        ``_cover_matrix``."""
+        return tuple(tuple(_bits(m)) for m in self._cover_matrix)
+
+    @property
+    def cover_pairs(self) -> tuple[tuple[int, int], ...]:
+        """(lower, upper) per cover, sorted: read off ``_upper_covers`` on
+        each request and not kept."""
+        return tuple((x, y) for x, ups in enumerate(self._upper_covers) for y in ups)
 
     @cached_property
     def _lower_covers(self) -> tuple[tuple[int, ...], ...]:
@@ -315,11 +320,10 @@ class Lattice(Poset):
 
     ``J``, ``M``, ``_mx_masks``, ``_cover_step_witness``, ``uld_detectors``,
     ``is_uld`` and ``is_distributive`` read only ``n``, ``topo_order``,
-    ``_upper_covers``, ``_lower_covers`` (filled from ``_upper_covers``) and
-    ``_hypercube_witness``: ``engine.ConfigSpace`` provides those and takes
-    the members themselves by assignment. Its ``_upper_covers`` are its own,
-    handed over by the closure in canonical order; it takes
-    ``_lower_covers`` from ``Poset``. The cover-step detector walks
+    ``_upper_covers`` and ``_hypercube_witness``: ``engine.ConfigSpace``
+    provides those and takes the members themselves by assignment, as it
+    takes ``Poset.cover_pairs``. Its ``_upper_covers`` are its own, handed
+    over by the closure in canonical order. The cover-step detector walks
     ``_upper_covers`` in the order of the sorted ``cover_pairs``.
     """
 
@@ -401,12 +405,13 @@ class Lattice(Poset):
         if len(set(mx)) < self.n:
             return False
         moves, labelled = [0] * self.n, []
-        for lo, hi in self.cover_pairs:
-            step = mx[lo] ^ mx[hi]  # the meet-irreducibles the cover drops
-            if step & (step - 1):
-                return False
-            moves[lo] |= step
-            labelled.append((lo, hi, step.bit_length() - 1))
+        for lo, ups in enumerate(self._upper_covers):
+            for hi in ups:
+                step = mx[lo] ^ mx[hi]  # the meet-irreducibles the cover drops
+                if step & (step - 1):
+                    return False
+                moves[lo] |= step
+                labelled.append((lo, hi, step.bit_length() - 1))
         return _commuting(moves, labelled) is None
 
     @cached_property
@@ -431,8 +436,10 @@ class Lattice(Poset):
 
     @cached_property
     def J(self) -> tuple[int, ...]:
-        """Join-irreducibles: elements with exactly one lower cover."""
-        return tuple(x for x, lows in enumerate(self._lower_covers) if len(lows) == 1)
+        """Join-irreducibles: elements with exactly one lower cover, counted
+        off ``_upper_covers``."""
+        lows = Counter(chain.from_iterable(self._upper_covers))
+        return tuple(x for x in range(self.n) if lows[x] == 1)
 
     @cached_property
     def M(self) -> tuple[int, ...]:

@@ -134,13 +134,11 @@ def _ideal_game_parts(poset: Poset, keep: int):
     """
     edges: dict[tuple[int, int], int] = {}
     bot = poset.n
-    for lo, hi in poset.cover_pairs:
-        if keep >> hi & 1:
-            edges[(lo, hi)] = 1
     chips = [0] * poset.n
     for v in _bits(keep):
-        d_out = sum(keep >> w & 1 for w in poset._upper_covers[v])
-        d_in = len(poset._lower_covers[v])
+        ups = [w for w in poset._upper_covers[v] if keep >> w & 1]
+        edges.update(((v, w), 1) for w in ups)
+        d_out, d_in = len(ups), len(poset._lower_covers[v])
         if d_in > d_out:
             edges[(v, bot)] = d_in - d_out
         elif d_in == 0 and d_out == 0:

@@ -606,7 +606,8 @@ def kahn_from_covers(n, covers, labels=None) -> Poset:
     """``Poset.from_covers`` as it was before up-sets were closed as ints.
     Both place the elements by Kahn's queue (this one from the bottom, over
     a set of seen pairs); they differ in the closure, here each element's
-    strict up-set as a numpy row, filled from the top."""
+    strict up-set as a numpy row, filled from the top. Only the dense order
+    is handed over: its covers are the ones ``Poset`` derives from it."""
     up = [[] for _ in range(n)]
     indeg = [0] * n
     seen = set()
@@ -630,17 +631,12 @@ def kahn_from_covers(n, covers, labels=None) -> Poset:
     if len(topo) != n:
         raise ValueError("cover relation contains a cycle")
     leq = np.zeros((n, n), dtype=bool)  # strictly above, until the diagonal is set
-    kept = []
     for v in reversed(topo):
-        ups = up[v]
-        if ups:
-            # reached by two or more steps: implied, not a cover
-            far = leq[ups].any(axis=0)
-            kept.extend((v, w) for w, implied in zip(ups, far[ups].tolist()) if not implied)
-            far[ups] = True
-            leq[v] = far
+        if up[v]:
+            leq[v] = leq[up[v]].any(axis=0)
+            leq[v, up[v]] = True
     np.fill_diagonal(leq, True)
-    return Poset(leq, labels=labels, _checked=True, _covers=tuple(sorted(kept)))
+    return Poset(leq, labels=labels, _checked=True)
 
 
 def row_masks(matrix) -> tuple[int, ...]:
@@ -733,7 +729,8 @@ def keyword_parse_lattice(text: str, path: str = "<string>") -> Lattice:
     """``formats.parse_lattice`` as it was before its one-loop pass: the lines
     through ``_lines``, each split by ``_split_keyword``, the line helpers the
     library's game parser once used, copied here so that this oracle shares
-    no line handling with the parser it checks."""
+    no line handling with the parser it checks. Like the parser, it refuses a
+    self-cover on its line, by name."""
     labels: tuple[str, ...] | None = None
     index: dict[str, int] = {}
     covers = []
@@ -756,6 +753,8 @@ def keyword_parse_lattice(text: str, path: str = "<string>") -> Lattice:
             for name in tokens:
                 if name not in index:
                     raise ParseError(f"unknown element {name!r}", path, lineno)
+            if tokens[0] == tokens[1]:
+                raise ParseError(f"element {tokens[0]!r} cannot cover itself", path, lineno)
             covers.append((index[tokens[0]], index[tokens[1]]))
         else:
             raise ParseError(f"unknown keyword {keyword!r}", path, lineno)
@@ -764,7 +763,7 @@ def keyword_parse_lattice(text: str, path: str = "<string>") -> Lattice:
     try:
         return Lattice.from_covers(len(labels), covers, labels=labels)
     except ValueError as exc:
-        # NotALatticeError passes through; cycles etc. become parse errors
+        # NotALatticeError passes through; a cycle becomes a parse error
         if isinstance(exc, NotALatticeError):
             raise
         raise ParseError(str(exc), path) from None

@@ -603,7 +603,7 @@ LATTICE_ERRORS = {
     "colon in a name": ("elements: a b\ncover: a: b\n", "l.lat:2: unknown element 'a:'"),
     "missing elements line": ("# only a comment\n\n", "l.lat: missing elements line"),
     "cycle": ("elements: a b\ncover: a b\n# back\ncover: b a\n", "l.lat: cover relation contains a cycle"),
-    "self cover": ("elements: a b\ncover: a b\ncover: b b\n", "l.lat: bad cover pair (1,1)"),
+    "self cover": ("elements: a b\ncover: a b\ncover: b b\n", "l.lat:3: element 'b' cannot cover itself"),
 }
 
 

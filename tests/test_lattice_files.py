@@ -16,7 +16,8 @@ text or the same verdicts, and the certificate must accept exactly the lattices
 that the scan and the walk call ULD. Their covers per element and the
 cover-step witness are checked against the order's transitive reduction.
 Parsing holds one copy of the up-sets: ``from_covers`` makes them reflexive
-in place.
+in place. It holds one copy of the covers too, each element's upper covers:
+after every verdict of ``chipfire check`` no pair tuple is stored beside them.
 """
 
 import itertools
@@ -283,3 +284,15 @@ def test_parsing_holds_one_copy_of_the_up_sets():
     lat, held, peak = peak_traced(lambda: parse_lattice(text))
     up = sys.getsizeof(lat._up_masks) + sum(map(sys.getsizeof, lat._up_masks))
     assert peak - held <= 2 * up, (peak - held, up)
+
+
+def test_a_parsed_lattice_keeps_only_its_upper_covers():
+    for lat in (Lattice.boolean(4), gated_cube_lattice(), pentagon()):
+        parsed = parse_lattice(serialize_lattice(lat))
+        for order in (lat, parsed):  # built from covers, then read from text
+            order.is_ranked, order.height, order.is_distributive, order.uld_detectors
+            order.J, order.M
+            if order.is_uld:
+                order.arrow_partition()
+            arrow_witness_report(order)
+            assert "cover_pairs" not in vars(order), order.labels

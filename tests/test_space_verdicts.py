@@ -40,7 +40,6 @@ def assert_verdicts_match_lattice(space):
     lat = space.lattice()
     assert space.cover_pairs == lat.cover_pairs
     assert space._upper_covers == lat._upper_covers
-    assert space._lower_covers == lat._lower_covers
     assert space.J == lat.J
     assert space.M == lat.M
     assert space._mx_masks == lat._mx_masks
@@ -162,10 +161,13 @@ def test_space_takes_the_lattice_rules():
     for name in ("J", "M", "_mx_masks", "_cover_step_witness", "uld_detectors", "is_uld",
                  "is_distributive"):
         assert ConfigSpace.__dict__[name] is Lattice.__dict__[name], name
-    for name in ("_lower_covers", "_check"):
+    # the pairs are read off the upper covers by Poset's one rule
+    for name in ("cover_pairs", "_check"):
         assert ConfigSpace.__dict__[name] is Poset.__dict__[name], name
-    # the upper covers are the closure's own, handed over in canonical order
+    # the upper covers are the closure's own, handed over in canonical order,
+    # and J counts lower covers off them: none are filled
     assert ConfigSpace.__dict__["_upper_covers"] is not Poset.__dict__["_upper_covers"]
+    assert not hasattr(ConfigSpace, "_lower_covers")
 
 
 def test_split_detectors_raise():
@@ -201,10 +203,10 @@ def test_space_builds_no_dense_lattice(tmp_path, capsys, monkeypatch):
     )
     # an n x n boolean order alone would take n^2 = 16 MiB
     assert peak < (1 << 2 * k) // 2
-    # the verdicts read the closure's upper covers and fill the lower ones;
+    # the verdicts read the closure's upper covers and fill no lower ones;
     # no pair or triple of a cover is kept
     [space] = spaces
-    assert "_moves" in vars(space) and "_lower_covers" in vars(space)
+    assert "_moves" in vars(space) and "_lower_covers" not in vars(space)
     assert "cover_pairs" not in vars(space) and "covers" not in vars(space)
     assert space._upper_covers is space.ups
 
@@ -224,14 +226,14 @@ def space_and_its_verdicts(game):
     return space
 
 
-def test_space_and_its_verdicts_peak_below_750_bytes_per_state():
-    # SPM(45) measured 612 bytes per state; holding the cover triples beside
-    # the adjacency, as a space once did, took 905
+def test_space_and_its_verdicts_peak_below_560_bytes_per_state():
+    # SPM(45) measured 505 bytes per state; filling the lower covers beside
+    # the upper ones took 610, and holding the cover triples as well 905
     game = parse_game(sand_pile_text(45))
     game._packing  # the game's own layout, made once per game
     space, held, peak = peak_traced(lambda: space_and_its_verdicts(game))
     assert len(space) == 9329
-    assert peak < 750 * len(space), (peak, held)
+    assert peak < 560 * len(space), (peak, held)
 
 
 def test_the_finished_space_keeps_no_cover_triples():
