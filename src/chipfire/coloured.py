@@ -19,13 +19,15 @@ The configuration space comes from the engine's shared breadth-first closure
 and its two checks; the second one reports an open-set reached with two chip
 contents.
 
-Inside the closure a state is one int: the open-set mask in the low n bits,
-then one chip block per colour, laid out by ``engine._block`` for that
-colour's chip total (chips are conserved within each colour). States are
-unpacked to chip tuples once, when the space is built. ``open_vertex`` and
-``openable`` check the state they are given, down to its stability over its
-open set, then pack it and run the same packed code: by the game's own
-layout when the state's chip totals fit it, else by a layout made from them.
+Inside the closure a state is a tuple of ints: one chip block per colour, in
+colour order, each laid out at bit 0 by ``engine._block`` for that colour's
+chip total (chips are conserved within each colour), then the open-set mask.
+An opening rebuilds only the blocks of the colours it restarts, and a firing
+delta is no wider than its colour's block. States are unpacked to chip tuples
+once, when the space is built. ``open_vertex`` and ``openable`` check the
+state they are given, down to its stability over its open set, then pack it
+and run the same packed code: by the game's own layout when the state's chip
+totals fit it, else by a layout made from them.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .engine import Cfg, ConfigSpace, _block, _closure, _pack_block, _unpack_blo
 from .errors import StepCapExceeded
 from .multigraph import ColouredMultigraph, _as_int
 
-_STABILIZE_CAP = 1_000_000  # defensive; per-colour convergence is checked up front
+_STABILIZE_CAP = 1_000_000  # every colour is checked to converge, so this stops only a long run
 
 
 @dataclass(frozen=True)
@@ -103,28 +105,26 @@ class ColouredCfg:
         )
 
     def _layout(self, totals):
-        """How a state whose colours hold ``totals`` chips packs into one
-        int, and what the packed moves read: (per colour, per vertex).
+        """How a state whose colours hold ``totals`` chips packs into a
+        tuple, and what the packed moves read: (per colour, per vertex).
 
-        The open-set mask sits in the low n bits, bit v for vertex v; above
-        it, one ``engine._block`` per colour, in colour order, for that
-        colour's chip total. Per colour: (colour, block, out-degrees,
-        out-neighbours). Per vertex: the (colour index, shift, field mask,
-        out-degree) of each colour it has out-edges in, the gates
-        ``_openable`` reads.
+        A packed state holds one ``engine._block`` per colour, in colour
+        order, for that colour's chip total, so entry ci is colour ci's
+        chips; its last entry is the open-set mask, bit v for vertex v. Per
+        colour: (colour, block, out-degrees, out-neighbours). Per vertex:
+        the (colour index, shift, field mask, out-degree) of each colour it
+        has out-edges in, the gates ``_openable`` reads.
         """
         n = self.graph.n
         colours, gates = [], [[] for _ in range(n)]
-        offset = n
         for ci, (c, total) in enumerate(zip(self.colours, totals)):
             g = self.graph.restriction_to_colour(c)
-            block = width, shifts, mask, _ = _block(g, total, offset)
+            block = _, shifts, mask, _ = _block(g, total)
             deg = g._out_degrees
             colours.append((c, block, deg, tuple(tuple(w for w, _ in adj) for adj in g._out_adj)))
             for v in range(n):
                 if deg[v]:
                     gates[v].append((ci, shifts[v], mask, deg[v]))
-            offset += width * n
         return tuple(colours), tuple(map(tuple, gates))
 
     @cached_property
@@ -134,19 +134,16 @@ class ColouredCfg:
         return self._layout([sum(self.init[c]) for c in self.colours])
 
     @staticmethod
-    def _pack(state: ColouredState, packing) -> int:
+    def _pack(state: ColouredState, packing) -> tuple[int, ...]:
         blocks = (block for _, block, *_ in packing[0])
-        return sum(1 << v for v in state.opened) + sum(map(_pack_block, state.chips, blocks))
+        return (*map(_pack_block, state.chips, blocks), sum(1 << v for v in state.opened))
 
     @staticmethod
     def _unpack(states, packing) -> list[tuple[tuple[int, ...], ...]]:
         """The per-colour chips of each packed state. A colour's block takes
         few distinct values over a space, so each is unpacked once."""
         columns = []
-        for _, block, *_ in packing[0]:
-            width, shifts = block[:2]
-            span = ((1 << width * len(shifts)) - 1) << min(shifts, default=0)
-            values = [x & span for x in states]
+        for (_, block, *_), values in zip(packing[0], zip(*states)):
             distinct = set(values)
             chips = dict(zip(distinct, _unpack_block(distinct, block)))
             columns.append(list(map(chips.__getitem__, values)))
@@ -166,7 +163,7 @@ class ColouredCfg:
         x = self._pack(state, packing)
         for v in sorted(state.opened):
             for ci, shift, mask, deg in packing[1][v]:
-                if x >> shift & mask >= deg:
+                if x[ci] >> shift & mask >= deg:
                     name, c = self.graph.names[v], self.colours[ci]
                     raise ValueError(f"open vertex {name} can still fire in colour {c}")
         return packing, x
@@ -177,13 +174,13 @@ class ColouredCfg:
         return frozenset(self._openable(x, packing))
 
     @staticmethod
-    def _openable(x: int, packing) -> list[int]:
+    def _openable(x: tuple[int, ...], packing) -> list[int]:
         """``openable`` on a packed state, in ascending order."""
-        out = []
+        out, opened = [], x[-1]
         for v, gates in enumerate(packing[1]):
-            if not x >> v & 1:
-                for _, shift, mask, deg in gates:
-                    if x >> shift & mask >= deg:
+            if not opened >> v & 1:
+                for ci, shift, mask, deg in gates:
+                    if x[ci] >> shift & mask >= deg:
                         out.append(v)
                         break
         return out
@@ -207,20 +204,21 @@ class ColouredCfg:
         [chips] = self._unpack([self._open(x, v, packing)], packing)
         return ColouredState(chips, state.opened | {v})
 
-    def _open(self, x: int, v: int, packing) -> int:
+    def _open(self, x: tuple[int, ...], v: int, packing) -> tuple[int, ...]:
         """``open_vertex`` on a state packed by ``packing``, for a vertex the
-        caller has already found openable."""
-        colours = packing[0]
-        x |= 1 << v
+        caller has already found openable: only the blocks of the colours v
+        restarts are rebuilt."""
+        colours, opened, blocks = packing[0], x[-1] | 1 << v, list(x)
         for ci, shift, mask, deg in packing[1][v]:
-            if x >> shift & mask >= deg:
-                x = self._stabilize(x, colours[ci], v)
-        return x
+            if x[ci] >> shift & mask >= deg:
+                blocks[ci] = self._stabilize(x[ci], opened, colours[ci], v)
+        blocks[-1] = opened
+        return tuple(blocks)
 
-    def _stabilize(self, x: int, colour, v: int) -> int:
-        """Play one colour of a packed state, its entry of the layout, on the
-        open vertices, from a worklist seeded with v; closed vertices absorb
-        chips.
+    def _stabilize(self, x: int, opened: int, colour, v: int) -> int:
+        """Play one colour's block ``x``, by that colour's entry of the
+        layout, on the vertices of the open-set mask ``opened``, from a
+        worklist seeded with v; closed vertices absorb chips.
 
         The chips must be stable at every open vertex but v.
         """
@@ -230,19 +228,20 @@ class ColouredCfg:
         while todo:
             u = todo.pop()
             deg, shift = degs[u], shifts[u]
-            if not x >> u & 1 or not 0 < deg <= x >> shift & mask:
+            if not opened >> u & 1 or not 0 < deg <= x >> shift & mask:
                 continue
             while deg <= x >> shift & mask:
                 x += deltas[u]
                 steps += 1
                 if steps > _STABILIZE_CAP:
                     raise StepCapExceeded(
-                        f"colour {c} did not stabilize within {_STABILIZE_CAP} firings"
+                        f"colour {c} converges, but the step cap came first: "
+                        f"not stable within {_STABILIZE_CAP} firings"
                     )
             todo.extend(targets[u])
         return x
 
-    def _successors(self, x: int) -> list[tuple[int, int]]:
+    def _successors(self, x: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """The moves (v, next state) out of a packed state, in ascending
         vertex order."""
         packing = self._packing

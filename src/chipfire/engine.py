@@ -13,11 +13,11 @@ space, and each (lower, upper) pair of states is at most one cover.
 Inside the closure a firing vector is one int, a 64-bit field per vertex and
 above them a 64-bit level field, the total firings, so int order is the
 canonical order. No field overflows: a level is below the state count, and no
-vertex has fired more often than the level. The states of both kinds of game
-are ints built from the chip blocks of ``_block``: a classical configuration
-is one block, a coloured state (``chipfire.coloured``) the open-set mask and
-one block per colour. The closure unpacks them by the game's rule, once, into
-the finished space.
+vertex has fired more often than the level. Every chip vector is packed by
+one rule, ``_block``, into an int of its own at bit 0: a classical state is
+one such int, a coloured state (``chipfire.coloured``) a tuple of them, one
+per colour, with its open-set mask. The closure unpacks states by the game's
+rule, once, into the finished space.
 
 The closure hands the space its cover relation once, with no sort: each
 state's upper covers and its moves as a mask. All successors of one state
@@ -59,11 +59,11 @@ from .lattice import Lattice, Poset, _commuting
 from .multigraph import Multigraph, _as_int
 
 
-def _block(graph: Multigraph, total: int, offset: int):
+def _block(graph: Multigraph, total: int):
     """The layout of one chip vector on ``graph`` packed into an int, as
     (width, shifts, mask, deltas): vertex v's field is the ``mask`` bits from
-    ``shifts[v] = offset + width*v``, and adding ``deltas[v]`` fires v (its
-    out-degree off its own field, each out-edge's chips onto the target's).
+    ``shifts[v] = width*v``, and adding ``deltas[v]`` fires v (its out-degree
+    off its own field, each out-edge's chips onto the target's).
 
     ``width`` is the bit length of ``total``, the vector's chip total. Chips
     are conserved and never negative, so every field of a reachable vector
@@ -71,7 +71,7 @@ def _block(graph: Multigraph, total: int, offset: int):
     """
     n, deg = graph.n, graph._out_degrees
     width = max(1, total.bit_length())
-    shifts = tuple(range(offset, offset + width * n, width))
+    shifts = tuple(range(0, width * n, width))
     deltas = tuple(
         sum(k << shifts[w] for w, k in graph._out_adj[v]) - (deg[v] << shifts[v])
         for v in range(n)
@@ -85,7 +85,7 @@ def _pack_block(chips, block) -> int:
 
 
 def _unpack_block(states, block) -> list[tuple[int, ...]]:
-    """The chip vector that ``block`` holds in each packed state, field by
+    """The chip vector that each int packed by ``block`` holds, field by
     field (the states of a classical space are all distinct)."""
     _, shifts, mask, _ = block
     return [tuple([x >> s & mask for s in shifts]) for x in states]
@@ -96,11 +96,12 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
 
     ``successors(state)`` lists the moves ``(v, next_state)`` in ascending
     vertex order; each move adds one to entry v of the firing vector. States
-    are hashable; ``unpack`` turns the list of them, in canonical order, into
-    the space's configurations. Raises FiringVectorConflict when a state is
-    reached again with a different firing vector, RuntimeError when two
-    states share one (for a coloured game: one open-set with two chip
-    contents).
+    are hashable: a classical state is an int, a coloured state a tuple of
+    ints (its chip blocks and open set). ``unpack`` turns the list of them,
+    in canonical order, into the space's configurations. Raises
+    FiringVectorConflict when a state is reached again with a different
+    firing vector, RuntimeError when two states share one (for a coloured
+    game: one open-set with two chip contents).
 
     A firing vector is one int: a 64-bit field per vertex, vertex 0 the most
     significant, and above them a 64-bit level field, the total firings. A
@@ -315,7 +316,7 @@ class Cfg:
         """How ``enumerate_space`` packs a configuration, one ``_block`` at bit
         0; and the moves ``_successors`` reads: per vertex of positive
         out-degree, ascending, its (vertex, shift, out-degree, firing delta)."""
-        block = _block(self.graph, sum(self.init), 0)
+        block = _block(self.graph, sum(self.init))
         _, shifts, _, deltas = block
         moves = tuple(
             (v, shifts[v], deg, deltas[v]) for v, deg in enumerate(self.graph._out_degrees) if deg

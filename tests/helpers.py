@@ -154,7 +154,8 @@ def full_scan_stabilize_colour(game: ColouredCfg, c, chips, opened):
         steps += 1
         if steps > coloured._STABILIZE_CAP:
             raise StepCapExceeded(
-                f"colour {c} did not stabilize within {coloured._STABILIZE_CAP} firings"
+                f"colour {c} converges, but the step cap came first: "
+                f"not stable within {coloured._STABILIZE_CAP} firings"
             )
 
 
@@ -298,7 +299,8 @@ def worklist_stabilize_colour(game: ColouredCfg, ci, chips, opened, v):
             steps += 1
             if steps > coloured._STABILIZE_CAP:
                 raise StepCapExceeded(
-                    f"colour {c} did not stabilize within {coloured._STABILIZE_CAP} firings"
+                    f"colour {c} converges, but the step cap came first: "
+                    f"not stable within {coloured._STABILIZE_CAP} firings"
                 )
         todo.extend(w for w, _ in adj[u])
     return tuple(chips)

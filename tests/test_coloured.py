@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from chipfire import coloured
 from chipfire.coloured import ColouredCfg, ColouredState, from_classical
-from chipfire.engine import Cfg
+from chipfire.engine import Cfg, _unpack_block
 from chipfire.errors import StateCapExceeded, StepCapExceeded
 from chipfire.fixtures import (
     funnel_game,
@@ -296,12 +296,14 @@ def test_revisit_with_another_firing_vector_is_reported(monkeypatch):
 
 
 def test_open_set_with_two_chip_contents_is_reported(monkeypatch):
-    # tag the chips with the last opened vertex, so {a,b} opened as a-then-b
-    # and as b-then-a holds two chip contents; the tag sits above every field
+    # tag the state with the last opened vertex, so {a,b} opened as a-then-b
+    # and as b-then-a holds two chip contents; the tag sits in the open-set
+    # entry, above every vertex's bit
     successors, tag = ColouredCfg._successors, 2**1000
 
     def tagged(self, x):
-        return [(v, nxt % tag + v * tag) for v, nxt in successors(self, x % tag)]
+        x = (*x[:-1], x[-1] % tag)
+        return [(v, (*nxt[:-1], nxt[-1] % tag + v * tag)) for v, nxt in successors(self, x)]
 
     monkeypatch.setattr(ColouredCfg, "_successors", tagged)
     with pytest.raises(RuntimeError, match="share a firing vector"):
@@ -318,11 +320,11 @@ def test_opening_touches_only_colours_the_vertex_fires_in(coloured_corpus, monke
     visits = []
     stabilize = ColouredCfg._stabilize
 
-    def recording(self, x, colour, v):
-        [chips] = self._unpack([x], self._packing)
+    def recording(self, x, opened, colour, v):
+        [chips] = _unpack_block([x], colour[1])
         ci = self.colours.index(colour[0])
-        visits.append((self, ci, chips[ci], v))
-        return stabilize(self, x, colour, v)
+        visits.append((self, ci, chips, v))
+        return stabilize(self, x, opened, colour, v)
 
     monkeypatch.setattr(ColouredCfg, "_stabilize", recording)
     for game in coloured_corpus + [shared_gate_game(), split_track_game()]:
@@ -370,6 +372,43 @@ def test_stabilize_cap_bound_and_message(monkeypatch):
     monkeypatch.setattr(coloured, "_STABILIZE_CAP", 9)
     assert {enumerate_(game).configs for enumerate_ in enumerators} == {(((10, 0),), ((1, 9),))}
     monkeypatch.setattr(coloured, "_STABILIZE_CAP", 8)
+    text = "^colour 1 converges, but the step cap came first: not stable within 8 firings$"
     for enumerate_ in enumerators:
-        with pytest.raises(StepCapExceeded, match="^colour 1 did not stabilize within 8 firings$"):
+        with pytest.raises(StepCapExceeded, match=text):
             enumerate_(game)
+
+
+def test_every_colour_block_sits_at_bit_0_and_no_delta_is_wider(coloured_corpus):
+    # one colour per join-irreducible: chain(k) has k - 1 colours. A vertex
+    # fires only with its out-degree in chips, at most the colour's total, so
+    # each multiplicity a firing moves fits one field; a vertex whose degree
+    # exceeds the total never fires, and its delta is never added
+    games = [coloured_from_uld(Lattice.chain(k)) for k in range(2, 61)]
+    for game in games + coloured_corpus + [shared_gate_game(), split_track_game()]:
+        n = game.graph.n
+        start = game._pack(game.initial_state(), game._packing)
+        assert len(start) == len(game.colours) + 1
+        for (c, (width, shifts, _, deltas), degs, _), x in zip(game._packing[0], start):
+            assert shifts == tuple(range(0, width * n, width))
+            assert x.bit_length() <= width * n
+            fired = [d for d, deg in zip(deltas, degs) if 0 < deg <= sum(game.init[c])]
+            assert all(abs(d).bit_length() <= width * n for d in fired)
+
+
+def test_a_long_chain_game_holds_each_colour_in_its_own_block():
+    # all blocks packed into one int per state, with each delta as wide as
+    # every block below its own, peaked at 46 MB; an int per block at 23 MB
+    lattice = Lattice.chain(150)
+    space, _, peak = helpers.peak_traced(lambda: coloured_from_uld(lattice).enumerate_space())
+    assert len(space) == 150
+    assert peak < 32_000_000
+
+
+def test_many_colour_chain_games_match_the_tuple_closure():
+    for k in range(2, 41):
+        game = coloured_from_uld(Lattice.chain(k))
+        assert len(game.colours) == k - 1
+        space, oracle = game.enumerate_space(), coloured_tuple_space(game)
+        assert space.vectors == oracle.vectors
+        assert space.configs == oracle.configs
+        assert tuple(space.covers) == tuple(oracle.covers)

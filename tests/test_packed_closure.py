@@ -2,7 +2,8 @@
 
 ``engine._closure`` keeps each firing vector as one int,
 ``Cfg.enumerate_space`` each configuration as one int and
-``ColouredCfg.enumerate_space`` each coloured state as one int.
+``ColouredCfg.enumerate_space`` each coloured state as a tuple of ints, one
+chip block per colour and the open-set mask.
 ``helpers.tuple_space`` runs the same breadth-first closure on tuples, with
 successors read off the edge multiplicities alone; ``helpers.coloured_tuple_space``
 runs it on ``ColouredState``s of chip tuples, with the worklist opening rule on
