@@ -98,7 +98,8 @@ def cmd_space(args) -> int:
     if args.coloured and not isinstance(game, ColouredCfg):
         raise ValueError(f"{args.game}: --coloured given but the file is classical")
     space = game.enumerate_space(state_cap=args.cap)
-    # read from vectors and covers, after the moves are checked to commute
+    # read from covers and moves, after the moves are checked to commute; the
+    # height is the top's level: without --dot no state is unpacked
     ranked, distributive, uld = space.is_ranked, space.is_distributive, space.is_uld
     print(f"elements: {len(space)}")
     print(f"height: {space.height}")

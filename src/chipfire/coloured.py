@@ -23,11 +23,12 @@ Inside the closure a state is a tuple of ints: one chip block per colour, in
 colour order, each laid out at bit 0 by ``engine._block`` for that colour's
 chip total (chips are conserved within each colour), then the open-set mask.
 An opening rebuilds only the blocks of the colours it restarts, and a firing
-delta is no wider than its colour's block. States are unpacked to chip tuples
-once, when the space is built. ``open_vertex`` and ``openable`` check the
-state they are given, down to its stability over its open set, then pack it
-and run the same packed code: by the game's own layout when the state's chip
-totals fit it, else by a layout made from them.
+delta is no wider than its colour's block. The space keeps the states packed
+and unpacks them to chip tuples once, on the first read of its ``configs``.
+``open_vertex`` and ``openable`` check the state they are given, down to its
+stability over its open set, then pack it and run the same packed code: by
+the game's own layout when the state's chip totals fit it, else by a layout
+made from them.
 """
 
 from __future__ import annotations
@@ -252,7 +253,8 @@ class ColouredCfg:
 
         Opening order does not matter: each open-set must be reached with a
         single chip content, and a second one would be reported. The closure
-        runs on states packed by ``_packing``, unpacked once at the end.
+        runs on states packed by ``_packing``; the space keeps them packed
+        and unpacks its ``configs`` by ``_unpack`` on first read.
         """
         packing = self._packing
         start = self._pack(self.initial_state(), packing)

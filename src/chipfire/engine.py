@@ -16,8 +16,11 @@ canonical order. No field overflows: a level is below the state count, and no
 vertex has fired more often than the level. Every chip vector is packed by
 one rule, ``_block``, into an int of its own at bit 0: a classical state is
 one such int, a coloured state (``chipfire.coloured``) a tuple of them, one
-per colour, with its open-set mask. The closure unpacks states by the game's
-rule, once, into the finished space.
+per colour, with its open-set mask. The closure unpacks nothing: the finished
+space keeps the vector ints and the packed states in canonical order, with
+the game's unpack rule, and unpacks ``vectors`` and ``configs`` each once, on
+first read. Its size, height and top read no vector: the height is the level
+field of the top's int.
 
 The closure hands the space its cover relation once, with no sort: each
 state's upper covers and its moves as a mask. All successors of one state
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Mapping
 
@@ -97,8 +100,8 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     ``successors(state)`` lists the moves ``(v, next_state)`` in ascending
     vertex order; each move adds one to entry v of the firing vector. States
     are hashable: a classical state is an int, a coloured state a tuple of
-    ints (its chip blocks and open set). ``unpack`` turns the list of them,
-    in canonical order, into the space's configurations. Raises
+    ints (its chip blocks and open set). ``unpack`` is the game's rule that
+    turns a list of them into configurations. Raises
     FiringVectorConflict when a state is reached again with a different
     firing vector, RuntimeError when two states share one (for a coloured
     game: one open-set with two chip contents).
@@ -114,8 +117,9 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     Each state records its successors in move order and its moves as a mask
     (bit v for a move of v). Reversed, the successors are its upper covers
     in canonical order (see the module docstring), so no cover triple is
-    made and only the vectors are sorted. Each vector and state is unpacked
-    once, at the end, after the discovery-order lists are dropped.
+    made and only the vectors are sorted. Nothing is unpacked: the space
+    keeps the vector ints, the states and ``unpack``, in canonical order,
+    and unpacks ``vectors`` and ``configs`` on first read.
     """
     n = game.graph.n
     unit = [1 << 64 * n | 1 << 64 * (n - 1 - v) for v in range(n)]
@@ -148,14 +152,22 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     for r, i in enumerate(order):
         rank[i] = r
     ups = tuple([tuple([rank[j] for j in reversed(nexts[i])]) for i in order])
-    masks = tuple([masks[i] for i in order])
     del nexts, rank
-    fields, size = struct.Struct(f">8x{n}Q").unpack, 8 * (n + 1)  # skip the level
-    vectors = tuple(fields(vectors[i].to_bytes(size, "big")) for i in order)
-    configs = tuple(unpack([states[i] for i in order]))
     return ConfigSpace(
-        names=game.graph.names, vectors=vectors, configs=configs, ups=ups, move_masks=masks
+        names=game.graph.names,
+        packed_vectors=tuple([vectors[i] for i in order]),
+        packed_states=tuple([states[i] for i in order]),
+        unpack=unpack,
+        ups=ups,
+        move_masks=tuple([masks[i] for i in order]),
     )
+
+
+def _unpack_vectors(packed, n) -> list[tuple[int, ...]]:
+    """The firing vector that each int packed by ``_closure`` holds, one
+    64-bit field per vertex of n; the level field above them is skipped."""
+    fields, size = struct.Struct(f">8x{n}Q").unpack, 8 * (n + 1)
+    return [fields(x.to_bytes(size, "big")) for x in packed]
 
 
 class _Covers:
@@ -304,7 +316,8 @@ class Cfg:
         States are keyed by configuration; the firing-count vector is stored
         and cross-checked on revisits (equal configurations reached from the
         same start must have fired the same multiset of vertices). The closure
-        runs on configurations packed by ``_packing``, unpacked once at the end.
+        runs on configurations packed by ``_packing``; the space keeps them
+        packed and unpacks its ``configs`` on first read.
         """
         self._require_guard(state_cap, "enumerate_space")
         block = self._packing[0]
@@ -334,7 +347,12 @@ class Cfg:
 class ConfigSpace:
     """All reachable states of a game, ordered by how much has been fired.
 
-    ``_closure`` builds it finished, with unpacked configurations. Elements
+    ``_closure`` builds it finished, from what the closure holds: each
+    state's firing vector as one int, level field included
+    (``packed_vectors``), and its packed state (``packed_states``), with the
+    game's rule that unpacks them (``unpack``). ``vectors`` and ``configs``
+    are unpacked from them once each, on first read, into tuples; ``len``,
+    ``n``, ``height`` and ``top`` read no vector. Elements
     are in canonical order: by total firings, then lexicographically by
     firing-count vector. Element 0 is the initial state. The cover relation
     is held once, as each state's upper covers in canonical order (``ups``)
@@ -352,24 +370,35 @@ class ConfigSpace:
     first checks that moves commute on the move masks (``_moves``), which
     with distinct vectors proves the space is a lattice ordered
     componentwise and is the hypercube detector's verdict; the cover-step
-    detector on ``_mx_masks`` is checked against it. Rank and height are
-    read off the firing vectors, as ``_closure`` keeps a cover only when it
-    adds one firing. ``lattice()`` builds the verified ``Lattice`` only on
-    demand.
+    detector on ``_mx_masks`` is checked against it. Rank is total
+    firings and the height the top's level, as ``_closure`` keeps a cover
+    only when it adds one firing. ``lattice()`` builds the verified
+    ``Lattice`` only on demand.
     """
 
     names: tuple[str, ...]
-    vectors: tuple[tuple[int, ...], ...]
-    configs: tuple
+    packed_vectors: tuple[int, ...]
+    packed_states: tuple
+    unpack: Callable[[tuple], list] = field(compare=False, repr=False)
     ups: tuple[tuple[int, ...], ...]
     move_masks: tuple[int, ...]
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.packed_vectors)
 
     @property
     def n(self) -> int:
-        return len(self.vectors)
+        return len(self.packed_vectors)
+
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """Each state's firing vector, one count per vertex."""
+        return tuple(_unpack_vectors(self.packed_vectors, len(self.names)))
+
+    @cached_property
+    def configs(self) -> tuple:
+        """Each state's configuration, unpacked by the game's rule."""
+        return tuple(self.unpack(self.packed_states))
 
     _id_kind = Poset._id_kind
     _check = Poset._check  # the one id rule, for element ids as a Lattice takes them
@@ -393,7 +422,8 @@ class ConfigSpace:
 
     @property
     def height(self) -> int:
-        return sum(self.vectors[self.top])
+        """The top's level: the field above its firing vector's."""
+        return self.packed_vectors[self.top] >> 64 * len(self.names)
 
     def shot_set(self, i) -> frozenset[int]:
         """Vertices fired at least once to reach element i."""
@@ -432,7 +462,7 @@ class ConfigSpace:
     def _lattice(self):
         cover_labels = {(lo, hi): self.names[v] for lo, hi, v in self.covers}
         return Lattice.from_covers(
-            len(self.vectors),
+            self.n,
             [(lo, hi) for lo, hi, _ in self.covers],
             labels=self.labels,
             cover_labels=cover_labels,

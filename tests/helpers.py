@@ -228,9 +228,28 @@ def grouped_by_state(n, covers):
 
 def grouped_space(names, vectors, configs, covers) -> ConfigSpace:
     """The ConfigSpace of sorted cover triples, grouped per state here
-    (``grouped_by_state``), not by the engine."""
+    (``grouped_by_state``), not by the engine. Its ``vectors`` and
+    ``configs`` are seeded with the tuples given, so no unpacking rule of
+    the engine's makes them; its packed vectors, which ``len`` and
+    ``height`` read, are packed here by the engine's documented layout (a
+    64-bit field per vertex, vertex 0 the most significant, and the total
+    firings above them), and its states are the configurations themselves."""
+    n = len(names)
+    packed = tuple(
+        sum(vec) << 64 * n | sum(c << 64 * (n - 1 - v) for v, c in enumerate(vec))
+        for vec in vectors
+    )
     ups, masks = grouped_by_state(len(vectors), covers)
-    return ConfigSpace(names=names, vectors=vectors, configs=configs, ups=ups, move_masks=masks)
+    space = ConfigSpace(
+        names=names,
+        packed_vectors=packed,
+        packed_states=configs,
+        unpack=list,
+        ups=ups,
+        move_masks=masks,
+    )
+    vars(space).update(vectors=vectors, configs=configs)
+    return space
 
 
 def tuple_successors(cfg: Cfg, conf) -> list:

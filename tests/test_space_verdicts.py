@@ -212,7 +212,7 @@ def test_space_builds_no_dense_lattice(tmp_path, capsys, monkeypatch):
 
 
 def test_enumeration_peak_is_near_what_the_space_holds():
-    # the closure drops its discovery-order lists before it unpacks
+    # the closure drops its discovery-order lists before it builds the space
     game = parse_game(sand_pile_text(45))
     space, held, peak = peak_traced(game.enumerate_space)
     assert len(space) == 9329
