@@ -15,6 +15,15 @@ classical, so by strong convergence (Björner, Lovász & Shor 1991) neither the
 order of the colours nor the order of the firings changes the stable chips or
 how often each vertex fires.
 
+So a colour's restart is a pure function of its own chips, the open vertices
+it can fire at (its firing support: the vertices of positive out-degree in
+that colour) and the opened vertex, and in a game made of independent parts
+the same restart recurs at many states. Enumeration remembers each one: a
+memo keyed on (colour index, block, open-set mask & firing support, vertex)
+holds the stabilized block. It lives for one level of the closure, the number
+of open vertices, which the closure visits in order, and no memo is held once
+``enumerate_space`` returns.
+
 The configuration space comes from the engine's shared breadth-first closure
 and its two checks; the second one reports an open-set reached with two chip
 contents.
@@ -107,26 +116,30 @@ class ColouredCfg:
 
     def _layout(self, totals):
         """How a state whose colours hold ``totals`` chips packs into a
-        tuple, and what the packed moves read: (per colour, per vertex).
+        tuple, and what the packed moves read: (per colour, per vertex, per
+        colour its firing support).
 
         A packed state holds one ``engine._block`` per colour, in colour
         order, for that colour's chip total, so entry ci is colour ci's
         chips; its last entry is the open-set mask, bit v for vertex v. Per
         colour: (colour, block, out-degrees, out-neighbours). Per vertex:
         the (colour index, shift, field mask, out-degree) of each colour it
-        has out-edges in, the gates ``_openable`` reads.
+        has out-edges in, the gates ``openable`` and ``_openings`` read. A
+        colour's firing support is the mask of its vertices of positive
+        out-degree: the only open bits its ``_stabilize`` reads.
         """
         n = self.graph.n
-        colours, gates = [], [[] for _ in range(n)]
+        colours, gates, supports = [], [[] for _ in range(n)], []
         for ci, (c, total) in enumerate(zip(self.colours, totals)):
             g = self.graph.restriction_to_colour(c)
             block = _, shifts, mask, _ = _block(g, total)
             deg = g._out_degrees
             colours.append((c, block, deg, tuple(tuple(w for w, _ in adj) for adj in g._out_adj)))
+            supports.append(sum(1 << v for v in range(n) if deg[v]))
             for v in range(n):
                 if deg[v]:
                     gates[v].append((ci, shifts[v], mask, deg[v]))
-        return tuple(colours), tuple(map(tuple, gates))
+        return tuple(colours), tuple(map(tuple, gates)), tuple(supports)
 
     @cached_property
     def _packing(self):
@@ -171,20 +184,12 @@ class ColouredCfg:
 
     def openable(self, state: ColouredState) -> frozenset[int]:
         """Closed vertices firable in at least one colour restriction."""
-        packing, x = self._packed(self._state(state))
-        return frozenset(self._openable(x, packing))
-
-    @staticmethod
-    def _openable(x: tuple[int, ...], packing) -> list[int]:
-        """``openable`` on a packed state, in ascending order."""
-        out, opened = [], x[-1]
-        for v, gates in enumerate(packing[1]):
-            if not opened >> v & 1:
-                for ci, shift, mask, deg in gates:
-                    if x[ci] >> shift & mask >= deg:
-                        out.append(v)
-                        break
-        return out
+        (_, gates, _), x = self._packed(self._state(state))
+        return frozenset(
+            v
+            for v, v_gates in enumerate(gates)
+            if not x[-1] >> v & 1 and any(x[ci] >> s & mask >= d for ci, s, mask, d in v_gates)
+        )
 
     def open_vertex(self, state: ColouredState, v: int) -> ColouredState:
         """Open v, then stabilize the colours in which v can fire.
@@ -200,21 +205,41 @@ class ColouredCfg:
         if v in state.opened:
             raise ValueError(f"vertex {self.graph.names[v]} is already open")
         packing, x = self._packed(state)
-        if v not in self._openable(x, packing):
+        moves = self._openings(x, packing, {}, [v])
+        if not moves:
             raise ValueError(f"vertex {self.graph.names[v]} cannot be opened")
-        [chips] = self._unpack([self._open(x, v, packing)], packing)
+        [chips] = self._unpack([moves[0][1]], packing)
         return ColouredState(chips, state.opened | {v})
 
-    def _open(self, x: tuple[int, ...], v: int, packing) -> tuple[int, ...]:
-        """``open_vertex`` on a state packed by ``packing``, for a vertex the
-        caller has already found openable: only the blocks of the colours v
-        restarts are rebuilt."""
-        colours, opened, blocks = packing[0], x[-1] | 1 << v, list(x)
-        for ci, shift, mask, deg in packing[1][v]:
-            if x[ci] >> shift & mask >= deg:
-                blocks[ci] = self._stabilize(x[ci], opened, colours[ci], v)
-        blocks[-1] = opened
-        return tuple(blocks)
+    def _openings(self, x: tuple[int, ...], packing, memo, vertices) -> list:
+        """The moves (v, next state) out of a state packed by ``packing``,
+        one per closed v of ``vertices`` that some colour lets fire, in the
+        order given: each move rebuilds only the blocks of the colours v
+        restarts.
+
+        A restart is a pure function of the colour's block, the open bits
+        of its firing support and v, so ``memo`` maps each such key,
+        ``(colour index, block, opened & support, v)``, to the stabilized
+        block, and a key seen before is not played again.
+        """
+        (colours, gates, supports), opened, out = packing, x[-1], []
+        for v in vertices:
+            if opened >> v & 1:
+                continue
+            blocks = None
+            for ci, shift, mask, deg in gates[v]:
+                if x[ci] >> shift & mask >= deg:
+                    if blocks is None:
+                        blocks, now = list(x), opened | 1 << v
+                    key = ci, x[ci], now & supports[ci], v
+                    new = memo.get(key)
+                    if new is None:
+                        new = memo[key] = self._stabilize(x[ci], now, colours[ci], v)
+                    blocks[ci] = new
+            if blocks is not None:
+                blocks[-1] = now
+                out.append((v, tuple(blocks)))
+        return out
 
     def _stabilize(self, x: int, opened: int, colour, v: int) -> int:
         """Play one colour's block ``x``, by that colour's entry of the
@@ -244,9 +269,16 @@ class ColouredCfg:
 
     def _successors(self, x: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
         """The moves (v, next state) out of a packed state, in ascending
-        vertex order."""
-        packing = self._packing
-        return [(v, self._open(x, v, packing)) for v in self._openable(x, packing)]
+        vertex order.
+
+        Restarts are remembered for one level of the closure, its number of
+        open vertices: ``enumerate_space`` holds ``{level: memo}`` while it
+        runs, and as the closure visits the levels in order, the first state
+        of a level drops the memo of the level before.
+        """
+        packing, restarts, level = self._packing, self.__dict__["_restarts"], x[-1].bit_count()
+        restarts.pop(level - 1, None)  # each move opens one vertex: levels are consecutive
+        return self._openings(x, packing, restarts.setdefault(level, {}), range(self.graph.n))
 
     def enumerate_space(self, state_cap=None) -> ConfigSpace:
         """Breadth-first closure over open-sets; chip state is cross-checked.
@@ -254,12 +286,18 @@ class ColouredCfg:
         Opening order does not matter: each open-set must be reached with a
         single chip content, and a second one would be reported. The closure
         runs on states packed by ``_packing``; the space keeps them packed
-        and unpacks its ``configs`` by ``_unpack`` on first read.
+        and unpacks its ``configs`` by ``_unpack`` on first read. The
+        closure visits the levels in order, so ``_successors`` remembers
+        restarts per level, and no memo is held once this returns or raises.
         """
         packing = self._packing
         start = self._pack(self.initial_state(), packing)
         unpack = partial(self._unpack, packing=packing)
-        return _closure(self, start, self._successors, unpack, state_cap)
+        self.__dict__["_restarts"] = {}
+        try:
+            return _closure(self, start, self._successors, unpack, state_cap)
+        finally:
+            del self.__dict__["_restarts"]
 
 
 def from_classical(cfg: Cfg) -> ColouredCfg:

@@ -151,7 +151,9 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     rank = [0] * len(order)
     for r, i in enumerate(order):
         rank[i] = r
-    ups = tuple([tuple([rank[j] for j in reversed(nexts[i])]) for i in order])
+    for i, out in enumerate(nexts):  # each successor list is dropped as its row is made
+        nexts[i] = tuple([rank[j] for j in reversed(out)])
+    ups = tuple([nexts[i] for i in order])
     del nexts, rank
     return ConfigSpace(
         names=game.graph.names,
@@ -477,11 +479,12 @@ class ConfigSpace:
         Raises RuntimeError at the first cover (x, child, u), in ``covers``
         order, after which another move v of x is gone, naming the lowest
         such v: the rule of ``lattice._commuting``, which ``Lattice`` runs on
-        meet-irreducible codes, here on the recorded masks and the ``covers``
-        view. Chips only ever arrive at v when u fires or opens, so moves
-        that do not commute are an engine fault.
+        meet-irreducible codes, here in one loop over the recorded masks and
+        ``ups``, reading each cover's move off the mask. Chips only ever
+        arrive at v when u fires or opens, so moves that do not commute are
+        an engine fault.
         """
-        lost = _commuting(self.move_masks, self.covers)
+        lost = _commuting(self.move_masks, self.ups)
         if lost:
             x, _, u, v = lost
             u, v = self.names[u], self.names[v]

@@ -79,15 +79,20 @@ def _matrix_rows(leq) -> tuple[int, ...]:
     return tuple(int("".join("1" if v else "0" for v in reversed(row)), 2) for row in rows)
 
 
-def _commuting(moves, covers):
-    """The first of the (lower, upper, label) ``covers`` (x, y, u) after
-    which another move of x is not a move of y, as (x, y, u, v) with v the
-    lowest such move, or None when every move keeps every other. ``moves[x]``
-    has bit v for each upper cover of x labelled v."""
-    for x, y, u in covers:
-        lost = moves[x] & ~moves[y] & ~(1 << u)
-        if lost:
-            return x, y, u, (lost & -lost).bit_length() - 1
+def _commuting(moves, ups):
+    """The first cover (x, y, u), by x and then along ``ups[x]``, after which
+    another move of x is not a move of y, as (x, y, u, v) with v the lowest
+    such move, or None when every move keeps every other. ``moves[x]`` has
+    bit u for each upper cover of x labelled u, and the k-th of ``ups[x]`` is
+    labelled by the k-th highest, so each label is read off the mask."""
+    for x, row in enumerate(ups):
+        m = rest = moves[x]
+        for y in row:
+            u = rest.bit_length() - 1
+            rest ^= 1 << u
+            lost = (m ^ 1 << u) & ~moves[y]
+            if lost:
+                return x, y, u, (lost & -lost).bit_length() - 1
     return None
 
 
@@ -404,15 +409,15 @@ class Lattice(Poset):
         mx = self._mx_masks
         if len(set(mx)) < self.n:
             return False
-        moves, labelled = [0] * self.n, []
+        moves, rows = [0] * self.n, []
         for lo, ups in enumerate(self._upper_covers):
             for hi in ups:
                 step = mx[lo] ^ mx[hi]  # the meet-irreducibles the cover drops
                 if step & (step - 1):
                     return False
                 moves[lo] |= step
-                labelled.append((lo, hi, step.bit_length() - 1))
-        return _commuting(moves, labelled) is None
+            rows.append(sorted(ups, key=mx.__getitem__))  # mx[hi] = mx[lo] - step: labels descend
+        return _commuting(moves, rows) is None
 
     @cached_property
     def _up_index(self) -> dict[int, int]:

@@ -1014,6 +1014,26 @@ def random_coloured_game(rng: random.Random, max_vertices=5, max_colours=3) -> C
     return ColouredCfg(ColouredMultigraph(names, layers), init)
 
 
+def coloured_union(games, rng: random.Random) -> ColouredCfg:
+    """The disjoint union of coloured games, as the ``space`` workload builds
+    its coloured products: each game's vertices renamed apart, and its
+    colours mapped to distinct colours drawn in a shuffled order. Its space
+    is the product of theirs."""
+    count = sum(len(game.colours) for game in games)
+    fresh = iter(rng.sample(range(1, count + 1), count))
+    names, layers, init, base = [], {}, {}, 0
+    for i, game in enumerate(games):
+        n = game.graph.n
+        names += [f"{name}{i}" for name in game.graph.names]
+        for c in game.colours:
+            new = next(fresh)
+            layers[new] = {(u + base, w + base): k for (u, w), k in game.graph.layers[c].items()}
+            init[new] = (0,) * base + game.init[c]
+        base += n
+    init = {c: chips + (0,) * (base - len(chips)) for c, chips in init.items()}
+    return ColouredCfg(ColouredMultigraph(tuple(names), layers), init)
+
+
 # poset enumeration (for the exhaustive distributive corpus)
 
 

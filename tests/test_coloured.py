@@ -334,34 +334,108 @@ def test_opening_touches_only_colours_the_vertex_fires_in(coloured_corpus, monke
         assert 0 < game.graph.restriction_to_colour(game.colours[ci]).out_degree(v) <= chips[v]
 
 
+def product_games():
+    """Disjoint unions of shared_gate and split_track blocks, the shape of the
+    ``space`` workload's coloured games, where restarts recur."""
+    rng = random.Random(32)
+    shapes = [(2, 0), (1, 1), (0, 2), (3, 0), (1, 2)]
+    return [
+        helpers.coloured_union([shared_gate_game()] * gates + [split_track_game()] * tracks, rng)
+        for gates, tracks in shapes
+    ]
+
+
 def test_firing_count_matches_full_scan(coloured_corpus, monkeypatch):
+    # each stabilization enumeration runs fires as often as the full scan
+    # does on the same colour, chips and open set, and ends on its chips
     counts = {}
 
     class CountedDelta(int):
         """A packed firing delta that counts each time a state adds it."""
 
         def __radd__(self, x):
-            counts["worklist"] = counts.get("worklist", 0) + 1
+            counts["worklist"] += 1
             return x + int(self)
 
     fire = helpers._fire_in_place
 
     def fire_and_count(chips, graph, v):
-        counts["full scan"] = counts.get("full scan", 0) + 1
+        counts["full scan"] += 1
         fire(chips, graph, v)
 
+    stabilize, checked = ColouredCfg._stabilize, []
+
+    def compared(self, x, opened, colour, v):
+        counts["worklist"] = counts["full scan"] = 0
+        y = stabilize(self, x, opened, colour, v)
+        c, block = colour[:2]
+        [chips], [after] = _unpack_block([x], block), _unpack_block([y], block)
+        open_set = frozenset(u for u in range(self.graph.n) if opened >> u & 1)
+        assert helpers.full_scan_stabilize_colour(self, c, chips, open_set) == after
+        assert counts["worklist"] == counts["full scan"]
+        checked.append(counts["worklist"])
+        return y
+
     monkeypatch.setattr(helpers, "_fire_in_place", fire_and_count)
+    monkeypatch.setattr(ColouredCfg, "_stabilize", compared)
     games = coloured_corpus + [shared_gate_game(), coloured_from_uld(Lattice.boolean(5))]
-    for game in games:
-        colours, gates = game._packing
+    for game in games + product_games():
+        colours, *moves = game._packing
         colours = tuple(
             (c, (*block[:3], tuple(map(CountedDelta, block[3]))), *rest)
             for c, block, *rest in colours
         )
-        game.__dict__["_packing"] = colours, gates
+        game.__dict__["_packing"] = colours, *moves
         game.enumerate_space()
-        full_scan_space(game)
-    assert counts["worklist"] == counts["full scan"] > 0
+    assert sum(checked) > 0
+
+
+def restarts(game, space):
+    """The colour restarts of a space's covers: per cover (x, y, v), the
+    colours in which v holds its out-degree in chips at x."""
+    degrees = [game.graph.restriction_to_colour(c)._out_degrees for c in game.colours]
+    return sum(
+        0 < deg[v] <= chips[v]
+        for lo, _, v in space.covers
+        for deg, chips in zip(degrees, space.configs[lo])
+    )
+
+
+def test_product_games_match_full_scan_with_remembered_restarts(monkeypatch):
+    stabilize, calls = ColouredCfg._stabilize, []
+
+    def counted(self, *args):
+        calls.append(args)
+        return stabilize(self, *args)
+
+    monkeypatch.setattr(ColouredCfg, "_stabilize", counted)
+    for game in product_games():
+        calls.clear()
+        space = game.enumerate_space()
+        assert_matches_full_scan(game, space)
+        assert 0 < len(calls) < restarts(game, space)
+
+
+def test_restart_memo_is_held_per_level_and_dropped(monkeypatch):
+    openings, levels = ColouredCfg._openings, []
+
+    def scoped(self, x, packing, memo, vertices):
+        [(level, held)] = self.__dict__["_restarts"].items()
+        assert held is memo and level == x[-1].bit_count()
+        levels.append(level)
+        return openings(self, x, packing, memo, vertices)
+
+    monkeypatch.setattr(ColouredCfg, "_openings", scoped)
+    for game in product_games():
+        game._packing
+        before = dict(vars(game))
+        levels.clear()
+        space = game.enumerate_space()
+        assert levels == sorted(levels) and len(set(levels)) == space.height + 1
+        assert vars(game) == before
+        with pytest.raises(StateCapExceeded):
+            game.enumerate_space(state_cap=5)
+        assert vars(game) == before
 
 
 def test_stabilize_cap_bound_and_message(monkeypatch):

@@ -212,11 +212,13 @@ def test_space_builds_no_dense_lattice(tmp_path, capsys, monkeypatch):
 
 
 def test_enumeration_peak_is_near_what_the_space_holds():
-    # the closure drops its discovery-order lists before it builds the space
+    # the closure drops its discovery-order lists before it builds the space,
+    # and each successor list as its row of upper covers is made: measured
+    # 1.34, against 1.60 with every successor list held until the end
     game = parse_game(sand_pile_text(45))
     space, held, peak = peak_traced(game.enumerate_space)
     assert len(space) == 9329
-    assert peak <= 1.9 * held, (peak, held)
+    assert peak <= 1.5 * held, (peak, held)
 
 
 def space_and_its_verdicts(game):
