@@ -21,8 +21,8 @@ that colour) and the opened vertex, and in a game made of independent parts
 the same restart recurs at many states. Enumeration remembers each one: a
 memo keyed on (colour index, block, open-set mask & firing support, vertex)
 holds the stabilized block. It lives for one level of the closure, the number
-of open vertices, which the closure visits in order, and no memo is held once
-``enumerate_space`` returns.
+of open vertices, which the closure visits in order, and belongs to one
+``enumerate_space`` call: the game holds none.
 
 The configuration space comes from the engine's shared breadth-first closure
 and its two checks; the second one reports an open-set reached with two chip
@@ -267,18 +267,19 @@ class ColouredCfg:
             todo.extend(targets[u])
         return x
 
-    def _successors(self, x: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    def _successors(self, x: tuple[int, ...], restarts) -> list[tuple[int, tuple[int, ...]]]:
         """The moves (v, next state) out of a packed state, in ascending
         vertex order.
 
         Restarts are remembered for one level of the closure, its number of
-        open vertices: ``enumerate_space`` holds ``{level: memo}`` while it
-        runs, and as the closure visits the levels in order, the first state
-        of a level drops the memo of the level before.
+        open vertices: ``restarts``, the one ``enumerate_space`` call's own
+        dict, maps the level to its memo, and as the closure visits the
+        levels in order, the first state of a level drops the memo of the
+        level before.
         """
-        packing, restarts, level = self._packing, self.__dict__["_restarts"], x[-1].bit_count()
+        level = x[-1].bit_count()
         restarts.pop(level - 1, None)  # each move opens one vertex: levels are consecutive
-        return self._openings(x, packing, restarts.setdefault(level, {}), range(self.graph.n))
+        return self._openings(x, self._packing, restarts.setdefault(level, {}), range(self.graph.n))
 
     def enumerate_space(self, state_cap=None) -> ConfigSpace:
         """Breadth-first closure over open-sets; chip state is cross-checked.
@@ -288,17 +289,14 @@ class ColouredCfg:
         runs on states packed by ``_packing``; the space keeps them packed
         and unpacks its ``configs`` by ``_unpack`` on first read. The
         closure visits the levels in order, so ``_successors`` remembers
-        restarts per level, and no memo is held once this returns or raises.
+        restarts per level, in a memo that this call owns: the game holds
+        none, and calls on one game, in turn or at once, share none.
         """
         packing = self._packing
         start = self._pack(self.initial_state(), packing)
         unpack = partial(self._unpack, packing=packing)
-        self.__dict__["_restarts"] = {}
-        try:
-            return _closure(self, start, self._successors, unpack, state_cap)
-        finally:
-            del self.__dict__["_restarts"]
-
+        successors = partial(self._successors, restarts={})
+        return _closure(self, start, successors, unpack, state_cap)
 
 def from_classical(cfg: Cfg) -> ColouredCfg:
     """View a simple convergent game as a one-colour coloured game."""

@@ -30,23 +30,23 @@ ascending vertex, are the upper covers reversed. So the k-th upper cover of
 a state fires its k-th highest move, and the (lower, upper, vertex) triples
 are read off on request.
 
-A space answers the lattice questions ``chipfire space`` asks (J, M, rank,
-the two ULD detectors, distributivity) from its firing vectors and moves,
-without a dense order. That rests on one more check, run lazily before the
-first such answer: at every state, any two moves u != v commute, i.e. after
-u the move v is still possible (firing or opening u only adds chips to v).
-Each state's moves are the int mask the closure recorded, so the check is
-one test per cover.
+A space is a ``Lattice``: it answers the lattice questions ``chipfire
+space`` asks (J, M, rank, the two ULD detectors, distributivity) by
+``Lattice``'s own members, which read nothing but its covers, without a dense
+order. That rests on one more check, run lazily before the first such answer:
+at every state, any two moves u != v commute, i.e. after u the move v is
+still possible (firing or opening u only adds chips to v). Each state's moves
+are the int mask the closure recorded, so the check is one test per cover.
 With distinct firing vectors, this local confluence gives the exchange lemma
 of Björner, Lovász & Shor (1991): the reachable vectors are closed under
 componentwise max, and x reaches y iff vec(x) <= vec(y). So the space is a
-lattice whose join is the componentwise max. The same check is the space's
-hypercube detector: every set of moves out of a state spans a cube. The
-cover-step detector is the independent one, on the meet-irreducible coding.
-It, J, M, the coding and the verdicts are ``Lattice``'s own members, which
-read nothing but covers: a space hands them its checked upper covers, the
-one store its (lower, upper) pairs are read off by ``Poset``'s own rule.
-No lower covers are filled: J counts them off the upper covers.
+lattice whose join is the componentwise max, and a ULD one: the check is the
+space's code certificate, ``Lattice._antimatroid``, which the hypercube
+detector reads. The cover-step detector is the independent one, on the
+meet-irreducible coding. The space hands ``Lattice`` its checked upper
+covers, the one store its (lower, upper) pairs are read off by ``Poset``'s
+own rule. ``chipfire space`` fills no lower covers: J counts them off the
+upper covers.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from functools import cached_property, partial
 from typing import Callable, Mapping
 
 from .errors import FiringVectorConflict, StateCapExceeded, StepCapExceeded
-from .lattice import Lattice, Poset, _commuting
+from .lattice import Lattice, _commuting, _gather
 from .multigraph import Multigraph, _as_int
 
 
@@ -346,8 +346,9 @@ class Cfg:
 
 
 @dataclass(frozen=True)
-class ConfigSpace:
-    """All reachable states of a game, ordered by how much has been fired.
+class ConfigSpace(Lattice):
+    """All reachable states of a game, ordered by how much has been fired:
+    a ``Lattice`` over the covers its closure hands over.
 
     ``_closure`` builds it finished, from what the closure holds: each
     state's firing vector as one int, level field included
@@ -360,22 +361,24 @@ class ConfigSpace:
     is held once, as each state's upper covers in canonical order (``ups``)
     and its moves as a mask (``move_masks``, bit v when the state can fire or
     open v); ``covers``, the (lower, upper, fired vertex) triples in sorted
-    order, and ``cover_pairs`` are read off them on request and not kept.
-    ``labels`` holds every state's shot label, made in one pass, for
-    ``shot_label``, the DOT text and ``lattice()``.
+    order, ``cover_pairs`` and ``cover_labels`` are read off them on request
+    and not kept. ``labels`` holds every state's shot label, made in one
+    pass, for ``shot_label``, the DOT text and ``lattice()``.
 
-    The lattice verdicts (``J``, ``M``, ``_mx_masks``, ``uld_detectors``,
-    ``is_uld``, ``is_distributive``) are ``Lattice``'s own members, and
-    ``cover_pairs`` and ``_check`` are ``Poset``'s, taken by assignment.
-    They read the cover interface below: ``n``, ``topo_order`` and
-    ``_upper_covers``; no lower covers are filled. ``_upper_covers``
+    Every other query (``J``, ``M``, ``_mx_masks``, the two ULD detectors,
+    ``is_uld``, ``is_distributive``, ``le``, ``join``, ``meet``, the arrows)
+    is ``Lattice``'s or ``Poset``'s own member. They read the cover
+    interface below: ``n``, ``topo_order``, ``_upper_covers`` and, for the
+    order itself, the lazy up-sets ``_up_masks``. The verdicts ``chipfire
+    space`` prints fill no lower covers and no up-set. ``_upper_covers``
     first checks that moves commute on the move masks (``_moves``), which
-    with distinct vectors proves the space is a lattice ordered
-    componentwise and is the hypercube detector's verdict; the cover-step
-    detector on ``_mx_masks`` is checked against it. Rank is total
-    firings and the height the top's level, as ``_closure`` keeps a cover
-    only when it adds one firing. ``lattice()`` builds the verified
-    ``Lattice`` only on demand.
+    with distinct vectors proves the space is a ULD lattice ordered
+    componentwise: that is its certificate ``_antimatroid``, so the
+    hypercube detector walks no cube, and the cover-step detector on
+    ``_mx_masks`` is checked against it. Rank is total firings and the
+    height the top's level, as ``_closure`` keeps a cover only when it adds
+    one firing. ``lattice()`` builds the separately verified ``Lattice``
+    only on demand.
     """
 
     names: tuple[str, ...]
@@ -384,6 +387,8 @@ class ConfigSpace:
     unpack: Callable[[tuple], list] = field(compare=False, repr=False)
     ups: tuple[tuple[int, ...], ...]
     move_masks: tuple[int, ...]
+
+    bottom = 0  # the initial state, first in canonical order
 
     def __len__(self):
         return len(self.packed_vectors)
@@ -402,13 +407,15 @@ class ConfigSpace:
         """Each state's configuration, unpacked by the game's rule."""
         return tuple(self.unpack(self.packed_states))
 
-    _id_kind = Poset._id_kind
-    _check = Poset._check  # the one id rule, for element ids as a Lattice takes them
-
     @property
     def covers(self) -> _Covers:
         """(lower, upper, fired vertex) per cover, in sorted order."""
         return _Covers(self.ups, self.move_masks)
+
+    @property
+    def cover_labels(self) -> dict[tuple[int, int], str]:
+        """The fired vertex's name per cover (lower, upper), in sorted order."""
+        return {(lo, hi): self.names[v] for lo, hi, v in self.covers}
 
     @cached_property
     def _index(self) -> Mapping[tuple[int, ...], int]:
@@ -457,20 +464,17 @@ class ConfigSpace:
             ) from None
 
     def lattice(self):
-        """The space as a verified lattice, labelled by shot-sets."""
+        """The space as a separately verified lattice, labelled by shot-sets."""
         return self._lattice
 
     @cached_property
     def _lattice(self):
-        cover_labels = {(lo, hi): self.names[v] for lo, hi, v in self.covers}
+        cover_labels = self.cover_labels  # its keys are the cover pairs
         return Lattice.from_covers(
-            self.n,
-            [(lo, hi) for lo, hi, _ in self.covers],
-            labels=self.labels,
-            cover_labels=cover_labels,
+            self.n, cover_labels, labels=self.labels, cover_labels=cover_labels
         )
 
-    # lattice verdicts: Lattice's rules over the checked covers
+    # the cover interface that Lattice's members read
 
     @cached_property
     def _moves(self) -> tuple[int, ...]:
@@ -483,6 +487,12 @@ class ConfigSpace:
         ``ups``, reading each cover's move off the mask. Chips only ever
         arrive at v when u fires or opens, so moves that do not commute are
         an engine fault.
+
+        Once it passes, every cover interval is a cube. By induction on |S|,
+        any subset S of the k moves out of x can be walked from x in any
+        order: after the moves T ⊂ S, each move of S - T is still possible.
+        So the 2^k walks all exist, and with distinct firing vectors they end
+        in 2^k distinct states.
         """
         lost = _commuting(self.move_masks, self.ups)
         if lost:
@@ -494,6 +504,14 @@ class ConfigSpace:
             )
         return self.move_masks
 
+    @cached_property
+    def _antimatroid(self) -> bool:
+        """True once ``_moves`` has passed, which it forces: distinct firing
+        vectors, one firing per cover and commuting moves are the space's
+        code certificate, so ``_hypercube_witness`` is None with no walk."""
+        self._moves
+        return True
+
     @property
     def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
         """``ups``, once ``_moves`` has checked that moves commute: what the
@@ -501,16 +519,16 @@ class ConfigSpace:
         self._moves
         return self.ups
 
-    cover_pairs = Poset.cover_pairs  # read off _upper_covers, so it forces _moves
+    @cached_property
+    def _up_masks(self) -> tuple[int, ...]:
+        """Each state's up-set, gathered over its upper covers from the top."""
+        seeds = [1 << x for x in range(self.n)]
+        return _gather(seeds, self._upper_covers, reversed(self.topo_order))
 
     @property
     def topo_order(self) -> range:
         """The canonical order, a linear extension: every cover adds a firing."""
         return range(self.n)
-
-    J = Lattice.J
-    M = Lattice.M
-    _mx_masks = Lattice._mx_masks
 
     @property
     def is_ranked(self) -> bool:
@@ -518,22 +536,3 @@ class ConfigSpace:
         a cover only when it adds one firing, so total firings is a rank."""
         self._moves
         return True
-
-    def _hypercube_witness(self):
-        """Least state whose k >= 2 moves do not span a cube of 2^k states,
-        or None: always None once ``_moves`` has passed, which it forces.
-
-        ``_moves`` raises unless, at every state, every other move survives
-        each move. Then, by induction on |S|, any subset S of the moves U
-        out of x can be walked from x in any order: after the moves T ⊂ S,
-        each move of S - T is still possible. So the 2^k walks all exist,
-        and with distinct firing vectors they end in 2^k distinct states.
-        The independent check is the cover-step detector on ``_mx_masks``.
-        """
-        self._moves
-        return None
-
-    _cover_step_witness = Lattice._cover_step_witness
-    uld_detectors = Lattice.uld_detectors
-    is_uld = Lattice.is_uld
-    is_distributive = Lattice.is_distributive

@@ -31,10 +31,11 @@ upper covers (``Lattice._mx_masks``): a finite lattice is distributive iff it
 is upper locally distributive (ULD) with as many join- as meet-irreducibles,
 so the triple law only names a witness. The irreducibles, that coding, the
 cover-step detector and the verdicts read nothing but the covers per element,
-``_upper_covers`` (J counts each element's lower covers off it), so
-``engine.ConfigSpace`` takes these very members, and ``cover_pairs``, over
-the upper covers its closure hands over; it keeps its own rank and
-hypercube detector and never fills lower covers. The arrow witness report
+``_upper_covers`` (J counts each element's lower covers off it), and the
+hypercube detector reads the certificate first. So ``engine.ConfigSpace``, a
+``Lattice`` over the upper covers its closure hands over, inherits every one
+of them: it supplies its covers, its rank and its certificate (its moves
+commute) and fills no lower covers for them. The arrow witness report
 reads the arrow table and codes gathered over the covers, so a certified
 lattice checks every verdict of ``chipfire check`` without its down-sets.
 """
@@ -188,7 +189,7 @@ class Poset:
 
     def _check(self, x) -> int:
         """x as a plain int; ValueError unless it is an id below ``n``. The one
-        id rule: graphs (vertex ids) and ``ConfigSpace`` take it by assignment."""
+        id rule: graphs take it by assignment for vertex ids."""
         try:
             i = operator.index(x)
         except TypeError:
@@ -324,12 +325,13 @@ class Lattice(Poset):
     fired along a configuration-space edge).
 
     ``J``, ``M``, ``_mx_masks``, ``_cover_step_witness``, ``uld_detectors``,
-    ``is_uld`` and ``is_distributive`` read only ``n``, ``topo_order``,
-    ``_upper_covers`` and ``_hypercube_witness``: ``engine.ConfigSpace``
-    provides those and takes the members themselves by assignment, as it
-    takes ``Poset.cover_pairs``. Its ``_upper_covers`` are its own, handed
-    over by the closure in canonical order. The cover-step detector walks
-    ``_upper_covers`` in the order of the sorted ``cover_pairs``.
+    ``is_uld`` and ``is_distributive`` read only ``n``, ``topo_order`` and
+    ``_upper_covers``, once ``_antimatroid`` has passed. ``engine.ConfigSpace``
+    is a subclass that builds no order at construction: it provides those
+    itself (its ``_upper_covers`` handed over by the closure in canonical
+    order, its certificate that its moves commute) and gathers its up-sets
+    only on request. The cover-step detector walks ``_upper_covers`` in the
+    order of the sorted ``cover_pairs``.
     """
 
     def __init__(self, leq=None, labels=None, cover_labels=None, **kwargs):
@@ -564,9 +566,9 @@ class Lattice(Poset):
         """Least element whose cover interval is not a hypercube, or None.
 
         None on a lattice that passed ``_antimatroid``: its labels commute,
-        so by the induction of ``engine.ConfigSpace._hypercube_witness`` the
-        unions of any k labels out of x are 2^k distinct codes, the whole
-        interval. Else, for x with k >= 2 upper covers, the 2^k joins of
+        so by the induction of ``engine.ConfigSpace._moves`` the unions of
+        any k labels out of x are 2^k distinct codes, the whole interval.
+        Else, for x with k >= 2 upper covers, the 2^k joins of
         subsets of covers, each a common up-set, must be distinct and fill the
         interval from x to the join of all k.
         """

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -289,7 +292,9 @@ def test_revisit_with_another_firing_vector_is_reported(monkeypatch):
     # an opening that changes nothing brings every move back to the start
     successors = ColouredCfg._successors
     monkeypatch.setattr(
-        ColouredCfg, "_successors", lambda self, x: [(v, x) for v, _ in successors(self, x)]
+        ColouredCfg,
+        "_successors",
+        lambda self, x, restarts: [(v, x) for v, _ in successors(self, x, restarts)],
     )
     with pytest.raises(RuntimeError, match="revisited"):
         shared_gate_game().enumerate_space()
@@ -301,9 +306,10 @@ def test_open_set_with_two_chip_contents_is_reported(monkeypatch):
     # entry, above every vertex's bit
     successors, tag = ColouredCfg._successors, 2**1000
 
-    def tagged(self, x):
+    def tagged(self, x, restarts):
         x = (*x[:-1], x[-1] % tag)
-        return [(v, (*nxt[:-1], nxt[-1] % tag + v * tag)) for v, nxt in successors(self, x)]
+        moves = successors(self, x, restarts)
+        return [(v, (*nxt[:-1], nxt[-1] % tag + v * tag)) for v, nxt in moves]
 
     monkeypatch.setattr(ColouredCfg, "_successors", tagged)
     with pytest.raises(RuntimeError, match="share a firing vector"):
@@ -417,25 +423,56 @@ def test_product_games_match_full_scan_with_remembered_restarts(monkeypatch):
 
 
 def test_restart_memo_is_held_per_level_and_dropped(monkeypatch):
-    openings, levels = ColouredCfg._openings, []
+    successors, openings, calls, levels = ColouredCfg._successors, ColouredCfg._openings, [], []
+
+    def owned(self, x, restarts):
+        calls.append(restarts)
+        return successors(self, x, restarts)
 
     def scoped(self, x, packing, memo, vertices):
-        [(level, held)] = self.__dict__["_restarts"].items()
+        [(level, held)] = calls[-1].items()
         assert held is memo and level == x[-1].bit_count()
         levels.append(level)
         return openings(self, x, packing, memo, vertices)
 
+    monkeypatch.setattr(ColouredCfg, "_successors", owned)
     monkeypatch.setattr(ColouredCfg, "_openings", scoped)
     for game in product_games():
         game._packing
         before = dict(vars(game))
+        calls.clear()
         levels.clear()
         space = game.enumerate_space()
         assert levels == sorted(levels) and len(set(levels)) == space.height + 1
         assert vars(game) == before
+        first = calls[0]
+        assert all(restarts is first for restarts in calls)  # one memo per call
         with pytest.raises(StateCapExceeded):
             game.enumerate_space(state_cap=5)
         assert vars(game) == before
+        assert calls[-1] is not first  # and a later call starts its own
+
+
+def test_two_threads_enumerate_one_game():
+    # each call owns its restart memo, so concurrent calls on one game
+    # neither collide nor see each other's restarts
+    game = coloured_from_uld(Lattice.boolean(8))
+    expected = game.enumerate_space()
+    barrier = threading.Barrier(2)
+
+    def enumerate_five():
+        barrier.wait(timeout=60)
+        return [game.enumerate_space() for _ in range(5)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside one enumeration
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            runs = [pool.submit(enumerate_five) for _ in range(2)]
+            spaces = [space for run in runs for space in run.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(spaces) == 10 and all(space == expected for space in spaces)
 
 
 def test_stabilize_cap_bound_and_message(monkeypatch):

@@ -1,5 +1,6 @@
 """The lattice verdicts a configuration space reads from its firing vectors
-and moves, against the dense, verified ``space.lattice()`` view.
+and moves, and every query it inherits from ``Lattice``, against the dense,
+separately verified ``space.lattice()`` view.
 
 ``chipfire space`` prints only these verdicts, so it never builds the dense
 view; the commuting-moves check that stands in for the lattice verification
@@ -19,7 +20,7 @@ from chipfire.engine import Cfg, ConfigSpace, _unpack_block
 from chipfire.errors import DetectorDisagreement
 from chipfire.fixtures import funnel_game, relay_chain_game, shared_gate_game, split_track_game
 from chipfire.formats import parse_game
-from chipfire.lattice import Lattice, Poset
+from chipfire.lattice import Lattice, Poset, arrow_witness_report
 
 from helpers import cube_walk_witness, peak_traced, sand_pile_text
 from test_coloured import coloured_games
@@ -53,6 +54,28 @@ def assert_verdicts_match_lattice(space):
     assert space.uld_detectors == lat.uld_detectors
     assert space.is_uld == lat.is_uld
     assert space.is_distributive == lat.is_distributive
+    # the queries a space inherits, over its own up-sets, against the lattice's
+    assert space._up_masks == lat._up_masks
+    assert space._down_masks == lat._down_masks
+    assert space._rank_info == lat._rank_info
+    assert space.cover_labels == lat.cover_labels
+    for x in range(space.n):
+        assert space.ji_below(x) == lat.ji_below(x)
+        assert space.mi_above(x) == lat.mi_above(x)
+    assert space._arrows == lat._arrows
+    assert space.arrow_relations == lat.arrow_relations
+    assert space.arrow_partition() == lat.arrow_partition()
+    assert space.edge_labels() == lat.edge_labels()
+    assert arrow_witness_report(space) == arrow_witness_report(lat)
+    if space.n > 256:  # n^2 calls and more; the masks they read are compared above
+        return
+    pairs = [(x, y) for x in range(space.n) for y in range(space.n)]
+    for query in ("le", "join", "meet"):
+        mine, theirs = getattr(space, query), getattr(lat, query)
+        assert [mine(x, y) for x, y in pairs] == [theirs(x, y) for x, y in pairs], query
+    # the join of the order is the componentwise max of the firing vectors
+    assert [space.join(x, y) for x, y in pairs] == [space.join_of(x, y) for x, y in pairs]
+    assert space.distributivity_witness() == lat.distributivity_witness()
 
 
 def test_corpora(space_corpus, coloured_space_corpus):
@@ -157,17 +180,17 @@ def test_commuting_report_at_a_state_above_the_bottom(monkeypatch):
 
 
 def test_space_takes_the_lattice_rules():
-    # one copy of each rule: a space reads Lattice's members over its covers
-    for name in ("J", "M", "_mx_masks", "_cover_step_witness", "uld_detectors", "is_uld",
-                 "is_distributive"):
-        assert ConfigSpace.__dict__[name] is Lattice.__dict__[name], name
-    # the pairs are read off the upper covers by Poset's one rule
-    for name in ("cover_pairs", "_check"):
-        assert ConfigSpace.__dict__[name] is Poset.__dict__[name], name
-    # the upper covers are the closure's own, handed over in canonical order,
-    # and J counts lower covers off them: none are filled
-    assert ConfigSpace.__dict__["_upper_covers"] is not Poset.__dict__["_upper_covers"]
-    assert not hasattr(ConfigSpace, "_lower_covers")
+    # a space is a Lattice: one copy of each rule, inherited, none borrowed
+    assert issubclass(ConfigSpace, Lattice)
+    own = vars(ConfigSpace)
+    for name in ("_id_kind", "_check", "cover_pairs", "J", "M", "_mx_masks",
+                 "_cover_step_witness", "uld_detectors", "is_uld", "is_distributive",
+                 "_hypercube_witness"):
+        assert name not in own, name
+    # the upper covers are the closure's own, handed over in canonical order
+    # and checked by _moves before any inherited rule reads them; so is the
+    # certificate the hypercube detector reads
+    assert "_upper_covers" in own and "_antimatroid" in own
 
 
 def test_split_detectors_raise():
