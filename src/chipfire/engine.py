@@ -55,6 +55,7 @@ import random
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import chain
 from typing import Callable, Mapping
 
 from .errors import FiringVectorConflict, StateCapExceeded, StepCapExceeded
@@ -441,12 +442,17 @@ class ConfigSpace(Lattice):
     @cached_property
     def labels(self) -> tuple[str, ...]:
         """Every state's shot label: its fired names, ``{a,b}``, or each with
-        its count, ``{a:1,b:2}``, if any vertex fires twice in the space."""
-        names, counted = self.names, any(c > 1 for vec in self.vectors for c in vec)
-        word = "{}:{}" if counted else "{}"  # "{}" formats the name and drops the count
+        its count, ``{a:1,b:2}``, if any vertex fires twice in the space.
+        Each vertex has one word table, its word per count, so a label only
+        joins words."""
+        vectors = self.vectors
+        most = max(chain.from_iterable(vectors), default=0)
+        if most > 1:
+            words = [[f"{name}:{c}" for c in range(most + 1)] for name in self.names]
+        else:
+            words = [[name, name] for name in self.names]  # word 0 is never read
         return tuple(
-            "{" + ",".join([word.format(names[v], c) for v, c in enumerate(vec) if c]) + "}"
-            for vec in self.vectors
+            ["{" + ",".join([w[c] for w, c in zip(words, vec) if c]) + "}" for vec in vectors]
         )
 
     def shot_label(self, i) -> str:

@@ -19,8 +19,10 @@ Lattice files::
 
 Both read their lines through one grammar: ``#`` starts a comment, a line
 left blank is skipped, and any other line is ``keyword: rest``, the keyword
-ending at its first colon. The three DOT writers lay out their digraphs
-through one emitter: header lines, one line per node, one per edge.
+ending at its first colon. The three DOT writers make their node and edge
+lines, each name or label escaped once, and hand them ready to one emitter,
+which adds the header lines. ``space_to_dot`` reads its edges straight off
+the space's upper covers and move masks, with no cover triple.
 """
 
 from __future__ import annotations
@@ -247,60 +249,66 @@ def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _dot(name, header, nodes, edges) -> str:
-    """A digraph: its header lines, then ``nodes`` as ``(id, attrs)`` and
-    ``edges`` as ``(low, high, attrs)``; an edge with empty attrs has none."""
-    lines = [f"digraph {name} {{"]
-    for line in header:
-        lines.append(f"  {line};")
-    for x, attrs in nodes:
-        lines.append(f"  n{x} [{attrs}];")
-    for lo, hi, attrs in edges:
-        lines.append(f"  n{lo} -> n{hi} [{attrs}];" if attrs else f"  n{lo} -> n{hi};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _dot(name, header, rows) -> str:
+    """A digraph: its header lines, then ``rows``, each a ready node line
+    ``  n{x} [attrs];`` or edge line ``  n{lo} -> n{hi} [attrs];``, nodes
+    first."""
+    return "\n".join([f"digraph {name} {{", *[f"  {line};" for line in header], *rows, "}\n"])
 
 
 def space_to_dot(space: ConfigSpace) -> str:
-    """Hasse diagram of a configuration space, initial state at the bottom."""
-    fired = [f"label={_quote(name)}" for name in space.names]  # a cover firing v: fired[v]
-    return _dot(
-        "configuration_space",
-        ("rankdir=BT", "node [shape=box]"),
-        ((i, f"label={_quote(label)}") for i, label in enumerate(space.labels)),
-        ((lo, hi, fired[v]) for lo, hi, v in space.covers),
-    )
+    """Hasse diagram of a configuration space, initial state at the bottom.
+
+    Each vertex name is escaped once. A shot label holds only names,
+    ``{},:`` and digits, and escaping changes none but ``"`` and ``\\``, so
+    when no name changes neither does a label: it is quoted as it stands.
+    The edges are read off ``ups`` and ``move_masks``, the k-th upper cover
+    of a state firing its k-th highest move.
+    """
+    names = space.names
+    quoted = [_quote(name) for name in names]
+    if all(q[1:-1] == name for q, name in zip(quoted, names)):
+        rows = [f'  n{x} [label="{label}"];' for x, label in enumerate(space.labels)]
+    else:
+        rows = [f"  n{x} [label={_quote(label)}];" for x, label in enumerate(space.labels)]
+    fired = [f" [label={q}];" for q in quoted]  # the tail of an edge line firing v: fired[v]
+    for lo, (ups, mask) in enumerate(zip(space.ups, space.move_masks)):
+        head = f"  n{lo} -> n"
+        for hi in ups:
+            v = mask.bit_length() - 1
+            mask ^= 1 << v
+            rows.append(f"{head}{hi}{fired[v]}")
+    return _dot("configuration_space", ("rankdir=BT", "node [shape=box]"), rows)
 
 
 def lattice_to_dot(lattice: Lattice, edge_labels=False) -> str:
     """Hasse diagram, bottom-up; covers carry the edge labelling (which
-    labels every cover) when asked, else the lattice's own cover labels."""
-    labels = lattice.labels
-    labelling = lattice.cover_labels
+    labels every cover) when asked, else the lattice's own cover labels.
+    Each label is escaped once, and the edges are read off ``_upper_covers``."""
+    quoted = [_quote(label) for label in lattice.labels]
     if edge_labels:
-        labelling = {c: labels[m] for c, m in lattice.edge_labels().items()}
-    edges = []
-    for lo, hi in lattice.cover_pairs:
-        label = labelling.get((lo, hi))
-        edges.append((lo, hi, "" if label is None else f"label={_quote(label)}"))
-    return _dot(
-        "lattice",
-        ("rankdir=BT", "node [shape=box]"),
-        ((x, f"label={_quote(labels[x])}") for x in range(lattice.n)),
-        edges,
-    )
+        labelling = {c: quoted[m] for c, m in lattice.edge_labels().items()}
+    else:
+        cover_labels = lattice.cover_labels
+        escaped = {label: _quote(label) for label in set(cover_labels.values())}
+        labelling = {c: escaped[label] for c, label in cover_labels.items()}
+    rows = [f"  n{x} [label={q}];" for x, q in enumerate(quoted)]
+    for lo, ups in enumerate(lattice._upper_covers):
+        for hi in ups:
+            q = labelling.get((lo, hi))
+            rows.append(f"  n{lo} -> n{hi};" if q is None else f"  n{lo} -> n{hi} [label={q}];")
+    return _dot("lattice", ("rankdir=BT", "node [shape=box]"), rows)
 
 
 def coloured_game_to_dot(game: ColouredCfg, state=None) -> str:
     """The coloured support graph; open vertices of a state are filled grey."""
     opened = state.opened if state is not None else frozenset()
-    nodes = []
+    rows = []
     for v, name in enumerate(game.graph.names):
         fill = ", style=filled, fillcolor=gray85" if v in opened else ""
-        nodes.append((v, f"label={_quote(name)}{fill}"))
-    edges = []
+        rows.append(f"  n{v} [label={_quote(name)}{fill}];")
     for ci, c in enumerate(game.colours):
         attrs = f"label={_quote(str(c))}, color={_PALETTE[ci % len(_PALETTE)]}"
         for (u, v), k in sorted(game.graph.layers[c].items()):
-            edges += [(u, v, attrs)] * k
-    return _dot("coloured_game", ("node [shape=circle]",), nodes, edges)
+            rows += [f"  n{u} -> n{v} [{attrs}];"] * k
+    return _dot("coloured_game", ("node [shape=circle]",), rows)

@@ -26,6 +26,10 @@ edge multiplicities alone (``_fire_in_place``): no oracle here imports a
 private function or class of ``chipfire.engine`` or ``chipfire.coloured``
 (``tests/test_oracle_imports.py``). The Sand Pile Model's spaces are checked
 against its own grain move on height vectors, which knows no chip or vertex.
+The shot labels and the space's DOT text are checked against the writers
+that the per-vertex word tables and the row-by-row ``space_to_dot``
+replaced: one ``str.format`` per token, each label escaped whole, and the
+edges read off the space's cover triples.
 """
 
 from __future__ import annotations
@@ -508,6 +512,51 @@ def peak_traced(run):
     finally:
         tracemalloc.stop()
     return result, held, peak
+
+
+# shot labels and the space's DOT text, as made before the word tables and
+# the row-by-row writer: one str.format per token, each label escaped whole,
+# and the edges read off the space's (lower, upper, vertex) triples
+
+
+def oracle_labels(space: ConfigSpace) -> tuple[str, ...]:
+    """Every state's shot label: its fired names, ``{a,b}``, or each with
+    its count, ``{a:1,b:2}``, if any vertex fires twice in the space."""
+    names, counted = space.names, any(c > 1 for vec in space.vectors for c in vec)
+    word = "{}:{}" if counted else "{}"  # "{}" formats the name and drops the count
+    return tuple(
+        "{" + ",".join([word.format(names[v], c) for v, c in enumerate(vec) if c]) + "}"
+        for vec in space.vectors
+    )
+
+
+def _oracle_quote(label: str) -> str:
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _oracle_dot(name, header, nodes, edges) -> str:
+    """A digraph: its header lines, then ``nodes`` as ``(id, attrs)`` and
+    ``edges`` as ``(low, high, attrs)``; an edge with empty attrs has none."""
+    lines = [f"digraph {name} {{"]
+    for line in header:
+        lines.append(f"  {line};")
+    for x, attrs in nodes:
+        lines.append(f"  n{x} [{attrs}];")
+    for lo, hi, attrs in edges:
+        lines.append(f"  n{lo} -> n{hi} [{attrs}];" if attrs else f"  n{lo} -> n{hi};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_space_to_dot(space: ConfigSpace) -> str:
+    """Hasse diagram of a configuration space, initial state at the bottom."""
+    fired = [f"label={_oracle_quote(name)}" for name in space.names]  # a cover firing v: fired[v]
+    return _oracle_dot(
+        "configuration_space",
+        ("rankdir=BT", "node [shape=box]"),
+        ((i, f"label={_oracle_quote(label)}") for i, label in enumerate(oracle_labels(space))),
+        ((lo, hi, fired[v]) for lo, hi, v in space.covers),
+    )
 
 
 # independent lattice oracles
