@@ -144,13 +144,11 @@ def cmd_synth(args) -> int:
     lattice = parse_lattice_file(args.lattice)
     if args.mode == "distributive":
         game = transforms.cfg_from_distributive(lattice)
-        to_lattice = transforms.distributive_map
     else:
         game = transforms.coloured_from_uld(lattice)
-        to_lattice = transforms.uld_map
     space = game.enumerate_space(state_cap=args.cap)
-    verdict = transforms.is_hasse_isomorphism(
-        to_lattice(lattice, space), space.covers, lattice.n, lattice.cover_pairs
+    verdict = transforms.is_hasse_isomorphism(  # both games put M[b] on vertex b
+        transforms.distributive_map(lattice, space), space.covers, lattice.n, lattice.cover_pairs
     )
     _emit(serialize_game(game), args.out)
     print(f"synthesized: {args.out or 'stdout'}", file=sys.stderr)

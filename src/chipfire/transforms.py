@@ -4,12 +4,17 @@
   each split made in place, so ``simplify`` builds its game once,
 - synthesis of a game from a distributive lattice,
 - games realizing an interval of a simple game's space,
-- synthesis of a coloured game from any upper locally distributive lattice.
+- synthesis of a coloured game from any upper locally distributive lattice:
+  one chip per chain of its join-irreducibles, walking one path over the
+  antimatroid of its meet-irreducible codes.
 
 The constructions know which element each reachable state stands for, so each
-comes with its map (:func:`distributive_map`, :func:`uld_map`,
-:func:`split_map`); :func:`is_hasse_isomorphism` checks such a map in time
-linear in elements plus covers, with no isomorphism search.
+comes with its map. Both lattice syntheses put the meet-irreducible M[b] on
+vertex b, so one rule reads a state's code off its unfired vertices
+(:func:`distributive_map`, also bound as :func:`uld_map`);
+:func:`split_map` sums a split game's copies. :func:`is_hasse_isomorphism`
+checks such a map in time linear in elements plus covers, with no
+isomorphism search.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from .coloured import ColouredCfg
 from .engine import Cfg, ConfigSpace
 from .errors import CapExceeded, StepCapExceeded
-from .lattice import Lattice, Poset, _bits
+from .lattice import Lattice, Poset
 from .multigraph import ColouredMultigraph, Multigraph
 
 
@@ -122,21 +127,18 @@ def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tupl
     return Cfg(Multigraph(names, mult), chips), tuple(reports)
 
 
-def _ideal_game_parts(poset: Poset, keep: int):
+def _ideal_game_parts(poset: Poset):
     """Edges and chips of a game whose shot-sets are exactly the ideals of
-    the poset inside the down-set ``keep`` (a mask); the other vertices get
-    no chips and no out-edges.
+    the poset.
 
-    Edges follow the cover relation upward inside ``keep``, which holds every
-    lower cover of its members; each vertex additionally drains its in/out
-    imbalance to a sink (index poset.n). Chips make every vertex fire exactly
-    once, after all its predecessors.
+    Edges follow the cover relation upward; each vertex additionally drains
+    its in/out imbalance to a sink (index poset.n). Chips make every vertex
+    fire exactly once, after all its predecessors.
     """
     edges: dict[tuple[int, int], int] = {}
     bot = poset.n
     chips = [0] * poset.n
-    for v in _bits(keep):
-        ups = [w for w in poset._upper_covers[v] if keep >> w & 1]
+    for v, ups in enumerate(poset._upper_covers):
         edges.update(((v, w), 1) for w in ups)
         d_out, d_in = len(ups), len(poset._lower_covers[v])
         if d_in > d_out:
@@ -163,7 +165,7 @@ def cfg_from_distributive(lattice: Lattice) -> Cfg:
             detail = f"witness triple ({x}, {y}, {z})"
         raise ValueError(f"lattice is not distributive: {detail}")
     poset = lattice.meet_irreducible_poset()
-    edges, chips = _ideal_game_parts(poset, (1 << poset.n) - 1)
+    edges, chips = _ideal_game_parts(poset)
     names = poset.labels + (_fresh_name("bot", set(poset.labels)),)
     return Cfg(Multigraph(names, edges), tuple(chips) + (0,))
 
@@ -191,95 +193,107 @@ def interval_cfg(cfg: Cfg, a: int, b: int, space: ConfigSpace | None = None) -> 
     return Cfg(Multigraph(cfg.graph.names, mult), space.configs[a])
 
 
-def _merged_coloured_game(lattice: Lattice, classes) -> ColouredCfg:
-    """The coloured ideal game of the join-irreducible order, one vertex per
-    class of ``classes`` (tuples of positions in J) plus a sink.
+def _chains(elements, up) -> list[list[int]]:
+    """A first-fit chain cover: along the linear extension ``elements``, each
+    element joins the first chain whose last element is below it (bit x of
+    ``up[last]``), or else starts a new chain."""
+    chains: list[list[int]] = []
+    for x in elements:
+        chain = next((c for c in chains if up[c[-1]] >> x & 1), [])
+        if not chain:
+            chains.append(chain)
+        chain.append(x)
+    return chains
 
-    One colour per join-irreducible j carries a classical game realizing the
-    ideals of the down-set of j; its edges and chips land straight on the
-    classes, and multiplicities and chips that meet there add up.
+
+def _path_game(names, paths) -> ColouredCfg:
+    """Colour i + 1 is ``paths[i]``: an edge from each vertex to the next, one
+    from the last to a fresh sink ``bot``, and one chip on the first vertex.
+
+    A colour's chip always sits on the first closed vertex of its path: an
+    open vertex it reaches fires it on, and a closed one holds it and has
+    one edge of that colour, so it can open. So a vertex can open iff the
+    part of some path before it is all open, and the reachable open sets are
+    exactly the unions of path prefixes; each fixes its state, since it fixes
+    where every chip sits.
     """
-    jp = lattice.join_irreducible_poset()
-    bot = len(classes)
-    target = {pos: ci for ci, members in enumerate(classes) for pos in members}
-    remap = [target[q] for q in range(jp.n)] + [bot]
-    names = tuple("+".join(jp.labels[pos] for pos in members) for members in classes)
-    names += (_fresh_name("bot", set(jp.labels)),)
-    layers: dict[int, dict[tuple[int, int], int]] = {}
-    init: dict[int, tuple[int, ...]] = {}
-    for pos in range(jp.n):
-        edges, chips = _ideal_game_parts(jp, jp._down_masks[pos])
-        layer: dict[tuple[int, int], int] = {}
-        for (u, v), k in edges.items():
-            key = (remap[u], remap[v])
-            layer[key] = layer.get(key, 0) + k
-        chip_vec = [0] * (bot + 1)
-        for i, c in enumerate(chips):
-            chip_vec[remap[i]] += c
-        layers[pos + 1] = layer
-        init[pos + 1] = tuple(chip_vec)
+    bot = len(names)
+    layers, init = {}, {}
+    for c, path in enumerate(paths, 1):
+        layers[c] = dict.fromkeys(zip(path, path[1:] + [bot]), 1)
+        init[c] = tuple(int(v == path[0]) for v in range(bot + 1))
+    names = tuple(names) + (_fresh_name("bot", set(names)),)
     return ColouredCfg(ColouredMultigraph(names, layers), init)
 
 
 def coloured_ideal_game(lattice: Lattice) -> ColouredCfg:
     """A coloured game whose space is the full ideal lattice of the
-    join-irreducible order: one vertex per join-irreducible."""
+    join-irreducible order: vertex i is ``lattice.J[i]``, plus a sink.
+
+    One path per chain of a first-fit chain cover of that order: for each
+    element j of the chain in turn, the path takes the members of the
+    down-set of j that it does not hold yet, in ``topo_order``. Each prefix
+    of the path is an ideal and each principal ideal is a prefix, so the
+    unions of prefixes (:func:`_path_game`) are the ideals.
+    """
     if not lattice.is_uld:
         raise ValueError("the construction needs an upper locally distributive lattice")
-    return _merged_coloured_game(lattice, [(pos,) for pos in range(len(lattice.J))])
-
-
-def _arrow_classes(lattice: Lattice) -> list[tuple[tuple[int, ...], int]]:
-    """The arrow classes in the order of :func:`coloured_from_uld`'s vertices:
-    each is (the positions in J of its members, their common partner in M)."""
-    j_pos = {j: pos for pos, j in enumerate(lattice.J)}
-    return sorted(
-        (tuple(sorted(j_pos[j] for j in members)), m)
-        for m, members in lattice.arrow_partition().classes.items()
-    )
+    jp = lattice.join_irreducible_poset()
+    down, topo = jp._down_masks, jp.topo_order
+    paths = []
+    for chain in _chains(topo, jp._up_masks):
+        held = [0] + [down[j] for j in chain]  # nested, as the chain ascends
+        paths.append([x for lo, hi in zip(held, held[1:]) for x in topo if (hi & ~lo) >> x & 1])
+    return _path_game(jp.labels, paths)
 
 
 def coloured_from_uld(lattice: Lattice) -> ColouredCfg:
-    """A coloured game whose configuration space is the given ULD lattice.
+    """A coloured game whose configuration space is the given ULD lattice:
+    vertex b is ``lattice.M[b]``, plus a sink, and a state's open set is the
+    code of its element.
 
-    :func:`coloured_ideal_game` with partner-equivalent join-irreducibles
-    (one class of the arrow partition) merged into one vertex.
+    The code S(x) of x is the set of meet-irreducibles not above it, the
+    complement of ``_mx_masks[x]``; in a ULD lattice the codes are an
+    antimatroid, closed under union, and each cover adds one element, its
+    label (Korte, Lovász & Schrader, *Greedoids*, 1991). One colour per chain
+    of a first-fit chain cover of J: its path is the labels of a walk up the
+    covers from the bottom through the chain's join-irreducibles in turn.
+    Each prefix of a path is the code of an element on the walk, each J-code
+    is a prefix, and every code is the union of the J-codes below it, so the
+    unions of prefixes (:func:`_path_game`) are the codes. A k-element chain
+    gets one colour and k - 1 edges.
     """
-    return _merged_coloured_game(lattice, [members for members, _ in _arrow_classes(lattice)])
+    if not lattice.is_uld:
+        raise ValueError("the construction needs an upper locally distributive lattice")
+    ups, up, mx = lattice._upper_covers, lattice._up_masks, lattice._mx_masks
+    paths = []
+    for chain in _chains(filter(set(lattice.J).__contains__, lattice.topo_order), up):
+        walk = [lattice.bottom]
+        for j in chain:
+            while walk[-1] != j:  # to an upper cover below j
+                walk.append(next(h for h in ups[walk[-1]] if up[h] >> j & 1))
+        paths.append([(mx[lo] ^ mx[hi]).bit_length() - 1 for lo, hi in zip(walk, walk[1:])])
+    return _path_game([lattice.labels[m] for m in lattice.M], paths)
 
 
 # construction maps: which element of the source each reachable state stands for
 
 
-def _meet_map(lattice: Lattice, ms, space: ConfigSpace) -> list[int | None]:
-    """Send each state to the element whose meet-irreducibles above are the
-    ``ms[v]`` of the vertices v it has not fired, hence their meet, or to
-    None when no element has that code. ``ms`` is M in vertex order; later
-    vertices (the sink) are not looked at."""
-    # M is ascending, so bit b of a code is the vertex v with the b-th smallest ms[v]
-    order = sorted(range(len(ms)), key=ms.__getitem__)
+def distributive_map(lattice: Lattice, space: ConfigSpace) -> list[int | None]:
+    """Where the states of ``cfg_from_distributive(lattice)`` and of
+    ``coloured_from_uld(lattice)`` land in the lattice.
+
+    In both games vertex b is ``lattice.M[b]``, and a state's unfired (or
+    unopened) vertices below |M| are its code: it goes to the element with
+    those meet-irreducibles above it, their meet (Birkhoff), or to None when
+    no element has that code. The sink is not looked at.
+    """
     element = {code: x for x, code in enumerate(lattice._mx_masks)}
-    codes = (sum(1 << b for b, v in enumerate(order) if not vec[v]) for vec in space.vectors)
+    codes = (sum(1 << b for b in range(len(lattice.M)) if not vec[b]) for vec in space.vectors)
     return [element.get(code) for code in codes]
 
 
-def distributive_map(lattice: Lattice, space: ConfigSpace) -> list[int | None]:
-    """Where the states of ``cfg_from_distributive(lattice)`` land in the lattice.
-
-    A shot-set S goes to the meet of the meet-irreducibles outside it (Birkhoff);
-    vertex i is ``lattice.M[i]``, as in the construction; None for an uncoded state.
-    """
-    return _meet_map(lattice, lattice.M, space)
-
-
-def uld_map(lattice: Lattice, space: ConfigSpace) -> list[int | None]:
-    """Where the states of ``coloured_from_uld(lattice)`` land in the lattice.
-
-    An open-set S goes to the meet of the partners of the arrow classes
-    outside it; vertex i is the i-th class of the construction's own order.
-    None for a state whose code no element has.
-    """
-    return _meet_map(lattice, [m for _, m in _arrow_classes(lattice)], space)
+uld_map = distributive_map  # both constructions put M[b] on vertex b
 
 
 def split_map(reports, original: ConfigSpace, simple: ConfigSpace) -> list[int] | None:

@@ -9,7 +9,9 @@ the worklist opening rule on
 coloured chip tuples that the packed coloured states replaced, raw firing
 sequences without memoisation, a subset walk over each state's cube of moves, a vertex split that rebuilds the whole game and a
 ``simplify`` that replays the fixpoint after every such split, construction
-maps folded through pairwise meets, naive triple-loop law checks, loop-based
+maps folded through pairwise meets, the paper's own coloured synthesis (one
+colour per join-irreducible, arrow classes merged) with its partner map, the
+random antimatroids that the property tests draw, naive triple-loop law checks, loop-based
 arrow relations and witness reports, a scanning transitive reduction, the
 dense inclusion order of a set family, powerset-based ideal enumeration and
 the breadth-first ideal closure the linear-extension walk replaced, the
@@ -42,8 +44,9 @@ from collections import deque
 from itertools import chain, combinations, permutations
 
 import numpy as np
+from hypothesis import strategies as st
 
-from chipfire import coloured
+from chipfire import coloured, transforms
 from chipfire.coloured import ColouredCfg, ColouredState
 from chipfire.engine import Cfg, ConfigSpace
 from chipfire.errors import (
@@ -54,7 +57,14 @@ from chipfire.errors import (
     StateCapExceeded,
     StepCapExceeded,
 )
-from chipfire.lattice import ArrowRelations, ArrowWitnessReport, Lattice, Poset, _refine_pair
+from chipfire.lattice import (
+    ArrowRelations,
+    ArrowWitnessReport,
+    Lattice,
+    Poset,
+    _family_lattice,
+    _refine_pair,
+)
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport
 
@@ -744,6 +754,81 @@ def meet_table_map(lattice: Lattice, ms, space):
                 x = lattice.meet(x, m)
         image.append(x)
     return image
+
+
+# the paper's coloured synthesis (Magnien, Phan & Vuillon, arXiv math/0110211),
+# kept as an oracle for the path games of ``transforms.coloured_from_uld``
+
+
+def paper_arrow_classes(lattice: Lattice) -> list[tuple[tuple[int, ...], int]]:
+    """The arrow classes in the order of ``paper_coloured_from_uld``'s
+    vertices: each is (the positions in J of its members, their common
+    partner in M)."""
+    j_pos = {j: pos for pos, j in enumerate(lattice.J)}
+    return sorted(
+        (tuple(sorted(j_pos[j] for j in members)), m)
+        for m, members in lattice.arrow_partition().classes.items()
+    )
+
+
+def paper_coloured_from_uld(lattice: Lattice) -> ColouredCfg:
+    """The coloured game of the paper's proof: one vertex per arrow class
+    plus a sink, and one colour per join-irreducible j, carrying the
+    classical ideal game of the down-set of j (``transforms._ideal_game_parts``
+    on that down-set) landed on the classes; multiplicities and chips that
+    meet on a class add up. A k-element chain gets k - 1 colours. Its space
+    is the lattice on the test corpora, but it has too few states on the
+    Sand Pile Model's lattices from SPM(16) on."""
+    classes = [members for members, _ in paper_arrow_classes(lattice)]
+    jp = lattice.join_irreducible_poset()
+    bot = len(classes)
+    target = {pos: ci for ci, members in enumerate(classes) for pos in members}
+    names = tuple("+".join(jp.labels[pos] for pos in members) for members in classes)
+    names += (_fresh("bot", set(jp.labels)),)
+    layers, init = {}, {}
+    for pos in range(jp.n):
+        below = [q for q in range(jp.n) if jp._down_masks[pos] >> q & 1]
+        edges, chips = transforms._ideal_game_parts(jp.restrict(below))
+        remap = [target[q] for q in below] + [bot]
+        layer = {}
+        for (u, v), k in edges.items():
+            key = (remap[u], remap[v])
+            layer[key] = layer.get(key, 0) + k
+        chip_vec = [0] * (bot + 1)
+        for i, c in enumerate(chips):
+            chip_vec[remap[i]] += c
+        layers[pos + 1] = layer
+        init[pos + 1] = tuple(chip_vec)
+    return ColouredCfg(ColouredMultigraph(names, layers), init)
+
+
+def paper_uld_map(lattice: Lattice, space: ConfigSpace) -> list:
+    """Where the states of ``paper_coloured_from_uld(lattice)`` land: an open
+    set S goes to the meet of the partners of the arrow classes outside it,
+    the element with those meet-irreducibles above it; vertex i is the i-th
+    class. None for a state whose code no element has."""
+    partners = [m for _, m in paper_arrow_classes(lattice)]
+    # M is ascending, so bit b of a code is the class with the b-th smallest partner
+    order = sorted(range(len(partners)), key=partners.__getitem__)
+    element = {code: x for x, code in enumerate(lattice._mx_masks)}
+    codes = (sum(1 << b for b, v in enumerate(order) if not vec[v]) for vec in space.vectors)
+    return [element.get(code) for code in codes]
+
+
+@st.composite
+def antimatroids(draw):
+    """The union closure of the prefixes of a few words over at most 5
+    letters, an antimatroid, as a lattice of sets."""
+    k = draw(st.integers(1, 5))
+    words = draw(st.lists(st.permutations(range(k)), min_size=1, max_size=4))
+    family = {0}
+    for word in words:
+        prefix = 0
+        for letter in word[:draw(st.integers(0, k))]:
+            prefix |= 1 << letter
+            family |= {prefix | member for member in family}
+    members = sorted(family, key=lambda m: (m.bit_count(), m))
+    return _family_lattice(members, members, "abcde")
 
 
 def naive_join(lattice: Lattice, x, y):

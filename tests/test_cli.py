@@ -443,7 +443,7 @@ def test_check_and_synth_output_on_the_scanned_and_the_certified_path(tmp_path, 
         (["synth", n5b3, "--mode", "distributive", "-o", cfg], 1, "",
          "error: lattice is not distributive: witness triple (y*{a,b}, x*{a}, z*{b,c})\n"),
         (["synth", n5b3, "--mode", "uld", "-o", ccfg], 1, "",
-         "error: the arrow partition requires an upper locally distributive lattice\n"),
+         "error: the construction needs an upper locally distributive lattice\n"),
         (["check", b6], 0, B6_CHECK, ""),
         (["synth", b6, "--mode", "distributive", "-o", cfg], 0, "",
          f"synthesized: {cfg}\nround-trip: isomorphic\n"),

@@ -27,6 +27,7 @@ from helpers import (
     coloured_tuple_space,
     dfs_coloured_reachable,
     full_scan_space,
+    paper_coloured_from_uld,
     random_coloured_game,
 )
 
@@ -490,11 +491,12 @@ def test_stabilize_cap_bound_and_message(monkeypatch):
 
 
 def test_every_colour_block_sits_at_bit_0_and_no_delta_is_wider(coloured_corpus):
-    # one colour per join-irreducible: chain(k) has k - 1 colours. A vertex
-    # fires only with its out-degree in chips, at most the colour's total, so
-    # each multiplicity a firing moves fits one field; a vertex whose degree
-    # exceeds the total never fires, and its delta is never added
-    games = [coloured_from_uld(Lattice.chain(k)) for k in range(2, 61)]
+    # the paper's game has one colour per join-irreducible: chain(k) has
+    # k - 1 colours. A vertex fires only with its out-degree in chips, at most
+    # the colour's total, so each multiplicity a firing moves fits one field;
+    # a vertex whose degree exceeds the total never fires, and its delta is
+    # never added
+    games = [paper_coloured_from_uld(Lattice.chain(k)) for k in range(2, 61)]
     for game in games + coloured_corpus + [shared_gate_game(), split_track_game()]:
         n = game.graph.n
         start = game._pack(game.initial_state(), game._packing)
@@ -509,15 +511,15 @@ def test_every_colour_block_sits_at_bit_0_and_no_delta_is_wider(coloured_corpus)
 def test_a_long_chain_game_holds_each_colour_in_its_own_block():
     # all blocks packed into one int per state, with each delta as wide as
     # every block below its own, peaked at 46 MB; an int per block at 23 MB
-    lattice = Lattice.chain(150)
-    space, _, peak = helpers.peak_traced(lambda: coloured_from_uld(lattice).enumerate_space())
+    lattice = Lattice.chain(150)  # the paper's game: 149 colours
+    space, _, peak = helpers.peak_traced(lambda: paper_coloured_from_uld(lattice).enumerate_space())
     assert len(space) == 150
     assert peak < 32_000_000
 
 
 def test_many_colour_chain_games_match_the_tuple_closure():
     for k in range(2, 41):
-        game = coloured_from_uld(Lattice.chain(k))
+        game = paper_coloured_from_uld(Lattice.chain(k))
         assert len(game.colours) == k - 1
         space, oracle = game.enumerate_space(), coloured_tuple_space(game)
         assert space.vectors == oracle.vectors

@@ -30,10 +30,11 @@ from chipfire import cli
 from chipfire.errors import NotALatticeError
 from chipfire.fixtures import diamond, gated_cube_lattice, pentagon
 from chipfire.formats import parse_lattice, parse_lattice_file, serialize_lattice
-from chipfire.lattice import Lattice, Poset, _family_lattice, arrow_witness_report, ideal_lattice
+from chipfire.lattice import Lattice, Poset, arrow_witness_report, ideal_lattice
 from chipfire.transforms import coloured_from_uld
 
 from helpers import (
+    antimatroids,
     assert_adjacencies_match,
     dense_leq,
     keyword_parse_lattice,
@@ -170,22 +171,6 @@ def product(a, b):
     covers = [(x * b.n + y, hi * b.n + y) for x, hi in a.cover_pairs for y in range(b.n)]
     covers += [(x * b.n + y, x * b.n + hi) for x in range(a.n) for y, hi in b.cover_pairs]
     return a.n * b.n, covers
-
-
-@st.composite
-def antimatroids(draw):
-    """The union closure of the prefixes of a few words over at most 5
-    letters, an antimatroid, as a lattice of sets."""
-    k = draw(st.integers(1, 5))
-    words = draw(st.lists(st.permutations(range(k)), min_size=1, max_size=4))
-    family = {0}
-    for word in words:
-        prefix = 0
-        for letter in word[:draw(st.integers(0, k))]:
-            prefix |= 1 << letter
-            family |= {prefix | member for member in family}
-    members = sorted(family, key=lambda m: (m.bit_count(), m))
-    return _family_lattice(members, members, "abcde")
 
 
 @st.composite

@@ -387,54 +387,61 @@ def test_coloured_ideal_game_boolean2():
 def test_coloured_ideal_game_chain_paths():
     lat = Lattice.chain(4)
     game = coloured_ideal_game(lat)
-    assert len(game.colours) == 3
-    sizes = sorted(len(game.graph.layers[c]) for c in game.colours)
-    assert sizes == [1, 2, 3]  # one path per colour, lengths 1..3
+    assert len(game.colours) == 1  # J is one chain: one path through its 3 vertices
+    [c] = game.colours
+    assert game.graph.layers[c] == {(0, 1): 1, (1, 2): 1, (2, 3): 1}
+    assert game.init[c] == (1, 0, 0, 0)
+    assert is_isomorphic(space_lattice(game), lat)
 
 
 def test_coloured_ideal_game_funnel_pattern():
     lat = funnel_game().enumerate_space().lattice()
     game = coloured_ideal_game(lat)
-    assert len(game.colours) == 4
+    assert len(game.colours) == 2
     totals = sorted(
         sum(game.init[c][v] for c in game.colours) for v in range(game.graph.n)
     )
-    # two source vertices hold one chip in each of two colours; rest empty
-    assert totals == [0, 0, 0, 2, 2]
+    # each colour's one chip starts on its own minimal join-irreducible
+    assert totals == [0, 0, 0, 1, 1]
     per_vertex_colours = [
         sorted(c for c in game.colours if game.init[c][v])
         for v in range(game.graph.n)
     ]
     charged = [cols for cols in per_vertex_colours if cols]
-    assert all(len(cols) == 2 for cols in charged)
+    assert all(len(cols) == 1 for cols in charged)
+    assert is_isomorphic(space_lattice(game), ideal_lattice(lat.join_irreducible_poset()))
 
 
 def test_coloured_from_uld_funnel_contraction():
     lat = funnel_game().enumerate_space().lattice()
     game = coloured_from_uld(lat)
-    assert game.graph.n == 4  # three classes plus the sink
+    assert game.graph.n == 4  # three meet-irreducibles plus the sink
     assert is_isomorphic(game.enumerate_space().lattice(), lat)
 
 
 def test_coloured_from_uld_gated_cube():
     lat = gated_cube_lattice()
     game = coloured_from_uld(lat)
-    assert len(game.colours) == 6
-    assert game.graph.n == 6  # five classes plus the sink
+    assert len(game.colours) == 4  # one path per chain of a first-fit cover of J
+    assert game.graph.n == 6  # five meet-irreducibles plus the sink
     assert is_isomorphic(game.enumerate_space().lattice(), lat)
 
 
 def test_coloured_from_uld_distributive_equals_expanded():
-    # singleton classes: the contraction is the identity
+    # the two games name their vertices by M and by J, so their graphs
+    # differ; on a distributive lattice both spaces are the lattice, and the
+    # chain covers of J and of the join-irreducibles' order match in size
     for poset in all_posets_upto(3):
         lat = ideal_lattice(poset)
         contracted = coloured_from_uld(lat)
         expanded = coloured_ideal_game(lat)
-        assert contracted.graph == expanded.graph
-        assert contracted.init == expanded.init
+        assert len(contracted.colours) == len(expanded.colours)
         assert is_isomorphic(contracted.enumerate_space().lattice(), lat)
+        assert is_isomorphic(expanded.enumerate_space().lattice(), lat)
 
 
 def test_coloured_from_uld_rejects_pentagon():
-    with pytest.raises(ValueError):
-        coloured_from_uld(pentagon())
+    text = "^the construction needs an upper locally distributive lattice$"
+    for construction in (coloured_from_uld, coloured_ideal_game):
+        with pytest.raises(ValueError, match=text):
+            construction(pentagon())
