@@ -4,7 +4,8 @@ Subcommands: ``run`` (play a game to its fixpoint), ``space`` (enumerate the
 configuration space), ``check`` (analyse a lattice file), ``synth``
 (synthesize a game from a lattice), ``simplify`` (split until simple). The
 round-trip verdict of ``synth`` and ``simplify`` is the check of their
-construction's own map (``transforms.is_hasse_isomorphism``), nothing else.
+construction's own map (``transforms.is_hasse_isomorphism``), nothing else:
+it reads both sides' upper-cover rows and the packed firing vectors.
 
 Exit codes: 0 success, 1 predicate or validation failure, 2 parse error or
 unreadable input or unwritable output file, 3 resource cap exceeded.
@@ -148,7 +149,7 @@ def cmd_synth(args) -> int:
         game = transforms.coloured_from_uld(lattice)
     space = game.enumerate_space(state_cap=args.cap)
     verdict = transforms.is_hasse_isomorphism(  # both games put M[b] on vertex b
-        transforms.distributive_map(lattice, space), space.covers, lattice.n, lattice.cover_pairs
+        transforms.distributive_map(lattice, space), space.ups, lattice._upper_covers
     )
     _emit(serialize_game(game), args.out)
     print(f"synthesized: {args.out or 'stdout'}", file=sys.stderr)
@@ -173,7 +174,7 @@ def cmd_simplify(args) -> int:
     before = game.enumerate_space(state_cap=args.cap)
     after = simple.enumerate_space(state_cap=args.cap)
     verdict = transforms.is_hasse_isomorphism(
-        transforms.split_map(reports, before, after), after.covers, len(before), before.covers
+        transforms.split_map(reports, before, after), after.ups, before.ups
     )
     print(f"isomorphic: {_yes(verdict)}", file=sys.stderr)
     return 0 if verdict else 1

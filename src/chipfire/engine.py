@@ -363,8 +363,11 @@ class ConfigSpace(Lattice):
     and its moves as a mask (``move_masks``, bit v when the state can fire or
     open v); ``covers``, the (lower, upper, fired vertex) triples in sorted
     order, ``cover_pairs`` and ``cover_labels`` are read off them on request
-    and not kept. ``labels`` holds every state's shot label, made in one
-    pass, for ``shot_label``, the DOT text and ``lattice()``.
+    and not kept; the round-trip check of ``synth`` and ``simplify``
+    (``transforms.is_hasse_isomorphism``) reads ``ups`` and the maps read
+    ``packed_vectors`` as they are. ``labels`` holds every state's shot
+    label, made in one pass, for ``shot_label``, the DOT text and
+    ``lattice()``.
 
     Every other query (``J``, ``M``, ``_mx_masks``, the two ULD detectors,
     ``is_uld``, ``is_distributive``, ``le``, ``join``, ``meet``, the arrows)

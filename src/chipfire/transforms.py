@@ -12,9 +12,10 @@ The constructions know which element each reachable state stands for, so each
 comes with its map. Both lattice syntheses put the meet-irreducible M[b] on
 vertex b, so one rule reads a state's code off its unfired vertices
 (:func:`distributive_map`, also bound as :func:`uld_map`);
-:func:`split_map` sums a split game's copies. :func:`is_hasse_isomorphism`
-checks such a map in time linear in elements plus covers, with no
-isomorphism search.
+:func:`split_map` sums a split game's copies. Both read the closure's packed
+firing vectors and unpack none. :func:`is_hasse_isomorphism` checks such a
+map row by row against the target's upper covers, with no isomorphism
+search and no pair set.
 """
 
 from __future__ import annotations
@@ -278,6 +279,8 @@ def coloured_from_uld(lattice: Lattice) -> ColouredCfg:
 
 # construction maps: which element of the source each reachable state stands for
 
+_FIELD = (1 << 64) - 1  # one vertex's field of a packed firing vector (``engine._closure``)
+
 
 def distributive_map(lattice: Lattice, space: ConfigSpace) -> list[int | None]:
     """Where the states of ``cfg_from_distributive(lattice)`` and of
@@ -286,10 +289,13 @@ def distributive_map(lattice: Lattice, space: ConfigSpace) -> list[int | None]:
     In both games vertex b is ``lattice.M[b]``, and a state's unfired (or
     unopened) vertices below |M| are its code: it goes to the element with
     those meet-irreducibles above it, their meet (Birkhoff), or to None when
-    no element has that code. The sink is not looked at.
+    no element has that code. The code is read off the packed vector: vertex
+    b's 64-bit field is zero exactly when b has not fired. The sink is not
+    looked at.
     """
     element = {code: x for x, code in enumerate(lattice._mx_masks)}
-    codes = (sum(1 << b for b in range(len(lattice.M)) if not vec[b]) for vec in space.vectors)
+    fields = [_FIELD << 64 * (len(space.names) - 1 - b) for b in range(len(lattice.M))]
+    codes = (sum(1 << b for b, f in enumerate(fields) if not x & f) for x in space.packed_vectors)
     return [element.get(code) for code in codes]
 
 
@@ -300,35 +306,36 @@ def split_map(reports, original: ConfigSpace, simple: ConfigSpace) -> list[int] 
     """Where the states of a game split by ``reports`` land in the original space.
 
     Each split keeps copy 0 in the split vertex's slot and appends copy 1, so
-    a copy's firings count as firings of the vertex it came from. None when
-    some summed vector is not an original state.
+    a copy's firings count as firings of the vertex it came from. On packed
+    vectors: the original vertices keep their slots, so shifting past the
+    appended copies' fields leaves the level field and theirs, and each copy's
+    field is added into its origin's. None when some summed vector is not an
+    original state.
     """
-    origin = list(range(len(original.names)))
+    n, m = len(original.names), len(simple.names)
+    origin = list(range(n))
     for rep in reports:
         origin.append(origin[rep.index])
-    if len(origin) != len(simple.names):
+    if len(origin) != m:
         return None
-    image = []
-    for vec in simple.vectors:
-        total = [0] * len(original.names)
-        for w, c in enumerate(vec):
-            total[origin[w]] += c
-        i = original._index.get(tuple(total))
-        if i is None:
-            return None
-        image.append(i)
-    return image
+    copies = [(64 * (m - 1 - w), 64 * (n - 1 - origin[w])) for w in range(n, m)]
+    index = {x: i for i, x in enumerate(original.packed_vectors)}
+    image = [
+        index.get(sum([(y >> s & _FIELD) << t for s, t in copies], y >> 64 * (m - n)))
+        for y in simple.packed_vectors
+    ]
+    return None if None in image else image
 
 
-def is_hasse_isomorphism(image, covers, n: int, target_covers) -> bool:
+def is_hasse_isomorphism(image, rows, target_rows) -> bool:
     """True when ``image`` (source element -> target element) is a bijection
-    onto range(n) that sends every source cover to a target cover and both
-    sides have as many covers: an isomorphism of the Hasse diagrams, hence of
-    the orders. Covers are (low, high, ...) tuples; cost O(n + covers).
+    onto range(len(target_rows)) and the sorted images of each source row
+    ``rows[x]`` are the target row ``target_rows[image[x]]``. Rows are each
+    element's upper covers, ascending, each cover once, so equal rows are
+    equal cover sets: an isomorphism of the Hasse diagrams, hence of the
+    orders. One pass over the rows, with no pair set.
     """
-    if image is None or len(image) != n or set(image) != set(range(n)):
+    n = len(target_rows)
+    if image is None or len(image) != n or len(rows) != n or set(image) != set(range(n)):
         return False
-    # for a bijection, equal cover sets is "into" plus equal counts
-    return {(image[c[0]], image[c[1]]) for c in covers} == {
-        (c[0], c[1]) for c in target_covers
-    }
+    return all(sorted([image[y] for y in r]) == list(target_rows[t]) for t, r in zip(image, rows))

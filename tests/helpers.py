@@ -9,7 +9,8 @@ the worklist opening rule on
 coloured chip tuples that the packed coloured states replaced, raw firing
 sequences without memoisation, a subset walk over each state's cube of moves, a vertex split that rebuilds the whole game and a
 ``simplify`` that replays the fixpoint after every such split, construction
-maps folded through pairwise meets, the paper's own coloured synthesis (one
+maps folded through pairwise meets, the cover-pair-set check of a
+construction map that the row comparison replaced, the paper's own coloured synthesis (one
 colour per join-irreducible, arrow classes merged) with its partner map, the
 random antimatroids that the property tests draw, naive triple-loop law checks, loop-based
 arrow relations and witness reports, a scanning transitive reduction, the
@@ -754,6 +755,21 @@ def meet_table_map(lattice: Lattice, ms, space):
                 x = lattice.meet(x, m)
         image.append(x)
     return image
+
+
+def pair_set_hasse_isomorphism(image, rows, target_rows) -> bool:
+    """The round-trip check that ``transforms.is_hasse_isomorphism``'s row
+    comparison replaced: ``image`` is a bijection onto range(n), n the
+    target's size, that sends the set of the source's (lower, upper) cover
+    pairs onto the set of the target's; each side's pairs are read off its
+    upper-cover rows."""
+    n = len(target_rows)
+    if image is None or len(image) != n or set(image) != set(range(n)):
+        return False
+    # for a bijection, equal pair sets is "into" plus equal counts
+    return {(image[lo], image[hi]) for lo, ups in enumerate(rows) for hi in ups} == {
+        (lo, hi) for lo, ups in enumerate(target_rows) for hi in ups
+    }
 
 
 # the paper's coloured synthesis (Magnien, Phan & Vuillon, arXiv math/0110211),

@@ -2,16 +2,20 @@
 
 ``synth`` and ``simplify`` decide their round trip by checking the map each
 construction implies (``distributive_map``, ``uld_map``, ``split_map``) with
-``is_hasse_isomorphism``; that check is the whole verdict. These tests compare
+``is_hasse_isomorphism``; that check is the whole verdict. It compares each
+state's mapped upper-cover row with the target's row. These tests compare
 the check with ``is_isomorphic`` on the seeded corpora and on hypothesis
-games, corrupt covers and map entries to see the check refuse them and the
-CLI exit 1, and run the CLI with the search, the dense space lattice or the
-derived cover matrix switched off, and in a fresh interpreter that must never
-import numpy. The coding maps are compared entry for entry with a fold
-through pairwise meets.
+games, and with the cover-pair-set check it replaced
+(``helpers.pair_set_hasse_isomorphism``) on the same maps perturbed at
+random. They corrupt cover rows and map entries to see both checks refuse
+them and the CLI exit 1, and run the CLI with the search, the dense space
+lattice or the derived cover matrix switched off, and in a fresh interpreter
+that must never import numpy. The coding maps are compared entry for entry
+with a fold through pairwise meets.
 """
 
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -28,7 +32,13 @@ from chipfire.formats import serialize_lattice
 from chipfire.lattice import Lattice, Poset, ideal_lattice, is_isomorphic
 from chipfire.multigraph import Multigraph
 
-from helpers import meet_table_map, paper_arrow_classes, paper_coloured_from_uld, paper_uld_map
+from helpers import (
+    meet_table_map,
+    pair_set_hasse_isomorphism,
+    paper_arrow_classes,
+    paper_coloured_from_uld,
+    paper_uld_map,
+)
 from test_lattice_tables import convergent_games
 
 
@@ -36,27 +46,35 @@ def data_path(name):
     return str(resources.files("chipfire.data").joinpath(name))
 
 
-def synth_round_trip(lattice, mode):
-    """(map check, search verdict) for synthesizing from ``lattice``."""
+def synth_check(lattice, mode):
+    """(map, the space's rows, the lattice's rows, the space) for
+    synthesizing from ``lattice``: what ``cli.cmd_synth`` checks."""
     if mode == "distributive":
         game, to_lattice = transforms.cfg_from_distributive(lattice), transforms.distributive_map
     else:
         game, to_lattice = transforms.coloured_from_uld(lattice), transforms.uld_map
     space = game.enumerate_space()
-    by_map = transforms.is_hasse_isomorphism(
-        to_lattice(lattice, space), space.covers, lattice.n, lattice.cover_pairs
-    )
-    return by_map, is_isomorphic(space.lattice(), lattice)
+    return to_lattice(lattice, space), space.ups, lattice._upper_covers, space
+
+
+def simplify_check(game):
+    """(map, the simple space's rows, the original's rows, original space,
+    simple space) for simplifying ``game``: what ``cli.cmd_simplify`` checks."""
+    simple, reports = transforms.simplify(game)
+    before, after = game.enumerate_space(), simple.enumerate_space()
+    return transforms.split_map(reports, before, after), after.ups, before.ups, before, after
+
+
+def synth_round_trip(lattice, mode):
+    """(map check, search verdict) for synthesizing from ``lattice``."""
+    *check, space = synth_check(lattice, mode)
+    return transforms.is_hasse_isomorphism(*check), is_isomorphic(space.lattice(), lattice)
 
 
 def simplify_round_trip(game):
     """(map check, search verdict) for simplifying ``game``."""
-    simple, reports = transforms.simplify(game)
-    before, after = game.enumerate_space(), simple.enumerate_space()
-    by_map = transforms.is_hasse_isomorphism(
-        transforms.split_map(reports, before, after), after.covers, len(before), before.covers
-    )
-    return by_map, is_isomorphic(before.lattice(), after.lattice())
+    *check, before, after = simplify_check(game)
+    return transforms.is_hasse_isomorphism(*check), is_isomorphic(before.lattice(), after.lattice())
 
 
 def test_ideal_lattices_of_small_posets(distributive_corpus):
@@ -153,52 +171,133 @@ def test_a_state_without_a_code_maps_to_none():
     image = transforms.distributive_map(chain, space)
     assert sorted(image, key=str) == [0, 1, 2, None]
     assert image[space.vectors.index((0, 1, 0))] is None
-    assert not transforms.is_hasse_isomorphism(image, space.covers, chain.n, chain.cover_pairs)
+    assert not transforms.is_hasse_isomorphism(image, space.ups, chain._upper_covers)
+    assert not pair_set_hasse_isomorphism(image, space.ups, chain._upper_covers)
 
 
-# fault injection
+# fault injection: row mutants and map mutants, refused by the row check and
+# by the pair-set oracle alike
 
 
-def boolean_synth():
-    lat = Lattice.boolean(3)
-    space = transforms.cfg_from_distributive(lat).enumerate_space()
-    return lat, space, transforms.distributive_map(lat, space)
+def checked_round_trips():
+    """(name, map, source rows, target rows) of three round trips that pass."""
+    gated = cli.parse_lattice_file(data_path("gated_cube.lat"))
+    relay = cli._load_classical(data_path("relay_chain.cfg"))
+    return [
+        ("synth-distributive-boolean", *synth_check(Lattice.boolean(3), "distributive")[:3]),
+        ("synth-uld-gated-cube", *synth_check(gated, "uld")[:3]),
+        ("simplify-relay-chain", *simplify_check(relay)[:3]),
+    ]
+
+
+def both_verdicts(image, rows, target_rows):
+    return (
+        transforms.is_hasse_isomorphism(image, rows, target_rows),
+        pair_set_hasse_isomorphism(image, rows, target_rows),
+    )
+
+
+def row_mutants(rows, n):
+    """Each one-entry corruption of the rows, each row kept ascending: an
+    entry off by one element, an entry dropped (a missing cover), and an
+    element the row does not hold added (an extra cover). As (kind, rows)."""
+    for x, ups in enumerate(rows):
+        for k, y in enumerate(ups):
+            rest = ups[:k] + ups[k + 1 :]
+            for wrong in (y - 1, y + 1):
+                if 0 <= wrong < n:
+                    yield "off by one", rows[:x] + (tuple(sorted(rest + (wrong,))),) + rows[x + 1 :]
+            yield "dropped", rows[:x] + (rest,) + rows[x + 1 :]
+        for z in set(range(n)) - set(ups):
+            yield "extra", rows[:x] + (tuple(sorted(ups + (z,))),) + rows[x + 1 :]
 
 
 def test_correct_map_passes():
-    lat, space, image = boolean_synth()
-    assert transforms.is_hasse_isomorphism(image, space.covers, lat.n, lat.cover_pairs)
+    for name, image, rows, target_rows in checked_round_trips():
+        assert both_verdicts(image, rows, target_rows) == (True, True), name
+    # without covers, only the bijection check can refuse
+    assert both_verdicts([0], ((),), ((),)) == (True, True)
+    assert both_verdicts([1], ((),), ((),)) == (False, False)
 
 
 def test_corrupted_cover_fails():
-    lat, space, image = boolean_synth()
-    covers = tuple(space.covers)
-    lo, hi, v = covers[3]
-    for wrong in ((lo, len(space) - 1, v), (hi, lo, v)):
-        bad = covers[:3] + (wrong,) + covers[4:]
-        assert not transforms.is_hasse_isomorphism(image, bad, lat.n, lat.cover_pairs)
-    assert not transforms.is_hasse_isomorphism(image, covers[1:], lat.n, lat.cover_pairs)
+    for name, image, rows, target_rows in checked_round_trips():
+        kinds = set()
+        for kind, bad in row_mutants(rows, len(rows)):  # a source row
+            assert both_verdicts(image, bad, target_rows) == (False, False), (name, kind, bad)
+            kinds.add(kind)
+        for kind, bad in row_mutants(target_rows, len(target_rows)):  # a target row
+            assert both_verdicts(image, rows, bad) == (False, False), (name, kind, bad)
+        assert kinds == {"off by one", "dropped", "extra"}, name
 
 
 def test_corrupted_map_entry_fails():
-    lat, space, image = boolean_synth()
-    for i in range(len(image)):
-        for wrong in {image[0], image[-1], (image[i] + 1) % lat.n} - {image[i]}:
-            bad = image[:i] + [wrong] + image[i + 1 :]
-            assert not transforms.is_hasse_isomorphism(bad, space.covers, lat.n, lat.cover_pairs)
-    # a bijection that swaps two elements of different ranks is refused too
-    bad = [image[-1]] + image[1:-1] + [image[0]]
-    assert not transforms.is_hasse_isomorphism(bad, space.covers, lat.n, lat.cover_pairs)
-    assert not transforms.is_hasse_isomorphism(image[:-1], space.covers, lat.n, lat.cover_pairs)
-    # an extra element folded onto the top, with a copy of a cover into the top
-    lo, top, v = tuple(space.covers)[-1]
-    covers = tuple(space.covers) + ((lo, len(space), v),)
-    folded = image + [image[top]]
-    assert not transforms.is_hasse_isomorphism(folded, covers, lat.n, lat.cover_pairs)
-    # without covers, only the bijection check can refuse
-    assert transforms.is_hasse_isomorphism([0], (), 1, ())
-    assert not transforms.is_hasse_isomorphism([1], (), 1, ())
-    assert not transforms.is_hasse_isomorphism(None, space.covers, lat.n, lat.cover_pairs)
+    for name, image, rows, target_rows in checked_round_trips():
+        n = len(target_rows)
+        for i in range(n):  # two states sent to one element
+            for wrong in {image[0], image[-1], image[(i + 1) % n]} - {image[i]}:
+                bad = image[:i] + [wrong] + image[i + 1 :]
+                assert both_verdicts(bad, rows, target_rows) == (False, False), (name, i, wrong)
+        # a bijection that swaps the bottom and the top is refused too
+        bad = [image[-1]] + image[1:-1] + [image[0]]
+        assert both_verdicts(bad, rows, target_rows) == (False, False), name
+        assert both_verdicts(image[:-1], rows, target_rows) == (False, False), name  # short
+        assert both_verdicts(None, rows, target_rows) == (False, False), name
+        # an extra source element folded onto the top (the last state), with a cover into it
+        top = len(rows) - 1
+        folded_rows = tuple(ups + (n,) if top in ups else ups for ups in rows) + ((),)
+        folded = image + [image[top]]
+        assert both_verdicts(folded, folded_rows, target_rows) == (False, False), name
+
+
+# differential: the row check against the pair-set oracle on perturbed maps
+
+
+def assert_checks_agree(image, rows, target_rows, rng, tries=6):
+    """Both checks give one verdict on ``image``, and on copies of it with
+    two entries swapped, one entry moved, or every entry shuffled: a
+    shuffle that hits an automorphism passes both."""
+    images = [image]
+    for _ in range(tries):
+        bad = list(image)
+        i, j = rng.randrange(len(bad)), rng.randrange(len(bad))
+        kind = rng.randrange(3)
+        if kind == 0:
+            bad[i], bad[j] = bad[j], bad[i]
+        elif kind == 1:
+            bad[i] = rng.randrange(len(target_rows))
+        else:
+            rng.shuffle(bad)
+        images.append(bad)
+    for bad in images:
+        by_rows, by_pairs = both_verdicts(bad, rows, target_rows)
+        assert by_rows == by_pairs, (bad, image)
+    assert both_verdicts(image, rows, target_rows) == (True, True)
+
+
+def test_checks_agree_on_the_corpora(
+    game_corpus, space_corpus, coloured_space_corpus, distributive_corpus
+):
+    rng = random.Random(36)
+    for lat in distributive_corpus:
+        for mode in ("distributive", "uld"):
+            assert_checks_agree(*synth_check(lat, mode)[:3], rng)
+    for game, space in zip(game_corpus, space_corpus):
+        assert_checks_agree(*synth_check(space.lattice(), "uld")[:3], rng)
+        assert_checks_agree(*simplify_check(game)[:3], rng)
+    for space in coloured_space_corpus:
+        assert_checks_agree(*synth_check(space.lattice(), "uld")[:3], rng)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(convergent_games())
+def test_checks_agree_on_generated_games(game):
+    rng = random.Random(len(game.graph.names))
+    lat = game.enumerate_space().lattice()
+    assert_checks_agree(*synth_check(lat, "uld")[:3], rng)
+    if lat.is_distributive:
+        assert_checks_agree(*synth_check(lat, "distributive")[:3], rng)
+    assert_checks_agree(*simplify_check(game)[:3], rng)
 
 
 def test_split_map_refuses_unknown_vectors():
@@ -209,7 +308,7 @@ def test_split_map_refuses_unknown_vectors():
     assert transforms.split_map(reports[:-1], before, after) is None
     shifted = [replace(rep, index=rep.index + 1) for rep in reports]
     image = transforms.split_map(shifted, before, after)
-    assert not transforms.is_hasse_isomorphism(image, after.covers, len(before), before.covers)
+    assert both_verdicts(image, after.ups, before.ups) == (False, False)
 
 
 def swap_first_and_last(fn):

@@ -39,7 +39,7 @@ from helpers import (
 
 def maps_onto(lattice, game, to_lattice) -> bool:
     space = game.enumerate_space()
-    return is_hasse_isomorphism(to_lattice(lattice, space), space.covers, lattice.n, lattice.cover_pairs)
+    return is_hasse_isomorphism(to_lattice(lattice, space), space.ups, lattice._upper_covers)
 
 
 def open_masks(space, n):
@@ -58,7 +58,7 @@ def assert_syntheses_match(lattice):
     index = {mask: x for x, mask in enumerate(jp.ideal_masks())}
     space = coloured_ideal_game(lattice).enumerate_space()
     image = [index.get(mask) for mask in open_masks(space, jp.n)]
-    assert is_hasse_isomorphism(image, space.covers, ideals.n, ideals.cover_pairs), lattice.labels
+    assert is_hasse_isomorphism(image, space.ups, ideals._upper_covers), lattice.labels
 
 
 def test_fixtures_booleans_and_chains():

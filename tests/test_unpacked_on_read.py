@@ -7,9 +7,10 @@ read, into tuples. ``len``, ``n``, ``height`` (the top's level field) and
 ``top`` read no vector.
 
 The guards refuse the unpack rules: with all of them refused, ``chipfire
-space`` without ``--dot`` still prints its report, and with only the
-configuration rules refused, ``space --dot``, ``synth`` in both modes and
-``simplify`` print the same bytes and write the same files as unguarded.
+space`` without ``--dot``, ``synth`` in both modes and ``simplify`` print
+the same bytes and write the same files as unguarded (the round-trip maps
+read the packed firing vectors), and with only the configuration rules
+refused, so does ``space --dot``.
 The differential tests compare the lazy tuples with ``helpers.tuple_closure``'s
 own, read before or after every other reader of a space.
 """
@@ -99,25 +100,30 @@ def cli_bytes(argv, capsys, written):
 
 
 def test_dot_synth_and_simplify_unpack_no_configuration(tmp_path, monkeypatch, capsys):
+    """``space --dot`` unpacks the firing vectors only; ``synth`` and
+    ``simplify`` unpack nothing."""
     boolean = tmp_path / "boolean3.lat"
     boolean.write_text(serialize_lattice(Lattice.boolean(3)))
     written = tmp_path / "written"
+    out = str(written)
     runs = [
-        ["space", data_path("funnel.cfg"), "--dot", str(written)],
-        ["space", data_path("sand_pile_21.cfg"), "--dot", str(written)],
-        ["space", "--coloured", data_path("shared_gate.ccfg"), "--dot", str(written)],
-        ["space", "--coloured", data_path("split_track.ccfg"), "--dot", str(written)],
-        ["synth", data_path("gated_cube.lat"), "--mode", "uld", "-o", str(written)],
-        ["synth", str(boolean), "--mode", "uld", "-o", str(written)],
-        ["synth", str(boolean), "--mode", "distributive", "-o", str(written)],
-        ["simplify", data_path("funnel.cfg"), "-o", str(written)],
-        ["simplify", data_path("relay_chain.cfg"), "-o", str(written)],
+        (refuse_configs, ["space", data_path("funnel.cfg"), "--dot", out]),
+        (refuse_configs, ["space", data_path("sand_pile_21.cfg"), "--dot", out]),
+        (refuse_configs, ["space", "--coloured", data_path("shared_gate.ccfg"), "--dot", out]),
+        (refuse_configs, ["space", "--coloured", data_path("split_track.ccfg"), "--dot", out]),
+        (refuse_all, ["synth", data_path("gated_cube.lat"), "--mode", "uld", "-o", out]),
+        (refuse_all, ["synth", str(boolean), "--mode", "uld", "-o", out]),
+        (refuse_all, ["synth", str(boolean), "--mode", "distributive", "-o", out]),
+        (refuse_all, ["simplify", data_path("funnel.cfg"), "-o", out]),
+        (refuse_all, ["simplify", data_path("relay_chain.cfg"), "-o", out]),
+        (refuse_all, ["simplify", data_path("sand_pile_21.cfg"), "-o", out]),
     ]
-    unguarded = [cli_bytes(argv, capsys, written) for argv in runs]
-    assert all(status == 0 for status, *_ in unguarded)
-    with monkeypatch.context() as guarded:
-        refuse_configs(guarded)
-        assert [cli_bytes(argv, capsys, written) for argv in runs] == unguarded
+    for guard, argv in runs:
+        unguarded = cli_bytes(argv, capsys, written)
+        assert unguarded[0] == 0, argv
+        with monkeypatch.context() as guarded:
+            guard(guarded)
+            assert cli_bytes(argv, capsys, written) == unguarded, argv
 
 
 # differential: the lazy tuples against the tuple closure
