@@ -1,38 +1,33 @@
-"""Shared oracles and corpus generators for the test suite.
+"""Shared oracles and corpus generators for the test suite: one independent
+oracle per concept, each written apart from the library code it checks.
 
-Oracles here are written independently of the engine's breadth-first
-enumeration: depth-first exploration with an explicit stack (classical and
-coloured), the breadth-first closure on configuration and firing-vector tuples
-that the engine's packed ints replaced, with the sorted cover triples that its
-per-state upper covers and move masks replaced (grouped per state here), and
-the worklist opening rule on
-coloured chip tuples that the packed coloured states replaced, raw firing
-sequences without memoisation, a subset walk over each state's cube of moves, a vertex split that rebuilds the whole game and a
-``simplify`` that replays the fixpoint after every such split, construction
-maps folded through pairwise meets, the cover-pair-set check of a
-construction map that the row comparison replaced, the paper's own coloured synthesis (one
-colour per join-irreducible, arrow classes merged) with its partner map, the
-random antimatroids that the property tests draw, naive triple-loop law checks, loop-based
-arrow relations and witness reports, a scanning transitive reduction, the
-dense inclusion order of a set family, powerset-based ideal enumeration and
-the breadth-first ideal closure the linear-extension walk replaced, the
-line-by-line lattice-file parser the one-loop ``parse_lattice`` replaced
-(with its own copies of the line helpers), and the numpy constructions the
-integer element sets replaced (Kahn's queue with a numpy row per up-set for
-``Poset.from_covers``; the meet-irreducible coding as columns of the dense
-order and as compared firing vectors; the triple-law witness on dense join
-and meet tables and the isomorphism search on the dense order). The dense order and tables are filled one public ``le``,
-``join`` or ``meet`` per cell, so they share no packing with the library.
-The coloured opening rule that replays every colour over every open vertex
-after every firing runs through the tuple closure too, and firing reads the
-edge multiplicities alone (``_fire_in_place``): no oracle here imports a
-private function or class of ``chipfire.engine`` or ``chipfire.coloured``
-(``tests/test_oracle_imports.py``). The Sand Pile Model's spaces are checked
-against its own grain move on height vectors, which knows no chip or vertex.
-The shot labels and the space's DOT text are checked against the writers
-that the per-vertex word tables and the row-by-row ``space_to_dot``
-replaced: one ``str.format`` per token, each label escaped whole, and the
-edges read off the space's cover triples.
+- firing: ``tuple_successors`` and ``_fire_in_place``, read off the edge
+  multiplicities alone; ``all_firing_sequences``
+- classical closure: ``tuple_space``, ``tuple_closure`` on tuples
+- coloured opening rule and closure: ``full_scan_open`` (every colour replayed
+  over every open vertex after every firing) and ``full_scan_space``;
+  ``dfs_coloured_reachable`` through the public ``openable``/``open_vertex``
+- cover rows: ``grouped_space``; the cube of moves: ``cube_walk_witness``
+- split and simplify: ``rebuilding_split_vertex``, ``replaying_simplify``
+- Sand Pile Model: ``sand_pile_heights``, the grain move on height vectors
+- shot labels and DOT: ``oracle_labels``, ``oracle_space_to_dot``
+- order: ``dense_leq``, ``kahn_from_covers``, ``naive_cover_pairs``
+- join and meet: ``naive_join``, ``naive_meet``, ``naive_not_a_lattice_message``
+- distributivity: ``naive_distributive``, ``dense_distributivity_witness``
+- irreducible codes: ``dense_mx_masks``, columns of the dense order
+- arrows: ``naive_arrow_relations``, ``naive_arrow_witness_report``
+- ideals: ``naive_ideals``, the powerset; set families:
+  ``dense_union_closed_lattice``, ``dense_ideal_quotient``
+- lattice files: ``keyword_parse_lattice``
+- construction maps: ``meet_table_map``, ``pair_set_hasse_isomorphism``
+- coloured synthesis: ``paper_coloured_from_uld``, ``paper_uld_map``
+
+No oracle imports a private function or class of ``chipfire.engine`` or
+``chipfire.coloured`` (``tests/test_oracle_imports.py``). The dense order and
+tables are filled one public ``le``, ``join`` or ``meet`` per cell. Isomorphism
+has no oracle here: ``find_isomorphism`` is one, which no command runs, and
+each mapping it returns is checked by ``transforms.is_hasse_isomorphism``.
+``tests/mutants.py`` holds the mutants that the tests using them must catch.
 """
 
 from __future__ import annotations
@@ -42,6 +37,7 @@ import random
 import tracemalloc
 import weakref
 from collections import deque
+from importlib import resources
 from itertools import chain, combinations, permutations
 
 import numpy as np
@@ -51,7 +47,6 @@ from chipfire import coloured, transforms
 from chipfire.coloured import ColouredCfg, ColouredState
 from chipfire.engine import Cfg, ConfigSpace
 from chipfire.errors import (
-    CapExceeded,
     FiringVectorConflict,
     NotALatticeError,
     ParseError,
@@ -64,7 +59,6 @@ from chipfire.lattice import (
     Lattice,
     Poset,
     _family_lattice,
-    _refine_pair,
 )
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport
@@ -72,36 +66,22 @@ from chipfire.transforms import SplitReport
 LETTERS = "abcdefghij"
 
 
+def data_path(name):
+    """The path of a data file shipped with the package."""
+    return str(resources.files("chipfire.data").joinpath(name))
+
+
+def v(game, name):
+    """The vertex of a game named ``name``."""
+    return game.graph.vertex(name)
+
+
+def with_duals(lattices):
+    """Each lattice, then its dual."""
+    return [each for lat in lattices for each in (lat, dual(lat))]
+
+
 # independent dynamics oracles
-
-
-def dfs_reachable(cfg: Cfg, cap=200_000):
-    """Depth-first closure of reachable configurations.
-
-    Returns (vectors, finals): configuration -> firing vector, and the set of
-    fixpoint configurations. Asserts the firing vector is unique per
-    configuration.
-    """
-    n = cfg.graph.n
-    vectors = {cfg.init: (0,) * n}
-    finals = set()
-    stack = [cfg.init]
-    while stack:
-        conf = stack.pop()
-        vec = vectors[conf]
-        fs = cfg.firable(conf)
-        if not fs:
-            finals.add(conf)
-        for v in sorted(fs, reverse=True):
-            nxt = cfg.fire(conf, v)
-            nvec = tuple(c + (1 if i == v else 0) for i, c in enumerate(vec))
-            if nxt in vectors:
-                assert vectors[nxt] == nvec, "firing vector not unique per config"
-            else:
-                vectors[nxt] = nvec
-                assert len(vectors) <= cap
-                stack.append(nxt)
-    return vectors, finals
 
 
 def dfs_coloured_reachable(game: ColouredCfg, cap=200_000):
@@ -143,16 +123,19 @@ def _fire_in_place(chips: list, graph: Multigraph, v: int) -> None:
             chips[w] += k
 
 
-def full_scan_openable(game: ColouredCfg, state: ColouredState) -> frozenset[int]:
-    """Closed vertices firable in at least one colour restriction."""
+def full_scan_firable(game: ColouredCfg, state: ColouredState) -> frozenset[int]:
+    """Vertices, open or closed, firable in at least one colour restriction."""
     out = set()
     for ci, c in enumerate(game.colours):
         deg = game.graph.restriction_to_colour(c)._out_degrees
         chips = state.chips[ci]
-        for v in range(game.graph.n):
-            if v not in state.opened and 0 < deg[v] <= chips[v]:
-                out.add(v)
+        out.update(v for v in range(game.graph.n) if 0 < deg[v] <= chips[v])
     return frozenset(out)
+
+
+def full_scan_openable(game: ColouredCfg, state: ColouredState) -> frozenset[int]:
+    """Closed vertices firable in at least one colour restriction."""
+    return full_scan_firable(game, state) - state.opened
 
 
 def full_scan_stabilize_colour(game: ColouredCfg, c, chips, opened):
@@ -185,16 +168,21 @@ def full_scan_open(game: ColouredCfg, state: ColouredState, v: int) -> ColouredS
     return ColouredState(chips=chips, opened=opened)
 
 
-def full_scan_space(game: ColouredCfg) -> ConfigSpace:
-    """``ColouredCfg.enumerate_space`` with the full-scan opening rule,
-    through ``tuple_closure``."""
+def full_scan_parts(game: ColouredCfg, state_cap=None):
+    """``tuple_closure`` of a coloured game on ``ColouredState``s of chip
+    tuples, with the full-scan opening rule; the states as chips."""
 
     def successors(state):
         openable = sorted(full_scan_openable(game, state))
         return [(v, full_scan_open(game, state, v)) for v in openable]
 
-    vectors, states, covers = tuple_closure(game, game.initial_state(), successors, None)
-    return grouped_space(game.graph.names, vectors, tuple(state.chips for state in states), covers)
+    vectors, states, covers = tuple_closure(game, game.initial_state(), successors, state_cap)
+    return vectors, tuple(state.chips for state in states), covers
+
+
+def full_scan_space(game: ColouredCfg, state_cap=None) -> ConfigSpace:
+    """``ColouredCfg.enumerate_space`` through ``full_scan_parts``."""
+    return grouped_space(game.graph.names, *full_scan_parts(game, state_cap))
 
 
 def tuple_closure(game, start, successors, state_cap):
@@ -289,81 +277,6 @@ def tuple_parts(cfg: Cfg, state_cap=None):
 def tuple_space(cfg: Cfg, state_cap=None) -> ConfigSpace:
     """``Cfg.enumerate_space`` on configuration tuples, through ``tuple_closure``."""
     return grouped_space(cfg.graph.names, *tuple_parts(cfg, state_cap))
-
-
-def colour_index(game: ColouredCfg) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per vertex, the (colour index, out-degree) pairs of the colours it
-    has out-edges in."""
-    degrees = [game.graph.restriction_to_colour(c)._out_degrees for c in game.colours]
-    return tuple(
-        tuple((ci, deg[v]) for ci, deg in enumerate(degrees) if deg[v])
-        for v in range(game.graph.n)
-    )
-
-
-def worklist_openable(game: ColouredCfg, state: ColouredState) -> frozenset[int]:
-    """Closed vertices firable in at least one colour restriction, read off
-    chip tuples."""
-    chips, opened = state.chips, state.opened
-    return frozenset(
-        v
-        for v, colours in enumerate(colour_index(game))
-        if v not in opened and any(deg <= chips[ci][v] for ci, deg in colours)
-    )
-
-
-def worklist_stabilize_colour(game: ColouredCfg, ci, chips, opened, v):
-    """Play colour index ci on the open vertices, from a worklist seeded
-    with v; closed vertices absorb chips.
-
-    The chips must be stable at every open vertex but v.
-    """
-    c = game.colours[ci]
-    restriction = game.graph.restriction_to_colour(c)
-    deg, adj = restriction._out_degrees, restriction._out_adj
-    chips = list(chips)
-    todo = [v]
-    steps = 0
-    while todo:
-        u = todo.pop()
-        if u not in opened or not 0 < deg[u] <= chips[u]:
-            continue
-        while deg[u] <= chips[u]:
-            _fire_in_place(chips, restriction, u)
-            steps += 1
-            if steps > coloured._STABILIZE_CAP:
-                raise StepCapExceeded(
-                    f"colour {c} converges, but the step cap came first: "
-                    f"not stable within {coloured._STABILIZE_CAP} firings"
-                )
-        todo.extend(w for w, _ in adj[u])
-    return tuple(chips)
-
-
-def worklist_open(game: ColouredCfg, state: ColouredState, v: int) -> ColouredState:
-    """Open v on chip tuples, then stabilize the colours in which v can fire."""
-    opened = state.opened | {v}
-    chips = list(state.chips)
-    for ci, deg in colour_index(game)[v]:
-        if deg <= chips[ci][v]:
-            chips[ci] = worklist_stabilize_colour(game, ci, chips[ci], opened, v)
-    return ColouredState(chips=tuple(chips), opened=opened)
-
-
-def coloured_tuple_parts(game: ColouredCfg, state_cap=None):
-    """``tuple_closure`` of a coloured game on ``ColouredState``s of chip
-    tuples, with the worklist opening rule on tuples; the states as chips."""
-
-    def successors(state):
-        return [(v, worklist_open(game, state, v)) for v in sorted(worklist_openable(game, state))]
-
-    vectors, states, covers = tuple_closure(game, game.initial_state(), successors, state_cap)
-    return vectors, tuple(state.chips for state in states), covers
-
-
-def coloured_tuple_space(game: ColouredCfg, state_cap=None) -> ConfigSpace:
-    """``ColouredCfg.enumerate_space`` through ``coloured_tuple_parts``."""
-    return grouped_space(game.graph.names, *coloured_tuple_parts(game, state_cap))
 
 
 def all_firing_sequences(cfg: Cfg, limit=50_000):
@@ -614,75 +527,6 @@ def dense_distributivity_witness(lattice: Lattice):
     return None
 
 
-def dense_find_isomorphism(a: Lattice, b: Lattice, cap: int = 5000):
-    """``find_isomorphism`` as it was on the dense order: the same refinement
-    and backtracking, with each candidate compared against the assigned
-    elements by rows and columns of ``leq``."""
-    if a.n != b.n:
-        return None
-    if a.n > cap or b.n > cap:
-        raise CapExceeded(f"isomorphism search capped at {cap} elements")
-    n = a.n
-    if n == 0:
-        return []
-    leq_a, leq_b = dense_leq(a), dense_leq(b)
-    ca, cb = _refine_pair(a, b)
-    if sorted(ca) != sorted(cb):
-        return None
-    by_colour: dict[int, list[int]] = {}
-    for y in range(n):
-        by_colour.setdefault(cb[y], []).append(y)
-    class_size = {c: len(v) for c, v in by_colour.items()}
-    order = sorted(range(n), key=lambda x: (class_size.get(ca[x], 0), ca[x], x))
-    mapping = [-1] * n
-    used = [False] * n
-    assigned: list[int] = []
-    choice_stack: list[list[int]] = []
-
-    def candidates(x):
-        out = []
-        for y in by_colour.get(ca[x], ()):
-            if used[y]:
-                continue
-            img = [mapping[z] for z in assigned]
-            if np.array_equal(leq_a[x, assigned], leq_b[y, img]) and np.array_equal(
-                leq_a[assigned, x], leq_b[img, y]
-            ):
-                out.append(y)
-        return out
-
-    depth = 0
-    choice_stack.append(candidates(order[0]))
-    while True:
-        if choice_stack[depth]:
-            x = order[depth]
-            y = choice_stack[depth].pop()
-            mapping[x] = y
-            used[y] = True
-            assigned.append(x)
-            depth += 1
-            if depth == n:
-                perm = np.array(mapping)
-                if np.array_equal(leq_a, leq_b[np.ix_(perm, perm)]):
-                    return mapping
-                # spurious full assignment: undo and continue
-                assigned.pop()
-                used[y] = False
-                mapping[x] = -1
-                depth -= 1
-                continue
-            choice_stack.append(candidates(order[depth]))
-        else:
-            choice_stack.pop()
-            depth -= 1
-            if depth < 0:
-                return None
-            x = order[depth]
-            used[mapping[x]] = False
-            mapping[x] = -1
-            assigned.pop()
-
-
 def kahn_from_covers(n, covers, labels=None) -> Poset:
     """``Poset.from_covers`` as it was before up-sets were closed as ints.
     Both place the elements by Kahn's queue (this one from the bottom, over
@@ -730,18 +574,6 @@ def row_masks(matrix) -> tuple[int, ...]:
 def dense_mx_masks(lattice: Lattice) -> tuple[int, ...]:
     """mi_above masks over positions in M: the columns of the dense order at M."""
     return row_masks(dense_leq(lattice)[:, list(lattice.M)])
-
-
-def vector_mx_masks(space: ConfigSpace) -> tuple[int, ...]:
-    """mi_above masks over positions in M from firing vectors: bit b of x is
-    set when vec(x) <= vec(M[b]) componentwise, one vectorised pass per M[b],
-    packed a byte column at a time."""
-    n = len(space.vectors)
-    vecs = np.array(space.vectors, dtype=np.int64).reshape(n, -1)
-    packed = np.zeros((n, -(-len(space.M) // 8)), dtype=np.uint8)
-    for b, m in enumerate(space.M):
-        packed[:, b >> 3] |= (vecs <= vecs[m]).all(axis=1).view(np.uint8) << (b & 7)
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def meet_table_map(lattice: Lattice, ms, space):
@@ -832,9 +664,9 @@ def paper_uld_map(lattice: Lattice, space: ConfigSpace) -> list:
 
 
 @st.composite
-def antimatroids(draw):
+def antimatroid_families(draw):
     """The union closure of the prefixes of a few words over at most 5
-    letters, an antimatroid, as a lattice of sets."""
+    letters, an antimatroid: its sets as masks, sorted by (size, value)."""
     k = draw(st.integers(1, 5))
     words = draw(st.lists(st.permutations(range(k)), min_size=1, max_size=4))
     family = {0}
@@ -843,8 +675,12 @@ def antimatroids(draw):
         for letter in word[:draw(st.integers(0, k))]:
             prefix |= 1 << letter
             family |= {prefix | member for member in family}
-    members = sorted(family, key=lambda m: (m.bit_count(), m))
-    return _family_lattice(members, members, "abcde")
+    return sorted(family, key=lambda m: (m.bit_count(), m))
+
+
+def antimatroids():
+    """``antimatroid_families`` as lattices of sets."""
+    return antimatroid_families().map(lambda members: _family_lattice(members, members, "abcde"))
 
 
 def naive_join(lattice: Lattice, x, y):
@@ -1075,23 +911,6 @@ def naive_arrow_witness_report(lattice: Lattice) -> ArrowWitnessReport:
                 up_ok = False
                 failures.append(("up", j, x))
     return ArrowWitnessReport(down_ok, updown_ok, up_ok, tuple(failures))
-
-
-def bfs_ideal_masks(poset: Poset, cap=None) -> list[int]:
-    """Ideals grown one element at a time by a breadth-first closure, sorted
-    by (size, value): the enumeration ``Poset.ideal_masks`` used before its
-    walk along a linear extension."""
-    down = poset._down_masks
-    ideals, seen = [0], {0}
-    for ideal in ideals:  # appending while iterating: a FIFO queue
-        if cap is not None and len(ideals) > cap:
-            raise CapExceeded(f"ideal family exceeds cap {cap}")
-        for x in range(poset.n):
-            bit = 1 << x
-            if not ideal & bit and down[x] & ~ideal == bit and ideal | bit not in seen:
-                seen.add(ideal | bit)
-                ideals.append(ideal | bit)
-    return sorted(ideals, key=lambda m: (bin(m).count("1"), m))
 
 
 def naive_ideals(poset: Poset):

@@ -1,0 +1,164 @@
+"""A checked-in table of mutants of ``src/chipfire`` and their runner
+(mutation analysis: DeMillo, Lipton & Sayward, 1978).
+
+A mutant replaces one exact text of one file with another, and names the
+tests that must fail on it. The runner copies ``src/``, a tests directory and
+``pyproject.toml`` to a temporary directory, applies each mutant there in
+turn, runs its tests in a subprocess and reports it caught or survived; it
+never edits the checkout. A test id that the tests directory lacks (an older
+revision named it otherwise) runs as its whole module. Exit status: 1 when a
+mutant survives; 2 when the tests fail unmutated, pytest errs, or chipfire
+was imported from anywhere but the copy. Run from the checkout::
+
+    python tests/mutants.py [--tests DIR]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "chipfire"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/chipfire
+    old: str
+    new: str
+    tests: tuple[str, ...]  # test ids, relative to the tests directory
+
+
+MUTANTS = (
+    Mutant("double-counted firing", "engine.py", "counts[v] += 1", "counts[v] += 2", (
+        "test_engine.py::test_run_to_fixpoint_funnel",
+        "test_engine.py::test_run_to_fixpoint_relay_counts")),
+    Mutant("distributive always yes", "lattice.py",
+           "return len(self.J) == len(self.M) and self.is_uld", "return True",
+           ("test_lattice.py::test_diamond_not_distributive_with_witness",)),
+    Mutant("the lowest move fired first", "engine.py",
+           "v = mask.bit_length() - 1", "v = (mask & -mask).bit_length() - 1",
+           ("test_packed_closure.py::test_game_corpus",)),
+    Mutant("first fit joining any chain", "transforms.py", " if up[c[-1]] >> x & 1), [])", "), [])",
+           ("test_path_synthesis.py::test_fixtures_booleans_and_chains",)),
+    Mutant("_antimatroid not forcing _moves", "engine.py",
+           'no walk."""\n        self._moves\n', 'no walk."""\n',
+           ("test_space_verdicts.py::test_moves_that_do_not_commute_are_an_engine_fault",)),
+    Mutant("memo shared across calls", "coloured.py",
+           "restarts={}", 'restarts=vars(ColouredCfg.enumerate_space).setdefault("memo", {})',
+           ("test_coloured.py::test_restart_memo_is_held_per_level_and_dropped",)),
+    # aimed at what a retired oracle checked: the tests named use the one kept
+    Mutant("a coloured restart firing closed vertices", "coloured.py",
+           "not opened >> u & 1 or ", "", (
+               "test_coloured.py::test_given_states_open_like_the_tuple_rule_and_build_no_game",
+               "test_coloured.py::test_many_colour_chain_games_match_the_tuple_closure")),
+    Mutant("a restarted vertex firing once, not until stable", "coloured.py",
+           "while deg <= x >> shift & mask:", "if deg <= x >> shift & mask:",
+           ("test_coloured.py::test_given_states_open_like_the_tuple_rule_and_build_no_game",)),
+    Mutant("a coloured restart pushing only its first target", "coloured.py",  # the worklist
+           "todo.extend(targets[u])", "todo.extend(targets[u][:1])",  # oracle missed it
+           ("test_coloured.py::test_enumerate_space_matches_dfs_oracle",)),
+    Mutant("a classical move needing one chip more than its degree", "engine.py",
+           "mask >= deg]", "mask > deg]",
+           ("test_engine.py::test_enumerate_space_matches_the_tuple_closure",)),
+    Mutant("a revisited state recording no cover", "engine.py",
+           "            out.append(j)",
+           "            else:\n                continue\n            out.append(j)",
+           ("test_engine.py::test_space_order_is_vector_dominance",)),
+    Mutant("the ideal cap one too lax", "lattice.py",
+           "len(ideals) > cap:\n            raise", "len(ideals) > cap + 1:\n            raise",
+           ("test_lattice.py::test_ideal_masks_match_the_powerset",)),
+    Mutant("isomorphism refused unless the colours align by index", "lattice.py",
+           "if sorted(ca) != sorted(cb):", "if ca != cb:",
+           ("test_dense_oracles.py::test_isomorphism_on_shapes_ideal_lattices_and_duals",)),
+    Mutant("an isomorphism candidate's lower images read off its up-set", "lattice.py",
+           "image(down_a[x] & assigned)", "image(up_a[x] & assigned)",
+           ("test_dense_oracles.py::test_witness_and_isomorphism_on_shuffled_copies",)),
+)
+
+
+def mutated(mutant: Mutant, text: str) -> str:
+    """``text`` with the mutant's old text replaced; it must occur once."""
+    count = text.count(mutant.old)
+    if count != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {count} times in {mutant.file}")
+    return text.replace(mutant.old, mutant.new)
+
+
+def defines_test(tests_dir: Path, test_id: str) -> bool:
+    """Whether the module of ``test_id`` defines its test function."""
+    module, _, name = test_id.partition("::")
+    path, pattern = tests_dir / module, rf"^def {re.escape(name.split('[')[0])}\("
+    return path.is_file() and re.search(pattern, path.read_text(), re.M) is not None
+
+
+# pytest's exit code, after writing where chipfire was imported from to argv[1]
+PROBE = """import sys, pytest
+code = pytest.main(sys.argv[2:])
+open(sys.argv[1], "w").write(getattr(sys.modules.get("chipfire"), "__file__", None) or "-")
+sys.exit(code)"""
+
+
+def run_tests(copy: Path, ids: list[str]) -> tuple[int, str]:
+    """Pytest's exit code on ``ids`` in ``copy``, and its output's last line.
+    The ini's ``pythonpath`` is overridden with the copy's ``src``, no
+    bytecode is cached, and a run that imported chipfire elsewhere is refused."""
+    src, where = copy / "src", copy / "imported_from"
+    where.unlink(missing_ok=True)
+    args = ["-q", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", "--rootdir", str(copy)]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, "-c", PROBE, str(where), *args, *[f"tests/{i}" for i in ids]],
+        cwd=copy, capture_output=True, text=True, env=env,
+    )
+    found = where.read_text() if where.exists() else "-"
+    if not Path(found).resolve().is_relative_to(src.resolve()):
+        raise SystemExit(f"error: the tests imported chipfire from {found}, not from {src}")
+    return result.returncode, (result.stdout + result.stderr).strip().rpartition("\n")[2]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tests", type=Path, default=ROOT / "tests", help="tests directory")
+    args = parser.parse_args(argv)
+    tests_dir = args.tests.resolve()
+    plans = [
+        (m, [i if defines_test(tests_dir, i) else i.partition("::")[0] for i in m.tests])
+        for m in MUTANTS
+    ]
+    with tempfile.TemporaryDirectory(prefix="chipfire-mutants-") as tmp:
+        copy, ignore = Path(tmp), shutil.ignore_patterns("__pycache__", ".hypothesis")
+        shutil.copytree(ROOT / "src", copy / "src", ignore=ignore)
+        shutil.copytree(tests_dir, copy / "tests", ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        code, last = run_tests(copy, sorted({i for _, ids in plans for i in ids}))
+        if code != 0:
+            print(f"error: the tests fail on the unmutated source: {last}")
+            return 2
+        verdicts = []
+        for mutant, ids in plans:
+            target = copy / "src" / "chipfire" / mutant.file
+            pristine = target.read_text()
+            target.write_text(mutated(mutant, pristine))
+            try:
+                code, last = run_tests(copy, ids)
+            finally:
+                target.write_text(pristine)
+            verdicts.append({0: "SURVIVED", 1: "caught"}.get(code, "ERROR"))
+            print(f"{verdicts[-1]:9} {mutant.name}  [{', '.join(ids)}]")
+            if code not in (0, 1):
+                print(f"          pytest exit {code}: {last}")
+    print(f"{len(plans)} mutants, {verdicts.count('caught')} caught; tests from {tests_dir}")
+    return 2 if "ERROR" in verdicts else 1 if "SURVIVED" in verdicts else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

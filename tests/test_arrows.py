@@ -11,9 +11,9 @@ from chipfire.lattice import Lattice, arrow_witness_report
 from helpers import (
     all_posets_upto,
     dense_leq,
-    dual,
     naive_arrow_relations,
     naive_arrow_witness_report,
+    with_duals,
 )
 from test_coloured import coloured_games
 from test_lattice_tables import bounded, convergent_games, random_dag_poset
@@ -24,10 +24,6 @@ def assert_matches_oracles(lat):
     report = arrow_witness_report(lat)
     assert report == naive_arrow_witness_report(lat), lat.labels
     return report
-
-
-def with_duals(lattices):
-    return [each for lat in lattices for each in (lat, dual(lat))]
 
 
 def test_corpora_and_duals(space_corpus, coloured_space_corpus, distributive_corpus):

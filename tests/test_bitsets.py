@@ -10,8 +10,8 @@ verdict, error text, joins and meets. The
 meet-irreducible coding ``Lattice._mx_masks``, read off the upper covers of a
 ``Lattice`` and, by the same member, off the checked covers of a
 ``ConfigSpace``, is compared with the columns of the dense order
-(``dense_mx_masks``) and with the compared firing vectors
-(``vector_mx_masks``).
+(``dense_mx_masks``); ``test_space_order_is_vector_dominance`` checks the
+order of firing vectors.
 """
 
 import itertools
@@ -36,7 +36,6 @@ from helpers import (
     naive_join,
     naive_meet,
     naive_not_a_lattice_message,
-    vector_mx_masks,
 )
 from test_coloured import coloured_games
 from test_lattice_tables import bounded, convergent_games
@@ -177,7 +176,7 @@ def assert_codes_match(lat, space=None):
     for each in (lat, dual(lat)):
         assert each._mx_masks == dense_mx_masks(each), each.labels
     if space is not None:
-        assert space._mx_masks == vector_mx_masks(space) == lat._mx_masks
+        assert space._mx_masks == dense_mx_masks(space) == lat._mx_masks
 
 
 def test_codes_on_corpora(space_corpus, coloured_space_corpus):

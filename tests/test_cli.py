@@ -3,7 +3,6 @@ import random
 import subprocess
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -13,11 +12,7 @@ from chipfire.cli import build_parser, main
 from chipfire.formats import parse_game_file, serialize_game
 from chipfire.multigraph import Multigraph
 
-from helpers import replaying_simplify
-
-
-def data_path(name):
-    return str(resources.files("chipfire.data").joinpath(name))
+from helpers import data_path, replaying_simplify
 
 
 def write(tmp_path, name, text):

@@ -24,16 +24,15 @@ from chipfire.transforms import coloured_from_uld, simplify
 
 import helpers
 from helpers import (
-    coloured_tuple_space,
     dfs_coloured_reachable,
+    full_scan_firable,
+    full_scan_open,
+    full_scan_openable,
     full_scan_space,
     paper_coloured_from_uld,
     random_coloured_game,
+    v,
 )
-
-
-def v(game, name):
-    return game.graph.vertex(name)
 
 
 def chips_of(game, state, name, colour):
@@ -109,7 +108,6 @@ def test_given_states_open_like_the_tuple_rule_and_build_no_game(monkeypatch):
     built = []
     monkeypatch.setattr(ColouredCfg, "__post_init__", lambda self: built.append(self))
     for game in games:
-        index = helpers.colour_index(game)
         for _ in range(20):
             n = game.graph.n
             chips = tuple(
@@ -117,17 +115,14 @@ def test_given_states_open_like_the_tuple_rule_and_build_no_game(monkeypatch):
             )
             opened = frozenset(x for x in range(n) if rng.random() < 0.3)
             state = ColouredState(chips, opened)
-            unstable = [
-                x for x in sorted(opened) if any(d <= chips[ci][x] for ci, d in index[x])
-            ]
-            if unstable:
+            if full_scan_firable(game, state) & opened:
                 with pytest.raises(ValueError, match="^open vertex .* can still fire in colour"):
                     game.openable(state)
                 continue
-            openable = helpers.worklist_openable(game, state)
+            openable = full_scan_openable(game, state)
             assert game.openable(state) == openable
             for x in sorted(openable):
-                assert game.open_vertex(state, x) == helpers.worklist_open(game, state, x)
+                assert game.open_vertex(state, x) == full_scan_open(game, state, x)
     assert built == []
 
 
@@ -480,7 +475,7 @@ def test_stabilize_cap_bound_and_message(monkeypatch):
     # colour 1 on a looped vertex with a drain: 10 chips fire 9 times
     graph = ColouredMultigraph(("a", "s"), {1: {(0, 0): 1, (0, 1): 1}})
     game = ColouredCfg(graph, {1: (10, 0)})
-    enumerators = (ColouredCfg.enumerate_space, full_scan_space, coloured_tuple_space)
+    enumerators = (ColouredCfg.enumerate_space, full_scan_space)
     monkeypatch.setattr(coloured, "_STABILIZE_CAP", 9)
     assert {enumerate_(game).configs for enumerate_ in enumerators} == {(((10, 0),), ((1, 9),))}
     monkeypatch.setattr(coloured, "_STABILIZE_CAP", 8)
@@ -509,19 +504,17 @@ def test_every_colour_block_sits_at_bit_0_and_no_delta_is_wider(coloured_corpus)
 
 
 def test_a_long_chain_game_holds_each_colour_in_its_own_block():
-    # all blocks packed into one int per state, with each delta as wide as
-    # every block below its own, peaked at 46 MB; an int per block at 23 MB
-    lattice = Lattice.chain(150)  # the paper's game: 149 colours
-    space, _, peak = helpers.peak_traced(lambda: paper_coloured_from_uld(lattice).enumerate_space())
+    # the game is built untraced; its enumeration, layout included, peaks at
+    # 4.6 MB with an int per block, and at 27 MB with all blocks packed into
+    # one int per state, each delta as wide as every block below its own
+    game = paper_coloured_from_uld(Lattice.chain(150))  # 149 colours
+    space, _, peak = helpers.peak_traced(game.enumerate_space)
     assert len(space) == 150
-    assert peak < 32_000_000
+    assert peak < 8_000_000
 
 
 def test_many_colour_chain_games_match_the_tuple_closure():
     for k in range(2, 41):
         game = paper_coloured_from_uld(Lattice.chain(k))
         assert len(game.colours) == k - 1
-        space, oracle = game.enumerate_space(), coloured_tuple_space(game)
-        assert space.vectors == oracle.vectors
-        assert space.configs == oracle.configs
-        assert tuple(space.covers) == tuple(oracle.covers)
+        assert_matches_full_scan(game, game.enumerate_space())

@@ -19,7 +19,6 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
-from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +32,7 @@ from chipfire.lattice import Lattice, Poset, ideal_lattice, is_isomorphic
 from chipfire.multigraph import Multigraph
 
 from helpers import (
+    data_path,
     meet_table_map,
     pair_set_hasse_isomorphism,
     paper_arrow_classes,
@@ -40,10 +40,6 @@ from helpers import (
     paper_uld_map,
 )
 from test_lattice_tables import convergent_games
-
-
-def data_path(name):
-    return str(resources.files("chipfire.data").joinpath(name))
 
 
 def synth_check(lattice, mode):

@@ -7,11 +7,7 @@ from chipfire.errors import StateCapExceeded, StepCapExceeded
 from chipfire.fixtures import funnel_game, relay_chain_game
 from chipfire.multigraph import Multigraph
 
-from helpers import all_firing_sequences, dfs_reachable, random_convergent_game
-
-
-def v(game, name):
-    return game.graph.vertex(name)
+from helpers import all_firing_sequences, random_convergent_game, tuple_space, v
 
 
 def test_firable_funnel_initial():
@@ -152,17 +148,15 @@ def test_enumerate_space_funnel():
         assert delta[fired] == 1
 
 
-def test_enumerate_space_matches_dfs_oracle():
+def test_enumerate_space_matches_the_tuple_closure():
     rng = random.Random(29)
     for _ in range(40):
         game = random_convergent_game(rng)
-        space = game.enumerate_space()
-        vectors, finals = dfs_reachable(game)
-        assert len(space) == len(vectors)
-        assert set(space.configs) == set(vectors)
-        assert {space.vectors[i] for i in range(len(space))} == set(vectors.values())
-        assert len(finals) == 1
-        assert space.configs[space.top] in finals
+        space, oracle = game.enumerate_space(), tuple_space(game)
+        assert space.vectors == oracle.vectors
+        assert space.configs == oracle.configs
+        assert tuple(space.covers) == tuple(oracle.covers)
+        assert space.configs[space.top] == game.run_to_fixpoint().final
 
 
 def test_enumerate_space_zero_chips():

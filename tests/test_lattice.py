@@ -18,7 +18,6 @@ from chipfire.lattice import (
 
 from helpers import (
     all_posets_upto,
-    bfs_ideal_masks,
     dense_leq,
     naive_distributive,
     naive_ideals,
@@ -369,29 +368,32 @@ def test_topo_order_is_a_linear_extension(distributive_corpus, space_corpus, col
         assert_linear_extension(space.lattice())
 
 
-def assert_ideal_masks_match_bfs(poset):
-    expected = bfs_ideal_masks(poset)
-    assert poset.ideal_masks() == expected
+def assert_ideal_masks_match_the_powerset(poset):
+    """All ideals, sorted by (size, value), with or without a cap of their
+    count, and refused at one less."""
+    masks = [sum(1 << x for x in ideal) for ideal in naive_ideals(poset)]
+    expected = sorted(masks, key=lambda m: (bin(m).count("1"), m))
     count = len(expected)
-    assert poset.ideal_masks(cap=count) == bfs_ideal_masks(poset, cap=count)
-    for walk in (poset.ideal_masks, lambda cap: bfs_ideal_masks(poset, cap)):
-        with pytest.raises(CapExceeded, match=f"^ideal family exceeds cap {count - 1}$"):
-            walk(count - 1)
+    assert poset.ideal_masks() == expected
+    assert poset.ideal_masks(cap=count) == expected
+    with pytest.raises(CapExceeded, match=f"^ideal family exceeds cap {count - 1}$"):
+        poset.ideal_masks(cap=count - 1)
 
 
-def test_ideal_masks_match_the_breadth_first_closure():
+def test_ideal_masks_match_the_powerset():
     for poset in all_posets_upto(4) + [Poset(np.eye(8, dtype=bool))]:
-        assert_ideal_masks_match_bfs(poset)
+        assert_ideal_masks_match_the_powerset(poset)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(0, 9))
-def test_ideal_masks_match_the_breadth_first_closure_on_random_dags(seed, n):
+def test_ideal_masks_match_the_powerset_on_random_dags(seed, n):
     rng = random.Random(seed)
     poset = random_dag_poset(rng, n)
     # shuffled, so that index order need not be a linear extension
     perm = rng.sample(range(n), n)
-    assert_ideal_masks_match_bfs(Poset(dense_leq(poset)[np.ix_(perm, perm)], _checked=True))
+    shuffled = Poset(dense_leq(poset)[np.ix_(perm, perm)], _checked=True)
+    assert_ideal_masks_match_the_powerset(shuffled)
 
 
 def test_ideal_lattice_always_distributive():

@@ -23,6 +23,7 @@ after every verdict of ``chipfire check`` no pair tuple is stored beside them.
 import itertools
 import sys
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,11 +35,14 @@ from chipfire.lattice import Lattice, Poset, arrow_witness_report, ideal_lattice
 from chipfire.transforms import coloured_from_uld
 
 from helpers import (
+    antimatroid_families,
     antimatroids,
     assert_adjacencies_match,
     dense_leq,
     keyword_parse_lattice,
     naive_arrow_witness_report,
+    naive_cover_pairs,
+    naive_not_a_lattice_message,
     peak_traced,
 )
 
@@ -281,3 +285,21 @@ def test_a_parsed_lattice_keeps_only_its_upper_covers():
                 order.arrow_partition()
             arrow_witness_report(order)
             assert "cover_pairs" not in vars(order), order.labels
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(antimatroid_families(), st.data())
+def test_certificate_on_an_antimatroid_with_one_set_dropped_or_added(family, data):
+    """By inclusion, from its true covers, shuffled: the scan's verdict and text."""
+    toggled = data.draw(st.sampled_from(family) | st.integers(0, 31))  # a set dropped or added
+    masks = data.draw(st.permutations(sorted(set(family) ^ {toggled})))
+    n, labels = len(masks), [format(m, "05b") for m in masks]
+    leq = np.array([[a & ~b == 0 for b in masks] for a in masks], dtype=bool).reshape(n, n)
+    poset = Poset(leq, labels=labels, _checked=True)
+    expected = naive_not_a_lattice_message(poset) if n else "not a lattice: empty element set"
+    try:
+        Lattice.from_covers(n, naive_cover_pairs(leq), labels=labels)
+    except NotALatticeError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None

@@ -28,11 +28,11 @@ from chipfire.multigraph import Multigraph
 from helpers import (
     all_posets_upto,
     dense_leq,
-    dual,
     naive_distributive,
     naive_join,
     naive_meet,
     naive_not_a_lattice_message,
+    with_duals,
 )
 
 # the scanning oracles cost about n^4; larger lattices get the triple law only
@@ -47,10 +47,6 @@ def assert_matches_oracles(lat):
                 assert lat.meet(x, y) == naive_meet(lat, x, y), (lat.labels, x, y)
         assert lat.is_distributive == naive_distributive(lat), lat.labels
     assert lat.is_distributive == (lat.distributivity_witness() is None), lat.labels
-
-
-def with_duals(lattices):
-    return [each for lat in lattices for each in (lat, dual(lat))]
 
 
 def test_stock_shapes_and_duals():

@@ -5,9 +5,9 @@
 ``ColouredCfg.enumerate_space`` each coloured state as a tuple of ints, one
 chip block per colour and the open-set mask.
 ``helpers.tuple_space`` runs the same breadth-first closure on tuples, with
-successors read off the edge multiplicities alone; ``helpers.coloured_tuple_space``
-runs it on ``ColouredState``s of chip tuples, with the worklist opening rule on
-tuples. Both sides must give the same vectors, configurations and covers,
+successors read off the edge multiplicities alone; ``helpers.full_scan_space``
+runs it on ``ColouredState``s of chip tuples, with the full-scan opening rule
+on tuples. Both sides must give the same vectors, configurations and covers,
 and, past a cap or on a faulty game, the same exception and text.
 
 The closure hands a space its covers as each state's upper covers and its
@@ -34,8 +34,8 @@ from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import coloured_from_uld
 
 from helpers import (
-    coloured_tuple_parts,
-    coloured_tuple_space,
+    full_scan_parts,
+    full_scan_space,
     grouped_by_state,
     grouped_space,
     sand_pile_text,
@@ -84,7 +84,7 @@ def test_a_larger_upper_cover_fires_a_smaller_vertex(game_corpus, coloured_corpu
     # vertex 0 is the most significant field of a firing vector, so the
     # closure's successor lists, reversed, are upper covers in canonical order
     games = game_corpus + [parse_game(sand_pile_text(28))]
-    parts = [tuple_parts(g) for g in games] + [coloured_tuple_parts(g) for g in coloured_corpus]
+    parts = [tuple_parts(g) for g in games] + [full_scan_parts(g) for g in coloured_corpus]
     for _, _, covers in parts:
         assert_fired_vertices_descend(covers)
     wide = Cfg(Multigraph.from_edges("abcdt", [(v, "t", 1) for v in "abcd"]), (1, 1, 1, 1, 0))
@@ -162,7 +162,7 @@ def test_cyclic_game_failures_are_the_closure_checks():
 
 
 def assert_same_coloured_space(game, state_cap=None):
-    space, parts = game.enumerate_space(state_cap), coloured_tuple_parts(game, state_cap)
+    space, parts = game.enumerate_space(state_cap), full_scan_parts(game, state_cap)
     assert space.vectors == parts[0]
     assert space.configs == parts[1]
     assert_same_covers(space, game.graph.names, parts)
@@ -217,9 +217,9 @@ def test_zero_chip_coloured_games():
 @pytest.mark.parametrize("cap", range(8))
 def test_capped_coloured_games_fail_alike(cap, coloured_corpus):
     for game in [shared_gate_game(), split_track_game()] + coloured_corpus[:20]:
-        if len(coloured_tuple_space(game)) > cap:
+        if len(full_scan_space(game)) > cap:
             with pytest.raises(StateCapExceeded, match=f"^state space exceeds cap {cap}$"):
-                coloured_tuple_space(game, cap)
+                full_scan_space(game, cap)
             with pytest.raises(StateCapExceeded, match=f"^state space exceeds cap {cap}$"):
                 game.enumerate_space(cap)
         else:

@@ -10,8 +10,6 @@ with no vertices. The structural tests pin what the writers leave out: no
 cover triples, one escape per name or label, and no labels without ``--dot``.
 """
 
-from importlib import resources
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,13 +27,9 @@ from chipfire.fixtures import (
 from chipfire.formats import lattice_to_dot, parse_game, space_to_dot
 from chipfire.multigraph import Multigraph
 
-from helpers import oracle_labels, oracle_space_to_dot
+from helpers import data_path, oracle_labels, oracle_space_to_dot
 from test_coloured import coloured_games
 from test_lattice_tables import convergent_games
-
-
-def data_path(name):
-    return str(resources.files("chipfire.data").joinpath(name))
 
 
 def is_counted(space):

@@ -12,20 +12,17 @@ tracer is used as it is, not changed.
 
 import importlib
 import sys
-from importlib import resources
 from pathlib import Path
 
 from chipfire import cli
 from chipfire.coloured import ColouredCfg
 from chipfire.engine import Cfg
 
+from helpers import data_path
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 from chipbench.tracer import TARGETS, Tracer  # noqa: E402
-
-
-def data_path(name):
-    return str(resources.files("chipfire.data").joinpath(name))
 
 
 def test_every_tracer_target_resolves():

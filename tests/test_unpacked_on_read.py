@@ -15,8 +15,6 @@ The differential tests compare the lazy tuples with ``helpers.tuple_closure``'s
 own, read before or after every other reader of a space.
 """
 
-from importlib import resources
-
 import pytest
 from hypothesis import given, settings
 
@@ -34,13 +32,9 @@ from chipfire.formats import serialize_lattice
 from chipfire.lattice import Lattice
 from chipfire.transforms import interval_cfg
 
-from helpers import coloured_tuple_parts, coloured_tuple_space, tuple_parts, tuple_space
+from helpers import data_path, full_scan_parts, full_scan_space, tuple_parts, tuple_space
 from test_coloured import coloured_games
 from test_lattice_tables import convergent_games
-
-
-def data_path(name):
-    return str(resources.files("chipfire.data").joinpath(name))
 
 
 def refuse(*args, **kwargs):
@@ -207,7 +201,7 @@ def test_corpus_spaces_unpack_on_read(game_corpus):
 
 def test_coloured_corpus_spaces_unpack_on_read(coloured_corpus):
     for game in coloured_corpus + [shared_gate_game(), split_track_game()]:
-        vectors, configs, _ = coloured_tuple_parts(game)
+        vectors, configs, _ = full_scan_parts(game)
         assert_unpacked_on_read(game, vectors, configs)
 
 
@@ -221,7 +215,7 @@ def test_generated_spaces_unpack_on_read(game):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(coloured_games())
 def test_generated_coloured_spaces_unpack_on_read(game):
-    vectors, configs, _ = coloured_tuple_parts(game)
+    vectors, configs, _ = full_scan_parts(game)
     assert_unpacked_on_read(game, vectors, configs)
 
 
@@ -229,7 +223,7 @@ def test_the_oracle_space_is_seeded_through_the_one_constructor(game_corpus, col
     # grouped_space seeds vectors and configs with its own tuples, and packs
     # its firing vectors by the engine's layout for len and height
     for game, oracle in [(g, tuple_space(g)) for g in game_corpus] + [
-        (g, coloured_tuple_space(g)) for g in coloured_corpus
+        (g, full_scan_space(g)) for g in coloured_corpus
     ]:
         space = game.enumerate_space()
         assert oracle.packed_vectors == space.packed_vectors
