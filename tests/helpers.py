@@ -1,33 +1,37 @@
 """Shared oracles and corpus generators for the test suite: one independent
 oracle per concept, each written apart from the library code it checks.
 
-- firing: ``tuple_successors`` and ``_fire_in_place``, read off the edge
-  multiplicities alone; ``all_firing_sequences``
+- firing: ``_fire_in_place`` and ``tuple_successors``, read off the edge
+  multiplicities alone; firing orders: ``all_firing_sequences``
 - classical closure: ``tuple_space``, ``tuple_closure`` on tuples
 - coloured opening rule and closure: ``full_scan_open`` (every colour replayed
-  over every open vertex after every firing) and ``full_scan_space``;
-  ``dfs_coloured_reachable`` through the public ``openable``/``open_vertex``
+  over every open vertex after every firing) and ``full_scan_space``
 - cover rows: ``grouped_space``; the cube of moves: ``cube_walk_witness``
-- split and simplify: ``rebuilding_split_vertex``, ``replaying_simplify``
-- Sand Pile Model: ``sand_pile_heights``, the grain move on height vectors
-- shot labels and DOT: ``oracle_labels``, ``oracle_space_to_dot``
 - order: ``dense_leq``, ``kahn_from_covers``, ``naive_cover_pairs``
 - join and meet: ``naive_join``, ``naive_meet``, ``naive_not_a_lattice_message``
 - distributivity: ``naive_distributive``, ``dense_distributivity_witness``
+- ULD detectors: none here; the cube and cover-step detectors of
+  ``Lattice.uld_detectors`` check each other on every corpus
 - irreducible codes: ``dense_mx_masks``, columns of the dense order
 - arrows: ``naive_arrow_relations``, ``naive_arrow_witness_report``
 - ideals: ``naive_ideals``, the powerset; set families:
   ``dense_union_closed_lattice``, ``dense_ideal_quotient``
-- lattice files: ``keyword_parse_lattice``
-- construction maps: ``meet_table_map``, ``pair_set_hasse_isomorphism``
-- coloured synthesis: ``paper_coloured_from_uld``, ``paper_uld_map``
+- parsing lattice files: ``keyword_parse_lattice``
+- shot labels and DOT: ``oracle_labels``, ``oracle_space_to_dot``
+- split and simplify: ``rebuilding_split_vertex``, ``replaying_simplify``
+- Sand Pile Model: ``sand_pile_heights``, the grain move on height vectors
+- construction maps: ``meet_table_map``, ``pair_set_hasse_isomorphism``;
+  coloured synthesis: ``paper_coloured_from_uld``, ``paper_uld_map``
 
 No oracle imports a private function or class of ``chipfire.engine`` or
 ``chipfire.coloured`` (``tests/test_oracle_imports.py``). The dense order and
 tables are filled one public ``le``, ``join`` or ``meet`` per cell. Isomorphism
 has no oracle here: ``find_isomorphism`` is one, which no command runs, and
 each mapping it returns is checked by ``transforms.is_hasse_isomorphism``.
-``tests/mutants.py`` holds the mutants that the tests using them must catch.
+Each input family meets its closure oracle in one test, all of them in
+``tests/test_packed_closure.py``. An oracle or a test is retired only with a
+row of ``tests/mutants.py`` aimed at what it checked, which the tests kept
+must catch (``python tests/mutants.py``).
 """
 
 from __future__ import annotations
@@ -82,36 +86,6 @@ def with_duals(lattices):
 
 
 # independent dynamics oracles
-
-
-def dfs_coloured_reachable(game: ColouredCfg, cap=200_000):
-    """Depth-first closure of a coloured game's open-sets, through the public
-    ``openable`` / ``open_vertex`` only.
-
-    ``open_vertex`` runs the same worklist stabilizer as enumeration, so this
-    checks the closure, not the opening rule; ``full_scan_space`` is the
-    oracle for that.
-
-    Returns (chips, covers): open-set -> per-colour chips, and the set of
-    labelled covers (open-set, opened vertex, next open-set). Asserts the chip
-    content is unique per open-set.
-    """
-    start = game.initial_state()
-    chips = {start.opened: start.chips}
-    covers = set()
-    stack = [start]
-    while stack:
-        state = stack.pop()
-        for v in sorted(game.openable(state), reverse=True):
-            nxt = game.open_vertex(state, v)
-            covers.add((state.opened, v, nxt.opened))
-            if nxt.opened in chips:
-                assert chips[nxt.opened] == nxt.chips, "chips not unique per open-set"
-            else:
-                chips[nxt.opened] = nxt.chips
-                assert len(chips) <= cap
-                stack.append(nxt)
-    return chips, covers
 
 
 def _fire_in_place(chips: list, graph: Multigraph, v: int) -> None:

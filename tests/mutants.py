@@ -64,11 +64,13 @@ MUTANTS = (
            "while deg <= x >> shift & mask:", "if deg <= x >> shift & mask:",
            ("test_coloured.py::test_given_states_open_like_the_tuple_rule_and_build_no_game",)),
     Mutant("a coloured restart pushing only its first target", "coloured.py",  # the worklist
-           "todo.extend(targets[u])", "todo.extend(targets[u][:1])",  # oracle missed it
-           ("test_coloured.py::test_enumerate_space_matches_dfs_oracle",)),
+           "todo.extend(targets[u])", "todo.extend(targets[u][:1])", (  # oracle missed it
+               "test_coloured.py::test_given_states_open_like_the_tuple_rule_and_build_no_game",
+               "test_packed_closure.py::test_coloured_corpus",
+               "test_packed_closure.py::test_generated_coloured_games")),
     Mutant("a classical move needing one chip more than its degree", "engine.py",
            "mask >= deg]", "mask > deg]",
-           ("test_engine.py::test_enumerate_space_matches_the_tuple_closure",)),
+           ("test_packed_closure.py::test_game_corpus",)),
     Mutant("a revisited state recording no cover", "engine.py",
            "            out.append(j)",
            "            else:\n                continue\n            out.append(j)",
@@ -82,6 +84,17 @@ MUTANTS = (
     Mutant("an isomorphism candidate's lower images read off its up-set", "lattice.py",
            "image(down_a[x] & assigned)", "image(up_a[x] & assigned)",
            ("test_dense_oracles.py::test_witness_and_isomorphism_on_shuffled_copies",)),
+    # path synthesis
+    Mutant("a path walk ignoring its join-irreducible", "transforms.py", " if up[h] >> j & 1", "",
+           ("test_path_synthesis.py::test_fixtures_booleans_and_chains",)),
+    Mutant("a path label one bit short", "transforms.py",
+           ".bit_length() - 1", ".bit_length() - 2",
+           ("test_path_synthesis.py::test_fixtures_booleans_and_chains",)),
+    Mutant("a path with no edge to the sink", "transforms.py", "path[1:] + [bot]", "path[1:]",
+           ("test_path_synthesis.py::test_fixtures_booleans_and_chains",)),
+    Mutant("an ideal path step not subtracting the held down-set", "transforms.py",
+           "(hi & ~lo) >> x & 1", "hi >> x & 1",
+           ("test_path_synthesis.py::test_ideal_lattices",)),
 )
 
 

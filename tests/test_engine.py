@@ -7,7 +7,7 @@ from chipfire.errors import StateCapExceeded, StepCapExceeded
 from chipfire.fixtures import funnel_game, relay_chain_game
 from chipfire.multigraph import Multigraph
 
-from helpers import all_firing_sequences, random_convergent_game, tuple_space, v
+from helpers import all_firing_sequences, random_convergent_game, v
 
 
 def test_firable_funnel_initial():
@@ -146,17 +146,6 @@ def test_enumerate_space_funnel():
         delta = [b - a for a, b in zip(space.vectors[lo], space.vectors[hi])]
         assert sorted(delta) == [0] * (len(delta) - 1) + [1]
         assert delta[fired] == 1
-
-
-def test_enumerate_space_matches_the_tuple_closure():
-    rng = random.Random(29)
-    for _ in range(40):
-        game = random_convergent_game(rng)
-        space, oracle = game.enumerate_space(), tuple_space(game)
-        assert space.vectors == oracle.vectors
-        assert space.configs == oracle.configs
-        assert tuple(space.covers) == tuple(oracle.covers)
-        assert space.configs[space.top] == game.run_to_fixpoint().final
 
 
 def test_enumerate_space_zero_chips():

@@ -1,4 +1,5 @@
-"""The packed closures against the tuple closures they replaced.
+"""The packed closures against the tuple closures they replaced: the one
+place where each input family meets its closure oracle.
 
 ``engine._closure`` keeps each firing vector as one int,
 ``Cfg.enumerate_space`` each configuration as one int and
@@ -9,6 +10,17 @@ successors read off the edge multiplicities alone; ``helpers.full_scan_space``
 runs it on ``ColouredState``s of chip tuples, with the full-scan opening rule
 on tuples. Both sides must give the same vectors, configurations and covers,
 and, past a cap or on a faulty game, the same exception and text.
+
+- classical games: the 200-game corpus, whose top must also be
+  ``run_to_fixpoint``'s final configuration (``test_game_corpus``);
+  ``convergent_games()`` draws, plain and scaled past 2^64; chip totals past
+  2^64; games with no chips or no vertices; capped games
+- coloured games: the 100-game corpus with ``shared_gate_game`` and
+  ``split_track_game`` (``test_coloured_corpus``); ``coloured_games()``
+  draws (``test_generated_coloured_games``); ``coloured_from_uld`` on
+  boolean 2^1-2^10 and the gated cube (``test_uld_games``); chip totals past
+  2^64; games with no chips or no colours; capped games. Every coloured
+  firing vector is in {0, 1}: a vertex opens once.
 
 The closure hands a space its covers as each state's upper covers and its
 mask of moves, with no sorted triple. So the space's ``covers``,
@@ -71,6 +83,7 @@ def assert_same_space(game, state_cap=None):
     assert space.configs == parts[1]
     assert_same_covers(space, game.graph.names, parts)
     assert all(type(c) is int for conf in space.configs for c in conf)
+    return space
 
 
 def assert_same_failure(game, state_cap):
@@ -94,7 +107,8 @@ def test_a_larger_upper_cover_fires_a_smaller_vertex(game_corpus, coloured_corpu
 
 def test_game_corpus(game_corpus):
     for game in game_corpus:
-        assert_same_space(game)
+        space = assert_same_space(game)
+        assert space.configs[space.top] == game.run_to_fixpoint().final
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -167,10 +181,11 @@ def assert_same_coloured_space(game, state_cap=None):
     assert space.configs == parts[1]
     assert_same_covers(space, game.graph.names, parts)
     assert all(type(c) is int for chips in space.configs for conf in chips for c in conf)
+    assert all(set(vec) <= {0, 1} for vec in space.vectors)  # each vertex opens once
 
 
 def test_coloured_corpus(coloured_corpus):
-    for game in coloured_corpus:
+    for game in coloured_corpus + [shared_gate_game(), split_track_game()]:
         assert_same_coloured_space(game)
 
 
