@@ -9,7 +9,8 @@ oracle per concept, each written apart from the library code it checks.
 - cover rows: ``grouped_space``; the cube of moves: ``cube_walk_witness``
 - order: ``dense_leq``, ``kahn_from_covers``, ``naive_cover_pairs``
 - join and meet: ``naive_join``, ``naive_meet``, ``naive_not_a_lattice_message``
-- distributivity: ``naive_distributive``, ``dense_distributivity_witness``
+- distributivity: ``dense_distributivity_witness``, the triple law on the
+  dense tables
 - ULD detectors: none here; the cube and cover-step detectors of
   ``Lattice.uld_detectors`` check each other on every corpus
 - irreducible codes: ``dense_mx_masks``, columns of the dense order
@@ -29,22 +30,31 @@ tables are filled one public ``le``, ``join`` or ``meet`` per cell. Isomorphism
 has no oracle here: ``find_isomorphism`` is one, which no command runs, and
 each mapping it returns is checked by ``transforms.is_hasse_isomorphism``.
 Each input family meets its closure oracle in one test, all of them in
-``tests/test_packed_closure.py``. An oracle or a test is retired only with a
+``tests/test_packed_closure.py``, and the oracles of the lattice layer,
+through ``assert_lattice_layer``, in one test, all of them in
+``tests/test_lattice_tables.py``. An oracle or a test is retired only with a
 row of ``tests/mutants.py`` aimed at what it checked, which the tests kept
 must catch (``python tests/mutants.py``).
+
+The input generators live here too, so that no test module imports another:
+the seeded random games, the hypothesis strategies ``convergent_games``,
+``coloured_games``, ``posets`` and ``antimatroids``, and the builders
+``random_dag_poset``, ``bounded``, ``wide_text`` and ``all_posets``.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 import tracemalloc
 import weakref
 from collections import deque
 from importlib import resources
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, permutations, product
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from chipfire import coloured, transforms
@@ -63,6 +73,7 @@ from chipfire.lattice import (
     Lattice,
     Poset,
     _family_lattice,
+    arrow_witness_report,
 )
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import SplitReport
@@ -402,7 +413,11 @@ def sand_pile_heights(n: int) -> set[tuple[int, ...]]:
 
 def peak_traced(run):
     """``run()``'s result, the bytes tracemalloc finds still held when it
-    returns (the result included) and the peak bytes on the way."""
+    returns (the result included) and the peak bytes on the way. A full
+    collection first empties the free lists that earlier code filled: an
+    object taken from one is not traced, so both counts would depend on
+    what ran before."""
+    gc.collect()
     tracemalloc.start()
     try:
         result = run()
@@ -830,18 +845,6 @@ def dual(lattice: Lattice) -> Lattice:
     return Lattice(dense_leq(lattice).T, labels=lattice.labels, _checked=True)
 
 
-def naive_distributive(lattice: Lattice) -> bool:
-    n = lattice.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = lattice.meet(x, lattice.join(y, z))
-                rhs = lattice.join(lattice.meet(x, y), lattice.meet(x, z))
-                if lhs != rhs:
-                    return False
-    return True
-
-
 def naive_arrow_relations(lattice: Lattice) -> ArrowRelations:
     """The arrow relations by a loop over J x M."""
     down, up = set(), set()
@@ -861,15 +864,16 @@ def naive_arrow_relations(lattice: Lattice) -> ArrowRelations:
 def naive_arrow_witness_report(lattice: Lattice) -> ArrowWitnessReport:
     """The arrow witness report by loops over M x n x J and J x n x M."""
     arrows = naive_arrow_relations(lattice)
+    leq = dense_leq(lattice)
     uld = lattice.is_uld
     failures = []
     down_ok = True
     updown_ok = True if uld else None
     for m in lattice.M:
         for x in range(lattice.n):
-            if lattice.le(x, m):
+            if leq[x, m]:
                 continue
-            witnesses = [j for j in lattice.J if lattice.le(j, x) and (j, m) in arrows.down]
+            witnesses = [j for j in lattice.J if leq[j, x] and (j, m) in arrows.down]
             if not witnesses:
                 down_ok = False
                 failures.append(("down", x, m))
@@ -879,12 +883,72 @@ def naive_arrow_witness_report(lattice: Lattice) -> ArrowWitnessReport:
     up_ok = True
     for j in lattice.J:
         for x in range(lattice.n):
-            if lattice.le(j, x):
+            if leq[j, x]:
                 continue
-            if not any(lattice.le(x, m) and (j, m) in arrows.up for m in lattice.M):
+            if not any(leq[x, m] and (j, m) in arrows.up for m in lattice.M):
                 up_ok = False
                 failures.append(("up", j, x))
     return ArrowWitnessReport(down_ok, updown_ok, up_ok, tuple(failures))
+
+
+# the lattice layer, each concept against its one oracle
+
+SCAN_MAX = 40  # the scanning join and meet oracles cost about n^4
+DENSE_MAX = 256  # the dense oracles and a space's queries per pair cost n^2 calls and more
+
+
+def assert_lattice_layer(lat: Lattice, space: ConfigSpace | None = None) -> None:
+    """Each concept of the lattice layer against its one oracle, on ``lat``
+    and on ``dual(lat)``: joins and meets against ``naive_join`` and
+    ``naive_meet`` (at most ``SCAN_MAX`` elements); the distributivity
+    verdict and first witness against ``dense_distributivity_witness``;
+    ``_mx_masks`` against ``dense_mx_masks``; the arrow partition against
+    the up-down arrows; ``arrow_relations`` and ``arrow_witness_report``
+    against the loops over J x M. Past ``DENSE_MAX`` elements none of these
+    runs. Given the ``space`` that ``lat`` views, every verdict and query
+    the space reads off its firing vectors and moves must equal the
+    lattice's, and its moves must span a cube at every state
+    (``cube_walk_witness``)."""
+    for each in (lat, dual(lat)) if lat.n <= DENSE_MAX else ():
+        if each.n <= SCAN_MAX:
+            for x, y in product(range(each.n), repeat=2):
+                assert each.join(x, y) == naive_join(each, x, y), (each.labels, x, y)
+                assert each.meet(x, y) == naive_meet(each, x, y), (each.labels, x, y)
+        witness = each.distributivity_witness()
+        assert witness == dense_distributivity_witness(each), each.labels
+        assert each.is_distributive == (witness is None), each.labels
+        assert each._mx_masks == dense_mx_masks(each), each.labels
+        arrows = naive_arrow_relations(each)
+        assert each.arrow_relations == arrows, each.labels
+        assert arrow_witness_report(each) == naive_arrow_witness_report(each), each.labels
+        if each.is_uld:
+            partner = each.arrow_partition().partner
+            assert arrows.updown == {(j, partner[j]) for j in each.J}, each.labels
+        else:
+            with pytest.raises(ValueError):
+                each.arrow_partition()
+    if space is None:
+        return
+    for rule in ("cover_pairs", "_upper_covers", "J", "M", "_mx_masks", "is_ranked", "height",
+                 "uld_detectors", "is_uld", "is_distributive", "_up_masks", "_down_masks",
+                 "_rank_info", "cover_labels", "_arrows", "arrow_relations"):
+        assert getattr(space, rule) == getattr(lat, rule), rule
+    for rule in ("_hypercube_witness", "_cover_step_witness", "arrow_partition", "edge_labels"):
+        assert getattr(space, rule)() == getattr(lat, rule)(), rule
+    assert arrow_witness_report(space) == arrow_witness_report(lat)
+    # the commuting check stands in for the subset walk it replaced
+    assert space._hypercube_witness() is None and cube_walk_witness(space) is None
+    for x in range(space.n):
+        assert space.ji_below(x) == lat.ji_below(x) and space.mi_above(x) == lat.mi_above(x), x
+    if space.n > DENSE_MAX:  # the masks these queries read are compared above
+        return
+    pairs = list(product(range(space.n), repeat=2))
+    for query in ("le", "join", "meet"):
+        mine, theirs = getattr(space, query), getattr(lat, query)
+        assert [mine(x, y) for x, y in pairs] == [theirs(x, y) for x, y in pairs], query
+    # the join of the order is the componentwise max of the firing vectors
+    assert [space.join_of(x, y) for x, y in pairs] == [lat.join(x, y) for x, y in pairs]
+    assert space.distributivity_witness() == lat.distributivity_witness()
 
 
 def naive_ideals(poset: Poset):
@@ -975,6 +1039,81 @@ def coloured_union(games, rng: random.Random) -> ColouredCfg:
         base += n
     init = {c: chips + (0,) * (base - len(chips)) for c, chips in init.items()}
     return ColouredCfg(ColouredMultigraph(tuple(names), layers), init)
+
+
+def wide_text(k):
+    """k one-chip sources draining to one sink, as a game file: a space of
+    2^k states."""
+    sources = [f"s{i}" for i in range(k)]
+    return (
+        "vertices: " + " ".join(sources) + " t\n"
+        + "".join(f"edge: {s} t 1\n" for s in sources)
+        + "chips: " + " ".join(f"{s}=1" for s in sources) + "\n"
+    )
+
+
+@st.composite
+def convergent_games(draw):
+    """Games whose every non-sink vertex has an edge to a later vertex, so
+    the last vertex is a sink reachable from everywhere; loops and parallel
+    edges allowed."""
+    n = draw(st.integers(2, 5))
+    mult: dict[tuple[int, int], int] = {}
+    for v in range(n - 1):
+        w = draw(st.integers(v + 1, n - 1))
+        mult[(v, w)] = draw(st.integers(1, 2))
+    for _ in range(draw(st.integers(0, n))):
+        edge = (draw(st.integers(0, n - 2)), draw(st.integers(0, n - 1)))
+        mult[edge] = mult.get(edge, 0) + 1
+    chips = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return Cfg(Multigraph(tuple("abcde"[:n]), mult), tuple(chips))
+
+
+@st.composite
+def coloured_games(draw):
+    """Coloured games whose every vertex with a colour-c edge also has a
+    colour-c edge to a later vertex, so each colour drains to the last
+    vertex; loops and parallel edges allowed."""
+    n = draw(st.integers(2, 5))
+    layers = {}
+    init = {}
+    for c in range(1, draw(st.integers(1, 3)) + 1):
+        layer: dict[tuple[int, int], int] = {}
+        for v in range(n - 1):
+            if v == 0 or draw(st.booleans()):
+                layer[(v, draw(st.integers(v + 1, n - 1)))] = draw(st.integers(1, 2))
+        sources = sorted({u for u, _ in layer})
+        for _ in range(draw(st.integers(0, n))):
+            edge = (draw(st.sampled_from(sources)), draw(st.integers(0, n - 1)))
+            layer[edge] = layer.get(edge, 0) + 1
+        layers[c] = layer
+        init[c] = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+    return ColouredCfg(ColouredMultigraph(tuple("abcde"[:n]), layers), init)
+
+
+@st.composite
+def posets(draw):
+    """Orders on up to 8 elements, closed from random pairs i < j."""
+    n = draw(st.integers(0, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Poset.from_covers(n, [pair for pair, keep in zip(pairs, chosen) if keep])
+
+
+def random_dag_poset(rng: random.Random, n: int) -> Poset:
+    """The order closed from the pairs i < j of n elements, each kept with
+    probability 0.35."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
+    return Poset.from_covers(n, pairs)
+
+
+def bounded(poset: Poset) -> Poset:
+    """The poset with a new least and a new greatest element."""
+    n = poset.n
+    leq = np.zeros((n + 2, n + 2), dtype=bool)
+    leq[0, :] = leq[:, n + 1] = True
+    leq[1:n + 1, 1:n + 1] = dense_leq(poset)
+    return Poset(leq, labels=("bot",) + poset.labels + ("top",), _checked=True)
 
 
 # poset enumeration (for the exhaustive distributive corpus)

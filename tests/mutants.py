@@ -43,7 +43,7 @@ MUTANTS = (
         "test_engine.py::test_run_to_fixpoint_relay_counts")),
     Mutant("distributive always yes", "lattice.py",
            "return len(self.J) == len(self.M) and self.is_uld", "return True",
-           ("test_lattice.py::test_diamond_not_distributive_with_witness",)),
+           ("test_lattice_tables.py::test_stock_shapes_and_duals",)),
     Mutant("the lowest move fired first", "engine.py",
            "v = mask.bit_length() - 1", "v = (mask & -mask).bit_length() - 1",
            ("test_packed_closure.py::test_game_corpus",)),
@@ -95,6 +95,45 @@ MUTANTS = (
     Mutant("an ideal path step not subtracting the held down-set", "transforms.py",
            "(hi & ~lo) >> x & 1", "hi >> x & 1",
            ("test_path_synthesis.py::test_ideal_lattices",)),
+    # the lattice layer, which each input family meets in one test of
+    # test_lattice_tables.py
+    Mutant("a meet reading its first element twice", "lattice.py",
+           "self._down_masks[self._check(x)] & self._down_masks[self._check(y)]]",
+           "self._down_masks[self._check(x)] & self._down_masks[self._check(x)]]", (
+               "test_lattice_tables.py::test_stock_shapes_and_duals",
+               "test_lattice_tables.py::test_game_spaces_and_duals")),
+    Mutant("the triple law's first check joining join-irreducibles only", "lattice.py",
+           "for y in range(self.n) for j in J)", "for y in J for j in J)",
+           ("test_lattice_tables.py::test_stock_shapes_and_duals",)),
+    Mutant("the meet-irreducible codes gathered from the bottom up", "lattice.py",
+           "return _gather(seeds, self._upper_covers, reversed(self.topo_order))",
+           "return _gather(seeds, self._upper_covers, self.topo_order)", (
+               "test_lattice_tables.py::test_game_spaces_and_duals",
+               "test_lattice_tables.py::test_ideal_lattices_and_duals",
+               "test_lattice_tables.py::test_generated_coloured_game_spaces_and_duals")),
+    Mutant("a partner read off the highest up arrow", "lattice.py",
+           "partner[j] = self.M[(down & up).bit_length() - 1]",
+           "partner[j] = self.M[up.bit_length() - 1]", (
+               "test_lattice_tables.py::test_stock_shapes_and_duals",
+               "test_lattice_tables.py::test_game_spaces_and_duals",
+               "test_lattice.py::test_arrow_partition_uld_unique_partner")),
+    Mutant("an up arrow to a meet-irreducible above its join-irreducible", "lattice.py",
+           " & 1) & apart)", " & 1))", (
+               "test_lattice_tables.py::test_game_spaces_and_duals",
+               "test_lattice_tables.py::test_generated_game_spaces_and_duals",
+               "test_arrows.py::test_failures_keep_their_order")),
+    Mutant("a space's meet-irreducibles read as its join-irreducibles", "engine.py",
+           "bottom = 0  # the initial state, first in canonical order",
+           "bottom = 0  # the initial state, first in canonical order"
+           "\n    M = property(Lattice.J.func)", (
+               "test_lattice_tables.py::test_game_spaces_and_duals",
+               "test_lattice_tables.py::test_coloured_spaces_and_duals",
+               "test_lattice_tables.py::test_generated_coloured_game_spaces_and_duals")),
+    Mutant("a move of vertex 0 adding two to its field", "engine.py",
+           "1 << 64 * (n - 1 - v) for v in range(n)]",
+           "(1 + (v == 0)) << 64 * (n - 1 - v) for v in range(n)]", (
+               "test_packed_closure.py::test_generated_games",
+               "test_packed_closure.py::test_generated_coloured_games")),
 )
 
 

@@ -6,12 +6,9 @@ compared with Kahn's queue and a numpy row per element
 acyclic inputs, with and without a new least and greatest element, and on
 fixed lattice-shaped inputs past 64 elements, ``Lattice.from_covers`` and its
 one containment check per join-irreducible must give the scanning oracles'
-verdict, error text, joins and meets. The
-meet-irreducible coding ``Lattice._mx_masks``, read off the upper covers of a
-``Lattice`` and, by the same member, off the checked covers of a
-``ConfigSpace``, is compared with the columns of the dense order
-(``dense_mx_masks``); ``test_space_order_is_vector_dominance`` checks the
-order of firing vectors.
+verdict, error text, joins and meets. The meet-irreducible codes
+``Lattice._mx_masks``, also past one machine word, are checked with the rest
+of the lattice layer in ``tests/test_lattice_tables.py``.
 """
 
 import itertools
@@ -22,23 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipfire.engine import Cfg
 from chipfire.errors import NotALatticeError
-from chipfire.fixtures import gated_cube_lattice
 from chipfire.lattice import Lattice, Poset
-from chipfire.multigraph import Multigraph
 
 from helpers import (
+    bounded,
     dense_leq,
-    dense_mx_masks,
-    dual,
     kahn_from_covers,
     naive_join,
     naive_meet,
     naive_not_a_lattice_message,
 )
-from test_coloured import coloured_games
-from test_lattice_tables import bounded, convergent_games
 
 
 @st.composite
@@ -170,43 +161,3 @@ def test_from_covers_past_bit_63_with_numpy_ids():
     assert np.array_equal(dense_leq(poset), np.triu(np.ones((n, n), dtype=bool)))
     assert poset.cover_pairs == tuple((x, x + 1) for x in range(n - 1))
     assert all(type(x) is int for pair in poset.cover_pairs for x in pair)
-
-
-def assert_codes_match(lat, space=None):
-    for each in (lat, dual(lat)):
-        assert each._mx_masks == dense_mx_masks(each), each.labels
-    if space is not None:
-        assert space._mx_masks == dense_mx_masks(space) == lat._mx_masks
-
-
-def test_codes_on_corpora(space_corpus, coloured_space_corpus):
-    for space in space_corpus + coloured_space_corpus:
-        assert_codes_match(space.lattice(), space)
-
-
-def test_codes_on_ideal_lattices(distributive_corpus):
-    for lat in distributive_corpus:
-        assert_codes_match(lat)
-
-
-def test_codes_past_one_machine_word():
-    # one vertex firing 70 times: a chain of 71 states, 70 of them in M
-    space = Cfg(Multigraph(("a", "t"), {(0, 1): 1}), (70, 0)).enumerate_space()
-    assert len(space.M) == 70
-    assert_codes_match(space.lattice(), space)
-    assert_codes_match(Lattice.chain(100))
-    assert_codes_match(gated_cube_lattice())
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(convergent_games())
-def test_codes_on_generated_games(game):
-    space = game.enumerate_space()
-    assert_codes_match(space.lattice(), space)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(coloured_games())
-def test_codes_on_generated_coloured_games(game):
-    space = game.enumerate_space()
-    assert_codes_match(space.lattice(), space)

@@ -4,7 +4,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import strategies as st
 
 from chipfire import coloured
 from chipfire.coloured import ColouredCfg, ColouredState, from_classical
@@ -240,28 +239,6 @@ def assert_matches_full_scan(game, space):
     assert space.vectors == oracle.vectors
     assert space.configs == oracle.configs
     assert tuple(space.covers) == tuple(oracle.covers)
-
-
-@st.composite
-def coloured_games(draw):
-    """Coloured games whose every vertex with a colour-c edge also has a
-    colour-c edge to a later vertex, so each colour drains to the last
-    vertex; loops and parallel edges allowed."""
-    n = draw(st.integers(2, 5))
-    layers = {}
-    init = {}
-    for c in range(1, draw(st.integers(1, 3)) + 1):
-        layer: dict[tuple[int, int], int] = {}
-        for v in range(n - 1):
-            if v == 0 or draw(st.booleans()):
-                layer[(v, draw(st.integers(v + 1, n - 1)))] = draw(st.integers(1, 2))
-        sources = sorted({u for u, _ in layer})
-        for _ in range(draw(st.integers(0, n))):
-            edge = (draw(st.sampled_from(sources)), draw(st.integers(0, n - 1)))
-            layer[edge] = layer.get(edge, 0) + 1
-        layers[c] = layer
-        init[c] = tuple(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
-    return ColouredCfg(ColouredMultigraph(tuple("abcde"[:n]), layers), init)
 
 
 def test_revisit_with_another_firing_vector_is_reported(monkeypatch):

@@ -32,6 +32,7 @@ from chipfire.lattice import Lattice, Poset, ideal_lattice, is_isomorphic
 from chipfire.multigraph import Multigraph
 
 from helpers import (
+    convergent_games,
     data_path,
     meet_table_map,
     pair_set_hasse_isomorphism,
@@ -39,7 +40,6 @@ from helpers import (
     paper_coloured_from_uld,
     paper_uld_map,
 )
-from test_lattice_tables import convergent_games
 
 
 def synth_check(lattice, mode):

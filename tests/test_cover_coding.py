@@ -1,9 +1,9 @@
 """The lattice facts read off the cover-step coding, against their definitions.
 
 The arrow partition takes each join-irreducible's partner from the label of
-its lower cover instead of scanning J×M; these tests compare it with the
-up-down relation of ``arrow_relations`` on the seeded corpora, the fixtures
-and hypothesis-generated classical and coloured games. The stock shapes, the
+its lower cover instead of scanning J×M; its self-check must report a
+join-irreducible with no up-down partner. The partition itself meets the
+up-down arrows in ``tests/test_lattice_tables.py``. The stock shapes, the
 ideal lattices and the ideal quotient are built from their known covers (a
 set family's one-element steps); their order, labels, covers and joins are
 compared with the dense inclusion order of the same family, and the covers
@@ -16,7 +16,6 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chipfire.fixtures import diamond, funnel_game, gated_cube_lattice, pentagon
 from chipfire.lattice import Lattice, Poset, ideal_lattice
@@ -29,42 +28,8 @@ from helpers import (
     dense_leq,
     dense_union_closed_lattice,
     naive_cover_pairs,
+    posets,
 )
-from test_coloured import coloured_games
-from test_lattice_tables import convergent_games
-
-
-def assert_partner_is_updown_arrow(lat):
-    if not lat.is_uld:
-        with pytest.raises(ValueError):
-            lat.arrow_partition()
-        return
-    partner = lat.arrow_partition().partner
-    updown = lat.arrow_relations.updown
-    assert set(partner) == set(lat.J)
-    for j in lat.J:
-        assert [m for m in lat.M if (j, m) in updown] == [partner[j]], (lat.labels, j)
-
-
-def test_partner_matches_arrows_on_corpora(space_corpus, coloured_space_corpus, distributive_corpus):
-    lattices = [space.lattice() for space in space_corpus + coloured_space_corpus]
-    lattices += distributive_corpus
-    lattices += [gated_cube_lattice(), funnel_game().enumerate_space().lattice()]
-    assert any(lat.is_uld and not lat.is_distributive for lat in lattices)
-    for lat in lattices:
-        assert_partner_is_updown_arrow(lat)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(convergent_games())
-def test_partner_matches_arrows_on_generated_games(game):
-    assert_partner_is_updown_arrow(game.enumerate_space().lattice())
-
-
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(coloured_games())
-def test_partner_matches_arrows_on_generated_coloured_games(game):
-    assert_partner_is_updown_arrow(game.enumerate_space().lattice())
 
 
 def test_partner_self_check_reports_a_missing_up_arrow(monkeypatch):
@@ -139,15 +104,6 @@ def test_family_lattices_match_the_dense_order(small_posets, space_corpus, colou
     for lat in uld:
         assert_matches_dense(lat.ideal_quotient(), dense_ideal_quotient(lat))
         assert_family_lattices_match_dense(lat.join_irreducible_poset())
-
-
-@st.composite
-def posets(draw):
-    """Orders on up to 8 elements, closed from random pairs i < j."""
-    n = draw(st.integers(0, 8))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Poset.from_covers(n, [pair for pair, keep in zip(pairs, chosen) if keep])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

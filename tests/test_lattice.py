@@ -19,12 +19,11 @@ from chipfire.lattice import (
 from helpers import (
     all_posets_upto,
     dense_leq,
-    naive_distributive,
     naive_ideals,
     naive_join,
     random_convergent_game,
+    random_dag_poset,
 )
-from test_lattice_tables import random_dag_poset
 
 
 def funnel_lattice():
@@ -178,20 +177,6 @@ def test_gated_cube_not_distributive():
     lat = gated_cube_lattice()
     assert not lat.is_distributive
     assert lat.distributivity_witness() is not None
-
-
-def test_distributive_matches_naive_oracle():
-    rng = random.Random(19)
-    lattices = [
-        pentagon(), diamond(), Lattice.chain(4), Lattice.boolean(2), funnel_lattice(),
-    ]
-    lattices += [
-        random_convergent_game(rng, max_vertices=5).enumerate_space().lattice()
-        for _ in range(8)
-    ]
-    for lat in lattices:
-        if lat.n <= 40:
-            assert (lat.distributivity_witness() is None) == naive_distributive(lat)
 
 
 # upper local distributivity

@@ -1,14 +1,30 @@
-"""Differential tests of the lattice core.
+"""Differential tests of the lattice core: the one place where each input
+family meets the oracles of the lattice layer.
 
 A lattice keeps its order as up-set and down-set ints. It is verified by a
 least element and a lookup of x∨j for every element x and join-irreducible
 j (every join then exists); joins and meets are lookups of common up-sets
-and down-sets.
-Distributivity comes from the irreducible coding (ULD with as many join- as
-meet-irreducibles). These tests compare joins, meets and the verdict with
-the scanning oracles in ``helpers`` and with the triple law, and the errors
-for non-lattices with the first failing pair, on the seeded corpora, the
-stock shapes, their duals and hypothesis-generated games.
+and down-sets. Distributivity comes from the irreducible coding (ULD with as
+many join- as meet-irreducibles). ``helpers.assert_lattice_layer`` checks
+each concept of the layer against its one oracle, on a lattice and its dual:
+joins and meets, the distributivity verdict and witness, the
+meet-irreducible codes, the arrow partition, the arrow relations and the
+arrow witness report; given the configuration space the lattice views, also
+every verdict and query the space reads off its firing vectors and moves.
+
+- ``test_stock_shapes_and_duals``: the pentagon, the diamond, the gated
+  cube, chains and boolean lattices; the bounded posets that are lattices;
+  the bundled games' spaces; the 2^10-state wide game; codes past one
+  machine word (a 71-state chain space, a 100-element chain)
+- ``test_game_spaces_and_duals``: the 200-game corpus
+- ``test_coloured_spaces_and_duals``: the 100-game coloured corpus
+- ``test_ideal_lattices_and_duals``: the ideal lattice of every poset on at
+  most five elements, each distributive
+- ``test_generated_game_spaces_and_duals``: ``convergent_games()`` draws
+- ``test_generated_coloured_game_spaces_and_duals``: ``coloured_games()``
+  draws
+
+The errors for non-lattices are checked against the first failing pair.
 """
 
 import random
@@ -16,97 +32,87 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chipfire import cli
 from chipfire.engine import Cfg
 from chipfire.errors import NotALatticeError
-from chipfire.fixtures import diamond, gated_cube_lattice, pentagon
+from chipfire.fixtures import (
+    diamond,
+    funnel_game,
+    gated_cube_lattice,
+    pentagon,
+    relay_chain_game,
+    shared_gate_game,
+    split_track_game,
+)
+from chipfire.formats import parse_game
 from chipfire.lattice import Lattice, Poset, ideal_lattice
 from chipfire.multigraph import Multigraph
 
 from helpers import (
     all_posets_upto,
+    assert_lattice_layer,
+    bounded,
+    coloured_games,
+    convergent_games,
     dense_leq,
-    naive_distributive,
-    naive_join,
-    naive_meet,
     naive_not_a_lattice_message,
-    with_duals,
+    random_dag_poset,
+    wide_text,
 )
-
-# the scanning oracles cost about n^4; larger lattices get the triple law only
-ORACLE_MAX = 40
-
-
-def assert_matches_oracles(lat):
-    if lat.n <= ORACLE_MAX:
-        for x in range(lat.n):
-            for y in range(lat.n):
-                assert lat.join(x, y) == naive_join(lat, x, y), (lat.labels, x, y)
-                assert lat.meet(x, y) == naive_meet(lat, x, y), (lat.labels, x, y)
-        assert lat.is_distributive == naive_distributive(lat), lat.labels
-    assert lat.is_distributive == (lat.distributivity_witness() is None), lat.labels
 
 
 def test_stock_shapes_and_duals():
-    shapes = [pentagon(), diamond(), gated_cube_lattice(), Lattice.chain(4), Lattice.boolean(3)]
-    for lat in with_duals(shapes):
-        assert_matches_oracles(lat)
+    lattices = [pentagon(), diamond(), gated_cube_lattice(), Lattice.chain(1), Lattice.chain(4)]
+    lattices += [Lattice.boolean(3), Lattice.chain(100)]
+    rng = random.Random(11)
+    posets = all_posets_upto(4) + [random_dag_poset(rng, rng.randint(2, 7)) for _ in range(150)]
+    for poset in map(bounded, posets):
+        try:
+            lattices.append(Lattice(dense_leq(poset), labels=poset.labels, _checked=True))
+        except NotALatticeError:
+            pass
+    assert any(lat.is_uld and not lat.is_distributive for lat in lattices)
+    assert not all(lat.is_uld for lat in lattices)
+    for lat in lattices:
+        assert_lattice_layer(lat)
+    games = [funnel_game(), relay_chain_game(), shared_gate_game(), split_track_game()]
+    # one vertex firing 70 times: a chain of 71 states, 70 of them in M
+    games += [Cfg(Multigraph(("a", "t"), {(0, 1): 1}), (70, 0)), parse_game(wide_text(10))]
+    spaces = [game.enumerate_space() for game in games]
+    assert len(spaces[-2].M) == 70 and len(spaces[-1]) == 1024
+    for space in spaces:
+        assert_lattice_layer(space.lattice(), space)
 
 
 def test_game_spaces_and_duals(space_corpus):
-    for lat in with_duals(space.lattice() for space in space_corpus):
-        assert_matches_oracles(lat)
+    for space in space_corpus:
+        assert_lattice_layer(space.lattice(), space)
 
 
 def test_coloured_spaces_and_duals(coloured_space_corpus):
-    for lat in with_duals(space.lattice() for space in coloured_space_corpus):
-        assert_matches_oracles(lat)
+    for space in coloured_space_corpus:
+        assert_lattice_layer(space.lattice(), space)
 
 
 def test_ideal_lattices_and_duals(distributive_corpus):
-    for lat in with_duals(distributive_corpus):
-        assert_matches_oracles(lat)
+    for lat in distributive_corpus:
+        assert_lattice_layer(lat)
         assert lat.is_distributive
-
-
-@st.composite
-def convergent_games(draw):
-    """Games whose every non-sink vertex has an edge to a later vertex, so
-    the last vertex is a sink reachable from everywhere; loops and parallel
-    edges allowed."""
-    n = draw(st.integers(2, 5))
-    mult: dict[tuple[int, int], int] = {}
-    for v in range(n - 1):
-        w = draw(st.integers(v + 1, n - 1))
-        mult[(v, w)] = draw(st.integers(1, 2))
-    for _ in range(draw(st.integers(0, n))):
-        edge = (draw(st.integers(0, n - 2)), draw(st.integers(0, n - 1)))
-        mult[edge] = mult.get(edge, 0) + 1
-    chips = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return Cfg(Multigraph(tuple("abcde"[:n]), mult), tuple(chips))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(convergent_games())
 def test_generated_game_spaces_and_duals(game):
-    for lat in with_duals([game.enumerate_space().lattice()]):
-        assert_matches_oracles(lat)
+    space = game.enumerate_space()
+    assert_lattice_layer(space.lattice(), space)
 
 
-def random_dag_poset(rng, n):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35]
-    return Poset.from_covers(n, pairs)
-
-
-def bounded(poset):
-    """The poset with a new least and a new greatest element."""
-    n = poset.n
-    leq = np.zeros((n + 2, n + 2), dtype=bool)
-    leq[0, :] = leq[:, n + 1] = True
-    leq[1:n + 1, 1:n + 1] = dense_leq(poset)
-    return Poset(leq, labels=("bot",) + poset.labels + ("top",), _checked=True)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(coloured_games())
+def test_generated_coloured_game_spaces_and_duals(game):
+    space = game.enumerate_space()
+    assert_lattice_layer(space.lattice(), space)
 
 
 def test_non_lattice_error_names_the_first_failing_pair():
@@ -171,15 +177,8 @@ def test_space_skips_cover_matrix_and_triple_law(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(Poset, "_cover_matrix", property(refuse))
     monkeypatch.setattr(Lattice, "distributivity_witness", refuse)
-    k = 10
-    sources = [f"s{i}" for i in range(k)]
-    text = (
-        "vertices: " + " ".join(sources) + " t\n"
-        + "".join(f"edge: {s} t 1\n" for s in sources)
-        + "chips: " + " ".join(f"{s}=1" for s in sources) + "\n"
-    )
     path = tmp_path / "wide.cfg"
-    path.write_text(text)
+    path.write_text(wide_text(10))
     assert cli.main(["space", str(path)]) == 0
     assert capsys.readouterr().out == (
         "elements: 1024\nheight: 10\nranked: yes\ndistributive: yes\nULD: yes\n"

@@ -46,6 +46,8 @@ from chipfire.multigraph import ColouredMultigraph, Multigraph
 from chipfire.transforms import coloured_from_uld
 
 from helpers import (
+    coloured_games,
+    convergent_games,
     full_scan_parts,
     full_scan_space,
     grouped_by_state,
@@ -54,8 +56,6 @@ from helpers import (
     tuple_parts,
     tuple_space,
 )
-from test_coloured import coloured_games
-from test_lattice_tables import convergent_games
 
 
 def assert_fired_vertices_descend(covers):

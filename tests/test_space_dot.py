@@ -27,9 +27,7 @@ from chipfire.fixtures import (
 from chipfire.formats import lattice_to_dot, parse_game, space_to_dot
 from chipfire.multigraph import Multigraph
 
-from helpers import data_path, oracle_labels, oracle_space_to_dot
-from test_coloured import coloured_games
-from test_lattice_tables import convergent_games
+from helpers import coloured_games, convergent_games, data_path, oracle_labels, oracle_space_to_dot
 
 
 def is_counted(space):

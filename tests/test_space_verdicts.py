@@ -1,124 +1,26 @@
-"""The lattice verdicts a configuration space reads from its firing vectors
-and moves, and every query it inherits from ``Lattice``, against the dense,
-separately verified ``space.lattice()`` view.
+"""How a configuration space stands in for its dense lattice view.
 
-``chipfire space`` prints only these verdicts, so it never builds the dense
-view; the commuting-moves check that stands in for the lattice verification
-and the detector-agreement rule get a fault each. The hypercube verdict, which
-the commuting check gives, is also checked against the subset walk over each
-state's moves (``helpers.cube_walk_witness``). A space keeps no copy of its
-cover pairs or triples, enumeration peaks near what the finished space
-holds, and enumeration with the four verdicts ``space`` prints stays under a
-bound per state.
+``chipfire space`` prints only the verdicts a space reads from its firing
+vectors and moves, so it never builds the dense, separately verified
+``space.lattice()``; every such verdict and query is compared with that view
+on each input family in ``tests/test_lattice_tables.py``. Here the
+commuting-moves check that stands in for the lattice verification and the
+detector-agreement rule get a fault each. A space keeps no copy of its cover
+pairs or triples, enumeration peaks near what the finished space holds, and
+enumeration with the four verdicts ``space`` prints stays under a bound per
+state.
 """
 
 import pytest
-from hypothesis import given, settings
 
 from chipfire import cli
 from chipfire.engine import Cfg, ConfigSpace, _unpack_block
 from chipfire.errors import DetectorDisagreement
-from chipfire.fixtures import funnel_game, relay_chain_game, shared_gate_game, split_track_game
+from chipfire.fixtures import funnel_game
 from chipfire.formats import parse_game
-from chipfire.lattice import Lattice, Poset, arrow_witness_report
+from chipfire.lattice import Lattice, Poset
 
-from helpers import cube_walk_witness, peak_traced, sand_pile_text
-from test_coloured import coloured_games
-from test_lattice_tables import convergent_games
-
-
-def wide_text(k):
-    """k one-chip sources draining to one sink: a space of 2^k states."""
-    sources = [f"s{i}" for i in range(k)]
-    return (
-        "vertices: " + " ".join(sources) + " t\n"
-        + "".join(f"edge: {s} t 1\n" for s in sources)
-        + "chips: " + " ".join(f"{s}=1" for s in sources) + "\n"
-    )
-
-
-def assert_verdicts_match_lattice(space):
-    lat = space.lattice()
-    assert space.cover_pairs == lat.cover_pairs
-    assert space._upper_covers == lat._upper_covers
-    assert space.J == lat.J
-    assert space.M == lat.M
-    assert space._mx_masks == lat._mx_masks
-    assert space.is_ranked == lat.is_ranked
-    assert space.height == lat.height
-    assert space._hypercube_witness() == lat._hypercube_witness()
-    # the subset walk the commuting check replaced
-    assert space._hypercube_witness() is None
-    assert cube_walk_witness(space) is None
-    assert space._cover_step_witness() == lat._cover_step_witness()
-    assert space.uld_detectors == lat.uld_detectors
-    assert space.is_uld == lat.is_uld
-    assert space.is_distributive == lat.is_distributive
-    # the queries a space inherits, over its own up-sets, against the lattice's
-    assert space._up_masks == lat._up_masks
-    assert space._down_masks == lat._down_masks
-    assert space._rank_info == lat._rank_info
-    assert space.cover_labels == lat.cover_labels
-    for x in range(space.n):
-        assert space.ji_below(x) == lat.ji_below(x)
-        assert space.mi_above(x) == lat.mi_above(x)
-    assert space._arrows == lat._arrows
-    assert space.arrow_relations == lat.arrow_relations
-    assert space.arrow_partition() == lat.arrow_partition()
-    assert space.edge_labels() == lat.edge_labels()
-    assert arrow_witness_report(space) == arrow_witness_report(lat)
-    if space.n > 256:  # n^2 calls and more; the masks they read are compared above
-        return
-    pairs = [(x, y) for x in range(space.n) for y in range(space.n)]
-    for query in ("le", "join", "meet"):
-        mine, theirs = getattr(space, query), getattr(lat, query)
-        assert [mine(x, y) for x, y in pairs] == [theirs(x, y) for x, y in pairs], query
-    # the join of the order is the componentwise max of the firing vectors
-    assert [space.join(x, y) for x, y in pairs] == [space.join_of(x, y) for x, y in pairs]
-    assert space.distributivity_witness() == lat.distributivity_witness()
-
-
-def test_corpora(space_corpus, coloured_space_corpus):
-    for space in space_corpus + coloured_space_corpus:
-        assert_verdicts_match_lattice(space)
-
-
-def test_bundled_games_and_the_wide_game():
-    games = [funnel_game(), relay_chain_game(), shared_gate_game(), split_track_game()]
-    games.append(parse_game(wide_text(10)))
-    for game in games:
-        assert_verdicts_match_lattice(game.enumerate_space())
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(convergent_games())
-def test_generated_games(game):
-    assert_verdicts_match_lattice(game.enumerate_space())
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(coloured_games())
-def test_generated_coloured_games(game):
-    assert_verdicts_match_lattice(game.enumerate_space())
-
-
-def assert_every_cover_fires_once(space):
-    # the closure's guarantee that is_ranked and J rest on
-    for lo, hi, v in space.covers:
-        step = [b - a for a, b in zip(space.vectors[lo], space.vectors[hi])]
-        assert step == [int(u == v) for u in range(len(space.names))]
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(convergent_games())
-def test_generated_games_fire_once_per_cover(game):
-    assert_every_cover_fires_once(game.enumerate_space())
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(coloured_games())
-def test_generated_coloured_games_fire_once_per_cover(game):
-    assert_every_cover_fires_once(game.enumerate_space())
+from helpers import peak_traced, sand_pile_text, wide_text
 
 
 def planted_space(monkeypatch, text, at, hidden):
@@ -177,20 +79,6 @@ def test_commuting_report_at_a_state_above_the_bottom(monkeypatch):
     with pytest.raises(RuntimeError) as err:
         space.is_ranked
     assert str(err.value) == "moves a and b do not commute at state {a:1}: b is lost after a"
-
-
-def test_space_takes_the_lattice_rules():
-    # a space is a Lattice: one copy of each rule, inherited, none borrowed
-    assert issubclass(ConfigSpace, Lattice)
-    own = vars(ConfigSpace)
-    for name in ("_id_kind", "_check", "cover_pairs", "J", "M", "_mx_masks",
-                 "_cover_step_witness", "uld_detectors", "is_uld", "is_distributive",
-                 "_hypercube_witness"):
-        assert name not in own, name
-    # the upper covers are the closure's own, handed over in canonical order
-    # and checked by _moves before any inherited rule reads them; so is the
-    # certificate the hypercube detector reads
-    assert "_upper_covers" in own and "_antimatroid" in own
 
 
 def test_split_detectors_raise():

@@ -21,11 +21,11 @@ from chipfire.transforms import (
 
 from helpers import (
     all_posets_upto,
+    convergent_games,
     random_convergent_game,
     rebuilding_split_vertex,
     replaying_simplify,
 )
-from test_lattice_tables import convergent_games
 
 
 def space_lattice(game):

@@ -32,9 +32,15 @@ from chipfire.formats import serialize_lattice
 from chipfire.lattice import Lattice
 from chipfire.transforms import interval_cfg
 
-from helpers import data_path, full_scan_parts, full_scan_space, tuple_parts, tuple_space
-from test_coloured import coloured_games
-from test_lattice_tables import convergent_games
+from helpers import (
+    coloured_games,
+    convergent_games,
+    data_path,
+    full_scan_parts,
+    full_scan_space,
+    tuple_parts,
+    tuple_space,
+)
 
 
 def refuse(*args, **kwargs):
