@@ -298,6 +298,7 @@ class ColouredCfg:
         successors = partial(self._successors, restarts={})
         return _closure(self, start, successors, unpack, state_cap)
 
+
 def from_classical(cfg: Cfg) -> ColouredCfg:
     """View a simple convergent game as a one-colour coloured game."""
     if not cfg.converges_guaranteed:

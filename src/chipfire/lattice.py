@@ -529,7 +529,11 @@ class Lattice(Poset):
         :attr:`is_distributive` has said no. For each x, f(y) = x∧y is
         monotone and every z is the join of the j <= z in J, so f keeps all
         joins iff f(y∨j) = f(y)∨f(j) for every y and j in J: n·|J| pairs. Only
-        the first x that fails them is scanned over all (y, z).
+        the first x that fails them is scanned over all (y, z). Any one j0 of J
+        could be skipped, as the other pairs imply its own: for y >= j0 by
+        monotonicity, and for y not above j0, written y = i1∨…∨im with each ik
+        in J - {j0}, by peeling one ik at a time, f(j0∨y) = f(j0)∨f(i1)∨…∨f(im)
+        = f(j0)∨f(y), with f(0) = 0 when m = 0.
         """
         up, down, ups, downs = self._up_masks, self._down_masks, self._up_index, self._down_index
         J = self.J

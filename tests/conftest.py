@@ -40,7 +40,7 @@ def coloured_space_corpus(coloured_corpus):
 
 @pytest.fixture(scope="session")
 def small_posets():
-    """Every poset on at most 5 elements, up to isomorphism (89 of them)."""
+    """Every poset on at most 5 elements, up to isomorphism (88 of them)."""
     out = []
     for n in range(6):
         out.extend(all_posets(n))

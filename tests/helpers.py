@@ -6,8 +6,11 @@ oracle per concept, each written apart from the library code it checks.
 - classical closure: ``tuple_space``, ``tuple_closure`` on tuples
 - coloured opening rule and closure: ``full_scan_open`` (every colour replayed
   over every open vertex after every firing) and ``full_scan_space``
-- cover rows: ``grouped_space``; the cube of moves: ``cube_walk_witness``
-- order: ``dense_leq``, ``kahn_from_covers``, ``naive_cover_pairs``
+- cover rows: ``grouped_space``; the cube of moves: ``cube_walk_witness``;
+  a cover's fired vertex: ``fired_vertex``, the one entry of the firing
+  vector that grows along it
+- order: ``dense_leq``; ``generated_order``, the pairs closed by Warshall's
+  rule; ``naive_cover_pairs``
 - join and meet: ``naive_join``, ``naive_meet``, ``naive_not_a_lattice_message``
 - distributivity: ``dense_distributivity_witness``, the triple law on the
   dense tables
@@ -15,11 +18,14 @@ oracle per concept, each written apart from the library code it checks.
   ``Lattice.uld_detectors`` check each other on every corpus
 - irreducible codes: ``dense_mx_masks``, columns of the dense order
 - arrows: ``naive_arrow_relations``, ``naive_arrow_witness_report``
-- ideals: ``naive_ideals``, the powerset; set families:
-  ``dense_union_closed_lattice``, ``dense_ideal_quotient``
-- parsing lattice files: ``keyword_parse_lattice``
+- ideals: ``naive_ideals``, the powerset; set families: ``assert_set_family``,
+  inclusion, labels and joins by definition, fed the ideal quotient's members
+  by the paper's grouping, ``dense_ideal_quotient``
+- parsing lattice files: no oracle; ``tests/test_formats.py`` pins each error
+  with its line, and comments, whitespace and line ends
 - shot labels and DOT: ``oracle_labels``, ``oracle_space_to_dot``
-- split and simplify: ``rebuilding_split_vertex``, ``replaying_simplify``
+- split: no oracle; tests pin the names, multiplicities and chips of split
+  games; simplify: ``replaying_simplify``, one fixpoint run per split
 - Sand Pile Model: ``sand_pile_heights``, the grain move on height vectors
 - construction maps: ``meet_table_map``, ``pair_set_hasse_isomorphism``;
   coloured synthesis: ``paper_coloured_from_uld``, ``paper_uld_map``
@@ -49,7 +55,6 @@ import math
 import random
 import tracemalloc
 import weakref
-from collections import deque
 from importlib import resources
 from itertools import chain, combinations, permutations, product
 
@@ -62,8 +67,6 @@ from chipfire.coloured import ColouredCfg, ColouredState
 from chipfire.engine import Cfg, ConfigSpace
 from chipfire.errors import (
     FiringVectorConflict,
-    NotALatticeError,
-    ParseError,
     StateCapExceeded,
     StepCapExceeded,
 )
@@ -281,6 +284,13 @@ def all_firing_sequences(cfg: Cfg, limit=50_000):
     return sequences
 
 
+def fired_vertex(vectors, lo, hi) -> int:
+    """The vertex the cover (lo, hi) fires: the one entry where ``vectors[hi]``
+    exceeds ``vectors[lo]``."""
+    [v] = [v for v, (a, b) in enumerate(zip(vectors[lo], vectors[hi])) if b > a]
+    return v
+
+
 def cube_walk_witness(space):
     """Least state whose k >= 2 moves do not span a cube of 2^k states,
     or None.
@@ -288,11 +298,10 @@ def cube_walk_witness(space):
     The subsets S of the moves u_1..u_k out of x are walked by subset
     DP: the state for S is the state for S - {u_b} moved along u_b, with
     b the highest index in S. Every such move must exist. The moves are
-    read off ``space.covers``, as {vertex: next state} per state.
+    read off ``space.ups`` and the vectors, as {vertex: next state} per state.
     """
-    moves = [{} for _ in range(len(space))]
-    for lo, hi, v in space.covers:
-        moves[lo][v] = hi
+    vectors = space.vectors
+    moves = [{fired_vertex(vectors, lo, hi): hi for hi in ups} for lo, ups in enumerate(space.ups)]
     for x, out in enumerate(moves):
         if len(out) < 2:
             continue
@@ -305,63 +314,11 @@ def cube_walk_witness(space):
     return None
 
 
-def _fresh(base: str, taken) -> str:
-    name = base
-    while name in taken:
-        name += "_"
-    return name
-
-
-def rebuilding_split_vertex(cfg: Cfg, a: int) -> Cfg:
-    """Split vertex a into two alternating copies; the space stays isomorphic.
-
-    ``split_vertex`` written as a whole-game rebuild, sharing no code with
-    ``chipfire.transforms``: every edge is copied through ``add`` into a new
-    dict, then a new Multigraph and Cfg are built.
-    """
-    g = cfg.graph
-    if g.out_degree(a) == 0:
-        raise ValueError(f"cannot split the sink {g.names[a]}")
-    surplus = 2 * sum(cfg.init)
-    taken = set(g.names)
-    name0 = _fresh(g.names[a] + "_0", taken)
-    name1 = _fresh(g.names[a] + "_1", taken)
-    # copy 0 takes a's slot, copy 1 goes last
-    names = tuple(
-        name0 if v == a else g.names[v] for v in range(g.n)
-    ) + (name1,)
-    a0, a1 = a, g.n
-    mult: dict[tuple[int, int], int] = {}
-
-    def add(u, v, k):
-        if k:
-            mult[(u, v)] = mult.get((u, v), 0) + k
-
-    for (u, v), k in g.mult.items():
-        if u != a and v != a:
-            add(u, v, 2 * k)
-        elif u != a:  # edge into a: one copy to each half
-            add(u, a0, k)
-            add(u, a1, k)
-        elif v != a:  # edge out of a: two copies from each half
-            add(a0, v, 2 * k)
-            add(a1, v, 2 * k)
-        else:  # loop: one loop on each half
-            add(a0, a0, k)
-            add(a1, a1, k)
-    # vertices that can never fire may make this negative; clamp, they stay inert
-    tie = max(0, surplus - g.nonloop_out_degree(a))
-    add(a0, a1, tie)
-    add(a1, a0, tie)
-    chips = [2 * c for c in cfg.init] + [cfg.init[a]]
-    chips[a0] = cfg.init[a] + surplus
-    return Cfg(Multigraph(names, mult), tuple(chips))
-
-
 def replaying_simplify(cfg: Cfg, max_rounds=1000):
     """(simple game, split reports) by splitting a most-fired vertex with
-    ``rebuilding_split_vertex`` and running the split game to its fixpoint
-    again, until every vertex fires at most once."""
+    ``transforms.split_vertex`` and running the split game to its fixpoint
+    again, until every vertex fires at most once: one fixpoint per round,
+    where ``simplify`` predicts every round's counts from one run."""
     reports = []
     current = cfg
     for iteration in range(1, max_rounds + 1):
@@ -371,7 +328,7 @@ def replaying_simplify(cfg: Cfg, max_rounds=1000):
             return current, tuple(reports)
         a = counts.index(worst)
         reports.append(SplitReport(current.graph.names[a], 2 * sum(current.init), iteration, a))
-        current = rebuilding_split_vertex(current, a)
+        current = transforms.split_vertex(current, a)
     raise AssertionError(f"not simple after {max_rounds} rounds")
 
 
@@ -427,9 +384,8 @@ def peak_traced(run):
     return result, held, peak
 
 
-# shot labels and the space's DOT text, as made before the word tables and
-# the row-by-row writer: one str.format per token, each label escaped whole,
-# and the edges read off the space's (lower, upper, vertex) triples
+# shot labels and the space's DOT text: one str.format per token, each label
+# escaped whole, and each edge's fired vertex read off the vectors
 
 
 def oracle_labels(space: ConfigSpace) -> tuple[str, ...]:
@@ -447,29 +403,17 @@ def _oracle_quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _oracle_dot(name, header, nodes, edges) -> str:
-    """A digraph: its header lines, then ``nodes`` as ``(id, attrs)`` and
-    ``edges`` as ``(low, high, attrs)``; an edge with empty attrs has none."""
-    lines = [f"digraph {name} {{"]
-    for line in header:
-        lines.append(f"  {line};")
-    for x, attrs in nodes:
-        lines.append(f"  n{x} [{attrs}];")
-    for lo, hi, attrs in edges:
-        lines.append(f"  n{lo} -> n{hi} [{attrs}];" if attrs else f"  n{lo} -> n{hi};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def oracle_space_to_dot(space: ConfigSpace) -> str:
-    """Hasse diagram of a configuration space, initial state at the bottom."""
-    fired = [f"label={_oracle_quote(name)}" for name in space.names]  # a cover firing v: fired[v]
-    return _oracle_dot(
-        "configuration_space",
-        ("rankdir=BT", "node [shape=box]"),
-        ((i, f"label={_oracle_quote(label)}") for i, label in enumerate(oracle_labels(space))),
-        ((lo, hi, fired[v]) for lo, hi, v in space.covers),
-    )
+    """Hasse diagram of a configuration space, initial state at the bottom:
+    a node per state, then an edge per upper cover in ``ups`` order."""
+    lines = ["digraph configuration_space {", "  rankdir=BT;", "  node [shape=box];"]
+    for x, label in enumerate(oracle_labels(space)):
+        lines.append(f"  n{x} [label={_oracle_quote(label)}];")
+    for lo, ups in enumerate(space.ups):
+        for hi in ups:
+            name = space.names[fired_vertex(space.vectors, lo, hi)]
+            lines.append(f"  n{lo} -> n{hi} [label={_oracle_quote(name)}];")
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 # independent lattice oracles
@@ -504,8 +448,8 @@ def dense_meet_table(lattice: Lattice) -> np.ndarray:
 
 
 def dense_distributivity_witness(lattice: Lattice):
-    """``Lattice.distributivity_witness`` as it was on the dense tables: the
-    triple law for every x, vectorised over all (y, z)."""
+    """The first triple (x, y, z) breaking the distributive law on the dense
+    tables, or None: every x, vectorised over all (y, z)."""
     mt, jt = dense_meet_table(lattice), dense_join_table(lattice)
     for x in range(lattice.n):
         lhs = mt[x][jt]
@@ -516,40 +460,23 @@ def dense_distributivity_witness(lattice: Lattice):
     return None
 
 
-def kahn_from_covers(n, covers, labels=None) -> Poset:
-    """``Poset.from_covers`` as it was before up-sets were closed as ints.
-    Both place the elements by Kahn's queue (this one from the bottom, over
-    a set of seen pairs); they differ in the closure, here each element's
-    strict up-set as a numpy row, filled from the top. Only the dense order
-    is handed over: its covers are the ones ``Poset`` derives from it."""
-    up = [[] for _ in range(n)]
-    indeg = [0] * n
-    seen = set()
-    for lo, hi in covers:
+def generated_order(n, pairs, labels=None) -> Poset:
+    """The order the pairs (lo, hi) generate, by its definition: every pair is
+    checked first, then the pairs are closed reflexively and transitively by
+    Warshall's rule on a boolean matrix, and x != y with x <= y <= x is a
+    cycle. Only the order is handed over: its covers are the ones ``Poset``
+    derives from it."""
+    pairs = list(pairs)
+    for lo, hi in pairs:
         if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
             raise ValueError(f"bad cover pair ({lo},{hi})")
-        if (lo, hi) in seen:
-            continue
-        seen.add((lo, hi))
-        up[lo].append(hi)
-        indeg[hi] += 1
-    order = deque(v for v in range(n) if indeg[v] == 0)
-    topo = []
-    while order:
-        v = order.popleft()
-        topo.append(v)
-        for w in up[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order.append(w)
-    if len(topo) != n:
+    leq = np.eye(n, dtype=bool)
+    for lo, hi in pairs:
+        leq[lo, hi] = True
+    for k in range(n):  # x <= k <= y gives x <= y
+        leq |= leq[:, [k]] & leq[k]
+    if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
         raise ValueError("cover relation contains a cycle")
-    leq = np.zeros((n, n), dtype=bool)  # strictly above, until the diagonal is set
-    for v in reversed(topo):
-        if up[v]:
-            leq[v] = leq[up[v]].any(axis=0)
-            leq[v, up[v]] = True
-    np.fill_diagonal(leq, True)
     return Poset(leq, labels=labels, _checked=True)
 
 
@@ -621,7 +548,7 @@ def paper_coloured_from_uld(lattice: Lattice) -> ColouredCfg:
     bot = len(classes)
     target = {pos: ci for ci, members in enumerate(classes) for pos in members}
     names = tuple("+".join(jp.labels[pos] for pos in members) for members in classes)
-    names += (_fresh("bot", set(jp.labels)),)
+    names += (transforms._fresh_name("bot", set(jp.labels)),)
     layers, init = {}, {}
     for pos in range(jp.n):
         below = [q for q in range(jp.n) if jp._down_masks[pos] >> q & 1]
@@ -707,64 +634,6 @@ def naive_not_a_lattice_message(poset: Poset):
     return None
 
 
-def _lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _split_keyword(line, lineno, path):
-    if ":" not in line:
-        raise ParseError(f"expected 'keyword: ...', got {line!r}", path, lineno)
-    keyword, rest = line.split(":", 1)
-    return keyword.strip(), rest.strip()
-
-
-def keyword_parse_lattice(text: str, path: str = "<string>") -> Lattice:
-    """``formats.parse_lattice`` as it was before its one-loop pass: the lines
-    through ``_lines``, each split by ``_split_keyword``, the line helpers the
-    library's game parser once used, copied here so that this oracle shares
-    no line handling with the parser it checks. Like the parser, it refuses a
-    self-cover on its line, by name."""
-    labels: tuple[str, ...] | None = None
-    index: dict[str, int] = {}
-    covers = []
-    for lineno, line in _lines(text):
-        keyword, rest = _split_keyword(line, lineno, path)
-        if keyword == "elements":
-            if labels is not None:
-                raise ParseError("duplicate elements line", path, lineno)
-            tokens = rest.split()
-            if len(set(tokens)) != len(tokens):
-                raise ParseError("duplicate element name", path, lineno)
-            labels = tuple(tokens)
-            index = {x: i for i, x in enumerate(labels)}
-        elif keyword == "cover":
-            if labels is None:
-                raise ParseError("cover before elements line", path, lineno)
-            tokens = rest.split()
-            if len(tokens) != 2:
-                raise ParseError("cover needs 'cover: LOW HIGH'", path, lineno)
-            for name in tokens:
-                if name not in index:
-                    raise ParseError(f"unknown element {name!r}", path, lineno)
-            if tokens[0] == tokens[1]:
-                raise ParseError(f"element {tokens[0]!r} cannot cover itself", path, lineno)
-            covers.append((index[tokens[0]], index[tokens[1]]))
-        else:
-            raise ParseError(f"unknown keyword {keyword!r}", path, lineno)
-    if labels is None:
-        raise ParseError("missing elements line", path)
-    try:
-        return Lattice.from_covers(len(labels), covers, labels=labels)
-    except ValueError as exc:
-        # NotALatticeError passes through; a cycle becomes a parse error
-        if isinstance(exc, NotALatticeError):
-            raise
-        raise ParseError(str(exc), path) from None
-
-
 def naive_cover_pairs(leq) -> list[tuple[int, int]]:
     """Transitive reduction by scanning: x < y with nothing strictly between."""
     n = len(leq)
@@ -793,51 +662,35 @@ def assert_adjacencies_match(order, leq):
         assert order._cover_step_witness() == (steps[0] if steps else None)
 
 
-def _subset_label(labels, members) -> str:
-    return "{" + ",".join(labels[x] for x in sorted(members)) + "}"
-
-
-def dense_union_closed_lattice(masks, ground_labels) -> Lattice:
-    """A union-closed family of bitmasks ordered by inclusion.
-
-    The dense construction the library used before it built set families
-    from their one-element steps: inclusion tested 64 bits at a time, covers
-    left to be derived from ``leq``. Each member is labelled by its set of
-    ground elements, named by ``ground_labels`` (bit b is ``ground_labels[b]``).
-    """
+def assert_set_family(lat: Lattice, masks, ground_labels) -> None:
+    """``lat`` is the family of bitmasks ``masks`` ordered by inclusion, by
+    definition: x <= y iff member x is a subset of member y (read through
+    ``dense_leq``; the covers derived from it), each label names its member's
+    ground elements (bit b is ``ground_labels[b]``), and the join of x and y
+    is the least member containing their union, which is the union itself
+    when the family is union-closed."""
     n = len(masks)
-    leq = np.ones((n, n), dtype=bool)
-    width = max((m.bit_length() for m in masks), default=0)
-    for shift in range(0, width + 1, 64):
-        word = np.array([m >> shift & 0xFFFF_FFFF_FFFF_FFFF for m in masks], dtype=np.uint64)
-        leq &= (word[:, None] & ~word[None, :]) == 0
-    labels = tuple(
-        _subset_label(ground_labels, [b for b in range(m.bit_length()) if m >> b & 1])
-        for m in masks
-    )
-    return Lattice(leq, labels=labels, _checked=True)
+    subset = np.array([[a & ~b == 0 for b in masks] for a in masks], dtype=bool).reshape(n, n)
+    assert np.array_equal(dense_leq(lat), subset), lat.labels
+    assert lat.cover_pairs == Poset(subset, _checked=True).cover_pairs, lat.labels
+    names = [[ground_labels[b] for b in range(m.bit_length()) if m >> b & 1] for m in masks]
+    assert lat.labels == tuple("{" + ",".join(members) + "}" for members in names)
+    join = dense_join_table(lat)
+    for x in range(n):  # the members above both x and y are those above their join
+        assert np.array_equal(subset[join[x]], subset[x] & subset), (lat.labels, x)
 
 
-def dense_ideal_quotient(lattice: Lattice) -> Lattice:
-    """``Lattice.ideal_quotient`` through the dense construction: ideals of
-    the join-irreducible order grouped by the partners of their members, each
-    group represented by its union."""
-    partition = lattice.arrow_partition()
+def dense_ideal_quotient(lattice: Lattice) -> list[int]:
+    """The members of ``Lattice.ideal_quotient`` by the paper's grouping: the
+    ideals of the join-irreducible order grouped by the partners of their
+    members, each group represented by its union; sorted by (size, value)."""
+    partner = lattice.arrow_partition().partner
     jp = lattice.join_irreducible_poset()
-    m_pos = {m: i for i, m in enumerate(lattice.M)}
-    partner_bit = [1 << m_pos[partition.partner[j]] for j in lattice.J]
-    groups: dict[int, int] = {}
+    groups: dict[frozenset, int] = {}
     for mask in jp.ideal_masks():
-        key = 0
-        bits = mask
-        while bits:
-            low = bits & -bits
-            key |= partner_bit[low.bit_length() - 1]
-            bits ^= low
+        key = frozenset(partner[j] for b, j in enumerate(lattice.J) if mask >> b & 1)
         groups[key] = groups.get(key, 0) | mask
-    reps = sorted(groups.values(), key=lambda m: (bin(m).count("1"), m))
-    assert len(set(reps)) == len(reps)
-    return dense_union_closed_lattice(reps, jp.labels)
+    return sorted(groups.values(), key=lambda m: (m.bit_count(), m))
 
 
 def dual(lattice: Lattice) -> Lattice:

@@ -2,13 +2,16 @@
 (mutation analysis: DeMillo, Lipton & Sayward, 1978).
 
 A mutant replaces one exact text of one file with another, and names the
-tests that must fail on it. The runner copies ``src/``, a tests directory and
-``pyproject.toml`` to a temporary directory, applies each mutant there in
+tests that must fail on it. The runner copies ``src/``, a tests directory,
+``pyproject.toml`` and the files some tests read (``README.md`` and
+``benchmarks/``) to a temporary directory, applies each mutant there in
 turn, runs its tests in a subprocess and reports it caught or survived; it
-never edits the checkout. A test id that the tests directory lacks (an older
-revision named it otherwise) runs as its whole module. Exit status: 1 when a
-mutant survives; 2 when the tests fail unmutated, pytest errs, or chipfire
-was imported from anywhere but the copy. Run from the checkout::
+never edits the checkout. A row naming a test id that the tests directory
+lacks (an older revision named it otherwise, or checked the same behaviour in
+a test since retired, perhaps in another module) runs that directory's whole
+suite instead, stopping at the first failure (``-x``). Exit status: 1 when a mutant survives; 2 when the
+tests fail unmutated, pytest errs, or chipfire was imported from anywhere but
+the copy. Run from the checkout::
 
     python tests/mutants.py [--tests DIR]
 """
@@ -134,6 +137,57 @@ MUTANTS = (
            "(1 + (v == 0)) << 64 * (n - 1 - v) for v in range(n)]", (
                "test_packed_closure.py::test_generated_games",
                "test_packed_closure.py::test_generated_coloured_games")),
+    # aimed at what a past revision of src/ kept in tests/helpers.py caught;
+    # the oracles kept are definitions, or the rows' tests pin the behaviour
+    Mutant("an implied cover pair kept", "lattice.py",
+           "if not near >> w & 1:", "if w not in kept:",
+           ("test_bitsets.py::test_from_covers_matches_the_generated_order",)),
+    Mutant("an up-set gathered from its first upper cover only", "lattice.py",
+           "for w in up[v]:\n                near |= above[w]",
+           "for w in up[v][:1]:\n                near |= above[w]",
+           ("test_bitsets.py::test_from_covers_matches_the_generated_order",)),
+    Mutant("lines split at \\n only", "formats.py", "text.splitlines()", 'text.split("\\n")',
+           ("test_formats.py::test_lattice_parse_errors_carry_text_and_line"
+            "[carriage-return line ends]",)),
+    Mutant("a CRLF line end counted as two lines", "formats.py",
+           "text.splitlines()", 'text.replace("\\r", "\\n").splitlines()',
+           ("test_formats.py::test_lattice_parse_errors_carry_text_and_line[CRLF line ends]",)),
+    Mutant("a keyword keeping the space before its colon", "formats.py",
+           "yield lineno, keyword.strip(), rest", "yield lineno, keyword.lstrip(), rest",
+           ("test_formats.py::test_lattice_file_whitespace_and_comments_are_ignored",)),
+    Mutant("a colon found inside a comment", "formats.py",
+           'keyword, colon, rest = raw.partition("#")[0].partition(":")',
+           'keyword, colon, rest = raw.partition(":")\n        rest = rest.partition("#")[0]',
+           ("test_formats.py::test_lattice_parse_errors_carry_text_and_line",)),
+    Mutant("a set-family member labelled by its code", "lattice.py",
+           "_subset_label(ground_labels, m) for m in members)",
+           "_subset_label(ground_labels, m) for m in codes)",
+           ("test_cover_coding.py::test_family_lattices_match_the_dense_order",)),
+    Mutant("quotient elements sorted by the size of their partner keys", "lattice.py",
+           "key=lambda kv: (kv[1].bit_count(), kv[1])", "key=lambda kv: (kv[0].bit_count(), kv[1])",
+           ("test_cover_coding.py::test_family_lattices_match_the_dense_order",)),
+    Mutant("a DOT edge firing the lowest move first", "formats.py",
+           "v = mask.bit_length() - 1", "v = (mask & -mask).bit_length() - 1", (
+               "test_space_dot.py::test_bundled_spaces_match_the_oracle",
+               "test_space_dot.py::test_corpus_spaces_match_the_oracle")),
+    Mutant("upper covers kept in discovery order", "engine.py",
+           "for j in reversed(out)])", "for j in out])",
+           ("test_packed_closure.py::test_game_corpus",)),
+    Mutant("a split tie one edge short", "transforms.py",
+           "tie = max(0, surplus - out_a)", "tie = max(0, surplus - out_a - 1)",
+           ("test_transforms.py::test_split_relay_v_multiplicities",)),
+    Mutant("the split surplus on copy 1", "transforms.py",
+           "chips[a] = chips[a1] + surplus", "chips[a], chips[a1] = chips[a1], chips[a1] + surplus",
+           ("test_transforms.py::test_split_relay_v_multiplicities",)),
+    Mutant("a split loop copied as an edge into copy 1", "transforms.py",
+           "copy1.append(((a1 if u == a else u, a1), k))", "copy1.append(((u, a1), k))",
+           ("test_transforms.py::test_split_with_loops",)),
+    Mutant("a fresh copy name ignoring the game's names", "transforms.py",
+           "taken = set(names)", "taken = set()",
+           ("test_transforms.py::test_split_copies_take_fresh_names",)),
+    Mutant("simplify predicting copy 0 to fire floor(c/2) times", "transforms.py",
+           "counts[a] = (worst + 1) // 2", "counts[a] = worst // 2",
+           ("test_transforms.py::test_simplify_counts_match_replays_on_the_corpus",)),
 )
 
 
@@ -146,10 +200,26 @@ def mutated(mutant: Mutant, text: str) -> str:
 
 
 def defines_test(tests_dir: Path, test_id: str) -> bool:
-    """Whether the module of ``test_id`` defines its test function."""
+    """Whether the module of ``test_id`` defines its test function and, for a
+    parametrized id ``name[case]``, holds the text of the case."""
     module, _, name = test_id.partition("::")
-    path, pattern = tests_dir / module, rf"^def {re.escape(name.split('[')[0])}\("
-    return path.is_file() and re.search(pattern, path.read_text(), re.M) is not None
+    name, _, case = name.partition("[")
+    path = tests_dir / module
+    if not path.is_file():
+        return False
+    text = path.read_text()
+    return re.search(rf"^def {re.escape(name)}\(", text, re.M) is not None and case[:-1] in text
+
+
+SUITE = ("-x", "tests")  # the whole tests directory, up to its first failure
+
+
+def pytest_args(tests_dir: Path, ids) -> tuple[str, ...]:
+    """What pytest runs for a row's test ids in the copy: the ids, or the
+    whole ``SUITE`` when ``tests_dir`` lacks any of them."""
+    if all(defines_test(tests_dir, i) for i in ids):
+        return tuple(f"tests/{i}" for i in ids)
+    return SUITE
 
 
 # pytest's exit code, after writing where chipfire was imported from to argv[1]
@@ -159,8 +229,8 @@ open(sys.argv[1], "w").write(getattr(sys.modules.get("chipfire"), "__file__", No
 sys.exit(code)"""
 
 
-def run_tests(copy: Path, ids: list[str]) -> tuple[int, str]:
-    """Pytest's exit code on ``ids`` in ``copy``, and its output's last line.
+def run_tests(copy: Path, targets) -> tuple[int, str]:
+    """Pytest's exit code on ``targets`` in ``copy``, and its output's last line.
     The ini's ``pythonpath`` is overridden with the copy's ``src``, no
     bytecode is cached, and a run that imported chipfire elsewhere is refused."""
     src, where = copy / "src", copy / "imported_from"
@@ -168,7 +238,7 @@ def run_tests(copy: Path, ids: list[str]) -> tuple[int, str]:
     args = ["-q", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", "--rootdir", str(copy)]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     result = subprocess.run(
-        [sys.executable, "-c", PROBE, str(where), *args, *[f"tests/{i}" for i in ids]],
+        [sys.executable, "-c", PROBE, str(where), *args, *targets],
         cwd=copy, capture_output=True, text=True, env=env,
     )
     found = where.read_text() if where.exists() else "-"
@@ -180,32 +250,31 @@ def run_tests(copy: Path, ids: list[str]) -> tuple[int, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--tests", type=Path, default=ROOT / "tests", help="tests directory")
-    args = parser.parse_args(argv)
-    tests_dir = args.tests.resolve()
-    plans = [
-        (m, [i if defines_test(tests_dir, i) else i.partition("::")[0] for i in m.tests])
-        for m in MUTANTS
-    ]
+    tests_dir = parser.parse_args(argv).tests.resolve()
+    plans = [(m, pytest_args(tests_dir, m.tests)) for m in MUTANTS]
     with tempfile.TemporaryDirectory(prefix="chipfire-mutants-") as tmp:
         copy, ignore = Path(tmp), shutil.ignore_patterns("__pycache__", ".hypothesis")
         shutil.copytree(ROOT / "src", copy / "src", ignore=ignore)
         shutil.copytree(tests_dir, copy / "tests", ignore=ignore)
+        shutil.copytree(ROOT / "benchmarks", copy / "benchmarks", ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", copy)
-        code, last = run_tests(copy, sorted({i for _, ids in plans for i in ids}))
+        shutil.copy(ROOT / "README.md", copy)
+        targets = sorted({t for _, args in plans for t in args})
+        code, last = run_tests(copy, SUITE if SUITE[0] in targets else targets)
         if code != 0:
             print(f"error: the tests fail on the unmutated source: {last}")
             return 2
         verdicts = []
-        for mutant, ids in plans:
+        for mutant, args in plans:
             target = copy / "src" / "chipfire" / mutant.file
             pristine = target.read_text()
             target.write_text(mutated(mutant, pristine))
             try:
-                code, last = run_tests(copy, ids)
+                code, last = run_tests(copy, args)
             finally:
                 target.write_text(pristine)
             verdicts.append({0: "SURVIVED", 1: "caught"}.get(code, "ERROR"))
-            print(f"{verdicts[-1]:9} {mutant.name}  [{', '.join(ids)}]")
+            print(f"{verdicts[-1]:9} {mutant.name}  [{', '.join(args)}]")
             if code not in (0, 1):
                 print(f"          pytest exit {code}: {last}")
     print(f"{len(plans)} mutants, {verdicts.count('caught')} caught; tests from {tests_dir}")

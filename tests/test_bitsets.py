@@ -1,8 +1,8 @@
-"""Element sets as ints, against the numpy constructions they replaced.
+"""Element sets as ints, against the definitions of the order and the lattice.
 
 ``Poset.from_covers`` closes strict up-sets as ints over the covers; it is
-compared with Kahn's queue and a numpy row per element
-(``helpers.kahn_from_covers``) on order, kept covers and error text. On small
+compared with the reflexive and transitive closure of the pairs
+(``helpers.generated_order``) on order, kept covers and error text. On small
 acyclic inputs, with and without a new least and greatest element, and on
 fixed lattice-shaped inputs past 64 elements, ``Lattice.from_covers`` and its
 one containment check per join-irreducible must give the scanning oracles'
@@ -25,7 +25,7 @@ from chipfire.lattice import Lattice, Poset
 from helpers import (
     bounded,
     dense_leq,
-    kahn_from_covers,
+    generated_order,
     naive_join,
     naive_meet,
     naive_not_a_lattice_message,
@@ -71,7 +71,7 @@ def outcome(build, n, covers):
 
 def assert_lattice_verdict(n, covers, poset, pairs=None):
     """``Lattice.from_covers(n, covers)`` against the scanning oracles on
-    ``poset``, the same order built by Kahn's queue; joins and meets on
+    ``poset``, the same order closed by Warshall's rule; joins and meets on
     ``pairs``, all pairs by default."""
     expected = naive_not_a_lattice_message(poset) if n else "not a lattice: empty element set"
     try:
@@ -87,12 +87,12 @@ def assert_lattice_verdict(n, covers, poset, pairs=None):
 
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(st.one_of(cover_lists(), cover_lists(max_n=12)))
-def test_from_covers_matches_the_kahn_construction(case):
+def test_from_covers_matches_the_generated_order(case):
     n, covers = case
-    expected = outcome(kahn_from_covers, n, covers)
+    expected = outcome(generated_order, n, covers)
     assert outcome(Poset.from_covers, n, covers) == expected
     if n <= 12 and not isinstance(expected, str):  # acyclic, no bad pair
-        poset = kahn_from_covers(n, covers)
+        poset = generated_order(n, covers)
         assert_lattice_verdict(n, covers, poset)
         # the same order between a new least and a new greatest element
         ends = [(0, n + 1)] + [(0, x + 1) for x in range(n)] + [(x + 1, n + 1) for x in range(n)]
@@ -136,15 +136,15 @@ WIDE = wide_cases()
 @pytest.mark.parametrize("case", WIDE)
 def test_lattice_verdict_past_one_machine_word(case):
     n, covers = WIDE[case]
-    assert outcome(Poset.from_covers, n, covers) == outcome(kahn_from_covers, n, covers)
+    assert outcome(Poset.from_covers, n, covers) == outcome(generated_order, n, covers)
     rng = random.Random(case)
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)] + [(x, n - 1) for x in range(n)]
-    assert_lattice_verdict(n, covers, kahn_from_covers(n, covers), pairs)
+    assert_lattice_verdict(n, covers, generated_order(n, covers), pairs)
 
 
 def test_from_covers_reports_a_bad_pair_listed_after_a_cycle():
     covers = [(0, 1), (1, 0), (2, 2)]
-    for build in (Poset.from_covers, kahn_from_covers):
+    for build in (Poset.from_covers, generated_order):
         with pytest.raises(ValueError, match=r"bad cover pair \(2,2\)"):
             build(3, covers)
     # a float id is a bad pair too, not a TypeError from indexing with it

@@ -238,7 +238,7 @@ def assert_matches_full_scan(game, space):
     oracle = full_scan_space(game)
     assert space.vectors == oracle.vectors
     assert space.configs == oracle.configs
-    assert tuple(space.covers) == tuple(oracle.covers)
+    assert space.ups == oracle.ups and space.move_masks == oracle.move_masks
 
 
 def test_revisit_with_another_firing_vector_is_reported(monkeypatch):
@@ -344,12 +344,13 @@ def test_firing_count_matches_full_scan(coloured_corpus, monkeypatch):
 
 
 def restarts(game, space):
-    """The colour restarts of a space's covers: per cover (x, y, v), the
+    """The colour restarts of a space's covers: per move v of a state x, the
     colours in which v holds its out-degree in chips at x."""
     degrees = [game.graph.restriction_to_colour(c)._out_degrees for c in game.colours]
     return sum(
         0 < deg[v] <= chips[v]
-        for lo, _, v in space.covers
+        for lo, mask in enumerate(space.move_masks)
+        for v in range(mask.bit_length()) if mask >> v & 1
         for deg, chips in zip(degrees, space.configs[lo])
     )
 

@@ -5,10 +5,12 @@ its lower cover instead of scanning J×M; its self-check must report a
 join-irreducible with no up-down partner. The partition itself meets the
 up-down arrows in ``tests/test_lattice_tables.py``. The stock shapes, the
 ideal lattices and the ideal quotient are built from their known covers (a
-set family's one-element steps); their order, labels, covers and joins are
-compared with the dense inclusion order of the same family, and the covers
-with those derived from the order: as pairs, per element, and in the first
-cover-step witness, also on orders given as a ``leq`` matrix.
+set family's one-element steps). The ideal lattices and the quotient are
+checked against the definition of a family ordered by inclusion
+(``helpers.assert_set_family``), the quotient's members grouped as in the
+paper; the covers of the stock shapes against those derived from the order:
+as pairs, per element, and in the first cover-step witness, also on orders
+given as a ``leq`` matrix.
 """
 
 import random
@@ -23,10 +25,9 @@ from chipfire.lattice import Lattice, Poset, ideal_lattice
 from helpers import (
     all_posets_upto,
     assert_adjacencies_match,
+    assert_set_family,
     dense_ideal_quotient,
-    dense_join_table,
     dense_leq,
-    dense_union_closed_lattice,
     naive_cover_pairs,
     posets,
 )
@@ -82,31 +83,29 @@ def test_stock_shapes_skip_cover_matrix(monkeypatch):
         assert_adjacencies_match(lat, leq)
 
 
-def assert_matches_dense(lat, dense):
-    assert lat.labels == dense.labels
-    assert np.array_equal(dense_leq(lat), dense_leq(dense))
-    assert lat.cover_pairs == dense.cover_pairs, lat.labels
-    assert np.array_equal(dense_join_table(lat), dense_join_table(dense))
+def assert_quotient_matches_the_grouping(lat):
+    labels = lat.join_irreducible_poset().labels
+    assert_set_family(lat.ideal_quotient(), dense_ideal_quotient(lat), labels)
 
 
-def assert_family_lattices_match_dense(poset):
+def assert_family_lattices_match_the_definition(poset):
     lat = ideal_lattice(poset)
-    assert_matches_dense(lat, dense_union_closed_lattice(poset.ideal_masks(), poset.labels))
-    assert_matches_dense(lat.ideal_quotient(), dense_ideal_quotient(lat))
+    assert_set_family(lat, poset.ideal_masks(), poset.labels)
+    assert_quotient_matches_the_grouping(lat)
 
 
 def test_family_lattices_match_the_dense_order(small_posets, space_corpus, coloured_space_corpus):
     for poset in small_posets:
-        assert_family_lattices_match_dense(poset)
+        assert_family_lattices_match_the_definition(poset)
     lattices = [space.lattice() for space in space_corpus + coloured_space_corpus]
     uld = [lat for lat in lattices + [gated_cube_lattice()] if lat.is_uld]
     assert any(not lat.is_distributive for lat in uld)
     for lat in uld:
-        assert_matches_dense(lat.ideal_quotient(), dense_ideal_quotient(lat))
-        assert_family_lattices_match_dense(lat.join_irreducible_poset())
+        assert_quotient_matches_the_grouping(lat)
+        assert_family_lattices_match_the_definition(lat.join_irreducible_poset())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(posets())
 def test_family_lattices_match_the_dense_order_on_generated_posets(poset):
-    assert_family_lattices_match_dense(poset)
+    assert_family_lattices_match_the_definition(poset)

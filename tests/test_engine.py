@@ -141,11 +141,12 @@ def test_enumerate_space_funnel():
     labels = {space.shot_label(i) for i in range(7)}
     assert labels == {"{}", "{a}", "{b}", "{a,b}", "{a,c}", "{b,c}", "{a,b,c}"}
     assert space.shot_label(0) == "{}"
-    # every cover adds exactly one firing
-    for lo, hi, fired in space.covers:
-        delta = [b - a for a, b in zip(space.vectors[lo], space.vectors[hi])]
-        assert sorted(delta) == [0] * (len(delta) - 1) + [1]
-        assert delta[fired] == 1
+    # every cover adds exactly one firing, of a move of its lower state
+    for lo, ups in enumerate(space.ups):
+        for hi in ups:
+            delta = [b - a for a, b in zip(space.vectors[lo], space.vectors[hi])]
+            assert sorted(delta) == [0] * (len(delta) - 1) + [1]
+            assert space.move_masks[lo] >> delta.index(1) & 1
 
 
 def test_enumerate_space_zero_chips():

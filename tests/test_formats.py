@@ -604,6 +604,8 @@ LATTICE_ERRORS = {
     "missing elements line": ("# only a comment\n\n", "l.lat: missing elements line"),
     "cycle": ("elements: a b\ncover: a b\n# back\ncover: b a\n", "l.lat: cover relation contains a cycle"),
     "self cover": ("elements: a b\ncover: a b\ncover: b b\n", "l.lat:3: element 'b' cannot cover itself"),
+    "carriage-return line ends": ("elements: a b\rcover: a\r", "l.lat:2: cover needs 'cover: LOW HIGH'"),
+    "CRLF line ends": ("elements: a b\r\n\r\ncover: a z\r\n", "l.lat:3: unknown element 'z'"),
 }
 
 

@@ -48,6 +48,7 @@ from chipfire.transforms import coloured_from_uld
 from helpers import (
     coloured_games,
     convergent_games,
+    fired_vertex,
     full_scan_parts,
     full_scan_space,
     grouped_by_state,
@@ -101,8 +102,9 @@ def test_a_larger_upper_cover_fires_a_smaller_vertex(game_corpus, coloured_corpu
     for _, _, covers in parts:
         assert_fired_vertices_descend(covers)
     wide = Cfg(Multigraph.from_edges("abcdt", [(v, "t", 1) for v in "abcd"]), (1, 1, 1, 1, 0))
-    bottom = [(hi, v) for lo, hi, v in wide.enumerate_space().covers if lo == 0]
-    assert bottom == [(1, 3), (2, 2), (3, 1), (4, 0)]
+    space = wide.enumerate_space()
+    assert space.ups[0] == (1, 2, 3, 4)
+    assert [fired_vertex(space.vectors, 0, hi) for hi in space.ups[0]] == [3, 2, 1, 0]
 
 
 def test_game_corpus(game_corpus):

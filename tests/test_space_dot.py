@@ -3,8 +3,9 @@
 ``ConfigSpace.labels`` joins words from one table per vertex, and
 ``formats.space_to_dot`` escapes each vertex name once and reads its edge
 lines off ``ups`` and ``move_masks``. The differential tests compare both,
-byte for byte, with ``helpers``' copies of the writers they replaced, on the
-bundled games, the corpora and generated games whose labels are counted.
+byte for byte, with ``helpers``' oracles, which format each token apart and
+read each edge's fired vertex off the firing vectors, on the bundled games,
+the corpora and generated games whose labels are counted.
 The edge cases are names that need escaping, a one-state space and a game
 with no vertices. The structural tests pin what the writers leave out: no
 cover triples, one escape per name or label, and no labels without ``--dot``.
