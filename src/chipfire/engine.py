@@ -4,6 +4,14 @@ A vertex holding at least its out-degree in chips may fire, sending one chip
 along each outgoing edge. Loops return their chips to the firing vertex but
 still count toward the firing threshold.
 
+A run to the fixpoint keeps the firable vertices as a sorted worklist and
+rescans no vertex. A firing of v changes the chips of v and of its
+out-neighbours only, and an out-neighbour w != v only gains. So v is the only
+vertex that can stop being firable, and only an out-neighbour w != v whose
+chips cross its out-degree can become firable: the worklist is updated from
+those alone, and stays exactly the firable set, in ascending order. The
+policies read it: ``min`` and ``max`` its ends, ``random`` a draw from it.
+
 Classical and coloured configuration spaces both come from ``_closure``, one
 breadth-first closure that holds the state cap, the canonical order and two
 checks: a revisited state keeps its firing vector, and no two states share one.
@@ -53,9 +61,11 @@ from __future__ import annotations
 
 import random
 import struct
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from .errors import FiringVectorConflict, StateCapExceeded, StepCapExceeded
@@ -195,16 +205,19 @@ class _Covers:
                 yield lo, hi, v
 
 
-def _chooser(policy, rng, check) -> Callable[[frozenset[int]], int]:
+def _chooser(policy, rng, check) -> Callable[[list[int]], int]:
+    """The policy's pick from the firable vertices as a sorted list: its
+    first or last entry, a random one (what ``rng.choice(sorted(fs))`` would
+    draw), or a callable's pick from them as a frozenset."""
     if policy == "min":
-        return min
+        return itemgetter(0)
     if policy == "max":
-        return max
+        return itemgetter(-1)
     if policy == "random":
         r = rng if rng is not None else random.Random(0)
-        return lambda fs: r.choice(sorted(fs))
+        return r.choice
     if callable(policy):  # it may pick any id: ``check`` converts it first
-        return lambda fs: check(policy(fs))
+        return lambda firable: check(policy(frozenset(firable)))
     raise ValueError(f"unknown firing policy {policy!r}")
 
 
@@ -283,16 +296,21 @@ class Cfg:
 
         The final configuration and the per-vertex firing counts are
         independent of the policy (strong convergence).
+
+        The policy reads the firable vertices as a sorted worklist, which
+        stays exactly the firable set: firing v changes the chips of v and
+        its out-neighbours only, and an out-neighbour w != v only gains, so
+        only v can leave the list and only such a w whose chips cross its
+        out-degree can join it. ``step_cap`` bounds the number of firings.
         """
         self._require_guard(step_cap, "run_to_fixpoint")
         choose = _chooser(policy, rng, self.graph._check)
+        deg, adj = self.graph._out_degrees, self.graph._out_adj
         conf = self.init
+        firable = sorted(self._firable(conf))
         counts = [0] * self.graph.n
         steps = 0
-        while True:
-            fs = self._firable(conf)
-            if not fs:
-                return FixpointRun(conf, tuple(counts))
+        while firable:
             if step_cap is not None and steps >= step_cap:
                 verdict = (
                     "the game converges, but the step cap came first"
@@ -300,14 +318,21 @@ class Cfg:
                     else "possibly divergent"
                 )
                 raise StepCapExceeded(f"{verdict}: no fixpoint within step cap {step_cap}")
-            v = choose(fs)
-            if v not in fs:  # a caller-supplied policy may pick any vertex
+            v = choose(firable)
+            i = bisect_left(firable, v)
+            if i == len(firable) or firable[i] != v:  # a policy may pick any vertex
                 raise ValueError(f"vertex {self.graph.names[v]} is not firable")
             conf = self._fire(conf, v)
             counts[v] += 1
             steps += 1
+            if conf[v] < deg[v]:
+                del firable[i]
+            for w, k in adj[v]:
+                if w != v and conf[w] - k < deg[w] <= conf[w]:
+                    insort(firable, w)
             if on_fire is not None:
                 on_fire(v, conf)
+        return FixpointRun(conf, tuple(counts))
 
     def is_simple(self, step_cap=None) -> bool:
         """True when no vertex fires more than once on the way to the fixpoint."""

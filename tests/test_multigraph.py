@@ -5,7 +5,14 @@ import pytest
 from chipfire.fixtures import funnel_game, split_track_game
 from chipfire.multigraph import ColouredMultigraph, Multigraph
 
-from helpers import random_coloured_game, random_convergent_game
+from helpers import (
+    in_degree,
+    nonloop_out_degree,
+    pair_multiplicity,
+    random_coloured_game,
+    random_convergent_game,
+    total_multiplicity,
+)
 
 
 def test_out_degree_funnel():
@@ -24,7 +31,6 @@ def test_out_degree_loop_counts_once():
     g = Multigraph(("a",), {(0, 0): 1})
     assert g.out_degree(0) == 1
     assert g.loops(0) == 1
-    assert g.nonloop_out_degree(0) == 0
 
 
 def test_out_degree_unknown_vertex():
@@ -88,12 +94,18 @@ def test_single_colour_restriction_is_identity():
 def test_degree_identities_random():
     rng = random.Random(5)
     for _ in range(50):
-        g = random_convergent_game(rng).graph
+        game = random_convergent_game(rng)
+        g = game.graph
         for v in range(g.n):
-            assert g.out_degree(v) == g.nonloop_out_degree(v) + g.loops(v)
-        total = g.total_multiplicity
-        assert sum(g.out_degree(v) for v in range(g.n)) == total
-        assert sum(g.in_degree(v) for v in range(g.n)) == total
+            assert g.out_degree(v) == nonloop_out_degree(g, v) + g.loops(v)
+        assert sum(g.out_degree(v) for v in range(g.n)) == total_multiplicity(g)
+        # firing every vertex once moves in-degree minus out-degree chips onto each
+        conf = [max(g.out_degree(v) for v in range(g.n))] * g.n
+        fired = conf
+        for v in range(g.n):
+            if g.out_degree(v):
+                fired = game.fire(fired, v)
+        assert list(fired) == [c + in_degree(g, v) - g.out_degree(v) for v, c in enumerate(conf)]
 
 
 def test_colour_union_reconstructs_multiplicities():
@@ -105,4 +117,4 @@ def test_colour_union_reconstructs_multiplicities():
                 by_layers = sum(
                     g.restriction_to_colour(c).multiplicity(u, v) for c in g.colours
                 )
-                assert by_layers == g.pair_multiplicity(u, v)
+                assert by_layers == pair_multiplicity(g, u, v)

@@ -109,9 +109,7 @@ GRAPH_ACCESSORS = {
     "multiplicity": lambda g, x: g.multiplicity(x, 0),
     "multiplicity second": lambda g, x: g.multiplicity(0, x),
     "out_degree": lambda g, x: g.out_degree(x),
-    "in_degree": lambda g, x: g.in_degree(x),
     "loops": lambda g, x: g.loops(x),
-    "nonloop_out_degree": lambda g, x: g.nonloop_out_degree(x),
     "induced_subgraph": lambda g, x: g.induced_subgraph([0, x]),
 }
 
@@ -127,10 +125,6 @@ ID_ENTRY_POINTS = {
     **{f"Lattice.{name}": (CHAIN, call) for name, call in ELEMENT_ACCESSORS.items()},
     **{f"ConfigSpace.{name}": (SPACE, call) for name, call in SPACE_ACCESSORS.items()},
     **{f"Multigraph.{name}": (FUNNEL_GRAPH, call) for name, call in GRAPH_ACCESSORS.items()},
-    "ColouredMultigraph.pair_multiplicity": (GATE, lambda g, x: g.graph.pair_multiplicity(x, 3)),
-    "ColouredMultigraph.pair_multiplicity second": (
-        GATE, lambda g, x: g.graph.pair_multiplicity(0, x)
-    ),
     "interval_cfg": (FUNNEL_SPACE, lambda g, x: interval_cfg(g, x, 6)),
     "interval_cfg second": (FUNNEL_SPACE, lambda g, x: interval_cfg(g, 0, x)),
     "Cfg.fire": (FUNNEL, lambda g, x: g.fire(g.init, x)),
@@ -161,7 +155,6 @@ def test_id_entry_points_take_numpy_ints_and_bools():
     assert split_vertex(game, np.int64(2)) == split_vertex(game, 2)
     gate = shared_gate_game()
     assert gate.open_vertex(gate.initial_state(), np.int64(0)) == opened_a(gate)
-    assert gate.graph.pair_multiplicity(np.int64(0), True) == 0
 
 
 @pytest.mark.parametrize("lattice_name", ["chain", "pentagon"])
