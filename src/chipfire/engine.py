@@ -13,10 +13,11 @@ those alone, and stays exactly the firable set, in ascending order. The
 policies read it: ``min`` and ``max`` its ends, ``random`` a draw from it.
 
 Classical and coloured configuration spaces both come from ``_closure``, one
-breadth-first closure that holds the state cap, the canonical order and two
-checks: a revisited state keeps its firing vector, and no two states share one.
-So every cover it records adds exactly one firing: total firings ranks the
-space, and each (lower, upper) pair of states is at most one cover.
+breadth-first closure that holds the state cap, the canonical order and one
+check: a revisited state keeps its firing vector. With the space's own check
+that no two states share one, every cover it records adds exactly one
+firing: total firings ranks the space, and each (lower, upper) pair of
+states is at most one cover.
 
 Inside the closure a firing vector is one int, a 64-bit field per vertex and
 above them a 64-bit level field, the total firings, so int order is the
@@ -41,8 +42,9 @@ are read off on request.
 A space is a ``Lattice``: it answers the lattice questions ``chipfire
 space`` asks (J, M, rank, the two ULD detectors, distributivity) by
 ``Lattice``'s own members, which read nothing but its covers, without a dense
-order. That rests on one more check, run lazily before the first such answer:
-at every state, any two moves u != v commute, i.e. after u the move v is
+order. That rests on the checks a space runs as it is built, in
+``ConfigSpace.__post_init__``: distinct firing vectors, one maximal state,
+and at every state, any two moves u != v commute, i.e. after u the move v is
 still possible (firing or opening u only adds chips to v). Each state's moves
 are the int mask the closure recorded, so the check is one test per cover.
 With distinct firing vectors, this local confluence gives the exchange lemma
@@ -114,8 +116,9 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     ints (its chip blocks and open set). ``unpack`` is the game's rule that
     turns a list of them into configurations. Raises
     FiringVectorConflict when a state is reached again with a different
-    firing vector, RuntimeError when two states share one (for a coloured
-    game: one open-set with two chip contents).
+    firing vector; the space checks the rest as it is built (RuntimeError
+    when two states share one, for a coloured game one open-set with two
+    chip contents).
 
     A firing vector is one int: a 64-bit field per vertex, vertex 0 the most
     significant, and above them a 64-bit level field, the total firings. A
@@ -156,8 +159,6 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
         nexts.append(out)
         masks.append(mask)
     del ids
-    if len(set(vectors)) != len(vectors):
-        raise RuntimeError("two states share a firing vector")
     order = sorted(range(len(states)), key=vectors.__getitem__)
     rank = [0] * len(order)
     for r, i in enumerate(order):
@@ -277,7 +278,7 @@ class Cfg:
         """Send one chip along each edge out of v; v must be firable."""
         v = self.graph._check(v)
         conf = self._conf(conf)
-        if v not in self._firable(conf):
+        if not 0 < self.graph._out_degrees[v] <= conf[v]:
             raise ValueError(f"vertex {self.graph.names[v]} is not firable")
         return self._fire(conf, v)
 
@@ -394,20 +395,22 @@ class ConfigSpace(Lattice):
     label, made in one pass, for ``shot_label``, the DOT text and
     ``lattice()``.
 
-    Every other query (``J``, ``M``, ``_mx_masks``, the two ULD detectors,
-    ``is_uld``, ``is_distributive``, ``le``, ``join``, ``meet``, the arrows)
-    is ``Lattice``'s or ``Poset``'s own member. They read the cover
-    interface below: ``n``, ``topo_order``, ``_upper_covers`` and, for the
-    order itself, the lazy up-sets ``_up_masks``. The verdicts ``chipfire
-    space`` prints fill no lower covers and no up-set. ``_upper_covers``
-    first checks that moves commute on the move masks (``_moves``), which
-    with distinct vectors proves the space is a ULD lattice ordered
-    componentwise: that is its certificate ``_antimatroid``, so the
+    A space checks itself as it is built, as a ``Lattice`` does
+    (``__post_init__``): distinct firing vectors, moves that commute at
+    every state and one maximal state. That proves it a ULD lattice ordered
+    componentwise, so its certificate ``_antimatroid`` is True: the
     hypercube detector walks no cube, and the cover-step detector on
     ``_mx_masks`` is checked against it. Rank is total firings and the
     height the top's level, as ``_closure`` keeps a cover only when it adds
-    one firing. ``lattice()`` builds the separately verified ``Lattice``
-    only on demand.
+    one firing.
+
+    Every other query (``J``, ``M``, ``_mx_masks``, the two ULD detectors,
+    ``is_uld``, ``is_distributive``, ``le``, ``join``, ``meet``, the arrows)
+    is ``Lattice``'s or ``Poset``'s own member. They read the cover
+    interface below: ``n``, ``topo_order``, ``_upper_covers`` (``ups``) and,
+    for the order itself, the lazy up-sets ``_up_masks``. The verdicts
+    ``chipfire space`` prints fill no lower covers and no up-set.
+    ``lattice()`` builds the separately verified ``Lattice`` only on demand.
     """
 
     names: tuple[str, ...]
@@ -418,6 +421,36 @@ class ConfigSpace(Lattice):
     move_masks: tuple[int, ...]
 
     bottom = 0  # the initial state, first in canonical order
+
+    def __post_init__(self):
+        """Every check a finished space needs, run as it is built: no two
+        states share a firing vector, any two moves of each state commute,
+        and one state is maximal (``top``). Each fails with RuntimeError.
+
+        The commuting check is ``lattice._commuting``, the rule ``Lattice``
+        runs on meet-irreducible codes, here one test per cover on the
+        recorded masks and ``ups``: it names the first cover (x, child, u),
+        in ``covers`` order, after which another move v of x is gone, and
+        the lowest such v. Chips only ever arrive at v when u fires or
+        opens, so moves that do not commute are an engine fault.
+
+        Once it passes, every cover interval is a cube. By induction on |S|,
+        any subset S of the k moves out of x can be walked from x in any
+        order: after the moves T ⊂ S, each move of S - T is still possible.
+        So the 2^k walks all exist, and with distinct firing vectors they end
+        in 2^k distinct states: the space's code certificate ``_antimatroid``.
+        """
+        if len(set(self.packed_vectors)) != len(self.packed_vectors):
+            raise RuntimeError("two states share a firing vector")
+        lost = _commuting(self.move_masks, self.ups)
+        if lost:
+            x, _, u, v = lost
+            u, v = self.names[u], self.names[v]
+            raise RuntimeError(
+                f"moves {u} and {v} do not commute at state {self.labels[x]}: "
+                f"{v} is lost after {u}"
+            )
+        self.top
 
     def __len__(self):
         return len(self.packed_vectors)
@@ -510,47 +543,11 @@ class ConfigSpace(Lattice):
 
     # the cover interface that Lattice's members read
 
-    @cached_property
-    def _moves(self) -> tuple[int, ...]:
-        """``move_masks``, once every two moves of each state commute.
-
-        Raises RuntimeError at the first cover (x, child, u), in ``covers``
-        order, after which another move v of x is gone, naming the lowest
-        such v: the rule of ``lattice._commuting``, which ``Lattice`` runs on
-        meet-irreducible codes, here in one loop over the recorded masks and
-        ``ups``, reading each cover's move off the mask. Chips only ever
-        arrive at v when u fires or opens, so moves that do not commute are
-        an engine fault.
-
-        Once it passes, every cover interval is a cube. By induction on |S|,
-        any subset S of the k moves out of x can be walked from x in any
-        order: after the moves T ⊂ S, each move of S - T is still possible.
-        So the 2^k walks all exist, and with distinct firing vectors they end
-        in 2^k distinct states.
-        """
-        lost = _commuting(self.move_masks, self.ups)
-        if lost:
-            x, _, u, v = lost
-            u, v = self.names[u], self.names[v]
-            raise RuntimeError(
-                f"moves {u} and {v} do not commute at state {self.labels[x]}: "
-                f"{v} is lost after {u}"
-            )
-        return self.move_masks
-
-    @cached_property
-    def _antimatroid(self) -> bool:
-        """True once ``_moves`` has passed, which it forces: distinct firing
-        vectors, one firing per cover and commuting moves are the space's
-        code certificate, so ``_hypercube_witness`` is None with no walk."""
-        self._moves
-        return True
+    _antimatroid = True  # the certificate, checked by ``__post_init__``
 
     @property
     def _upper_covers(self) -> tuple[tuple[int, ...], ...]:
-        """``ups``, once ``_moves`` has checked that moves commute: what the
-        verdicts and ``cover_pairs`` read."""
-        self._moves
+        """``ups``: what the verdicts and ``cover_pairs`` read."""
         return self.ups
 
     @cached_property
@@ -564,9 +561,4 @@ class ConfigSpace(Lattice):
         """The canonical order, a linear extension: every cover adds a firing."""
         return range(self.n)
 
-    @property
-    def is_ranked(self) -> bool:
-        """True once ``_moves`` has passed, which it forces: ``_closure`` keeps
-        a cover only when it adds one firing, so total firings is a rank."""
-        self._moves
-        return True
+    is_ranked = True  # total firings: every cover of ``_closure`` adds one

@@ -329,7 +329,7 @@ class Lattice(Poset):
     ``_upper_covers``, once ``_antimatroid`` has passed. ``engine.ConfigSpace``
     is a subclass that builds no order at construction: it provides those
     itself (its ``_upper_covers`` handed over by the closure in canonical
-    order, its certificate that its moves commute) and gathers its up-sets
+    order, its certificate checked as it is built) and gathers its up-sets
     only on request. The cover-step detector walks ``_upper_covers`` in the
     order of the sorted ``cover_pairs``.
     """
@@ -393,7 +393,7 @@ class Lattice(Poset):
         certificate: the codes are distinct, each cover adds one element to
         the code, its label, and at each x any two labels commute: after the
         cover labelled u the label v is still open (``_commuting``, the rule
-        ``engine.ConfigSpace._moves`` runs on firings). Then any two upper
+        ``engine.ConfigSpace.__post_init__`` runs on firings). Then any two upper
         covers a and b of x have a common upper cover with code S(a) ∪ S(b):
         the v-cover of a and the u-cover of b share that code, so they are
         one element. By induction down from the top, any two elements above
@@ -570,9 +570,9 @@ class Lattice(Poset):
         """Least element whose cover interval is not a hypercube, or None.
 
         None on a lattice that passed ``_antimatroid``: its labels commute,
-        so by the induction of ``engine.ConfigSpace._moves`` the unions of
-        any k labels out of x are 2^k distinct codes, the whole interval.
-        Else, for x with k >= 2 upper covers, the 2^k joins of
+        so by the induction of ``engine.ConfigSpace.__post_init__`` the
+        unions of any k labels out of x are 2^k distinct codes, the whole
+        interval. Else, for x with k >= 2 upper covers, the 2^k joins of
         subsets of covers, each a common up-set, must be distinct and fill the
         interval from x to the join of all k.
         """

@@ -13,8 +13,8 @@ oracle per concept, each written apart from the library code it checks.
 - cover rows: ``grouped_space``; the cube of moves: ``cube_walk_witness``;
   a cover's fired vertex: ``fired_vertex``, the one entry of the firing
   vector that grows along it
-- order: ``dense_leq``; ``generated_order``, the pairs closed by Warshall's
-  rule; ``naive_cover_pairs``
+- order: ``dense_leq``; ``generated_leq``, the pairs closed by Warshall's
+  rule, and ``generated_order``, its Poset; ``naive_cover_pairs``
 - join and meet: ``naive_join``, ``naive_meet``, ``naive_not_a_lattice_message``
 - distributivity: ``dense_distributivity_witness``, the triple law on the
   dense tables
@@ -529,12 +529,11 @@ def dense_distributivity_witness(lattice: Lattice):
     return None
 
 
-def generated_order(n, pairs, labels=None) -> Poset:
-    """The order the pairs (lo, hi) generate, by its definition: every pair is
-    checked first, then the pairs are closed reflexively and transitively by
-    Warshall's rule on a boolean matrix, and x != y with x <= y <= x is a
-    cycle. Only the order is handed over: its covers are the ones ``Poset``
-    derives from it."""
+def generated_leq(n, pairs) -> np.ndarray:
+    """The order the pairs (lo, hi) generate, by its definition, as a boolean
+    matrix: every pair is checked first, then the pairs are closed
+    reflexively and transitively by Warshall's rule, and x != y with
+    x <= y <= x is a cycle."""
     pairs = list(pairs)
     for lo, hi in pairs:
         if not (0 <= lo < n and 0 <= hi < n) or lo == hi:
@@ -546,7 +545,13 @@ def generated_order(n, pairs, labels=None) -> Poset:
         leq |= leq[:, [k]] & leq[k]
     if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
         raise ValueError("cover relation contains a cycle")
-    return Poset(leq, labels=labels, _checked=True)
+    return leq
+
+
+def generated_order(n, pairs, labels=None) -> Poset:
+    """``generated_leq`` as a Poset. Only the order is handed over: its
+    covers are the ones ``Poset`` derives from it."""
+    return Poset(generated_leq(n, pairs), labels=labels, _checked=True)
 
 
 def row_masks(matrix) -> tuple[int, ...]:
@@ -575,11 +580,10 @@ def meet_table_map(lattice: Lattice, ms, space):
 
 
 def pair_set_hasse_isomorphism(image, rows, target_rows) -> bool:
-    """The round-trip check that ``transforms.is_hasse_isomorphism``'s row
-    comparison replaced: ``image`` is a bijection onto range(n), n the
-    target's size, that sends the set of the source's (lower, upper) cover
-    pairs onto the set of the target's; each side's pairs are read off its
-    upper-cover rows."""
+    """A Hasse-diagram isomorphism by its definition: ``image`` is a
+    bijection onto range(n), n the target's size, that maps the set of the
+    source's (lower, upper) cover pairs exactly onto the set of the
+    target's; each side's pairs are read off its upper-cover rows."""
     n = len(target_rows)
     if image is None or len(image) != n or set(image) != set(range(n)):
         return False

@@ -67,9 +67,18 @@ MUTANTS = (
            ("test_packed_closure.py::test_game_corpus",)),
     Mutant("first fit joining any chain", "transforms.py", " if up[c[-1]] >> x & 1), [])", "), [])",
            ("test_path_synthesis.py::test_fixtures_booleans_and_chains",)),
-    Mutant("_antimatroid not forcing _moves", "engine.py",
-           'no walk."""\n        self._moves\n', 'no walk."""\n',
-           ("test_space_verdicts.py::test_moves_that_do_not_commute_are_an_engine_fault",)),
+    # the checks a space runs as it is built, each dropped
+    Mutant("moves that do not commute let through", "engine.py",
+           "lost = _commuting(self.move_masks, self.ups)", "lost = None", (
+               "test_space_verdicts.py::test_moves_that_do_not_commute_are_an_engine_fault",
+               "test_space_verdicts.py::test_commuting_report_names_the_lowest_lost_move",
+               "test_space_verdicts.py::test_commuting_report_at_a_state_above_the_bottom")),
+    Mutant("two states sharing a firing vector let through", "engine.py",
+           "if len(set(self.packed_vectors)) != len(self.packed_vectors):", "if False:", (
+               "test_engine.py::test_two_states_with_one_firing_vector_are_reported",
+               "test_coloured.py::test_open_set_with_two_chip_contents_is_reported")),
+    Mutant("two maximal states let through", "engine.py", "        self.top\n", "",
+           ("test_space_verdicts.py::test_a_hand_built_space_with_two_maximal_states_is_refused",)),
     Mutant("memo shared across calls", "coloured.py",
            "restarts={}", 'restarts=vars(ColouredCfg.enumerate_space).setdefault("memo", {})',
            ("test_coloured.py::test_restart_memo_is_held_per_level_and_dropped",)),

@@ -2,13 +2,13 @@
 
 ``Poset.from_covers`` closes strict up-sets as ints over the covers; it is
 compared with the reflexive and transitive closure of the pairs
-(``helpers.generated_order``) on order, kept covers and error text. On small
-acyclic inputs, with and without a new least and greatest element, and on
-fixed lattice-shaped inputs past 64 elements, ``Lattice.from_covers`` and its
-one containment check per join-irreducible must give the scanning oracles'
-verdict, error text, joins and meets. The meet-irreducible codes
-``Lattice._mx_masks``, also past one machine word, are checked with the rest
-of the lattice layer in ``tests/test_lattice_tables.py``.
+(``helpers.generated_leq``, its own matrix) on order, kept covers and error
+text. On small acyclic inputs, with and without a new least and greatest
+element, and on fixed lattice-shaped inputs past 64 elements,
+``Lattice.from_covers`` and its one containment check per join-irreducible
+must give the scanning oracles' verdict, error text, joins and meets. The
+meet-irreducible codes ``Lattice._mx_masks``, also past one machine word, are
+checked with the rest of the lattice layer in ``tests/test_lattice_tables.py``.
 """
 
 import itertools
@@ -25,6 +25,7 @@ from chipfire.lattice import Lattice, Poset
 from helpers import (
     bounded,
     dense_leq,
+    generated_leq,
     generated_order,
     naive_join,
     naive_meet,
@@ -61,12 +62,24 @@ def cover_lists(draw, max_n=90):
     return n, pairs
 
 
-def outcome(build, n, covers):
+def outcome(n, covers):
+    """``Poset.from_covers``'s order, one public ``le`` per cell, and its
+    kept covers; or its error text."""
     try:
-        poset = build(n, covers)
+        poset = Poset.from_covers(n, covers)
     except ValueError as exc:
         return str(exc)
     return dense_leq(poset).tolist(), poset.cover_pairs
+
+
+def generated_outcome(n, covers):
+    """The same from the generated order: its own matrix, and the covers
+    ``Poset`` derives from that matrix; or its error text."""
+    try:
+        leq = generated_leq(n, covers)
+    except ValueError as exc:
+        return str(exc)
+    return leq.tolist(), Poset(leq, _checked=True).cover_pairs
 
 
 def assert_lattice_verdict(n, covers, poset, pairs=None):
@@ -89,8 +102,8 @@ def assert_lattice_verdict(n, covers, poset, pairs=None):
 @given(st.one_of(cover_lists(), cover_lists(max_n=12)))
 def test_from_covers_matches_the_generated_order(case):
     n, covers = case
-    expected = outcome(generated_order, n, covers)
-    assert outcome(Poset.from_covers, n, covers) == expected
+    expected = generated_outcome(n, covers)
+    assert outcome(n, covers) == expected
     if n <= 12 and not isinstance(expected, str):  # acyclic, no bad pair
         poset = generated_order(n, covers)
         assert_lattice_verdict(n, covers, poset)
@@ -136,7 +149,7 @@ WIDE = wide_cases()
 @pytest.mark.parametrize("case", WIDE)
 def test_lattice_verdict_past_one_machine_word(case):
     n, covers = WIDE[case]
-    assert outcome(Poset.from_covers, n, covers) == outcome(generated_order, n, covers)
+    assert outcome(n, covers) == generated_outcome(n, covers)
     rng = random.Random(case)
     pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(300)] + [(x, n - 1) for x in range(n)]
     assert_lattice_verdict(n, covers, generated_order(n, covers), pairs)

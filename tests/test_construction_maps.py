@@ -5,9 +5,9 @@ construction implies (``distributive_map``, ``uld_map``, ``split_map``) with
 ``is_hasse_isomorphism``; that check is the whole verdict. It compares each
 state's mapped upper-cover row with the target's row. These tests compare
 the check with ``is_isomorphic`` on the seeded corpora and on hypothesis
-games, and with the cover-pair-set check it replaced
-(``helpers.pair_set_hasse_isomorphism``) on the same maps perturbed at
-random. They corrupt cover rows and map entries to see both checks refuse
+games, and with the definition, a bijection that maps one cover-pair set
+exactly onto the other (``helpers.pair_set_hasse_isomorphism``), on the
+same maps perturbed at random. They corrupt cover rows and map entries to see both checks refuse
 them and the CLI exit 1, and run the CLI with the search, the dense space
 lattice or the derived cover matrix switched off, and in a fresh interpreter
 that must never import numpy. The coding maps are compared entry for entry

@@ -24,10 +24,10 @@ and, past a cap or on a faulty game, the same exception and text.
 
 The closure hands a space its covers as each state's upper covers and its
 mask of moves, with no sorted triple. So the space's ``covers``,
-``_upper_covers`` and ``_moves`` are also checked against the oracle's own
-sorted triples, grouped per state by ``helpers.grouped_by_state``, and the
-rule that lets the closure skip the sort is checked on those triples: among
-one state's upper covers, a larger element fires a smaller vertex.
+``_upper_covers`` and ``move_masks`` are also checked against the oracle's
+own sorted triples, grouped per state by ``helpers.grouped_by_state``, and
+the rule that lets the closure skip the sort is checked on those triples:
+among one state's upper covers, a larger element fires a smaller vertex.
 """
 
 import re
@@ -74,7 +74,7 @@ def assert_same_covers(space, names, parts):
     assert tuple(space.covers) == covers and len(space.covers) == len(covers)
     ups, masks = grouped_by_state(len(space), covers)
     assert space._upper_covers == oracle._upper_covers == ups
-    assert space._moves == oracle._moves == masks
+    assert space.move_masks == oracle.move_masks == masks
     assert_fired_vertices_descend(covers)
 
 

@@ -3,12 +3,15 @@
 ``chipfire space`` prints only the verdicts a space reads from its firing
 vectors and moves, so it never builds the dense, separately verified
 ``space.lattice()``; every such verdict and query is compared with that view
-on each input family in ``tests/test_lattice_tables.py``. Here the
-commuting-moves check that stands in for the lattice verification and the
-detector-agreement rule get a fault each. A space keeps no copy of its cover
-pairs or triples, enumeration peaks near what the finished space holds, and
-enumeration with the four verdicts ``space`` prints stays under a bound per
-state.
+on each input family in ``tests/test_lattice_tables.py``. A space checks
+itself as it is built, and that stands in for the lattice verification: a
+game whose moves do not commute is refused by ``enumerate_space`` itself,
+with the exact report, and so is a space built by hand with two maximal
+states (distinct firing vectors are checked in ``test_engine.py`` and
+``test_coloured.py``). The detector-agreement rule gets a fault too. A space
+keeps no copy of its cover pairs or triples, enumeration peaks near what the
+finished space holds, and enumeration with the four verdicts ``space``
+prints stays under a bound per state.
 """
 
 import pytest
@@ -23,9 +26,9 @@ from chipfire.lattice import Lattice, Poset
 from helpers import peak_traced, sand_pile_text, wide_text
 
 
-def planted_space(monkeypatch, text, at, hidden):
-    """The space of a parsed game whose moves of the vertex ids ``hidden``
-    are dropped at the configuration ``at``."""
+def planted_game(monkeypatch, text, at, hidden):
+    """A parsed game whose moves of the vertex ids ``hidden`` are dropped at
+    the configuration ``at`` while its space is enumerated."""
     game = parse_game(text)
     successors = Cfg._successors
 
@@ -35,27 +38,15 @@ def planted_space(monkeypatch, text, at, hidden):
         return [m for m in moves if m[0] not in hidden] if chips == at else moves
 
     monkeypatch.setattr(Cfg, "_successors", hide)
-    return game.enumerate_space()
+    return game
 
 
 def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, capsys):
     text = "vertices: a b t\nedge: a t 1\nedge: b t 1\nchips: a=1 b=1\n"
-    space = planted_space(monkeypatch, text, (0, 1, 1), {1})  # b is lost after a
-    # the hypercube verdict is the commuting check's, never an unchecked None
+    game = planted_game(monkeypatch, text, (0, 1, 1), {1})  # b is lost after a
+    # the space refuses itself as it is built, before any verdict is read
     with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
-        space._hypercube_witness()
-    with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
-        space.is_uld
-    with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
-        space.is_ranked
-    with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
-        space.J
-    # every rule taken from Lattice reads the covers through the same check
-    for rule in ("M", "_mx_masks", "cover_pairs", "uld_detectors", "is_distributive"):
-        with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
-            getattr(space, rule)
-    with pytest.raises(RuntimeError, match="moves a and b do not commute at state {}"):
-        space._cover_step_witness()
+        game.enumerate_space()
     path = tmp_path / "two.cfg"
     path.write_text(text)
     with pytest.raises(RuntimeError, match="do not commute"):
@@ -66,19 +57,37 @@ def test_moves_that_do_not_commute_are_an_engine_fault(monkeypatch, tmp_path, ca
 def test_commuting_report_names_the_lowest_lost_move(monkeypatch):
     # three moves out of {}: c, checked first, loses both a and b
     text = "vertices: a b c t\nedge: a t 1\nedge: b t 1\nedge: c t 1\nchips: a=1 b=1 c=1\n"
-    space = planted_space(monkeypatch, text, (1, 1, 0, 1), {0, 1})
+    game = planted_game(monkeypatch, text, (1, 1, 0, 1), {0, 1})
     with pytest.raises(RuntimeError) as err:
-        space.cover_pairs
+        game.enumerate_space()
     assert str(err.value) == "moves c and a do not commute at state {}: a is lost after c"
 
 
 def test_commuting_report_at_a_state_above_the_bottom(monkeypatch):
     # a fires twice, so states are labelled with counts; b is gone at {a:2}
     text = "vertices: a b t\nedge: a t 1\nedge: b t 1\nchips: a=2 b=1\n"
-    space = planted_space(monkeypatch, text, (0, 1, 2), {1})
+    game = planted_game(monkeypatch, text, (0, 1, 2), {1})
     with pytest.raises(RuntimeError) as err:
-        space.is_ranked
+        game.enumerate_space()
     assert str(err.value) == "moves a and b do not commute at state {a:1}: b is lost after a"
+
+
+def test_a_hand_built_space_with_two_maximal_states_is_refused():
+    # In a closure's space, commuting moves and distinct firing vectors
+    # already give one top: the two walks a, b and b, a from a state fire
+    # the same vector, so they end in one state. Built by hand, covers need
+    # not add the vertex they fire: here {a} then b and {b} then a end in
+    # two states, and the moves still commute.
+    with pytest.raises(RuntimeError) as err:
+        ConfigSpace(
+            names=("a", "b"),
+            packed_vectors=tuple(range(5)),  # distinct vectors
+            packed_states=tuple(range(5)),
+            unpack=list,
+            ups=((1, 2), (3,), (4,), (), ()),  # 1 fires b, 2 fires a
+            move_masks=(0b11, 0b01, 0b10, 0, 0),
+        )
+    assert str(err.value) == "expected a unique maximal state, found 2"
 
 
 def test_split_detectors_raise():
@@ -117,7 +126,7 @@ def test_space_builds_no_dense_lattice(tmp_path, capsys, monkeypatch):
     # the verdicts read the closure's upper covers and fill no lower ones;
     # no pair or triple of a cover is kept
     [space] = spaces
-    assert "_moves" in vars(space) and "_lower_covers" not in vars(space)
+    assert "_lower_covers" not in vars(space)
     assert "cover_pairs" not in vars(space) and "covers" not in vars(space)
     assert space._upper_covers is space.ups
 
