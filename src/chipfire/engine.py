@@ -9,8 +9,9 @@ rescans no vertex. A firing of v changes the chips of v and of its
 out-neighbours only, and an out-neighbour w != v only gains. So v is the only
 vertex that can stop being firable, and only an out-neighbour w != v whose
 chips cross its out-degree can become firable: the worklist is updated from
-those alone, and stays exactly the firable set, in ascending order. The
-policies read it: ``min`` and ``max`` its ends, ``random`` a draw from it.
+those alone, and stays exactly the firable set, in ascending order. By
+strong convergence any order will do, so a policy is a position in it:
+``min`` the first, ``max`` the last, ``random`` a seeded draw.
 
 Classical and coloured configuration spaces both come from ``_closure``, one
 breadth-first closure that holds the state cap, the canonical order and one
@@ -63,11 +64,10 @@ from __future__ import annotations
 
 import random
 import struct
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
-from operator import itemgetter
 from typing import Callable, Mapping
 
 from .errors import FiringVectorConflict, StateCapExceeded, StepCapExceeded
@@ -107,6 +107,17 @@ def _unpack_block(states, block) -> list[tuple[int, ...]]:
     return [tuple([x >> s & mask for s in shifts]) for x in states]
 
 
+_FIELD = "Q"  # one field of a packed firing vector, as ``struct`` reads it: 64 bits
+_FIELD_BYTES = struct.calcsize(">" + _FIELD)
+_FIELD_MASK = (1 << 8 * _FIELD_BYTES) - 1
+
+
+def _field_shift(n: int, v: int) -> int:
+    """Where vertex v's field starts in a firing vector packed for n vertices
+    (``_closure``): vertex 0 the most significant, the level field v = -1."""
+    return 8 * _FIELD_BYTES * (n - 1 - v)
+
+
 def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     """Breadth-first closure of ``start`` under ``successors``, as a ConfigSpace.
 
@@ -136,7 +147,7 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
     and unpacks ``vectors`` and ``configs`` on first read.
     """
     n = game.graph.n
-    unit = [1 << 64 * n | 1 << 64 * (n - 1 - v) for v in range(n)]
+    unit = [1 << _field_shift(n, -1) | 1 << _field_shift(n, v) for v in range(n)]
     ids = {start: 0}  # state -> discovery number
     states, vectors = [start], [0]
     nexts, masks = [], []  # per state: its successors' numbers, its moves
@@ -179,8 +190,8 @@ def _closure(game, start, successors, unpack, state_cap) -> "ConfigSpace":
 
 def _unpack_vectors(packed, n) -> list[tuple[int, ...]]:
     """The firing vector that each int packed by ``_closure`` holds, one
-    64-bit field per vertex of n; the level field above them is skipped."""
-    fields, size = struct.Struct(f">8x{n}Q").unpack, 8 * (n + 1)
+    field per vertex of n; the level field above them is skipped."""
+    fields, size = struct.Struct(f">{_FIELD_BYTES}x{n}{_FIELD}").unpack, _FIELD_BYTES * (n + 1)
     return [fields(x.to_bytes(size, "big")) for x in packed]
 
 
@@ -206,19 +217,17 @@ class _Covers:
                 yield lo, hi, v
 
 
-def _chooser(policy, rng, check) -> Callable[[list[int]], int]:
-    """The policy's pick from the firable vertices as a sorted list: its
-    first or last entry, a random one (what ``rng.choice(sorted(fs))`` would
-    draw), or a callable's pick from them as a frozenset."""
+def _chooser(policy, rng) -> Callable[[int], int]:
+    """The policy's position in a sorted worklist of the given length:
+    ``min`` the first, ``max`` the last, ``random`` ``rng.randrange`` of it,
+    the draw ``rng.choice`` makes on the list. Any other is a ValueError."""
     if policy == "min":
-        return itemgetter(0)
+        return lambda k: 0
     if policy == "max":
-        return itemgetter(-1)
+        return lambda k: k - 1
     if policy == "random":
         r = rng if rng is not None else random.Random(0)
-        return r.choice
-    if callable(policy):  # it may pick any id: ``check`` converts it first
-        return lambda firable: check(policy(frozenset(firable)))
+        return r.randrange
     raise ValueError(f"unknown firing policy {policy!r}")
 
 
@@ -296,16 +305,16 @@ class Cfg:
         """Fire under the given policy until nothing is firable.
 
         The final configuration and the per-vertex firing counts are
-        independent of the policy (strong convergence).
-
-        The policy reads the firable vertices as a sorted worklist, which
-        stays exactly the firable set: firing v changes the chips of v and
-        its out-neighbours only, and an out-neighbour w != v only gains, so
-        only v can leave the list and only such a w whose chips cross its
+        independent of the policy (strong convergence), so a policy is a
+        position in the firable vertices, kept as a sorted worklist: ``min``,
+        ``max`` or ``random`` (a draw by ``rng``, seed 0 if none). The
+        worklist stays exactly the firable set: firing v changes the chips of
+        v and its out-neighbours only, and an out-neighbour w != v only gains,
+        so only v can leave the list and only such a w whose chips cross its
         out-degree can join it. ``step_cap`` bounds the number of firings.
         """
         self._require_guard(step_cap, "run_to_fixpoint")
-        choose = _chooser(policy, rng, self.graph._check)
+        choose = _chooser(policy, rng)
         deg, adj = self.graph._out_degrees, self.graph._out_adj
         conf = self.init
         firable = sorted(self._firable(conf))
@@ -319,10 +328,8 @@ class Cfg:
                     else "possibly divergent"
                 )
                 raise StepCapExceeded(f"{verdict}: no fixpoint within step cap {step_cap}")
-            v = choose(firable)
-            i = bisect_left(firable, v)
-            if i == len(firable) or firable[i] != v:  # a policy may pick any vertex
-                raise ValueError(f"vertex {self.graph.names[v]} is not firable")
+            i = choose(len(firable))
+            v = firable[i]
             conf = self._fire(conf, v)
             counts[v] += 1
             steps += 1
@@ -335,9 +342,9 @@ class Cfg:
                 on_fire(v, conf)
         return FixpointRun(conf, tuple(counts))
 
-    def is_simple(self, step_cap=None) -> bool:
+    def is_simple(self) -> bool:
         """True when no vertex fires more than once on the way to the fixpoint."""
-        return max(self.run_to_fixpoint(step_cap=step_cap).counts, default=0) <= 1
+        return max(self.run_to_fixpoint().counts, default=0) <= 1
 
     def enumerate_space(self, state_cap=None) -> "ConfigSpace":
         """Breadth-first closure of every reachable configuration.
@@ -494,7 +501,7 @@ class ConfigSpace(Lattice):
     @property
     def height(self) -> int:
         """The top's level: the field above its firing vector's."""
-        return self.packed_vectors[self.top] >> 64 * len(self.names)
+        return self.packed_vectors[self.top] >> _field_shift(len(self.names), -1)
 
     def shot_set(self, i) -> frozenset[int]:
         """Vertices fired at least once to reach element i."""

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coloured import ColouredCfg
-from .engine import Cfg, ConfigSpace
+from .engine import Cfg, ConfigSpace, _FIELD_MASK, _field_shift
 from .errors import CapExceeded, StepCapExceeded
 from .lattice import Lattice, Poset
 from .multigraph import ColouredMultigraph, Multigraph
@@ -90,29 +90,31 @@ def split_vertex(cfg: Cfg, a: int) -> Cfg:
     return Cfg(Multigraph(names, mult), chips)
 
 
-def simplify(cfg: Cfg, max_rounds: int = 1000, step_cap=None) -> tuple[Cfg, tuple[SplitReport, ...]]:
+MAX_ROUNDS = 1000  # the most rounds ``simplify`` takes: splits, and one round more
+
+
+def simplify(cfg: Cfg) -> tuple[Cfg, tuple[SplitReport, ...]]:
     """Split a most-fired vertex until every vertex fires at most once.
 
     A vertex that fires c times splits into copies that fire ceil(c/2) (copy
     0) and floor(c/2) times (copy 1), the others as before, so one fixpoint
     run fixes every count: simplifying takes sum(c - 1) splits and one
-    round more. CapExceeded, before any split, when that exceeds ``max_rounds``.
+    round more. CapExceeded, before any split, when that exceeds
+    ``MAX_ROUNDS``, and ValueError for a game that need not converge.
     Every split lands on one copy of the game, built once at the end.
     """
-    cfg._require_guard(step_cap, "run_to_fixpoint")
-    bound = max_rounds + cfg.graph.n  # splits >= firings - n: a longer run is over the cap
-    cap = bound if step_cap is None else min(step_cap, bound)
+    if not cfg.converges_guaranteed:
+        raise ValueError("simplify needs a game where every vertex can drain to a sink")
+    bound = MAX_ROUNDS + cfg.graph.n  # splits >= firings - n: a longer run is over the cap
     try:
-        counts = list(cfg.run_to_fixpoint(step_cap=cap).counts)
+        counts = list(cfg.run_to_fixpoint(step_cap=bound).counts)
     except StepCapExceeded:
-        if cap < bound:  # the caller's step cap stopped the run
-            raise
-        raise CapExceeded(f"simplifying takes more than {max_rounds} rounds (over {bound} firings)")
+        raise CapExceeded(f"simplifying takes more than {MAX_ROUNDS} rounds (over {bound} firings)")
     splits = sum(c - 1 for c in counts if c > 1)
-    if splits >= max_rounds:
+    if splits >= MAX_ROUNDS:
         raise CapExceeded(
             f"simplifying takes {splits + 1} rounds ({splits} splits), "
-            f"over the cap of {max_rounds} rounds"
+            f"over the cap of {MAX_ROUNDS} rounds"
         )
     if not splits:
         return cfg, ()
@@ -279,8 +281,6 @@ def coloured_from_uld(lattice: Lattice) -> ColouredCfg:
 
 # construction maps: which element of the source each reachable state stands for
 
-_FIELD = (1 << 64) - 1  # one vertex's field of a packed firing vector (``engine._closure``)
-
 
 def distributive_map(lattice: Lattice, space: ConfigSpace) -> list[int | None]:
     """Where the states of ``cfg_from_distributive(lattice)`` and of
@@ -290,11 +290,10 @@ def distributive_map(lattice: Lattice, space: ConfigSpace) -> list[int | None]:
     unopened) vertices below |M| are its code: it goes to the element with
     those meet-irreducibles above it, their meet (Birkhoff), or to None when
     no element has that code. The code is read off the packed vector: vertex
-    b's 64-bit field is zero exactly when b has not fired. The sink is not
-    looked at.
+    b's field is zero exactly when b has not fired. The sink is not looked at.
     """
     element = {code: x for x, code in enumerate(lattice._mx_masks)}
-    fields = [_FIELD << 64 * (len(space.names) - 1 - b) for b in range(len(lattice.M))]
+    fields = [_FIELD_MASK << _field_shift(len(space.names), b) for b in range(len(lattice.M))]
     codes = (sum(1 << b for b, f in enumerate(fields) if not x & f) for x in space.packed_vectors)
     return [element.get(code) for code in codes]
 
@@ -318,10 +317,11 @@ def split_map(reports, original: ConfigSpace, simple: ConfigSpace) -> list[int] 
         origin.append(origin[rep.index])
     if len(origin) != m:
         return None
-    copies = [(64 * (m - 1 - w), 64 * (n - 1 - origin[w])) for w in range(n, m)]
+    copies = [(_field_shift(m, w), _field_shift(n, origin[w])) for w in range(n, m)]
     index = {x: i for i, x in enumerate(original.packed_vectors)}
+    kept = _field_shift(m, n - 1)  # below it, the appended copies' fields
     image = [
-        index.get(sum([(y >> s & _FIELD) << t for s, t in copies], y >> 64 * (m - n)))
+        index.get(sum([(y >> s & _FIELD_MASK) << t for s, t in copies], y >> kept))
         for y in simple.packed_vectors
     ]
     return None if None in image else image

@@ -143,9 +143,8 @@ def scan_run(cfg: Cfg, policy="min", rng=None):
     """``Cfg.run_to_fixpoint`` by its definition, as (the firings as
     (vertex, configuration after it) pairs, final configuration, counts):
     before every firing the firable set is rescanned off the edge
-    multiplicities, and the policy picks from it: ``min``, ``max``,
-    ``rng.choice`` of it sorted, or a callable's pick from the frozenset.
-    No step cap: convergent games only."""
+    multiplicities, and the policy picks from it: ``min``, ``max`` or
+    ``rng.choice`` of it sorted. No step cap: convergent games only."""
     n, graph = cfg.graph.n, cfg.graph
     out = [sum(k for (u, _), k in graph.mult.items() if u == v) for v in range(n)]
     chips, counts, fired = list(cfg.init), [0] * n, []
@@ -154,10 +153,8 @@ def scan_run(cfg: Cfg, policy="min", rng=None):
             v = min(fs)
         elif policy == "max":
             v = max(fs)
-        elif policy == "random":
-            v = rng.choice(sorted(fs))
         else:
-            v = policy(fs)
+            v = rng.choice(sorted(fs))
         _fire_in_place(chips, graph, v)
         counts[v] += 1
         fired.append((v, tuple(chips)))

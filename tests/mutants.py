@@ -57,7 +57,8 @@ MUTANTS = (
     Mutant("a loop edge putting its vertex on the worklist twice", "engine.py",
            "if w != v and conf[w]", "if conf[w]", FIXPOINT_SCANS),
     Mutant("random drawing from the worklist rotated, not sorted", "engine.py",
-           "return r.choice", "return lambda firable: r.choice(firable[1:] + firable[:1])",
+           "return r.randrange", "return lambda k: (r.randrange(k) + 1) % k", FIXPOINT_SCANS),
+    Mutant("max picking the first position", "engine.py", "lambda k: k - 1", "lambda k: 0",
            FIXPOINT_SCANS),
     Mutant("distributive always yes", "lattice.py",
            "return len(self.J) == len(self.M) and self.is_uld", "return True",
@@ -157,8 +158,8 @@ MUTANTS = (
                "test_lattice_tables.py::test_coloured_spaces_and_duals",
                "test_lattice_tables.py::test_generated_coloured_game_spaces_and_duals")),
     Mutant("a move of vertex 0 adding two to its field", "engine.py",
-           "1 << 64 * (n - 1 - v) for v in range(n)]",
-           "(1 + (v == 0)) << 64 * (n - 1 - v) for v in range(n)]", (
+           "1 << _field_shift(n, v) for v in range(n)]",
+           "(1 + (v == 0)) << _field_shift(n, v) for v in range(n)]", (
                "test_packed_closure.py::test_generated_games",
                "test_packed_closure.py::test_generated_coloured_games")),
     # aimed at what a past revision of src/ kept in tests/helpers.py caught;
@@ -212,6 +213,9 @@ MUTANTS = (
     Mutant("simplify predicting copy 0 to fire floor(c/2) times", "transforms.py",
            "counts[a] = (worst + 1) // 2", "counts[a] = worst // 2",
            ("test_transforms.py::test_simplify_counts_match_replays_on_the_corpus",)),
+    Mutant("round cap off by one", "transforms.py",
+           "if splits >= MAX_ROUNDS:", "if splits > MAX_ROUNDS:",
+           ("test_transforms.py::test_simplify_round_cap_leaves_the_convergence_guard_and_step_cap",)),
 )
 
 

@@ -17,7 +17,7 @@ from helpers import (
     v,
 )
 
-POLICIES = ("min", "max", "random", "callable")
+POLICIES = ("min", "max", "random")
 
 
 def test_firable_funnel_initial():
@@ -110,42 +110,27 @@ def test_run_policy_independence():
         assert len({r.counts for r in runs}) == 1
 
 
-def policy_args(policy, seed, offered):
-    """The policy and rng to run ``policy`` with, as keywords: a callable
-    picks the middle firable vertex and appends each set it is handed to
-    ``offered``."""
-    if policy != "callable":
-        return {"policy": policy, "rng": random.Random(seed)}
-
-    def middle(fs):
-        offered.append(fs)
-        return sorted(fs)[len(fs) // 2]
-
-    return {"policy": middle}
-
-
 def assert_runs_like_the_scan(game, seed):
     """Under every policy the run fires what ``scan_run`` fires, firing by
-    firing, and hands a callable exactly the firable frozenset; a step cap
-    of its firings passes and one less raises."""
+    firing; a step cap of its firings passes and one less raises."""
     for policy in POLICIES:
-        offered, scan_offered, fired = [], [], []
-        expected = scan_run(game, **policy_args(policy, seed, scan_offered))
+        fired = []
+        expected = scan_run(game, policy=policy, rng=random.Random(seed))
         steps = len(expected[0])
         run = game.run_to_fixpoint(
-            **policy_args(policy, seed, offered),
+            policy=policy,
             step_cap=steps,
+            rng=random.Random(seed),
             on_fire=lambda v, conf: fired.append((v, conf)),
         )
         assert (fired, run.final, run.counts) == expected, policy
-        assert offered == scan_offered and all(type(fs) is frozenset for fs in offered)
         if steps:
             with pytest.raises(
                 StepCapExceeded,
                 match="^the game converges, but the step cap came first: "
                 f"no fixpoint within step cap {steps - 1}$",
             ):
-                game.run_to_fixpoint(**policy_args(policy, seed, []), step_cap=steps - 1)
+                game.run_to_fixpoint(policy=policy, rng=random.Random(seed), step_cap=steps - 1)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -178,15 +163,15 @@ def test_step_cap_text_says_whether_the_game_converges():
         with pytest.raises(
             StepCapExceeded, match="^possibly divergent: no fixpoint within step cap 7$"
         ):
-            cyclic.run_to_fixpoint(**policy_args(policy, 0, []), step_cap=7)
+            cyclic.run_to_fixpoint(policy=policy, step_cap=7)
         with pytest.raises(
             StepCapExceeded,
             match="^the game converges, but the step cap came first: "
             "no fixpoint within step cap 7$",
         ):
-            drain.run_to_fixpoint(**policy_args(policy, 0, []), step_cap=7)
+            drain.run_to_fixpoint(policy=policy, step_cap=7)
         # the bound counts firings: seven of them fit a step cap of 7
-        run = Cfg(drain.graph, (7, 0)).run_to_fixpoint(**policy_args(policy, 0, []), step_cap=7)
+        run = Cfg(drain.graph, (7, 0)).run_to_fixpoint(policy=policy, step_cap=7)
         assert run.steps == 7
 
 

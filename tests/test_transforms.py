@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings
 
+from chipfire import transforms
 from chipfire.engine import Cfg
-from chipfire.errors import CapExceeded, StepCapExceeded
+from chipfire.errors import CapExceeded
 from chipfire.formats import serialize_game
 from chipfire.fixtures import funnel_game, gated_cube_lattice, pentagon, relay_chain_game
 from chipfire.lattice import Lattice, ideal_lattice, is_isomorphic
@@ -195,21 +196,29 @@ def test_simplify_builds_one_multigraph(monkeypatch):
         assert built == [simple.graph]
 
 
-def test_simplify_round_cap_leaves_the_convergence_guard_and_step_cap():
+def test_simplify_round_cap_leaves_the_convergence_guard_and_step_cap(monkeypatch):
     cycle = Cfg(Multigraph(("a", "b"), {(0, 1): 1, (1, 0): 1}), (1, 0))
-    with pytest.raises(ValueError, match="run_to_fixpoint needs a cap"):
+    with pytest.raises(
+        ValueError, match="^simplify needs a game where every vertex can drain to a sink$"
+    ):
         simplify(cycle)
-    with pytest.raises(StepCapExceeded, match="no fixpoint within step cap 5"):
-        simplify(cycle, step_cap=5)
-    with pytest.raises(CapExceeded, match="simplifying takes more than 10 rounds"):
-        simplify(cycle, max_rounds=10, step_cap=100)
     # a source firing 12 times: its 11 splits are counted, within and over the cap
     source = Cfg(Multigraph(("a", "t"), {(0, 1): 1}), (12, 0))
-    assert len(simplify(source, max_rounds=12)[1]) == 11
+    monkeypatch.setattr(transforms, "MAX_ROUNDS", 12)
+    assert len(simplify(source)[1]) == 11
+    monkeypatch.setattr(transforms, "MAX_ROUNDS", 11)
     with pytest.raises(CapExceeded, match="takes 12 rounds"):
-        simplify(source, max_rounds=11)
-    with pytest.raises(CapExceeded, match="takes more than 9 rounds"):
-        simplify(source, max_rounds=9)
+        simplify(source)
+    monkeypatch.setattr(transforms, "MAX_ROUNDS", 9)
+    with pytest.raises(CapExceeded, match=r"takes more than 9 rounds \(over 11 firings\)"):
+        simplify(source)
+    # unpatched, a source firing 1001 times: 1000 splits, one round over the cap
+    monkeypatch.undo()
+    with pytest.raises(
+        CapExceeded,
+        match=r"^simplifying takes 1001 rounds \(1000 splits\), over the cap of 1000 rounds$",
+    ):
+        simplify(Cfg(Multigraph(("a", "t"), {(0, 1): 1}), (1001, 0)))
 
 
 # distributive lattice -> game

@@ -13,6 +13,7 @@ from chipfire.fixtures import funnel_game, pentagon, shared_gate_game
 from chipfire.formats import parse_game
 from chipfire.lattice import Lattice, Poset
 from chipfire.multigraph import ColouredMultigraph, Multigraph
+from chipfire import transforms
 from chipfire.transforms import interval_cfg, simplify, split_vertex
 
 
@@ -128,11 +129,16 @@ ID_ENTRY_POINTS = {
     "interval_cfg": (FUNNEL_SPACE, lambda g, x: interval_cfg(g, x, 6)),
     "interval_cfg second": (FUNNEL_SPACE, lambda g, x: interval_cfg(g, 0, x)),
     "Cfg.fire": (FUNNEL, lambda g, x: g.fire(g.init, x)),
-    "callable policy": (FUNNEL, lambda g, x: g.run_to_fixpoint(policy=lambda fs: x)),
     "split_vertex": (FUNNEL, split_vertex),
     "ColouredCfg.open_vertex": (GATE, lambda g, x: g.open_vertex(opened_a(g), x)),
 }
-BAD_IDS = {"-1": lambda n: -1, "n": lambda n: n, "2.5": lambda n: 2.5, "0.0": lambda n: 0.0}
+BAD_IDS = {
+    "-1": lambda n: -1,
+    "n": lambda n: n,
+    "2.5": lambda n: 2.5,
+    "0.0": lambda n: 0.0,
+    "np.int64(n)": np.int64,
+}
 
 
 @pytest.mark.parametrize("bad", BAD_IDS)
@@ -150,8 +156,6 @@ def test_id_entry_points_take_numpy_ints_and_bools():
     assert lat.j_lower(np.int64(2)) == 1 and lat.m_upper(True) == 2
     assert interval_cfg(game, np.int64(0), np.int8(6)) == interval_cfg(game, 0, 6)
     assert game.fire(game.init, np.int64(0)) == game.fire(game.init, 0)
-    policy = game.run_to_fixpoint(policy=lambda fs: np.int64(max(fs)))
-    assert policy == game.run_to_fixpoint(policy="max")
     assert split_vertex(game, np.int64(2)) == split_vertex(game, 2)
     gate = shared_gate_game()
     assert gate.open_vertex(gate.initial_state(), np.int64(0)) == opened_a(gate)
@@ -212,11 +216,12 @@ def test_cfg_rejects_bad_init():
 
 
 def test_callable_policy():
-    game = funnel_game()
-    run = game.run_to_fixpoint(policy=lambda fs: max(fs))
-    assert run.final == (0, 0, 1, 2)
-    with pytest.raises(ValueError):
-        game.run_to_fixpoint(policy="sideways")
+    # a policy is a position in the worklist: min, max or random, nothing else
+    game, fired = funnel_game(), []
+    for policy in ("sideways", max):
+        with pytest.raises(ValueError, match="^unknown firing policy "):
+            game.run_to_fixpoint(policy=policy, on_fire=lambda v, conf: fired.append(v))
+    assert not fired
 
 
 def numpy_int(value):
@@ -228,12 +233,6 @@ def test_fire_rejects_unknown_vertex_id(bad):
     game = funnel_game()
     with pytest.raises(ValueError, match=f"unknown vertex id {re.escape(repr(bad))}"):
         game.fire(game.init, bad)
-
-
-@pytest.mark.parametrize("bad", [99, -1, numpy_int(99)])
-def test_callable_policy_rejects_unknown_vertex_id(bad):
-    with pytest.raises(ValueError, match=f"unknown vertex id {re.escape(repr(bad))}"):
-        funnel_game().run_to_fixpoint(policy=lambda fs: bad)
 
 
 @pytest.mark.parametrize("bad", [9, -1, numpy_int(9)])
@@ -427,11 +426,13 @@ def test_isomorphism_cap():
         find_isomorphism(lat, lat, cap=4)
 
 
-def test_simplify_round_cap():
+def test_simplify_round_cap(monkeypatch):
     from chipfire.fixtures import relay_chain_game
 
-    with pytest.raises(RuntimeError):
-        simplify(relay_chain_game(), max_rounds=1)
+    # the relay chain needs 5 rounds: its 6 firings are over a 1-round cap's 4
+    monkeypatch.setattr(transforms, "MAX_ROUNDS", 1)
+    with pytest.raises(CapExceeded, match="^simplifying takes more than 1 rounds"):
+        simplify(relay_chain_game())
 
 
 def test_split_name_collision_gets_fresh_names():
